@@ -16,8 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import discrepancy as dsc
-from .expint import expint_scaled, expint_scaled_inverse
-from .config import ExperimentConfig
+from .expint import DomainError, expint_scaled, expint_scaled_inverse
+from .config import ConfigError, ExperimentConfig
 from .propagators import ModelSequence, build_trajectory
 from .rng import RngSpec
 from .mvspenkf import DiagonalizableModel, mv_inflation_schedule, mv_spenkf_run
@@ -88,6 +88,29 @@ def _trajectory(cfg):
     return build_trajectory(model, cfg.x0_truth, cfg.r, spec)
 
 
+def _schedule(cfg, traj, alpha, field):
+    # the inflation schedule built from prior variance cfg.<field>; a
+    # prior too small against r / S_i leaves the inverse's domain
+    p = getattr(cfg, field)
+    try:
+        return inflation_schedule(traj, alpha, p, cfg.x0)
+    except DomainError as exc:
+        raise ConfigError("config.%s: %r is too small against r / S_i for the "
+                          "optimal inflation (%s)" % (field, p, exc)) from exc
+
+
+def _gated_rows(args, one, n_rows):
+    # per-step rows, on worker threads when asked, and the largest gap in
+    # SE units over all of them; NaN if any gap is NaN, so a NaN cannot pass
+    steps = range(n_rows)
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            rows = list(pool.map(one, steps))
+    else:
+        rows = [one(i) for i in steps]
+    return rows, float(np.max([row[-1] for row in rows]))
+
+
 # ---------------------------------------------------------------- skf
 
 _SKF_COLS = [
@@ -152,7 +175,7 @@ def cmd_spenkf(args):
                                    RngSpec(cfg.seed, _STREAM_ENSEMBLE))
     sched = None
     if cfg.inflation != "none":
-        sched = inflation_schedule(traj, alpha, cfg.p_tilde0, cfg.x0)
+        sched = _schedule(cfg, traj, alpha, "p_tilde0")
     if cfg.inflation == "initial-theta":
         # one-shot: inflate the initial ensemble by theta at the final step
         # (unbiased final analysis variance), no per-step corrections
@@ -229,7 +252,7 @@ def cmd_mc_verify(args):
     alpha = 0.5 * cfg.ensemble_size
     inp = dsc.PerturbedInputs(p0=cfg.p0, x0=cfg.x0, p_tilde0=cfg.p_tilde0,
                               x_tilde0=cfg.x_tilde0, alpha=alpha, r=cfg.r)
-    sched = inflation_schedule(traj, alpha, cfg.p0, cfg.x0)
+    sched = _schedule(cfg, traj, alpha, "p0")
 
     def one(i):
         mc = dsc.mc_discrepancy_moments(traj, inp, i, cfg.replicates,
@@ -251,16 +274,10 @@ def cmd_mc_verify(args):
                 a_dx2 - a_dx * a_dx, mc.var_dx, mc.var_dx_se,
                 a_dx2, mc.mean_dx2, mc.mean_dx2_se,
                 float(sched.theta[i]), float(sched.phi[i]),
-                float(sched.psi[i]), max(gaps)]
+                float(sched.psi[i]), float(np.max(gaps))]
 
-    steps = range(traj.n_steps + 1)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one, steps))
-    else:
-        rows = [one(i) for i in steps]
+    rows, worst = _gated_rows(args, one, traj.n_steps + 1)
     _write_csv(args.out, [n for n, _ in _MC_COLS], rows)
-    worst = max(row[-1] for row in rows)
     ok = worst <= 4.0
     print("mc-verify: %d steps, %d replicates, worst gap %.2f SE: %s"
           % (len(rows), cfg.replicates, worst, "PASS" if ok else "FAIL"),
@@ -287,8 +304,8 @@ def cmd_inflation_table(args):
     cfg = _load(args)
     traj = _trajectory(cfg)
     alpha = 0.5 * cfg.ensemble_size
-    sched = inflation_schedule(traj, alpha, cfg.p_tilde0, cfg.x0)
-    rows = [[i, traj.r_over_S(i), float(sched.theta[i]), float(sched.phi[i]),
+    sched = _schedule(cfg, traj, alpha, "p_tilde0")
+    rows = [[i, float(sched.r_over_S[i]), float(sched.theta[i]), float(sched.phi[i]),
              float(sched.psi[i]), sched.theta_star]
             for i in range(traj.n_steps + 1)]
     _write_csv(args.out, [n for n, _ in _INFL_COLS], rows)
@@ -335,16 +352,10 @@ def cmd_po_penalty(args):
                 abs(rep.second_R - rep.exact_second_R) / rep.second_R_se]
         return [i, k4, rep.penalty, rep.mean_P, rep.analytic_mean_rK,
                 rep.cov_cross, rep.cov_cross_se, rep.second_R,
-                rep.exact_second_R, max(gaps)]
+                rep.exact_second_R, float(np.max(gaps))]
 
-    steps = range(traj.n_steps + 1)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one, steps))
-    else:
-        rows = [one(i) for i in steps]
+    rows, worst = _gated_rows(args, one, traj.n_steps + 1)
     _write_csv(args.out, [n for n, _ in _PO_COLS], rows)
-    worst = max(row[-1] for row in rows)
     ok = worst <= 4.0
     print("po-penalty: %d steps, worst gap %.2f SE: %s"
           % (len(rows), worst, "PASS" if ok else "FAIL"), file=sys.stderr)
@@ -535,7 +546,17 @@ def main(argv=None):
     if args.threads < 1:
         print("--threads must be >= 1", file=sys.stderr)
         return 2
-    return args.fn(args)
+    # bad input exits 2 with one line naming the field; exit 1 is reserved
+    # for a verification FAIL
+    try:
+        return args.fn(args)
+    except (ConfigError, DomainError) as exc:
+        print("%s: %s" % (args.command, exc), file=sys.stderr)
+    except FileNotFoundError as exc:
+        flag = "--config" if exc.filename == args.config else "--out"
+        print("%s: %s: no such file or directory: %s"
+              % (args.command, flag, exc.filename), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """JSON experiment configuration with field-path validation diagnostics."""
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,13 +140,19 @@ class ExperimentConfig:
             raise ConfigError("config: top level must be a JSON object")
         path = "config"
         kwargs = {}
-        for name, conv in (("seed", int), ("steps", int), ("ensemble_size", int),
-                           ("replicates", int)):
+        for name in ("seed", "steps", "ensemble_size", "replicates"):
             if name in obj:
-                kwargs[name] = conv(_need(obj, name, _NUM, path))
+                val = _need(obj, name, _NUM, path)
+                if not (isinstance(val, int) or val.is_integer()):
+                    raise ConfigError("%s.%s: expected an integer, got %r" % (path, name, val))
+                kwargs[name] = int(val)
         for name in ("p0", "x0", "x0_truth", "r", "p_tilde0", "x_tilde0"):
             if name in obj:
-                kwargs[name] = float(_need(obj, name, _NUM, path))
+                val = float(_need(obj, name, _NUM, path))
+                if not math.isfinite(val):
+                    raise ConfigError("%s.%s: expected a finite number, got %r"
+                                      % (path, name, val))
+                kwargs[name] = val
         if "inflation" in obj:
             kwargs["inflation"] = _need(obj, "inflation", str, path)
         if "perturbed_obs" in obj:

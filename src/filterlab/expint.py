@@ -18,14 +18,39 @@ Two complementary evaluation schemes cover the domain:
     series has a simple pole in the order at every positive integer; the
     pole term from the Gamma prefactor and the offending series term are
     combined analytically through expm1, which keeps the evaluation
-    uniformly accurate arbitrarily close to integer orders.
+    uniformly accurate arbitrarily close to integer orders.  The
+    order-only pieces of that prefactor are built by one helper, shared by
+    the scalar series and by the array series below.
 
 Both branches were checked against 50-digit quadrature of the defining
 integral over nu in [0, 201] x z in [1e-6, 700] including orders within
 1e-12 of integers; worst relative error observed was ~3e-15.
+
+The inverse problem scaled(alpha+1, z) = 1/alpha - delta is solved for a
+whole array of shifts delta at once.  By the recurrence DLMF 8.19.12,
+alpha*scaled(alpha+1, z) = 1 - z*scaled(alpha, z), so the root solves
+
+    h(z) = z * scaled(alpha, z) = alpha * delta,
+
+which involves no cancellation against the z = 0 limit 1/alpha.  h is
+increasing and concave, and by DLMF 8.19.13 (E_p' = -E_{p-1}) its
+derivative comes with the same evaluation: h'(z) = alpha*scaled(alpha, z)
++ h(z) - 1, so each Newton iteration costs one evaluation where the
+secant needs two.  Newton started below the root (at the larger of the
+sandwich-bracket end and the tangent root at z = 0) climbs to it
+monotonically without overshooting, and every unresolved element takes
+its step together.  Elements below z = 1 evaluate scaled(alpha, z) with
+the power series summed over a block of terms per row at one fixed order.
+Elements at z >= 1 (about one root in a hundred along a long schedule)
+keep the scalar Lentz continued fraction, one element at a time: each
+fraction stops after its own number of terms, from a handful at large z
+to ~100 near z = 1, which a fixed-size array block could only match by
+always paying for the worst case.
 """
 
 import math
+
+import numpy as np
 
 __all__ = [
     "DomainError",
@@ -33,6 +58,7 @@ __all__ = [
     "expint_scaled",
     "expint_scaled_inverse",
     "expint_scaled_inverse_shifted",
+    "expint_scaled_inverse_shifted_array",
 ]
 
 _TINY = 1e-300
@@ -42,6 +68,11 @@ _EULER_GAMMA = 0.5772156649015328606065
 # value is so small that no double-precision z in the supported range
 # reproduces it.
 _Z_CAP = 700.0
+
+# Largest block of series terms summed in one pass (floats; 256 KiB), and
+# the most terms a row ever needs at z < 1.
+_BLOCK = 32768
+_MAX_TERMS = 48
 
 
 class DomainError(ValueError):
@@ -115,13 +146,42 @@ def _psi_int(n):
     return s
 
 
-def _series_scaled(nu, z, maxit=700):
-    # Power series for 0 < z < 1, any real nu >= 0.  Let n = round(nu),
-    # delta = nu - n.  The k = n-1 series term and the Gamma(1-nu) z^(nu-1)
-    # prefactor both blow up as delta -> 0; their sum stays finite and is
-    # formed here through expm1 so nothing is lost to cancellation.
+def _pole_order(nu):
+    # Order-only pieces (n, d, scale, a, b) of the series prefactor c(z),
+    # with n = round(nu) and d = nu - n; see _pole_term.
     n = int(round(nu))
-    delta = nu - n
+    d = nu - n
+    if n == 0:
+        return n, d, math.gamma(1.0 - nu), 0.0, 0.0
+    if d == 0.0:
+        a, b = 0.0, _psi_int(n)
+    else:
+        # a = log(pi*d / sin(pi*d)) via the reflection identity
+        # pi*d/sin(pi*d) = Gamma(1+d)*Gamma(1-d), which keeps full absolute
+        # accuracy as d -> 0 (the direct log underflows against 1 below
+        # |d| ~ 1e-8)
+        a, b = _lgamma1p(d) + _lgamma1p(-d), _lgamma_shift(n, d)
+    return n, d, (-1.0) ** n * math.exp(-math.lgamma(n)), a, b
+
+
+def _pole_term(order, z, log_z, expm1):
+    # The prefactor c(z) for a float z (expm1 = math.expm1) or an array
+    # (np.expm1).  For n >= 1 it is the Gamma(1-nu) z^(nu-1) term plus the
+    # k = n-1 series term, which both blow up as d -> 0 while their sum
+    # stays finite:  c = (-1)^n z^(n-1) / Gamma(n) * h  with
+    # h = expm1(d log z + a - b) / d, or log z - psi(n) at d = 0.
+    n, d, scale, a, b = order
+    if n == 0:
+        return scale * z ** (d - 1.0)
+    h = log_z - b if d == 0.0 else expm1(d * log_z + a - b) / d
+    return scale * z ** (n - 1.0) * h
+
+
+def _series_scaled(nu, z, maxit=700):
+    # Power series for 0 < z < 1, any real nu >= 0:
+    #   scaled(nu, z) = (c(z) - sum_{k != n-1} (-z)^k / (k! (k+1-nu))) e^z.
+    order = _pole_order(nu)
+    n = order[0]
     s = 0.0
     term = 1.0
     k = 0
@@ -133,50 +193,61 @@ def _series_scaled(nu, z, maxit=700):
                 break
         term *= -z / (k + 1.0)
         k += 1
-    if n == 0:
-        c = math.gamma(1.0 - nu) * z ** (nu - 1.0)
-    else:
-        if delta == 0.0:
-            h = math.log(z) - _psi_int(n)
-        else:
-            # log(pi*delta / sin(pi*delta)) via the reflection identity
-            # pi*delta/sin(pi*delta) = Gamma(1+delta)*Gamma(1-delta), which
-            # keeps full absolute accuracy as delta -> 0 (the direct log
-            # underflows against 1 below |delta| ~ 1e-8)
-            lratio = _lgamma1p(delta) + _lgamma1p(-delta)
-            arg = delta * math.log(z) + lratio - _lgamma_shift(n, delta)
-            h = math.expm1(arg) / delta
-        c = (-1.0) ** n * z ** (n - 1.0) * math.exp(-math.lgamma(n)) * h
-    return (c - s) * math.exp(z)
+    return (_pole_term(order, z, math.log(z), math.expm1) - s) * math.exp(z)
 
 
-def _series_scaled_shifted(nu, z, maxit=700):
-    # scaled(nu, z) - 1/(nu - 1) for 0 < z < 1 and nu > 2, without the
-    # cancellation of subtracting two near-equal O(1/nu) quantities at
-    # small z.  The k = 0 series term is exactly -exp(z)/(nu - 1); folding
-    # it into the shift leaves exp(z)*(c - rest) + expm1(z)/(nu - 1),
-    # every piece of which vanishes with z.
-    n = int(round(nu))
-    delta = nu - n
-    s = 0.0
-    term = 1.0
-    k = 0
-    while k < maxit:
-        if k != n - 1 and k != 0:
-            inc = term / (k + 1.0 - nu)
-            s += inc
-            if k > n and abs(inc) < 1e-18 * max(abs(s), _TINY):
-                break
-        term *= -z / (k + 1.0)
-        k += 1
-    if delta == 0.0:
-        h = math.log(z) - _psi_int(n)
-    else:
-        lratio = _lgamma1p(delta) + _lgamma1p(-delta)
-        arg = delta * math.log(z) + lratio - _lgamma_shift(n, delta)
-        h = math.expm1(arg) / delta
-    c = (-1.0) ** n * z ** (n - 1.0) * math.exp(-math.lgamma(n)) * h
-    return (c - s) * math.exp(z) + math.expm1(z) / (nu - 1.0)
+class _FixedOrder:
+    """scaled(nu, z) at one order for a 1-d array of z > 0.
+
+    Elements at z < 1 take the power series of _series_scaled.  Its
+    order-dependent pieces (the pole prefactor and the term coefficients
+    1/(k+1-nu)) are built once; each call then sums a block of terms per
+    row, in chunks of at most _BLOCK floats.  The series stops where the
+    first dropped term z^K/K! is below 1e-18/(1+nu), a relative 6e-18 of
+    the result (which exceeds 1/(1+nu)), so no call needs more than a few
+    dozen terms.  Elements at z >= 1 take the scalar Lentz continued
+    fraction one at a time.
+    """
+
+    def __init__(self, nu):
+        self.nu = nu
+        self.order = _pole_order(nu)
+        self.k1 = np.arange(1.0, _MAX_TERMS + 1.0)
+        denom = self.k1 - nu
+        pole = self.order[0] - 1  # the k = n-1 term, carried by c(z)
+        if 0 <= pole < _MAX_TERMS:
+            denom[pole] = np.inf
+        self.coef = 1.0 / denom
+        self.tol = 1e-18 / (1.0 + nu)
+
+    def _series(self, z):
+        # terms k < `terms` are kept; t bounds the first dropped one
+        zmax = float(z.max())
+        terms, t = 1, zmax
+        while t > self.tol and terms < _MAX_TERMS:
+            terms += 1
+            t *= zmax / terms
+        s = np.empty_like(z)
+        rows = max(1, _BLOCK // terms)
+        for lo in range(0, len(z), rows):
+            zc = z[lo:lo + rows]
+            # block[:, k] = (-z)^k / k!, the scalar recurrence term *= -z/(k+1)
+            block = np.empty((len(zc), terms))
+            block[:, 0] = 1.0
+            np.divide.outer(-zc, self.k1[:terms - 1], out=block[:, 1:])
+            np.cumprod(block, axis=1, out=block)
+            s[lo:lo + rows] = block @ self.coef[:terms]
+        return (_pole_term(self.order, z, np.log(z), np.expm1) - s) * np.exp(z)
+
+    def __call__(self, z):
+        out = np.empty_like(z)
+        small = z < 1.0
+        if small.any():
+            out[small] = self._series(z[small])
+        big = ~small
+        # Python floats: numpy scalars would slow the Lentz loop twofold
+        out[big] = [_cf_scaled(self.nu, t) for t in z[big].tolist()]
+        return out
 
 
 def expint_scaled(nu, z):
@@ -201,15 +272,6 @@ def expint(nu, z):
     return math.exp(-z) * expint_scaled(nu, z)
 
 
-def _sandwich_bracket(alpha, y):
-    # scaled(alpha+1, z) is strictly decreasing in z with
-    #   1/(z+alpha+1) < scaled(alpha+1, z) <= 1/(z+alpha),
-    # so the root of scaled(alpha+1, z) = y lies in [1/y-alpha-1, 1/y-alpha].
-    hi = 1.0 / y - alpha
-    lo = max(0.0, hi - 1.0)
-    return lo, hi
-
-
 def expint_scaled_inverse(alpha, y, rtol=1e-14, maxit=200):
     """Solve exp(z) * E_{alpha+1}(z) = y for z >= 0.
 
@@ -226,52 +288,7 @@ def expint_scaled_inverse(alpha, y, rtol=1e-14, maxit=200):
             "expint_scaled_inverse requires 0 < y <= 1/alpha; got y=%r with 1/alpha=%r"
             % (y, 1.0 / alpha)
         )
-    nu = alpha + 1.0
-    lo, hi = _sandwich_bracket(alpha, y)
-    if lo >= _Z_CAP:
-        raise DomainError(
-            "inverse saturated: target y=%r needs z >= %g, beyond the supported cap %g"
-            % (y, lo, _Z_CAP)
-        )
-    if hi <= 0.0:
-        # only possible when y == 1/alpha exactly
-        return 0.0
-
-    f_lo = expint_scaled(nu, lo) - y
-    if f_lo <= 0.0:
-        # roundoff put the root at (or below) the lower endpoint
-        return lo
-    f_hi = expint_scaled(nu, hi) - y
-    if f_hi >= 0.0:
-        return hi
-
-    # safeguarded secant: the iterate must land strictly inside the current
-    # bracket, otherwise fall back to bisection for that step.  Convergence
-    # is judged on the bracket width so the root itself (not merely the
-    # residual) carries full relative precision even where the forward map
-    # is ill-conditioned (z << alpha).
-    return _bracket_solve(lambda t: expint_scaled(nu, t) - y,
-                          lo, f_lo, hi, f_hi, rtol, maxit)
-
-
-def _bracket_solve(g, a, fa, b, fb, rtol, maxit):
-    # g strictly decreasing with g(a) > 0 > g(b)
-    z = b - fb * (b - a) / (fb - fa)
-    for _ in range(maxit):
-        if not (a < z < b):
-            z = 0.5 * (a + b)
-        fz = g(z)
-        if fz == 0.0:
-            return z
-        if fz > 0.0:
-            a, fa = z, fz
-        else:
-            b, fb = z, fz
-        if b - a <= rtol * b:
-            break
-        z = b - fb * (b - a) / (fb - fa)
-    # endpoint with the smaller residual
-    return a if abs(fa) <= abs(fb) else b
+    return expint_scaled_inverse_shifted(alpha, 1.0 / alpha - y, rtol, maxit)
 
 
 def expint_scaled_inverse_shifted(alpha, delta, rtol=1e-14, maxit=200):
@@ -279,42 +296,58 @@ def expint_scaled_inverse_shifted(alpha, delta, rtol=1e-14, maxit=200):
 
     Parameterizing by the shift delta = 1/alpha - y instead of y itself
     keeps the root accurate where the target sits within roundoff of the
-    z = 0 limit 1/alpha: the bracket endpoint 1/y - alpha is formed
-    algebraically (no cancellation) and the residual is evaluated through
-    the shifted series, which vanishes with z instead of cancelling
-    against 1/alpha.  Requires alpha > 1 and 0 <= delta < 1/alpha.
+    z = 0 limit 1/alpha.  Requires alpha > 1 and 0 <= delta < 1/alpha.
+    The scalar entry of expint_scaled_inverse_shifted_array.
     """
+    return float(expint_scaled_inverse_shifted_array(alpha, delta, rtol, maxit))
+
+
+def expint_scaled_inverse_shifted_array(alpha, delta, rtol=1e-14, maxit=200):
+    """Solve exp(z) * E_{alpha+1}(z) = 1/alpha - delta for every element of
+    the array delta, at one alpha; returns the roots z >= 0 in delta's shape.
+
+    Requires alpha > 1 and 0 <= delta < 1/alpha elementwise.  One element
+    out of range, or one root beyond the supported cap z = 700 (where the
+    forward map is flat to double precision and the inverse is saturated),
+    raises DomainError for the whole array.  Every root carries relative
+    precision rtol in z.
+    """
+    shape = np.shape(delta)
+    delta = np.asarray(delta, dtype=float).ravel()
     if not (alpha > 1.0):
         raise DomainError("expint_scaled_inverse_shifted requires alpha > 1, got %r" % (alpha,))
-    if not (0.0 <= delta < 1.0 / alpha):
+    bad = ~((delta >= 0.0) & (delta < 1.0 / alpha))
+    if bad.any():
         raise DomainError(
             "expint_scaled_inverse_shifted requires 0 <= delta < 1/alpha; got delta=%r"
-            % (delta,)
+            % (float(delta[bad][0]),)
         )
-    if delta == 0.0:
-        return 0.0
-    nu = alpha + 1.0
     # sandwich 1/(z+alpha+1) < scaled(alpha+1, z) <= 1/(z+alpha) gives
     # 1/y - alpha = alpha^2 delta / (1 - alpha delta) as the upper endpoint
     hi = alpha * alpha * delta / (1.0 - alpha * delta)
-    lo = max(0.0, hi - 1.0)
-    if lo >= _Z_CAP:
+    lo = np.maximum(hi - 1.0, 0.0)
+    if (lo >= _Z_CAP).any():
+        k = int(np.argmax(lo >= _Z_CAP))
         raise DomainError(
             "inverse saturated: target shift delta=%r needs z >= %g, beyond the supported cap %g"
-            % (delta, lo, _Z_CAP)
+            % (float(delta[k]), lo[k], _Z_CAP)
         )
-
-    def g(t):
-        if t == 0.0:
-            return delta
-        if t < 1.0:
-            return _series_scaled_shifted(nu, t) + delta
-        return _cf_scaled(nu, t) - 1.0 / alpha + delta
-
-    g_lo = g(lo)
-    if g_lo <= 0.0:
-        return lo
-    g_hi = g(hi)
-    if g_hi >= 0.0:
-        return hi
-    return _bracket_solve(g, lo, g_lo, hi, g_hi, rtol, maxit)
+    # the root solves h(z) = z*scaled(alpha, z) = w; h is concave with
+    # h'(0) = 1/(alpha - 1), so (alpha - 1) w is a second lower bound.
+    # Newton from below climbs to the root without overshooting; a step
+    # <= 0 is roundoff at the root and keeps the current lower bound.
+    w = alpha * delta
+    z = np.maximum(lo, (alpha - 1.0) * w)
+    scaled_alpha = _FixedOrder(alpha)
+    pending = np.flatnonzero(z > 0.0)
+    for _ in range(maxit):
+        if not pending.size:
+            break
+        za = z[pending]
+        s = scaled_alpha(za)
+        h = za * s
+        step = (w[pending] - h) / (alpha * s + h - 1.0)
+        za = za + np.maximum(step, 0.0)
+        z[pending] = za
+        pending = pending[step > rtol * za]
+    return z.reshape(shape)

@@ -131,10 +131,6 @@ class ModelTrajectory:
     def B_over_S(self, i):
         return self.sign_B[i] * math.exp(self.log_abs_B[i] - self.log_S[i])
 
-    def M_next_over_S(self, i):
-        """M_{i+1}/S_i, the cross-step ratio used by mean-shift corrections."""
-        return self.sign_M[i + 1] * math.exp(self.log_abs_M[i + 1] - self.log_S[i])
-
     def doubly_normalized_deviation(self, c, i):
         """M_i (B_i - c S_i) / S_i^2 = (M_i/S_i)(B_i/S_i - c)."""
         return self.M_over_S(i) * (self.B_over_S(i) - c)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expint import expint_scaled_inverse_shifted
+from .expint import expint_scaled_inverse_shifted, expint_scaled_inverse_shifted_array
 from .propagators import ModelTrajectory
 from .rng import RngSpec, normal_polar
 
@@ -161,26 +161,27 @@ def theta_star(alpha):
     return alpha / (alpha - 1.0)
 
 
-def _theta_from_u(alpha, p0, u):
-    # u = r / S_i.  theta = alpha*r / (S_i p0 z*) with z* the inverse of the
-    # scaled expint at order alpha+1 evaluated at S_i p0 / (alpha (S_i p0 + r)).
-    # The target sits near its z = 0 limit 1/alpha for small u, so the
-    # inverse is driven by the shift 1/alpha - y = u / (alpha (p0 + u)),
-    # formed here without cancellation.
+def _thetas(alpha, p0, u, inverse):
+    # u = r / S_i, a float or an array.  theta = alpha*r / (S_i p0 z*) with
+    # z* the inverse of the scaled expint at order alpha+1 evaluated at
+    # S_i p0 / (alpha (S_i p0 + r)).  The target sits near its z = 0 limit
+    # 1/alpha for small u, so the inverse is driven by the shift
+    # 1/alpha - y = u / (alpha (p0 + u)), formed here without cancellation.
     delta = u / (alpha * (p0 + u))
-    z = expint_scaled_inverse_shifted(alpha, delta)
-    if z == 0.0:
-        # delta underflowed: the u -> 0 limit applies
-        return theta_star(alpha)
-    th = alpha * u / (p0 * z)
+    z = inverse(alpha, delta)
+    ts = theta_star(alpha)
+    # z == 0: delta underflowed and the u -> 0 limit applies
+    zero = z == 0.0
+    th = alpha * u / (p0 * np.where(zero, 1.0, z))
     # roundoff guard: theta lies in [1, theta_star] by monotonicity
-    return min(max(th, 1.0), theta_star(alpha))
+    return np.where(zero, ts, np.clip(th, 1.0, ts))
 
 
 def theta_step(alpha, S_i, p0, r):
     """One-shot optimal inflation theta_i from raw S_i (may overflow; prefer
     inflation_schedule, which uses the trajectory's ratio ledger)."""
-    return _theta_from_u(float(alpha), float(p0), float(r) / float(S_i))
+    return float(_thetas(float(alpha), float(p0), float(r) / float(S_i),
+                         expint_scaled_inverse_shifted))
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,7 @@ class InflationSchedule:
     corrections that realize theta[i] given theta[i-1] was realized, with
     phi[0] = theta[0] applied to the initial ensemble.  x_init is the mean
     the filter was started from; the mean shifts psi are relative to it.
+    r_over_S[i] is the ratio r / S_i each theta[i] was solved for.
     """
 
     alpha: float
@@ -199,6 +201,7 @@ class InflationSchedule:
     r: float
     x_init: float
     theta_star: float
+    r_over_S: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
@@ -211,26 +214,22 @@ def inflation_schedule(traj: ModelTrajectory, alpha, p0, x_init):
     schedule is trajectory-specific, not just model-specific.
     """
     alpha, p0, x_init = float(alpha), float(p0), float(x_init)
-    n = traj.n_steps
-    theta = np.empty(n + 1)
-    phi = np.empty(n + 1)
-    psi = np.zeros(n + 1)
-    for i in range(n + 1):
-        theta[i] = _theta_from_u(alpha, p0, traj.r_over_S(i))
+    r = traj.obs_variance
+    log_S = traj.log_S
+    u = r * np.exp(-log_S)
+    theta = _thetas(alpha, p0, u, expint_scaled_inverse_shifted_array)
+    th0, th1, ui = theta[:-1], theta[1:], u[:-1]
+    phi = np.empty_like(theta)
     phi[0] = theta[0]
-    for i in range(n):
-        u = traj.r_over_S(i)
-        th0, th1 = theta[i], theta[i + 1]
-        phi[i + 1] = th1 * (th0 * p0 + u) / (th0 * (th1 * p0 + u))
-        psi[i + 1] = (
-            traj.M_next_over_S(i)
-            * (traj.B_over_S(i) - x_init)
-            * (th1 - th0) * p0 * traj.obs_variance
-            / ((th1 * p0 + u) * (th0 * p0 + u))
-        )
-    return InflationSchedule(alpha=alpha, p0=p0, r=traj.obs_variance,
-                             x_init=x_init,
-                             theta_star=theta_star(alpha),
+    phi[1:] = th1 * (th0 * p0 + ui) / (th0 * (th1 * p0 + ui))
+    # M_{i+1}/S_i and B_i/S_i from the signed-log ledger
+    m_next = traj.sign_M[1:] * np.exp(traj.log_abs_M[1:] - log_S[:-1])
+    b = traj.sign_B[:-1] * np.exp(traj.log_abs_B[:-1] - log_S[:-1])
+    psi = np.zeros_like(theta)
+    psi[1:] = (m_next * (b - x_init) * (th1 - th0) * p0 * r
+               / ((th1 * p0 + ui) * (th0 * p0 + ui)))
+    return InflationSchedule(alpha=alpha, p0=p0, r=r, x_init=x_init,
+                             theta_star=theta_star(alpha), r_over_S=u,
                              theta=theta, phi=phi, psi=psi)
 
 

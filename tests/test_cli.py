@@ -4,9 +4,13 @@ Runs subcommands in-process through filterlab.cli.main so exit codes,
 stdout/stderr, and output files can be asserted directly.
 """
 
+import dataclasses
 import json
+import math
 
 import pytest
+
+import filterlab.discrepancy as dsc
 
 from filterlab.cli import main, _SKF_COLS, _SPENKF_COLS, _MC_COLS
 from filterlab.config import ConfigError, ExperimentConfig
@@ -335,3 +339,83 @@ def test_model_config_variants():
                                               "values": [1.0, 0.0]}})
     with pytest.raises(ConfigError, match="kind"):
         ExperimentConfig.from_dict({"model": {"kind": "fancy"}})
+
+
+# ---------------------------------------------------------------- bad input exits 2
+
+
+def test_config_rejects_fractional_counts_and_non_finite_states():
+    with pytest.raises(ConfigError, match="config.steps: expected an integer"):
+        ExperimentConfig.from_dict({"steps": 2.7})
+    assert ExperimentConfig.from_dict({"steps": 3.0}).steps == 3
+    for name in ("x0", "x0_truth"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="config.%s: expected a finite" % name):
+                ExperimentConfig.from_dict({name: bad})
+
+
+@pytest.mark.parametrize("obj,field", [
+    ({"steps": 2.7}, "config.steps"),
+    ({"x0": math.nan}, "config.x0"),
+    ({"x0_truth": math.inf}, "config.x0_truth"),
+])
+def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, obj, field):
+    # json.dumps writes NaN / Infinity tokens, which json.load accepts
+    cfg = write_config(tmp_path, obj)
+    dest = tmp_path / "out.csv"
+    code, _, err = run_cli(["inflation-table", "--config", cfg,
+                            "--out", str(dest)], capsys)
+    assert code == 2
+    assert field in err and len(err.strip().splitlines()) == 1
+    assert not dest.exists()
+
+
+def test_unresolvable_inflation_exits_2_naming_the_field(tmp_path, capsys):
+    # p0 = 1e-300 rounds the inverse's shift to 1/alpha
+    cfg = write_config(tmp_path, {"p0": 1e-300})
+    code, _, err = run_cli(["inflation-table", "--config", cfg], capsys)
+    assert code == 2
+    assert "config.p_tilde0" in err and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    code, _, err = run_cli(["skf", "--config", missing], capsys)
+    assert code == 2
+    assert "--config" in err and missing in err
+    assert len(err.strip().splitlines()) == 1
+
+
+# ---------------------------------------------------------------- NaN-aware gates
+
+
+def test_mc_verify_nan_gap_fails(tmp_path, capsys, monkeypatch):
+    # a NaN in the third gap of the second step: Python max() drops it
+    real = dsc.expected_dx
+    monkeypatch.setattr(dsc, "expected_dx",
+                        lambda traj, inp, i: math.nan if i == 1 else real(traj, inp, i))
+    cfg = write_config(tmp_path, {"seed": 4242, "steps": 3, "replicates": 5000,
+                                  "ensemble_size": 16})
+    dest = tmp_path / "mc.csv"
+    code, _, err = run_cli(["mc-verify", "--config", cfg, "--out", str(dest)], capsys)
+    assert code == 1
+    assert "worst gap nan SE: FAIL" in err
+    header, rows = parse_csv(dest.read_text(encoding="utf-8"))
+    assert rows[1][header.index("max_gap_se")] == "nan"
+
+
+def test_po_penalty_nan_gap_fails(tmp_path, capsys, monkeypatch):
+    real = dsc.po_mean_identity_check
+
+    def patched(traj, p0, alpha, r, i, replicates, spec):
+        rep = real(traj, p0, alpha, r, i, replicates, spec)
+        return dataclasses.replace(rep, exact_second_R=math.nan) if i == 2 else rep
+
+    monkeypatch.setattr(dsc, "po_mean_identity_check", patched)
+    cfg = write_config(tmp_path, {"seed": 13, "steps": 2, "replicates": 40000,
+                                  "ensemble_size": 12, "r": 2.0})
+    code, _, err = run_cli(["po-penalty", "--config", cfg,
+                            "--out", str(tmp_path / "po.csv")], capsys)
+    assert code == 1
+    assert "worst gap nan SE: FAIL" in err

@@ -1,11 +1,14 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterlab import DomainError, expint, expint_scaled, expint_scaled_inverse
+from filterlab.expint import expint_scaled_inverse_shifted_array
 
 # Reference values of exp(z) * E_nu(z), 40-digit quadrature of
 # integral_0^inf exp(-z*u) (1+u)^(-nu) du, rounded to 17 significant digits.
@@ -111,3 +114,52 @@ def test_inverse_saturation_is_reported():
     # the root would sit beyond z = 700 where the map is flat in doubles
     with pytest.raises(DomainError, match="saturated"):
         expint_scaled_inverse(2.0, 1e-4)
+
+
+def _mp_scaled(a, z):
+    # 50-digit quadrature of integral_0^inf exp(-z*u) (1+u)^(-a) du in the
+    # variable 1+u = e^s, cut where the integrand has fallen below 1e-60
+    with mp.workdps(50):
+        a, z = mp.mpf(a), mp.mpf(z)
+        top = min(140 / (a - 1), mp.log1p(140 / z))
+        cuts = [c for c in (1 / (z + a), 1, 10) if c < top]
+        return mp.quad(lambda s: mp.exp(-z * mp.expm1(s) - (a - 1) * s),
+                       [0] + cuts + [top])
+
+
+# alpha from near 1 to 256, plus orders within 1e-12 of an integer (the
+# series pole) on both sides
+ORACLE_ALPHAS = (1.26, 1.5, 2.0, 3.0, 4.5, 16.5, 50.0, 256.0,
+                 3.0 - 1e-12, 16.0 + 1e-12)
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_inverse_array_matches_50_digit_roots(alpha):
+    # The root solves h(z) = z scaled(alpha, z) = alpha delta (DLMF
+    # 8.19.12).  One 50-digit Newton step from the double root lands on
+    # the exact root to ~1e-28 relative; the derivative only scales that
+    # tiny correction, so its double value is enough.
+    deltas = np.array([1e-300, 1e-100, 1e-12, 1e-4 / alpha, 0.1 / alpha,
+                       0.5 / alpha, 0.9 / alpha, (1.0 - 1e-3) / alpha])
+    saturated = alpha * alpha * deltas / (1.0 - alpha * deltas) - 1.0 >= 700.0
+    assert saturated[-1] and not saturated[:4].any()
+    z = expint_scaled_inverse_shifted_array(alpha, deltas[~saturated])
+    for d, zd in zip(deltas[~saturated], z):
+        with mp.workdps(50):
+            h = mp.mpf(zd) * _mp_scaled(alpha, zd)
+            hp = alpha * (expint_scaled(alpha, zd) - expint_scaled(alpha + 1.0, zd))
+            root = mp.mpf(zd) + (mp.mpf(alpha) * mp.mpf(d) - h) / hp
+            assert abs(zd - root) <= 1e-12 * root, (d, zd, root)
+    for d in deltas[saturated]:
+        with pytest.raises(DomainError, match="saturated"):
+            expint_scaled_inverse_shifted_array(alpha, [d])
+
+
+def test_inverse_array_one_bad_element_fails_the_whole_array():
+    good = [0.0, 1e-6, 0.01]
+    assert expint_scaled_inverse_shifted_array(4.0, good)[0] == 0.0
+    for bad in (-1e-300, 0.25, math.nan, 0.2499):  # below, at 1/alpha, nan, saturated
+        with pytest.raises(DomainError):
+            expint_scaled_inverse_shifted_array(4.0, good + [bad] + good)
+    with pytest.raises(DomainError):
+        expint_scaled_inverse_shifted_array(1.0, good)

@@ -175,13 +175,25 @@ def test_schedule_equal_thetas_give_identity_corrections(monkeypatch):
     # when consecutive theta values coincide, the sequential correction is
     # the identity: phi = 1 and psi = 0
     import filterlab.spenkf as mod
-    monkeypatch.setattr(mod, "_theta_from_u", lambda a, p, u: 1.4)
+    monkeypatch.setattr(mod, "_thetas",
+                        lambda a, p, u, inverse: np.full_like(u, 1.4))
     traj = make_trajectory(9, 10)
     sched = inflation_schedule(traj, 4.0, 1.0, 0.0)
     assert np.all(sched.theta == 1.4)
     assert sched.phi[0] == 1.4
     np.testing.assert_allclose(sched.phi[1:], 1.0, rtol=0, atol=0)
     np.testing.assert_allclose(sched.psi, 0.0, rtol=0, atol=0)
+
+
+def test_schedule_matches_per_step_scalar_entry():
+    # the schedule solves every step in one array pass; each theta must
+    # match the scalar entry solving that step alone
+    traj = make_trajectory(17, 1000, low=0.5, high=2.0)
+    for alpha, p0 in ((1.26, 0.7), (4.5, 1.3), (16.5, 1.0), (256.0, 2.0)):
+        sched = inflation_schedule(traj, alpha, p0, 0.0)
+        single = np.array([theta_step(alpha, traj.S(i), p0, traj.obs_variance)
+                           for i in range(traj.n_steps + 1)])
+        np.testing.assert_allclose(sched.theta, single, rtol=1e-12, atol=0)
 
 
 def test_sequential_equals_initial_theta_run():
