@@ -48,6 +48,7 @@ to ~100 near z = 1, which a fixed-size array block could only match by
 always paying for the worst case.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -146,9 +147,12 @@ def _psi_int(n):
     return s
 
 
+@functools.lru_cache(maxsize=256)
 def _pole_order(nu):
     # Order-only pieces (n, d, scale, a, b) of the series prefactor c(z),
-    # with n = round(nu) and d = nu - n; see _pole_term.
+    # with n = round(nu) and d = nu - n; see _pole_term.  Cached: callers
+    # such as the gamma-ratio moments revisit a few orders many times, and
+    # the digamma and log-Gamma sums cost O(n).
     n = int(round(nu))
     d = nu - n
     if n == 0:
