@@ -111,6 +111,12 @@ def _gated_rows(args, one, n_rows):
     return rows, float(np.max([row[-1] for row in rows]))
 
 
+def _gap(i, stat, diff, se):
+    if se == 0.0:
+        raise DomainError("step %d: the standard error of %s underflowed to 0" % (i, stat))
+    return abs(diff) / se
+
+
 # ---------------------------------------------------------------- skf
 
 _SKF_COLS = [
@@ -262,10 +268,10 @@ def cmd_mc_verify(args):
         a_dp2 = dsc.second_moment_dp(traj, inp, i)
         a_dx = dsc.expected_dx(traj, inp, i)
         a_dx2 = dsc.second_moment_dx(traj, inp, i)
-        gaps = [abs(a_dp - mc.mean_dp) / mc.mean_dp_se,
-                abs(a_dp2 - mc.mean_dp2) / mc.mean_dp2_se,
-                abs(a_dx - mc.mean_dx) / mc.mean_dx_se,
-                abs(a_dx2 - mc.mean_dx2) / mc.mean_dx2_se]
+        gaps = [_gap(i, "dp_mean", a_dp - mc.mean_dp, mc.mean_dp_se),
+                _gap(i, "dp2", a_dp2 - mc.mean_dp2, mc.mean_dp2_se),
+                _gap(i, "dx_mean", a_dx - mc.mean_dx, mc.mean_dx_se),
+                _gap(i, "dx2", a_dx2 - mc.mean_dx2, mc.mean_dx2_se)]
         return [i, traj.M2_over_S(i), ref.mean_analysis, ref.var_analysis,
                 a_dp, mc.mean_dp, mc.mean_dp_se,
                 a_dp2 - a_dp * a_dp, mc.var_dp, mc.var_dp_se,
@@ -347,9 +353,9 @@ def cmd_po_penalty(args):
                                          cfg.replicates,
                                          RngSpec(cfg.seed, _STREAM_MC_BASE + i))
         k4 = rep.penalty * alpha / (cfg.r ** 2)
-        gaps = [abs(rep.mean_P - rep.analytic_mean_rK) / rep.mean_P_se,
-                abs(rep.cov_cross) / rep.cov_cross_se,
-                abs(rep.second_R - rep.exact_second_R) / rep.second_R_se]
+        gaps = [_gap(i, "mean_P", rep.mean_P - rep.analytic_mean_rK, rep.mean_P_se),
+                _gap(i, "cov_cross", rep.cov_cross, rep.cov_cross_se),
+                _gap(i, "second_R", rep.second_R - rep.exact_second_R, rep.second_R_se)]
         return [i, k4, rep.penalty, rep.mean_P, rep.analytic_mean_rK,
                 rep.cov_cross, rep.cov_cross_se, rep.second_R,
                 rep.exact_second_R, float(np.max(gaps))]

@@ -63,20 +63,9 @@ class PerturbedInputs:
             raise ValueError("need alpha > 1")
 
 
-def _u(traj, inp, i):
-    # r / S_i through the ledger
-    return inp.r * math.exp(-traj.log_S[i])
-
-
-def _mb_over_s(traj, i):
-    return traj.sign_M[i] * traj.sign_B[i] * math.exp(
-        traj.log_abs_M[i] + traj.log_abs_B[i] - traj.log_S[i]
-    )
-
-
 def dp_spec(traj: ModelTrajectory, inp: PerturbedInputs, i):
     """Gamma-ratio spec of dp_i, scaled by 1/S_i^2 top and bottom."""
-    u = _u(traj, inp, i)
+    u = inp.r * traj.inv_S(i)
     a = traj.M2_over_S(i) * u * inp.r  # M^2 r^2 / S^2
     return GammaRatioSpec(a=a, b=-a * inp.p0, c=inp.p0 + u, d=u * (inp.p0 + u),
                           alpha=inp.alpha, p=inp.p_tilde0)
@@ -88,7 +77,7 @@ def dx_spec(traj: ModelTrajectory, inp: PerturbedInputs, i):
     Degenerates (a*d == b*c) exactly when B_i/S_i == x_tilde0, in which
     case dx_i is the constant a/c; callers should branch on that.
     """
-    u = _u(traj, inp, i)
+    u = inp.r * traj.inv_S(i)
     m_over_s = traj.M_over_S(i)
     b_over_s = traj.B_over_S(i)
     a = inp.r * m_over_s * (b_over_s - inp.x0)
@@ -110,7 +99,7 @@ def second_moment_dp(traj, inp, i):
 
 
 def _dx_constant(traj, inp, i):
-    u = _u(traj, inp, i)
+    u = inp.r * traj.inv_S(i)
     return inp.r * traj.M_over_S(i) * (traj.B_over_S(i) - inp.x0) / (inp.p0 + u)
 
 
@@ -168,10 +157,10 @@ def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
     gen = spec.generator()
     n = int(replicates)
     x = gen.gamma(inp.alpha, inp.p_tilde0 / inp.alpha, n)
-    u = _u(traj, inp, i)
+    u = inp.r * traj.inv_S(i)
     m2s = traj.M2_over_S(i)
     ms = traj.M_over_S(i)
-    mbs = _mb_over_s(traj, i)
+    mbs = traj.MB_over_S(i)
     r = inp.r
 
     pa_exact = r * inp.p0 * m2s / (inp.p0 + u)
@@ -195,7 +184,7 @@ def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
 def po_gain_spec(traj: ModelTrajectory, p0, alpha, r, i):
     """Gamma-ratio spec of the propagated gain K_i = M_i^2 X / (S_i X + r),
     rescaled by 1/S_i top and bottom so the coefficients stay bounded."""
-    u = float(r) * math.exp(-traj.log_S[i])
+    u = float(r) * traj.inv_S(i)
     return GammaRatioSpec(a=traj.M2_over_S(i), b=0.0, c=1.0, d=u,
                           alpha=float(alpha), p=float(p0))
 

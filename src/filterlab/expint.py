@@ -24,7 +24,8 @@ Two complementary evaluation schemes cover the domain:
 
 Both branches were checked against 50-digit quadrature of the defining
 integral over nu in [0, 201] x z in [1e-6, 700] including orders within
-1e-12 of integers; worst relative error observed was ~3e-15.
+1e-12 of integers; worst relative error observed was ~3e-15.  expint_scaled
+memoizes recent values in a bounded, thread-safe cache.
 
 The inverse problem scaled(alpha+1, z) = 1/alpha - delta is solved for a
 whole array of shifts delta at once.  By the recurrence DLMF 8.19.12,
@@ -255,12 +256,18 @@ class _FixedOrder:
 
 
 def expint_scaled(nu, z):
-    """exp(z) * E_nu(z) for nu >= 0, z >= 0 (z > 0 when nu <= 1)."""
+    """exp(z) * E_nu(z) for nu >= 0, z >= 0 (z > 0 when nu <= 1), memoized
+    in a bounded, thread-safe cache of 32 values; errors are never cached."""
     if not (nu >= 0.0) or not (z >= 0.0):
         raise DomainError("expint_scaled requires nu >= 0 and z >= 0, got nu=%r z=%r" % (nu, z))
+    if z == 0.0 and nu <= 1.0:
+        raise DomainError("E_nu(0) diverges for nu <= 1 (nu=%r)" % (nu,))
+    return _scaled(float(nu), float(z))
+
+
+@functools.lru_cache(maxsize=32)
+def _scaled(nu, z):
     if z == 0.0:
-        if nu <= 1.0:
-            raise DomainError("E_nu(0) diverges for nu <= 1 (nu=%r)" % (nu,))
         return 1.0 / (nu - 1.0)
     if z >= 1.0:
         return _cf_scaled(nu, z)

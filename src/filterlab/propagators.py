@@ -9,21 +9,23 @@ quantities every closed form consumes are the products and sums
 
 M_i and S_i grow (or shrink) geometrically, so they are carried in the log
 domain; B_i is carried as a signed log.  Downstream formulas only ever need
-the bounded ratios r/S_i, M_i/S_i, M_i^2/S_i and B_i/S_i, which stay finite
-long after M_i and S_i themselves have left double range.
+the bounded ratios 1/S_i, M_i/S_i, M_i^2/S_i, B_i/S_i and M_i B_i/S_i, which
+stay finite long after M_i and S_i themselves have left double range.
 """
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .rng import RngSpec, normal_polar
 
-__all__ = ["ModelSequence", "ModelTrajectory", "build_trajectory",
-           "doubly_normalized_deviation"]
+__all__ = ["ModelSequence", "ModelTrajectory", "build_trajectory"]
 
 _LOG_TINY = -1e308  # stand-in for log(0) that survives arithmetic
+_Ratios = namedtuple("_Ratios", "inv_S M_over_S M2_over_S B_over_S MB_over_S")
 
 
 def _exp_sat(lx):
@@ -88,7 +90,7 @@ class ModelTrajectory:
 
     Arrays are indexed by step i = 0..n where n = len(model).  The ledger
     holds log|M_i| with its sign, log S_i, and the signed log of B_i; the
-    accessor methods expose only ratio-safe combinations.
+    accessors expose only ratio-safe combinations, built once on first use.
     """
 
     model: ModelSequence
@@ -119,26 +121,36 @@ class ModelTrajectory:
 
     # -- ratio-safe accessors: bounded whenever |m| is bounded away from 0 --
 
+    @functools.cached_property
+    def _ratios(self):
+        rows = zip(self.log_abs_M.tolist(), self.sign_M.tolist(), self.log_S.tolist(),
+                   self.log_abs_B.tolist(), self.sign_B.tolist())
+        return _Ratios(*map(list, zip(*[
+            (math.exp(-ls), sm * math.exp(lm - ls), math.exp(2.0 * lm - ls),
+             sb * math.exp(lb - ls), sm * sb * math.exp(lm + lb - ls))
+            for lm, sm, ls, lb, sb in rows])))
+
+    def inv_S(self, i):
+        return self._ratios.inv_S[i]
+
     def r_over_S(self, i):
-        return self.obs_variance * math.exp(-self.log_S[i])
+        return self.obs_variance * self._ratios.inv_S[i]
 
     def M_over_S(self, i):
-        return self.sign_M[i] * math.exp(self.log_abs_M[i] - self.log_S[i])
+        return self._ratios.M_over_S[i]
 
     def M2_over_S(self, i):
-        return math.exp(2.0 * self.log_abs_M[i] - self.log_S[i])
+        return self._ratios.M2_over_S[i]
 
     def B_over_S(self, i):
-        return self.sign_B[i] * math.exp(self.log_abs_B[i] - self.log_S[i])
+        return self._ratios.B_over_S[i]
+
+    def MB_over_S(self, i):
+        return self._ratios.MB_over_S[i]
 
     def doubly_normalized_deviation(self, c, i):
-        """M_i (B_i - c S_i) / S_i^2 = (M_i/S_i)(B_i/S_i - c)."""
+        """M_i (B_i - c S_i) / S_i^2, bounded in probability uniformly in i."""
         return self.M_over_S(i) * (self.B_over_S(i) - c)
-
-
-def doubly_normalized_deviation(traj, c, i):
-    """M_i (B_i - c S_i) / S_i^2, bounded in probability uniformly in i."""
-    return traj.doubly_normalized_deviation(c, i)
 
 
 def build_trajectory(model: ModelSequence, x0_truth, obs_variance, spec: RngSpec):

@@ -82,11 +82,7 @@ def _closed_analysis(traj, x0, p0, i):
     r = traj.obs_variance
     u = traj.r_over_S(i)
     pa = r * p0 * traj.M2_over_S(i) / (p0 + u)
-    # M_i B_i / S_i = sign * exp(log|M| + log|B| - log S), kept ratio-safe
-    mb_over_s = traj.sign_M[i] * traj.sign_B[i] * math.exp(
-        traj.log_abs_M[i] + traj.log_abs_B[i] - traj.log_S[i]
-    )
-    xa = (p0 * mb_over_s + traj.M_over_S(i) * r * x0) / (p0 + u)
+    xa = (p0 * traj.MB_over_S(i) + traj.M_over_S(i) * r * x0) / (p0 + u)
     return xa, pa
 
 

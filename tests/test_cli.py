@@ -419,3 +419,21 @@ def test_po_penalty_nan_gap_fails(tmp_path, capsys, monkeypatch):
                             "--out", str(tmp_path / "po.csv")], capsys)
     assert code == 1
     assert "worst gap nan SE: FAIL" in err
+
+
+# ---------------------------------------------------------------- zero standard errors
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("cmd,step,stat", [("mc-verify", 77, "dp2"),
+                                           ("po-penalty", 51, "cov_cross")])
+def test_zero_standard_error_exits_2_naming_step_and_statistic(tmp_path, capsys,
+                                                                cmd, step, stat, threads):
+    # m = 0.3: dp^2 (mc-verify) and the gain cross term (po-penalty) decay
+    # until their Monte Carlo standard errors underflow to 0
+    cfg = write_config(tmp_path, {"steps": 200, "ensemble_size": 16, "replicates": 20000,
+                                  "model": {"kind": "constant", "m": 0.3}})
+    code, _, err = run_cli([cmd, "--config", cfg, "--seed", "1", "--threads", str(threads),
+                            "--out", str(tmp_path / "out.csv")], capsys)
+    assert code == 2
+    assert err == "%s: step %d: the standard error of %s underflowed to 0\n" % (cmd, step, stat)

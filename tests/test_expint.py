@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterlab import DomainError, expint, expint_scaled, expint_scaled_inverse
-from filterlab.expint import expint_scaled_inverse_shifted_array
+from filterlab.expint import _scaled, expint_scaled_inverse_shifted_array
 
 # Reference values of exp(z) * E_nu(z), 40-digit quadrature of
 # integral_0^inf exp(-z*u) (1+u)^(-nu) du, rounded to 17 significant digits.
@@ -163,3 +163,40 @@ def test_inverse_array_one_bad_element_fails_the_whole_array():
             expint_scaled_inverse_shifted_array(4.0, good + [bad] + good)
     with pytest.raises(DomainError):
         expint_scaled_inverse_shifted_array(1.0, good)
+
+
+# ---------------------------------------------------------------- memo
+
+# both branches (z < 1 series, z >= 1 continued fraction), orders within
+# 1e-12 of an integer on either side, and the z = 0 limit
+MEMO_POINTS = [(4.5, 0.3), (4.5, 3.0), (3.0 - 1e-12, 0.6), (3.0 + 1e-12, 0.6),
+               (16.0 + 1e-12, 2.5), (255.999999999999, 0.9), (7.0, 0.0)]
+
+
+@pytest.mark.parametrize("nu,z", MEMO_POINTS)
+def test_memo_repeats_the_uncached_kernel_bit_for_bit(nu, z):
+    want = _scaled.__wrapped__(nu, z)
+    _scaled.cache_clear()
+    first = expint_scaled(nu, z)
+    hits = _scaled.cache_info().hits
+    again = expint_scaled(nu, z)
+    assert _scaled.cache_info().hits == hits + 1
+    assert first.hex() == again.hex() == want.hex()
+
+
+@pytest.mark.parametrize("nu,z", MEMO_POINTS)
+def test_memo_returns_python_float_for_numpy_scalars(nu, z):
+    got = expint_scaled(np.float64(nu), np.float64(z))
+    assert type(got) is float
+    assert got.hex() == expint_scaled(nu, z).hex()
+
+
+@pytest.mark.parametrize("nu,z", [(math.nan, 0.5), (2.5, math.nan), (2.5, -1e-300),
+                                  (-0.5, 2.0), (1.0, 0.0), (1.0 - 1e-12, 0.0),
+                                  (np.float64(0.5), np.float64(0.0))])
+def test_memo_never_caches_errors(nu, z):
+    size = _scaled.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            expint_scaled(nu, z)
+    assert _scaled.cache_info().currsize == size

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterlab import ModelSequence, RngSpec, build_trajectory
-from filterlab.propagators import _signed_logaddexp, doubly_normalized_deviation
+from filterlab.propagators import _signed_logaddexp
 
 
 def brute_msb(model_values, observations):
@@ -89,7 +89,7 @@ def test_doubly_normalized_deviation_formula():
     M, S, B = brute_msb(model.values, traj.observations)
     for i in (0, 5, 15):
         want = M[i] * (B[i] - 1.7 * S[i]) / S[i] ** 2
-        assert doubly_normalized_deviation(traj, 1.7, i) == pytest.approx(
+        assert traj.doubly_normalized_deviation(1.7, i) == pytest.approx(
             want, rel=1e-10)
 
 
@@ -100,3 +100,36 @@ def test_signed_logaddexp_cancellation_and_zero():
     assert s == 1 and math.exp(l) == pytest.approx(3.0, rel=1e-14)
     l, s = _signed_logaddexp(-1e308, 0, math.log(2.0), -1)
     assert s == -1 and math.exp(l) == pytest.approx(2.0)
+
+
+def log_ledger_ratios(traj, i):
+    # each ratio evaluated per call from the signed-log ledger
+    ls = traj.log_S[i]
+    return {
+        "inv_S": math.exp(-ls),
+        "r_over_S": traj.obs_variance * math.exp(-ls),
+        "M_over_S": traj.sign_M[i] * math.exp(traj.log_abs_M[i] - ls),
+        "M2_over_S": math.exp(2.0 * traj.log_abs_M[i] - ls),
+        "B_over_S": traj.sign_B[i] * math.exp(traj.log_abs_B[i] - ls),
+        "MB_over_S": traj.sign_M[i] * traj.sign_B[i] * math.exp(
+            traj.log_abs_M[i] + traj.log_abs_B[i] - ls),
+    }
+
+
+@pytest.mark.parametrize("make", [
+    # wide band, random signs
+    lambda: build_trajectory(
+        ModelSequence.random_loguniform(400, RngSpec(5, 1), 0.1, 10.0), 1.3, 0.7,
+        RngSpec(5, 0)),
+    # M and S overflow doubles
+    lambda: build_trajectory(ModelSequence.constant(2.0, 1200), 0.0, 1.0, RngSpec(1, 0)),
+    # M_i^2/S_i underflows
+    lambda: build_trajectory(ModelSequence.constant(0.5, 900), 1.0, 1.0, RngSpec(3, 0)),
+], ids=["wide_signed", "overflowing", "decaying"])
+def test_ratio_accessors_equal_log_ledger_exactly(make):
+    traj = make()
+    for i in range(traj.n_steps + 1):
+        for name, want in log_ledger_ratios(traj, i).items():
+            got = getattr(traj, name)(i)
+            assert type(got) is float
+            assert got == want, (name, i)
