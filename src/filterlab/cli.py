@@ -85,7 +85,11 @@ def _load_mc(args):
 def _trajectory(cfg):
     spec = RngSpec(cfg.seed, _STREAM_TRAJ)
     model = cfg.model.build(cfg.steps, spec.stream(_STREAM_MC_BASE - 1))
-    return build_trajectory(model, cfg.x0_truth, cfg.r, spec)
+    try:
+        return build_trajectory(model, cfg.x0_truth, cfg.r, spec)
+    except ValueError as exc:
+        # the model grows the truth out of double range before the last step
+        raise ConfigError("config.steps: %s" % exc) from exc
 
 
 def _schedule(cfg, traj, alpha, field):

@@ -75,11 +75,14 @@ def dx_spec(traj: ModelTrajectory, inp: PerturbedInputs, i):
     """Gamma-ratio spec of dx_i, scaled by 1/S_i^2 top and bottom.
 
     Degenerates (a*d == b*c) exactly when B_i/S_i == x_tilde0, in which
-    case dx_i is the constant a/c; callers should branch on that.
+    case dx_i is the constant a/c; that case raises ValueError, since the
+    rounded a*d and b*c need not come out equal.  Callers should branch on it.
     """
+    b_over_s = traj.B_over_S(i)
+    if b_over_s == inp.x_tilde0:
+        raise ValueError("B_i/S_i == x_tilde0 makes dx_%d constant" % i)
     u = inp.r * traj.inv_S(i)
     m_over_s = traj.M_over_S(i)
-    b_over_s = traj.B_over_S(i)
     a = inp.r * m_over_s * (b_over_s - inp.x0)
     b = inp.r * m_over_s * (
         (inp.p0 + u) * inp.x_tilde0 - b_over_s * inp.p0 - u * inp.x0

@@ -1,21 +1,22 @@
 """Model sequences, simulated truth/observations, and cumulative propagators.
 
-For a scalar linear model x_{i+1} = m_i x_i observed with variance r, the
-quantities every closed form consumes are the products and sums
+For a scalar linear model x_{i+1} = m_i x_i observed with variance r, every
+closed form consumes M_i = m_0 * ... * m_{i-1} (M_0 = 1), S_i = sum_{l<=i}
+M_l^2 and B_i = sum_{l<=i} M_l y_l only through the bounded ratios 1/S_i,
+M_i/S_i, q_i = M_i^2/S_i, B_i/S_i and M_i B_i/S_i.  M_i and S_i leave double
+range within a few hundred steps of |m| != 1, so the ledger holds the ratios
+and builds them by their own recursion from (1, 1, 1, y_0, y_0): with
+g = S_{i+1}/S_i = 1 + m_i^2 q_i,
 
-    M_i = m_0 * ... * m_{i-1}          (M_0 = 1)
-    S_i = sum_{l=0}^{i} M_l^2
-    B_i = sum_{l=0}^{i} M_l y_l
+    1/S <- (1/S)/g,   M/S <- m_i (M/S)/g,   q <- m_i^2 q/g,
+    B/S <- (B/S + m_i (M/S) y_{i+1})/g,   MB/S <- m_i (MB/S + m_i q y_{i+1})/g,
 
-M_i and S_i grow (or shrink) geometrically, so they are carried in the log
-domain; B_i is carried as a signed log.  Downstream formulas only ever need
-the bounded ratios 1/S_i, M_i/S_i, M_i^2/S_i, B_i/S_i and M_i B_i/S_i, which
-stay finite long after M_i and S_i themselves have left double range.
+with M/S and q on the right taken before the step.  Each update rounds a few
+bounded numbers, so the ratios keep their relative accuracy however far M_i
+and S_i have left double range.
 """
 
-import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,33 +24,6 @@ import numpy as np
 from .rng import RngSpec, normal_polar
 
 __all__ = ["ModelSequence", "ModelTrajectory", "build_trajectory"]
-
-_LOG_TINY = -1e308  # stand-in for log(0) that survives arithmetic
-_Ratios = namedtuple("_Ratios", "inv_S M_over_S M2_over_S B_over_S MB_over_S")
-
-
-def _exp_sat(lx):
-    # exp that saturates to inf instead of raising OverflowError
-    try:
-        return math.exp(lx)
-    except OverflowError:
-        return math.inf
-
-
-def _signed_logaddexp(la, sa, lb, sb):
-    # (la, sa) + (lb, sb) where each pair encodes sa*exp(la)
-    if sa == 0:
-        return lb, sb
-    if sb == 0:
-        return la, sa
-    if la < lb:
-        la, sa, lb, sb = lb, sb, la, sa
-    if sa == sb:
-        return la + math.log1p(math.exp(lb - la)), sa
-    d = math.exp(lb - la)
-    if d == 1.0:
-        return _LOG_TINY, 0
-    return la + math.log1p(-d), sa
 
 
 @dataclass(frozen=True)
@@ -88,65 +62,43 @@ class ModelSequence:
 class ModelTrajectory:
     """Truth, observations, and the cumulative propagator ledger.
 
-    Arrays are indexed by step i = 0..n where n = len(model).  The ledger
-    holds log|M_i| with its sign, log S_i, and the signed log of B_i; the
-    accessors expose only ratio-safe combinations, built once on first use.
+    Arrays are indexed by step i = 0..n where n = len(model).  The ledger is
+    the five ratio sequences of the module docstring as Python floats, 1/S_i
+    in inv_S_seq and X/S_i in X_over_S_seq; each accessor returns one step's.
     """
 
     model: ModelSequence
     obs_variance: float
     truth: np.ndarray
     observations: np.ndarray
-    log_abs_M: np.ndarray
-    sign_M: np.ndarray
-    log_S: np.ndarray
-    log_abs_B: np.ndarray = field(repr=False)
-    sign_B: np.ndarray = field(repr=False)
+    inv_S_seq: tuple = field(repr=False)
+    M_over_S_seq: tuple = field(repr=False)
+    M2_over_S_seq: tuple = field(repr=False)
+    B_over_S_seq: tuple = field(repr=False)
+    MB_over_S_seq: tuple = field(repr=False)
 
     @property
     def n_steps(self):
         """Index of the last step (arrays have n_steps + 1 entries)."""
         return len(self.model)
 
-    # -- raw values: may overflow to inf for long unstable models --
-
-    def M(self, i):
-        return self.sign_M[i] * _exp_sat(self.log_abs_M[i])
-
-    def S(self, i):
-        return _exp_sat(self.log_S[i])
-
-    def B(self, i):
-        return self.sign_B[i] * _exp_sat(self.log_abs_B[i])
-
-    # -- ratio-safe accessors: bounded whenever |m| is bounded away from 0 --
-
-    @functools.cached_property
-    def _ratios(self):
-        rows = zip(self.log_abs_M.tolist(), self.sign_M.tolist(), self.log_S.tolist(),
-                   self.log_abs_B.tolist(), self.sign_B.tolist())
-        return _Ratios(*map(list, zip(*[
-            (math.exp(-ls), sm * math.exp(lm - ls), math.exp(2.0 * lm - ls),
-             sb * math.exp(lb - ls), sm * sb * math.exp(lm + lb - ls))
-            for lm, sm, ls, lb, sb in rows])))
-
     def inv_S(self, i):
-        return self._ratios.inv_S[i]
+        return self.inv_S_seq[i]
 
     def r_over_S(self, i):
-        return self.obs_variance * self._ratios.inv_S[i]
+        return self.obs_variance * self.inv_S_seq[i]
 
     def M_over_S(self, i):
-        return self._ratios.M_over_S[i]
+        return self.M_over_S_seq[i]
 
     def M2_over_S(self, i):
-        return self._ratios.M2_over_S[i]
+        return self.M2_over_S_seq[i]
 
     def B_over_S(self, i):
-        return self._ratios.B_over_S[i]
+        return self.B_over_S_seq[i]
 
     def MB_over_S(self, i):
-        return self._ratios.MB_over_S[i]
+        return self.MB_over_S_seq[i]
 
     def doubly_normalized_deviation(self, c, i):
         """M_i (B_i - c S_i) / S_i^2, bounded in probability uniformly in i."""
@@ -154,58 +106,41 @@ class ModelTrajectory:
 
 
 def build_trajectory(model: ModelSequence, x0_truth, obs_variance, spec: RngSpec):
-    """Simulate truth and noisy observations, accumulating the ledger.
+    """Simulate truth and noisy observations and build the ratio ledger.
 
     Observation noise is drawn with the polar normal transform from the
     given stream, so the trajectory is a pure function of (model, x0_truth,
-    obs_variance, spec).
+    obs_variance, spec).  Raises ValueError naming the first step at which
+    the truth, its observation or a ratio is not a finite double; that
+    includes a multiplier with m_i^2 M_i^2/S_i beyond double range.
     """
     r = float(obs_variance)
     if not (r > 0.0):
         raise ValueError("obs_variance must be positive")
-    n = len(model)
-    truth = np.empty(n + 1)
-    truth[0] = float(x0_truth)
-    for i, m in enumerate(model.values):
-        truth[i + 1] = m * truth[i]
-    noise = normal_polar(spec.generator(), n + 1)
-    obs = truth + math.sqrt(r) * noise
+    ms = model.values.tolist()
+    x = float(x0_truth)
+    truth = [x]
+    for m in ms:
+        x *= m
+        truth.append(x)
+    truth = np.array(truth)
+    obs = truth + math.sqrt(r) * normal_polar(spec.generator(), len(ms) + 1)
 
-    log_abs_M = np.zeros(n + 1)
-    sign_M = np.ones(n + 1, dtype=int)
-    log_S = np.zeros(n + 1)
-    log_abs_B = np.empty(n + 1)
-    sign_B = np.empty(n + 1, dtype=int)
+    ys = obs.tolist()
+    inv_s, m_s, q, b_s, mb_s = 1.0, 1.0, 1.0, ys[0], ys[0]
+    rows = [(inv_s, m_s, q, b_s, mb_s)]
+    for m, y in zip(ms, ys[1:]):
+        t = m * m * q
+        g = 1.0 + t
+        b_s = (b_s + m * m_s * y) / g
+        mb_s = m * ((mb_s + m * q * y) / g)
+        inv_s /= g
+        m_s = m * m_s / g
+        q = t / g
+        rows.append((inv_s, m_s, q, b_s, mb_s))
 
-    log_abs_M[0] = 0.0
-    log_S[0] = 0.0
-    if obs[0] == 0.0:
-        log_abs_B[0], sign_B[0] = _LOG_TINY, 0
-    else:
-        log_abs_B[0] = math.log(abs(obs[0]))
-        sign_B[0] = 1 if obs[0] > 0 else -1
-
-    for i, m in enumerate(model.values):
-        log_abs_M[i + 1] = log_abs_M[i] + math.log(abs(m))
-        sign_M[i + 1] = sign_M[i] * (1 if m > 0 else -1)
-        log_S[i + 1] = np.logaddexp(log_S[i], 2.0 * log_abs_M[i + 1])
-        if obs[i + 1] == 0.0:
-            lt, st = _LOG_TINY, 0
-        else:
-            lt = log_abs_M[i + 1] + math.log(abs(obs[i + 1]))
-            st = sign_M[i + 1] * (1 if obs[i + 1] > 0 else -1)
-        log_abs_B[i + 1], sign_B[i + 1] = _signed_logaddexp(
-            log_abs_B[i], sign_B[i], lt, st
-        )
-
-    return ModelTrajectory(
-        model=model,
-        obs_variance=r,
-        truth=truth,
-        observations=obs,
-        log_abs_M=log_abs_M,
-        sign_M=sign_M,
-        log_S=log_S,
-        log_abs_B=log_abs_B,
-        sign_B=sign_B,
-    )
+    finite = np.isfinite(obs) & np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError("step %d: the truth x0_truth * M_i, its observation or a "
+                         "propagator ratio leaves double range" % np.argmin(finite))
+    return ModelTrajectory(model, r, truth, obs, *zip(*rows))

@@ -125,9 +125,15 @@ def skf_error_moments(traj: ModelTrajectory, x0, p0, i, replicates, spec: RngSpe
     i = int(i)
     r = traj.obs_variance
     u = traj.r_over_S(i)
-    # weights v_l = M_i M_l / S_i applied to each observation replicate
-    logs = traj.log_abs_M[i] + traj.log_abs_M[: i + 1] - traj.log_S[i]
-    v = traj.sign_M[i] * traj.sign_M[: i + 1] * np.exp(logs)
+    # weights v_l = M_i M_l / S_i on each observation replicate: |v_l| <= 1
+    # where M_l overflows, so they come from log|M_l| anchored on the larger
+    # of M_i^2/S_i and |M_i/S_i|; if both underflow, so does v_l^2 <= M_i^2/S_i
+    m = traj.model.values[:i]
+    log_M = np.concatenate(([0.0], np.cumsum(np.log(np.abs(m)))))
+    sign = np.concatenate(([1.0], np.cumprod(np.sign(m))))
+    q, mos = traj.M2_over_S(i), abs(traj.M_over_S(i))
+    anchor, log_v = (q, log_M - log_M[i]) if q >= mos else (mos, log_M)
+    v = sign[i] * sign * np.exp(log_v + math.log(anchor)) if anchor else np.zeros(i + 1)
     gen = spec.generator()
     nrep = int(replicates)
     errs = np.empty(nrep)

@@ -215,16 +215,15 @@ def inflation_schedule(traj: ModelTrajectory, alpha, p0, x_init):
     """
     alpha, p0, x_init = float(alpha), float(p0), float(x_init)
     r = traj.obs_variance
-    log_S = traj.log_S
-    u = r * np.exp(-log_S)
+    u = r * np.array(traj.inv_S_seq)
     theta = _thetas(alpha, p0, u, expint_scaled_inverse_shifted_array)
     th0, th1, ui = theta[:-1], theta[1:], u[:-1]
     phi = np.empty_like(theta)
     phi[0] = theta[0]
     phi[1:] = th1 * (th0 * p0 + ui) / (th0 * (th1 * p0 + ui))
-    # M_{i+1}/S_i and B_i/S_i from the signed-log ledger
-    m_next = traj.sign_M[1:] * np.exp(traj.log_abs_M[1:] - log_S[:-1])
-    b = traj.sign_B[:-1] * np.exp(traj.log_abs_B[:-1] - log_S[:-1])
+    # M_{i+1}/S_i = m_i M_i/S_i and B_i/S_i from the ratio ledger
+    m_next = traj.model.values * traj.M_over_S_seq[:-1]
+    b = np.array(traj.B_over_S_seq[:-1])
     psi = np.zeros_like(theta)
     psi[1:] = (m_next * (b - x_init) * (th1 - th0) * p0 * r
                / ((th1 * p0 + ui) * (th0 * p0 + ui)))

@@ -177,7 +177,7 @@ def test_criterion_05_inflation_zeroes_dp():
                                                 0.7, 1.5, True)
         traj = build_trajectory(model, 1.0, r, RngSpec(11, steps))
         i = int(rng.integers(0, steps + 1))
-        theta = theta_step(alpha, traj.S(i), p0, r)
+        theta = theta_step(alpha, 1.0 / traj.inv_S(i), p0, r)
         inp = PerturbedInputs(p0=p0, x0=0.0, p_tilde0=theta * p0,
                               x_tilde0=0.0, alpha=alpha, r=r)
         p_a = skf_closed_form(traj, 0.0, p0, i).var_analysis

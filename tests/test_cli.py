@@ -379,6 +379,20 @@ def test_unresolvable_inflation_exits_2_naming_the_field(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd", ["skf", "inflation-table"])
+def test_overflowing_truth_exits_2_naming_the_field(tmp_path, capsys, cmd):
+    # x0_truth * 2^i leaves double range near step 1024: no inf/nan CSV
+    cfg = write_config(tmp_path, {"steps": 1100,
+                                  "model": {"kind": "constant", "m": 2.0}})
+    dest = tmp_path / "out.csv"
+    code, _, err = run_cli([cmd, "--config", cfg, "--seed", "3",
+                            "--out", str(dest)], capsys)
+    assert code == 2
+    assert err.startswith("%s: config.steps: step 10" % cmd)
+    assert len(err.strip().splitlines()) == 1
+    assert not dest.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     code, _, err = run_cli(["skf", "--config", missing], capsys)

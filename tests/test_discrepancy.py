@@ -92,10 +92,8 @@ def test_dx_exceedance_probability_decays():
     x = rng.gamma(inp.alpha, inp.p_tilde0 / inp.alpha, 200_000)
     probs = []
     for i in (2, 20, 200):
-        u = inp.r * math.exp(-traj.log_S[i])
-        mbs = (traj.sign_M[i] * traj.sign_B[i]
-               * math.exp(traj.log_abs_M[i] + traj.log_abs_B[i]
-                          - traj.log_S[i]))
+        u = inp.r * traj.inv_S(i)
+        mbs = traj.MB_over_S(i)
         ms = traj.M_over_S(i)
         xa_exact = (inp.p0 * mbs + ms * inp.r * inp.x0) / (inp.p0 + u)
         xa_hat = (x * mbs + ms * inp.r * inp.x_tilde0) / (x + u)
@@ -113,10 +111,23 @@ def test_dx_degenerate_branch():
     const = expected_dx(traj, inp, i)
     assert second_moment_dx(traj, inp, i) == pytest.approx(const * const,
                                                            rel=1e-14)
-    u = inp.r * math.exp(-traj.log_S[i])
+    u = inp.r * traj.inv_S(i)
     want = inp.r * traj.M_over_S(i) * (traj.B_over_S(i) - inp.x0) \
         / (inp.p0 + u)
     assert const == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dx_degenerate_at_every_step(seed):
+    # B_i/S_i == x_tilde0 must be caught directly: the rounded a*d and b*c
+    # of the spec need not come out equal
+    traj = make_trajectory(seed, 50)
+    for i in range(traj.n_steps + 1):
+        inp = base_inputs(x_tilde0=traj.B_over_S(i), x0=-0.7)
+        with pytest.raises(ValueError, match="constant"):
+            dx_spec(traj, inp, i)
+        const = expected_dx(traj, inp, i)
+        assert second_moment_dx(traj, inp, i) == const * const
 
 
 def test_specs_are_well_scaled_for_unstable_models():

@@ -212,9 +212,7 @@ def test_inflated_run_matches_vector_filter_in_expectation():
         u = traj.r_over_S(i)
         x0b = traj.truth[0]
         phat = rng.gamma(4.0, p0 / 4.0, reps)
-        mbs = (traj.sign_M[i] * traj.sign_B[i]
-               * np.exp(traj.log_abs_M[i] + traj.log_abs_B[i]
-                        - traj.log_S[i]))
+        mbs = traj.MB_over_S(i)
         xa = ((th * phat * mbs + traj.M_over_S(i) * model.r_diag[j] * x0b)
               / (th * phat + u))
         mean_b[j] = np.mean(xa)

@@ -1,12 +1,13 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterlab import ModelSequence, RngSpec, build_trajectory
-from filterlab.propagators import _signed_logaddexp
 
 
 def brute_msb(model_values, observations):
@@ -26,9 +27,6 @@ def test_ledger_matches_brute_force():
     traj = build_trajectory(model, 1.0, 0.8, spec)
     M, S, B = brute_msb(model.values, traj.observations)
     for i in range(41):
-        assert traj.M(i) == pytest.approx(M[i], rel=1e-12)
-        assert traj.S(i) == pytest.approx(S[i], rel=1e-12)
-        assert traj.B(i) == pytest.approx(B[i], rel=1e-10)
         assert traj.M2_over_S(i) == pytest.approx(M[i] ** 2 / S[i], rel=1e-12)
         assert traj.M_over_S(i) == pytest.approx(M[i] / S[i], rel=1e-12)
         assert traj.B_over_S(i) == pytest.approx(B[i] / S[i], rel=1e-10)
@@ -41,7 +39,7 @@ def test_ratios_survive_overflow():
     traj = build_trajectory(ModelSequence.constant(2.0, 1200), 0.0, 1.0,
                             RngSpec(1, 0))
     i = 1200
-    assert math.isinf(traj.S(i))
+    assert traj.inv_S(i) == 0.0  # S_i is beyond double range
     assert traj.M2_over_S(i) == pytest.approx(1.0 - 0.25, rel=1e-9)
     assert math.isfinite(traj.B_over_S(i))
     assert traj.r_over_S(i) == pytest.approx(0.0, abs=1e-300)
@@ -51,7 +49,7 @@ def test_decaying_model_keeps_precision():
     traj = build_trajectory(ModelSequence.constant(0.5, 900), 1.0, 1.0,
                             RngSpec(3, 0))
     # S_i -> sum 4^-l = 4/3; M_i^2/S_i underflows gracefully
-    assert traj.S(900) == pytest.approx(4.0 / 3.0, rel=1e-12)
+    assert traj.inv_S(900) == pytest.approx(3.0 / 4.0, rel=1e-12)
     assert traj.M2_over_S(900) >= 0.0
 
 
@@ -93,27 +91,24 @@ def test_doubly_normalized_deviation_formula():
             want, rel=1e-10)
 
 
-def test_signed_logaddexp_cancellation_and_zero():
-    l, s = _signed_logaddexp(math.log(3.0), 1, math.log(3.0), -1)
-    assert s == 0
-    l, s = _signed_logaddexp(math.log(5.0), 1, math.log(2.0), -1)
-    assert s == 1 and math.exp(l) == pytest.approx(3.0, rel=1e-14)
-    l, s = _signed_logaddexp(-1e308, 0, math.log(2.0), -1)
-    assert s == -1 and math.exp(l) == pytest.approx(2.0)
-
-
-def log_ledger_ratios(traj, i):
-    # each ratio evaluated per call from the signed-log ledger
-    ls = traj.log_S[i]
-    return {
-        "inv_S": math.exp(-ls),
-        "r_over_S": traj.obs_variance * math.exp(-ls),
-        "M_over_S": traj.sign_M[i] * math.exp(traj.log_abs_M[i] - ls),
-        "M2_over_S": math.exp(2.0 * traj.log_abs_M[i] - ls),
-        "B_over_S": traj.sign_B[i] * math.exp(traj.log_abs_B[i] - ls),
-        "MB_over_S": traj.sign_M[i] * traj.sign_B[i] * math.exp(
-            traj.log_abs_M[i] + traj.log_abs_B[i] - ls),
-    }
+def mp_ledger(traj, c):
+    # every accessor at every step from M_i, S_i and B_i summed at 50 digits
+    with mpmath.workdps(50):
+        M, S, B = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+        ms = [1.0] + traj.model.values.tolist()
+        for m, y in zip(ms, traj.observations.tolist()):
+            M *= m
+            S += M * M
+            B += M * y
+            yield {
+                "inv_S": float(1 / S),
+                "r_over_S": float(traj.obs_variance / S),
+                "M_over_S": float(M / S),
+                "M2_over_S": float(M * M / S),
+                "B_over_S": float(B / S),
+                "MB_over_S": float(M * B / S),
+                "doubly_normalized_deviation": float(M * (B - c * S) / (S * S)),
+            }
 
 
 @pytest.mark.parametrize("make", [
@@ -121,15 +116,29 @@ def log_ledger_ratios(traj, i):
     lambda: build_trajectory(
         ModelSequence.random_loguniform(400, RngSpec(5, 1), 0.1, 10.0), 1.3, 0.7,
         RngSpec(5, 0)),
-    # M and S overflow doubles
+    # M and S overflow doubles; 1/S_i and M_i/S_i underflow
     lambda: build_trajectory(ModelSequence.constant(2.0, 1200), 0.0, 1.0, RngSpec(1, 0)),
     # M_i^2/S_i underflows
     lambda: build_trajectory(ModelSequence.constant(0.5, 900), 1.0, 1.0, RngSpec(3, 0)),
-], ids=["wide_signed", "overflowing", "decaying"])
-def test_ratio_accessors_equal_log_ledger_exactly(make):
+    # 1e4 steps: rounding compounds along the recursion
+    lambda: build_trajectory(
+        ModelSequence.random_loguniform(10_000, RngSpec(8, 1)), 1.0, 1.0, RngSpec(8, 0)),
+], ids=["wide_signed", "overflowing", "decaying", "long_band"])
+def test_ratio_accessors_match_50_digit_ledger(make):
+    # relative error 1e-13, against the smallest normal double for ratios
+    # that underflow
     traj = make()
-    for i in range(traj.n_steps + 1):
-        for name, want in log_ledger_ratios(traj, i).items():
-            got = getattr(traj, name)(i)
+    c = -2.5
+    for i, want in enumerate(mp_ledger(traj, c)):
+        for name, ref in want.items():
+            args = (c, i) if name == "doubly_normalized_deviation" else (i,)
+            got = getattr(traj, name)(*args)
             assert type(got) is float
-            assert got == want, (name, i)
+            assert abs(got - ref) <= 1e-13 * max(abs(ref), sys.float_info.min), \
+                (name, i, got, ref)
+
+
+def test_non_finite_truth_names_the_step():
+    # x0_truth * 2^i leaves double range near i = 1024
+    with pytest.raises(ValueError, match=r"step 10\d\d: the truth"):
+        build_trajectory(ModelSequence.constant(2.0, 1100), 1.0, 1.0, RngSpec(3, 0))

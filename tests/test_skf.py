@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,3 +95,16 @@ def test_error_moments_deterministic(unit_traj):
     a = skf_error_moments(unit_traj, 1.0, 1.0, 5, 2000, RngSpec(5, 0))
     b = skf_error_moments(unit_traj, 1.0, 1.0, 5, 2000, RngSpec(5, 0))
     assert a == b
+
+
+@pytest.mark.parametrize("i", [1050, 1100])
+def test_error_moments_past_propagator_overflow(i):
+    # m = 2: M_l leaves double range at l = 1024 and M_i/S_i underflows at
+    # i = 1075, yet the weights M_i M_l / S_i stay bounded and the moments
+    # match the closed form
+    traj = make_trajectory(19, i, x0_truth=0.0, kind="constant", m=2.0)
+    em = skf_error_moments(traj, 0.0, 1.0, i, 400, RngSpec(19, 3))
+    pa = skf_closed_form(traj, 0.0, 1.0, i).var_analysis
+    assert math.isfinite(em.mean) and math.isfinite(em.var)
+    assert abs(em.mean) < 4.0 * em.mean_se
+    assert abs(em.var - pa) < 4.0 * em.var_se

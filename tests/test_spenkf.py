@@ -191,7 +191,8 @@ def test_schedule_matches_per_step_scalar_entry():
     traj = make_trajectory(17, 1000, low=0.5, high=2.0)
     for alpha, p0 in ((1.26, 0.7), (4.5, 1.3), (16.5, 1.0), (256.0, 2.0)):
         sched = inflation_schedule(traj, alpha, p0, 0.0)
-        single = np.array([theta_step(alpha, traj.S(i), p0, traj.obs_variance)
+        single = np.array([theta_step(alpha, 1.0 / traj.inv_S(i), p0,
+                                      traj.obs_variance)
                            for i in range(traj.n_steps + 1)])
         np.testing.assert_allclose(sched.theta, single, rtol=1e-12, atol=0)
 
