@@ -18,7 +18,7 @@ import numpy as np
 from . import discrepancy as dsc
 from .expint import DomainError, expint_scaled, expint_scaled_inverse
 from .config import ConfigError, ExperimentConfig
-from .propagators import ModelSequence, build_trajectory
+from .propagators import ModelSequence, TrajectoryRangeError, build_trajectory
 from .rng import RngSpec
 from .mvspenkf import DiagonalizableModel, mv_inflation_schedule, mv_spenkf_run
 from .skf import skf_closed_form, skf_run
@@ -82,14 +82,18 @@ def _load_mc(args):
     return cfg
 
 
+# the config field behind each build_trajectory input, top level and in "mv"
+_TRAJ_FIELDS = {"model": "model", "x0_truth": "x0_truth", "obs_variance": "r"}
+_MV_FIELDS = {"model": "multipliers", "x0_truth": "x0", "obs_variance": "r_diag"}
+
+
 def _trajectory(cfg):
     spec = RngSpec(cfg.seed, _STREAM_TRAJ)
     model = cfg.model.build(cfg.steps, spec.stream(_STREAM_MC_BASE - 1))
     try:
         return build_trajectory(model, cfg.x0_truth, cfg.r, spec)
-    except ValueError as exc:
-        # the model grows the truth out of double range before the last step
-        raise ConfigError("config.steps: %s" % exc) from exc
+    except TrajectoryRangeError as exc:
+        raise ConfigError("config.%s: %s" % (_TRAJ_FIELDS[exc.param], exc.detail)) from exc
 
 
 def _schedule(cfg, traj, alpha, field):
@@ -402,7 +406,10 @@ def cmd_mv(args):
         return 0
     spec = RngSpec(cfg.seed, _STREAM_MC_BASE)
     schedules = None
-    result = mv_spenkf_run(model, np.array(cfg.mv.x0), cfg.ensemble_size, spec)
+    try:
+        result = mv_spenkf_run(model, np.array(cfg.mv.x0), cfg.ensemble_size, spec)
+    except TrajectoryRangeError as exc:
+        raise ConfigError("config.mv.%s: %s" % (_MV_FIELDS[exc.param], exc.detail)) from exc
     if cfg.inflation == "sequential":
         schedules = mv_inflation_schedule(result)
         result = mv_spenkf_run(model, np.array(cfg.mv.x0), cfg.ensemble_size,

@@ -116,7 +116,9 @@ def expected_dx(traj, inp, i):
 def second_moment_dx(traj, inp, i):
     """E[dx_i^2], exact for alpha > 2."""
     if traj.B_over_S(i) == inp.x_tilde0:
-        return _dx_constant(traj, inp, i) ** 2
+        # c * c, not c ** 2: libm pow may round x^2 one ulp off x * x
+        c = _dx_constant(traj, inp, i)
+        return c * c
     return ratio_second_moment(dx_spec(traj, inp, i))
 
 

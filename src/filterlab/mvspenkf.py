@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagators import ModelSequence, ModelTrajectory, build_trajectory
+from .propagators import (ModelSequence, ModelTrajectory, TrajectoryRangeError,
+                          build_trajectory)
 from .rng import RngSpec, normal_polar
 from .spenkf import (
     EnsembleState,
@@ -114,12 +115,16 @@ def mv_spenkf_run(model: DiagonalizableModel, x0, n_members, spec: RngSpec,
     means_basis = np.empty((steps + 1, n))
     variances = np.empty((steps + 1, n))
     for j in range(n):
-        traj = build_trajectory(
-            ModelSequence(model.multipliers[:, j]),
-            x0_basis[j],
-            model.r_diag[j],
-            spec.stream(2 * j),
-        )
+        try:
+            traj = build_trajectory(
+                ModelSequence(model.multipliers[:, j]),
+                x0_basis[j],
+                model.r_diag[j],
+                spec.stream(2 * j),
+            )
+        except TrajectoryRangeError as exc:
+            raise TrajectoryRangeError(
+                exc.param, "basis component %d, %s" % (j, exc.detail)) from exc
         trajs.append(traj)
         # i.i.d. anomalies, not recentred: keeps the per-component sampled
         # variance exactly Gamma(N/2), matching the scalar filter

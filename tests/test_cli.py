@@ -388,9 +388,33 @@ def test_overflowing_truth_exits_2_naming_the_field(tmp_path, capsys, cmd):
     code, _, err = run_cli([cmd, "--config", cfg, "--seed", "3",
                             "--out", str(dest)], capsys)
     assert code == 2
-    assert err.startswith("%s: config.steps: step 10" % cmd)
+    assert err.startswith("%s: config.model: step 1024: " % cmd)
     assert len(err.strip().splitlines()) == 1
     assert not dest.exists()
+
+
+def test_mv_overflowing_truth_exits_2_naming_the_field(tmp_path, capsys):
+    mv = {"Z": [[1.0, 0.3], [0.2, 1.0]],
+          "multipliers": [[1e200, 0.9]] * 3,
+          "p0_diag": [1.0, 0.5], "r_diag": [1.0, 0.7], "x0": [1.0, -0.5]}
+    cfg = write_config(tmp_path, {"seed": 21, "mv": mv})
+    dest = tmp_path / "out.csv"
+    code, _, err = run_cli(["mv", "--config", cfg, "--out", str(dest)], capsys)
+    assert code == 2
+    assert err.startswith("mv: config.mv.multipliers: basis component 0, step 2: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not dest.exists()
+
+
+def test_multipliers_beyond_1e154_with_a_finite_truth_run(tmp_path, capsys):
+    # m_0^2 is not a double, but x0_truth * M_i is at every step
+    cfg = write_config(tmp_path, {"steps": 2, "model": {
+        "kind": "explicit", "values": [1e200, 1e-200]}})
+    code, out, _ = run_cli(["inflation-table", "--config", cfg], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 3
+    assert all(math.isfinite(float(tok)) for row in rows for tok in row)
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

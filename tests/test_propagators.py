@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filterlab import ModelSequence, RngSpec, build_trajectory
+from filterlab import ModelSequence, RngSpec, TrajectoryRangeError, build_trajectory
 
 
 def brute_msb(model_values, observations):
@@ -123,7 +123,17 @@ def mp_ledger(traj, c):
     # 1e4 steps: rounding compounds along the recursion
     lambda: build_trajectory(
         ModelSequence.random_loguniform(10_000, RngSpec(8, 1)), 1.0, 1.0, RngSpec(8, 0)),
-], ids=["wide_signed", "overflowing", "decaying", "long_band"])
+    # M_i^2/S_i falls below the smallest double, then M_4 = 1 and S_4 ~ 2
+    lambda: build_trajectory(ModelSequence(np.array([1e-100, 1e-100, 1e150, 1e50])),
+                             1.0, 1.0, RngSpec(4, 0)),
+    # M_i and the truth leave double range downwards and come back to 1
+    lambda: build_trajectory(ModelSequence(np.array([1e-200] * 4 + [1e200] * 4)),
+                             1.0, 1.0, RngSpec(6, 0)),
+    # |m_i| beyond 1e154: m_i^2 is not a double, the truth is
+    lambda: build_trajectory(ModelSequence(np.array([1e200, -1e-200] * 20)),
+                             1.0, 1.0, RngSpec(2, 0)),
+], ids=["wide_signed", "overflowing", "decaying", "long_band", "dip_recover",
+        "deep_dip_recover", "huge_multipliers"])
 def test_ratio_accessors_match_50_digit_ledger(make):
     # relative error 1e-13, against the smallest normal double for ratios
     # that underflow
@@ -138,7 +148,36 @@ def test_ratio_accessors_match_50_digit_ledger(make):
                 (name, i, got, ref)
 
 
-def test_non_finite_truth_names_the_step():
-    # x0_truth * 2^i leaves double range near i = 1024
-    with pytest.raises(ValueError, match=r"step 10\d\d: the truth"):
-        build_trajectory(ModelSequence.constant(2.0, 1100), 1.0, 1.0, RngSpec(3, 0))
+def test_truth_comes_back_after_leaving_double_range():
+    values = np.array([1e-200] * 4 + [1e200] * 4)
+    traj = build_trajectory(ModelSequence(values), 1.0, 1.0, RngSpec(6, 0))
+    assert traj.truth[4] == 0.0  # 1e-800
+    with mpmath.workdps(50):
+        for i in range(9):
+            want = float(mpmath.fprod([mpmath.mpf(m) for m in values[:i]]))
+            assert traj.truth[i] == pytest.approx(want, rel=1e-15)
+
+
+def test_truth_is_the_running_product_in_double_range():
+    spec = RngSpec(12, 0)
+    model = ModelSequence.random_loguniform(300, spec.stream(1), 0.1, 10.0)
+    traj = build_trajectory(model, -1.7, 1.0, spec)
+    x = -1.7
+    for i, m in enumerate(model.values.tolist()):
+        x *= m
+        assert traj.truth[i + 1] == x
+
+
+@pytest.mark.parametrize("x0_truth,param,step", [
+    (1.0, "model", 1024),      # M_1024 = 2^1024 is not a double
+    (1e300, "x0_truth", 28),   # M_28 = 2^28 is, 1e300 * 2^28 is not
+])
+def test_non_finite_truth_names_the_input_and_step(x0_truth, param, step):
+    with pytest.raises(TrajectoryRangeError, match=r"^%s: step %d: " % (param, step)) as info:
+        build_trajectory(ModelSequence.constant(2.0, 1100), x0_truth, 1.0, RngSpec(3, 0))
+    assert info.value.param == param
+
+
+def test_non_finite_noise_names_obs_variance():
+    with pytest.raises(TrajectoryRangeError, match=r"^obs_variance: step 0: "):
+        build_trajectory(ModelSequence.constant(1.0, 3), 0.0, math.inf, RngSpec(3, 0))
