@@ -125,7 +125,8 @@ class TrajectoryRangeError(ValueError):
 
 
 def _add(a, ea, b, eb):
-    """Mantissa and exponent of a 2^ea + b 2^eb, for |a|, |b| near 1 or 0."""
+    """Mantissa and exponent of a 2^ea + b 2^eb, for a, b each 0 or within a
+    few dozen binades of 1."""
     if b and (not a or eb > ea):
         a, ea, b, eb = b, eb, a, ea
     f, e = frexp(a + ldexp(b, eb - ea))
