@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Reproduce every desk-scale table: one CSV per subcommand under scripts/out/.
+# Runs from a checkout: the package is imported from ../src, no install needed.
 set -euo pipefail
 cd "$(dirname "$0")"
+export PYTHONPATH="$PWD/../src${PYTHONPATH:+:$PYTHONPATH}"
 mkdir -p out
+
+filterlab() { python3 -m filterlab.cli "$@"; }
 
 filterlab selftest
 

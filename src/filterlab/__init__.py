@@ -7,8 +7,8 @@ exponential-integral machinery they are built on.
 
 from .expint import DomainError, expint, expint_scaled, expint_scaled_inverse
 from .rng import RngSpec, normal_polar
-from .propagators import (ModelSequence, ModelTrajectory, TrajectoryRangeError,
-                          build_trajectory)
+from .propagators import (InputError, ModelSequence, ModelTrajectory,
+                          TrajectoryRangeError, build_trajectory)
 from .skf import (
     ErrorMoments,
     SkfState,

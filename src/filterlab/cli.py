@@ -12,13 +12,14 @@ import argparse
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import discrepancy as dsc
 from .expint import DomainError, expint_scaled, expint_scaled_inverse
 from .config import ConfigError, ExperimentConfig
-from .propagators import ModelSequence, TrajectoryRangeError, build_trajectory
+from .propagators import InputError, ModelSequence, build_trajectory
 from .rng import RngSpec
 from .mvspenkf import DiagonalizableModel, mv_inflation_schedule, mv_spenkf_run
 from .skf import skf_closed_form, skf_run
@@ -82,18 +83,27 @@ def _load_mc(args):
     return cfg
 
 
-# the config field behind each build_trajectory input, top level and in "mv"
+# the config field behind each library input, top level and in "mv"
 _TRAJ_FIELDS = {"model": "model", "x0_truth": "x0_truth", "obs_variance": "r"}
-_MV_FIELDS = {"model": "multipliers", "x0_truth": "x0", "obs_variance": "r_diag"}
+_MV_FIELDS = {"model": "mv.multipliers", "x0_truth": "mv.x0", "obs_variance": "mv.r_diag",
+              "Z": "mv.Z", "multipliers": "mv.multipliers", "p0_diag": "mv.p0_diag",
+              "r_diag": "mv.r_diag", "x0": "mv.x0"}
+
+
+@contextmanager
+def _config_fields(fields):
+    # report a library InputError as a ConfigError naming the config field
+    try:
+        yield
+    except InputError as exc:
+        raise ConfigError("config.%s: %s" % (fields[exc.param], exc.detail)) from exc
 
 
 def _trajectory(cfg):
     spec = RngSpec(cfg.seed, _STREAM_TRAJ)
     model = cfg.model.build(cfg.steps, spec.stream(_STREAM_MC_BASE - 1))
-    try:
+    with _config_fields(_TRAJ_FIELDS):
         return build_trajectory(model, cfg.x0_truth, cfg.r, spec)
-    except TrajectoryRangeError as exc:
-        raise ConfigError("config.%s: %s" % (_TRAJ_FIELDS[exc.param], exc.detail)) from exc
 
 
 def _schedule(cfg, traj, alpha, field):
@@ -147,7 +157,8 @@ def cmd_skf(args):
         return 0
     cfg = _load(args)
     traj = _trajectory(cfg)
-    states = skf_run(traj, cfg.x0, cfg.p0)
+    with _config_fields(_TRAJ_FIELDS):
+        states = skf_run(traj, cfg.x0, cfg.p0)
     rows = []
     for i, s in enumerate(states):
         c = skf_closed_form(traj, cfg.x0, cfg.p0, i)
@@ -198,9 +209,8 @@ def cmd_spenkf(args):
         init = EnsembleState(step=0, phase="forecast", mean=init.mean,
                              anomalies=anoms,
                              sampled_var=float(np.dot(anoms, anoms) / len(anoms)))
-        states = spenkf_run(traj, init)
-    else:
-        states = spenkf_run(traj, init, sched)
+    with _config_fields(_TRAJ_FIELDS):
+        states = spenkf_run(traj, init, sched if cfg.inflation == "sequential" else None)
     ref = skf_run(traj, cfg.x0, cfg.p0)
     rows = []
     for i, s in enumerate(states):
@@ -397,23 +407,19 @@ def cmd_mv(args):
             return 0
         print("mv: config must contain an 'mv' section", file=sys.stderr)
         return 2
-    model = DiagonalizableModel(Z=np.array(cfg.mv.Z),
-                                multipliers=np.array(cfg.mv.multipliers),
-                                p0_diag=np.array(cfg.mv.p0_diag),
-                                r_diag=np.array(cfg.mv.r_diag))
-    if args.describe:
-        _describe(_mv_cols(model.dim))
-        return 0
-    spec = RngSpec(cfg.seed, _STREAM_MC_BASE)
-    schedules = None
-    try:
+    with _config_fields(_MV_FIELDS):
+        model = DiagonalizableModel(Z=np.array(cfg.mv.Z),
+                                    multipliers=np.array(cfg.mv.multipliers),
+                                    p0_diag=np.array(cfg.mv.p0_diag),
+                                    r_diag=np.array(cfg.mv.r_diag))
+        if args.describe:
+            _describe(_mv_cols(model.dim))
+            return 0
+        spec = RngSpec(cfg.seed, _STREAM_MC_BASE)
         result = mv_spenkf_run(model, np.array(cfg.mv.x0), cfg.ensemble_size, spec)
-    except TrajectoryRangeError as exc:
-        raise ConfigError("config.mv.%s: %s" % (_MV_FIELDS[exc.param], exc.detail)) from exc
-    if cfg.inflation == "sequential":
-        schedules = mv_inflation_schedule(result)
-        result = mv_spenkf_run(model, np.array(cfg.mv.x0), cfg.ensemble_size,
-                               spec, schedules)
+        if cfg.inflation == "sequential":
+            result = mv_spenkf_run(model, np.array(cfg.mv.x0), cfg.ensemble_size,
+                                   spec, mv_inflation_schedule(result))
     rows = []
     for i in range(model.n_steps + 1):
         row = [i]

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagators import (ModelSequence, ModelTrajectory, TrajectoryRangeError,
-                          build_trajectory)
+from .propagators import (InputError, ModelSequence, ModelTrajectory,
+                          TrajectoryRangeError, build_trajectory)
 from .rng import RngSpec, normal_polar
 from .spenkf import (
     EnsembleState,
@@ -46,19 +46,20 @@ class DiagonalizableModel:
         p0 = np.asarray(self.p0_diag, dtype=float)
         r = np.asarray(self.r_diag, dtype=float)
         if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-            raise ValueError("Z must be square")
+            raise InputError("Z", "must be square")
         n = Z.shape[0]
         if mult.ndim != 2 or mult.shape[1] != n or mult.shape[0] == 0:
-            raise ValueError("multipliers must have shape (steps, n)")
-        if p0.shape != (n,) or r.shape != (n,):
-            raise ValueError("p0_diag and r_diag must have shape (n,)")
+            raise InputError("multipliers", "must have shape (steps, n)")
         if np.any(mult == 0.0) or not np.all(np.isfinite(mult)):
-            raise ValueError("multipliers must be finite and nonzero")
-        if np.any(p0 <= 0.0) or np.any(r <= 0.0):
-            raise ValueError("variances must be positive")
+            raise InputError("multipliers", "must be finite and nonzero")
+        for name, var in (("p0_diag", p0), ("r_diag", r)):
+            if var.shape != (n,):
+                raise InputError(name, "must have shape (n,)")
+            if not np.all((var > 0.0) & (var < np.inf)):
+                raise InputError(name, "variances must be positive and finite")
         cond = np.linalg.cond(Z)
         if not (cond <= _COND_CAP):
-            raise ValueError("Z is numerically singular: cond=%g" % cond)
+            raise InputError("Z", "numerically singular: cond=%g" % cond)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "multipliers", mult)
         object.__setattr__(self, "p0_diag", p0)
@@ -107,7 +108,7 @@ def mv_spenkf_run(model: DiagonalizableModel, x0, n_members, spec: RngSpec,
     n = model.dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
-        raise ValueError("x0 must have shape (n,)")
+        raise InputError("x0", "must have shape (n,)")
     x0_basis = np.linalg.solve(model.Z, x0)
     steps = model.n_steps
     trajs = []
@@ -115,17 +116,6 @@ def mv_spenkf_run(model: DiagonalizableModel, x0, n_members, spec: RngSpec,
     means_basis = np.empty((steps + 1, n))
     variances = np.empty((steps + 1, n))
     for j in range(n):
-        try:
-            traj = build_trajectory(
-                ModelSequence(model.multipliers[:, j]),
-                x0_basis[j],
-                model.r_diag[j],
-                spec.stream(2 * j),
-            )
-        except TrajectoryRangeError as exc:
-            raise TrajectoryRangeError(
-                exc.param, "basis component %d, %s" % (j, exc.detail)) from exc
-        trajs.append(traj)
         # i.i.d. anomalies, not recentred: keeps the per-component sampled
         # variance exactly Gamma(N/2), matching the scalar filter
         a0 = math.sqrt(model.p0_diag[j]) * normal_polar(
@@ -136,7 +126,18 @@ def mv_spenkf_run(model: DiagonalizableModel, x0, n_members, spec: RngSpec,
                              anomalies=a0,
                              sampled_var=float(np.dot(a0, a0) / len(a0)))
         sched = schedules[j] if schedules is not None else None
-        states = spenkf_run(traj, init, sched)
+        try:
+            traj = build_trajectory(
+                ModelSequence(model.multipliers[:, j]),
+                x0_basis[j],
+                model.r_diag[j],
+                spec.stream(2 * j),
+            )
+            states = spenkf_run(traj, init, sched)
+        except TrajectoryRangeError as exc:
+            raise TrajectoryRangeError(
+                exc.param, "basis component %d, %s" % (j, exc.detail)) from exc
+        trajs.append(traj)
         means_basis[:, j] = [s.mean for s in states]
         variances[:, j] = [s.sampled_var for s in states]
     means = means_basis @ model.Z.T

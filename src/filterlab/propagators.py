@@ -29,8 +29,8 @@ import numpy as np
 
 from .rng import RngSpec, normal_polar
 
-__all__ = ["ModelSequence", "ModelTrajectory", "TrajectoryRangeError",
-           "build_trajectory"]
+__all__ = ["ModelSequence", "ModelTrajectory", "InputError",
+           "TrajectoryRangeError", "build_trajectory"]
 
 
 @dataclass(frozen=True)
@@ -112,16 +112,22 @@ class ModelTrajectory:
         return self.M_over_S(i) * (self.B_over_S(i) - c)
 
 
-class TrajectoryRangeError(ValueError):
-    """A truth, observation or ratio of a trajectory that is not a finite double.
-
-    param names the build_trajectory input at fault: "model", "x0_truth" or
-    "obs_variance"; detail names the step and what left double range.
-    """
+class InputError(ValueError):
+    """An input a model or filter cannot use: param names the input at
+    fault and detail says what is wrong with it."""
 
     def __init__(self, param, detail):
         super().__init__("%s: %s" % (param, detail))
         self.param, self.detail = param, detail
+
+
+class TrajectoryRangeError(InputError):
+    """A truth, observation, ratio or forecast variance of a trajectory that
+    is not a finite double.
+
+    param names the build_trajectory input at fault: "model", "x0_truth" or
+    "obs_variance"; detail names the step and what left double range.
+    """
 
 
 def _add(a, ea, b, eb):

@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from .propagators import ModelTrajectory
+from .discrepancy import sample_moments
+from .propagators import ModelTrajectory, TrajectoryRangeError
 from .rng import RngSpec, normal_polar
 
 __all__ = [
@@ -61,16 +62,29 @@ def skf_start(x0, p0, y0, r):
 
 
 def skf_step(prev: SkfState, m, y, r):
-    """Forecast through multiplier m, then assimilate observation y."""
+    """Forecast through multiplier m, then assimilate observation y.
+
+    Raises TrajectoryRangeError("model", ...) when the forecast variance
+    m^2 p_a leaves double range.
+    """
     if m == 0.0:
         raise ValueError("model multiplier must be nonzero")
+    # Python floats: an overflowing forecast gives inf without a warning
+    m = float(m)
     xf = m * prev.mean_analysis
     pf = m * m * prev.var_analysis
+    if not math.isfinite(pf):
+        raise TrajectoryRangeError("model", "step %d: the forecast variance "
+                                   "m^2 p_a leaves double range" % (prev.step + 1))
     return _analyze(prev.step + 1, xf, pf, float(y), float(r))
 
 
 def skf_run(traj: ModelTrajectory, x0, p0):
-    """The full recursion along a trajectory; returns one state per step."""
+    """The full recursion along a trajectory; returns one state per step.
+
+    Raises skf_step's TrajectoryRangeError at the first step whose forecast
+    variance leaves double range.
+    """
     r = traj.obs_variance
     states = [skf_start(x0, p0, traj.observations[0], r)]
     for i, m in enumerate(traj.model.values):
@@ -152,10 +166,4 @@ def skf_error_moments(traj: ModelTrajectory, x0, p0, i, replicates, spec: RngSpe
             -mi_over_si * r * prior_dev + p0 * sq * obs_part
         ) / (p0 + u)
         done += b
-    mean = float(np.mean(errs))
-    var = float(np.var(errs, ddof=1))
-    mean_se = math.sqrt(var / nrep)
-    # SE of the sample variance from the fourth central moment
-    m4 = float(np.mean((errs - mean) ** 4))
-    var_se = math.sqrt(max(m4 - var * var, 0.0) / nrep)
-    return ErrorMoments(mean=mean, mean_se=mean_se, var=var, var_se=var_se)
+    return ErrorMoments(*sample_moments(errs, fourth=True))

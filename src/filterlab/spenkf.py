@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expint import expint_scaled_inverse_shifted, expint_scaled_inverse_shifted_array
-from .propagators import ModelTrajectory
+from .propagators import ModelTrajectory, TrajectoryRangeError
 from .rng import RngSpec, normal_polar
 
 __all__ = [
@@ -64,6 +64,10 @@ class EnsembleState:
         return 0.5 * len(self.anomalies)
 
 
+# smallest sampled forecast variance an analysis accepts
+_PF_MIN = 1e-300
+
+
 def _svar(anoms):
     return float(np.dot(anoms, anoms) / len(anoms))
 
@@ -95,7 +99,7 @@ def spenkf_analyze(state: EnsembleState, y, r):
     if state.phase != "forecast":
         raise ValueError("can only analyze a forecast-phase state")
     pf = state.sampled_var
-    if pf < 1e-300:
+    if pf < _PF_MIN:
         raise ValueError("degenerate ensemble: sampled variance underflowed")
     k = pf / (pf + r)
     pa = (1.0 - k) * pf
@@ -129,7 +133,15 @@ def spenkf_forecast(state: EnsembleState, m, phi=1.0, psi=0.0):
 
 
 def spenkf_step(state: EnsembleState, m, y, r, phi=1.0, psi=0.0):
-    return spenkf_analyze(spenkf_forecast(state, m, phi, psi), y, r)
+    """Forecast, then assimilate y.  Raises TrajectoryRangeError("model", ...)
+    when the sampled forecast variance overflows or falls below what the
+    analysis accepts."""
+    with np.errstate(over="ignore"):
+        fc = spenkf_forecast(state, m, phi, psi)
+    if not _PF_MIN <= fc.sampled_var < math.inf:
+        raise TrajectoryRangeError("model", "step %d: the sampled forecast variance "
+                                   "%g leaves [%g, inf)" % (fc.step, fc.sampled_var, _PF_MIN))
+    return spenkf_analyze(fc, y, r)
 
 
 def spenkf_run(traj: ModelTrajectory, initial: EnsembleState,
@@ -137,7 +149,9 @@ def spenkf_run(traj: ModelTrajectory, initial: EnsembleState,
     """Run the filter along a trajectory; returns analysis states per step.
 
     With a schedule, phi_0 scales the initial anomalies before the first
-    analysis and (phi_i, psi_i) correct every later forecast.
+    analysis and (phi_i, psi_i) correct every later forecast.  Raises
+    spenkf_step's TrajectoryRangeError at the first step whose sampled
+    forecast variance leaves range.
     """
     r = traj.obs_variance
     state = initial

@@ -7,6 +7,7 @@ stdout/stderr, and output files can be asserted directly.
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ import filterlab.discrepancy as dsc
 
 from filterlab.cli import main, _SKF_COLS, _SPENKF_COLS, _MC_COLS
 from filterlab.config import ConfigError, ExperimentConfig
+
+MV_DEMO = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "mv_demo.json"
 
 
 def run_cli(argv, capsys):
@@ -415,6 +418,44 @@ def test_multipliers_beyond_1e154_with_a_finite_truth_run(tmp_path, capsys):
     _, rows = parse_csv(out)
     assert len(rows) == 3
     assert all(math.isfinite(float(tok)) for row in rows for tok in row)
+
+
+@pytest.mark.parametrize("cmd,what", [("skf", "forecast variance"),
+                                      ("spenkf", "sampled forecast variance")])
+def test_overflowing_forecast_exits_2_naming_the_field(tmp_path, capsys, cmd, what):
+    # the ledger and the truth stay finite, but m_0^2 p_a is not a double
+    cfg = write_config(tmp_path, {"steps": 2, "model": {
+        "kind": "explicit", "values": [1e200, 1e-200]}})
+    dest = tmp_path / "out.csv"
+    code, _, err = run_cli([cmd, "--config", cfg, "--seed", "3",
+                            "--out", str(dest)], capsys)
+    assert code == 2
+    assert err.startswith("%s: config.model: step 1: the %s " % (cmd, what))
+    assert len(err.strip().splitlines()) == 1
+    assert not dest.exists()
+
+
+def _mv_demo(**changes):
+    cfg = json.loads(MV_DEMO.read_text(encoding="utf-8"))
+    cfg["mv"].update(changes)
+    return cfg
+
+
+@pytest.mark.parametrize("changes,field", [
+    ({"Z": [[1, 1, 0], [1, 1, 0], [0, 0, 1]]}, "Z"),
+    ({"x0": [1.0, -0.5]}, "x0"),
+    ({"p0_diag": [1.0, 0.5]}, "p0_diag"),
+    ({"r_diag": [1.0, 0.0, 0.7]}, "r_diag"),
+    ({"multipliers": [[1.1, 0.9]]}, "multipliers"),
+])
+def test_mv_bad_section_exits_2_naming_the_field(tmp_path, capsys, changes, field):
+    cfg = write_config(tmp_path, _mv_demo(**changes))
+    dest = tmp_path / "out.csv"
+    code, _, err = run_cli(["mv", "--config", cfg, "--out", str(dest)], capsys)
+    assert code == 2
+    assert err.startswith("mv: config.mv.%s: " % field)
+    assert len(err.strip().splitlines()) == 1
+    assert not dest.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -16,7 +16,8 @@ from filterlab import (
     skf_closed_form,
 )
 from filterlab.discrepancy import dp_spec, dx_spec, po_gain_spec
-from conftest import make_trajectory
+from conftest import (VAR_SE_RTOL, make_trajectory, reference_mean_se,
+                      reference_var_se)
 
 
 def base_inputs(**kw):
@@ -48,6 +49,50 @@ def test_moments_match_monte_carlo():
         assert abs(mc.mean_dx - expected_dx(traj, inp, i)) < 4 * mc.mean_dx_se
         assert abs(mc.mean_dx2 - second_moment_dx(traj, inp, i)) \
             < 4 * mc.mean_dx2_se
+
+
+@pytest.mark.parametrize("n", [100_000, 300_000])
+def test_mc_moments_match_reference_formulas(n):
+    # the same draws through the kernel's first expressions and numpy's own
+    # mean/std/var: every field bit for bit but the two variance SEs
+    traj = make_trajectory(7, 20)
+    inp = base_inputs(alpha=4.0, p_tilde0=1.4, x_tilde0=0.3, x0=0.1)
+    i, spec = 12, RngSpec(7, 12)
+    mc = mc_discrepancy_moments(traj, inp, i, n, spec)
+    x = spec.generator().gamma(inp.alpha, inp.p_tilde0 / inp.alpha, n)
+    u = inp.r * traj.inv_S(i)
+    m2s, ms, mbs, r = traj.M2_over_S(i), traj.M_over_S(i), traj.MB_over_S(i), inp.r
+    dp = r * x * m2s / (x + u) - r * inp.p0 * m2s / (inp.p0 + u)
+    dx = ((x * mbs + ms * r * inp.x_tilde0) / (x + u)
+          - (inp.p0 * mbs + ms * r * inp.x0) / (inp.p0 + u))
+    assert (mc.mean_dp, mc.mean_dp_se) == reference_mean_se(dp)
+    assert (mc.mean_dp2, mc.mean_dp2_se) == reference_mean_se(dp * dp)
+    assert (mc.mean_dx, mc.mean_dx_se) == reference_mean_se(dx)
+    assert (mc.mean_dx2, mc.mean_dx2_se) == reference_mean_se(dx * dx)
+    for v, var, var_se in ((dp, mc.var_dp, mc.var_dp_se), (dx, mc.var_dx, mc.var_dx_se)):
+        want, want_se = reference_var_se(v)
+        assert var == want
+        assert var_se == pytest.approx(want_se, rel=VAR_SE_RTOL, abs=0.0)
+    assert mc.replicates == n
+
+
+@pytest.mark.parametrize("n", [100_000, 300_000])
+def test_po_report_matches_reference_formulas(n):
+    traj = make_trajectory(8, 20)
+    p0, alpha, r, i, spec = 1.3, 10.0, 2.0, 9, RngSpec(8, 9)
+    rep = po_mean_identity_check(traj, p0, alpha, r, i, n, spec)
+    gen = spec.generator()
+    x = gen.gamma(alpha, p0 / alpha, n)
+    rr = gen.gamma(alpha, r / alpha, n)
+    gs = po_gain_spec(traj, p0, alpha, r, i)
+    k = gs.a * x / (gs.c * x + gs.d)
+    a_term = r * k
+    b_term = k * k * (rr - r)
+    assert (rep.mean_P, rep.mean_P_se) == reference_mean_se(r * k + k * k * (rr - r))
+    assert (rep.second_R, rep.second_R_se) == reference_mean_se((rr - r) ** 2)
+    prod = (a_term - np.mean(a_term)) * (b_term - np.mean(b_term))
+    assert (rep.cov_cross, rep.cov_cross_se) == reference_mean_se(prod)
+    assert rep.replicates == n
 
 
 def test_variance_nonnegative():

@@ -14,8 +14,10 @@ from filterlab import (
     skf_start,
     skf_step,
 )
+from filterlab.rng import normal_polar
 from filterlab.skf import skf_error_moments
-from conftest import make_trajectory
+from conftest import (VAR_SE_RTOL, make_trajectory, reference_mean_se,
+                      reference_var_se)
 
 
 def test_first_analysis():
@@ -95,6 +97,38 @@ def test_error_moments_deterministic(unit_traj):
     a = skf_error_moments(unit_traj, 1.0, 1.0, 5, 2000, RngSpec(5, 0))
     b = skf_error_moments(unit_traj, 1.0, 1.0, 5, 2000, RngSpec(5, 0))
     assert a == b
+
+
+@pytest.mark.parametrize("n", [100_000, 300_000])
+def test_error_moments_match_reference_formulas(n):
+    # the replicates skf_error_moments draws, chunk by chunk, through
+    # numpy's own mean/std/var; the mean SE was sqrt(var/n) and is now
+    # sqrt(var)/sqrt(n), so it and the variance SE may move by a rounding
+    traj = make_trajectory(31, 12, low=0.8, high=1.25)
+    x0, p0, i, spec = 0.4, 1.3, 12, RngSpec(31, 3)
+    em = skf_error_moments(traj, x0, p0, i, n, spec)
+    r, u = traj.obs_variance, traj.r_over_S(i)
+    # weights M_i M_l / S_i as the kernel forms them
+    m = traj.model.values[:i]
+    log_M = np.concatenate(([0.0], np.cumsum(np.log(np.abs(m)))))
+    sign = np.concatenate(([1.0], np.cumprod(np.sign(m))))
+    q, mos = traj.M2_over_S(i), abs(traj.M_over_S(i))
+    anchor, log_v = (q, log_M - log_M[i]) if q >= mos else (mos, log_M)
+    v = sign[i] * sign * np.exp(log_v + math.log(anchor))
+    gen = spec.generator()
+    chunk = 4_000_000 // (i + 2)
+    parts = []
+    for start in range(0, n, chunk):
+        b = min(chunk, n - start)
+        noise = normal_polar(gen, b * (i + 2)).reshape(b, i + 2)
+        parts.append((-traj.M_over_S(i) * r * (math.sqrt(p0) * noise[:, 0])
+                      + p0 * math.sqrt(r) * (noise[:, 1:] @ v)) / (p0 + u))
+    errs = np.concatenate(parts)
+    mean, _ = reference_mean_se(errs)
+    var, var_se = reference_var_se(errs)
+    assert (em.mean, em.var) == (mean, var)
+    assert em.mean_se == pytest.approx(math.sqrt(var / n), rel=VAR_SE_RTOL, abs=0.0)
+    assert em.var_se == pytest.approx(var_se, rel=VAR_SE_RTOL, abs=0.0)
 
 
 @pytest.mark.parametrize("i", [1050, 1100])

@@ -9,6 +9,7 @@ from filterlab import (
     EnsembleState,
     PerturbedInputs,
     RngSpec,
+    TrajectoryRangeError,
     expected_dp,
     inflated_reference_run,
     inflation_schedule,
@@ -108,6 +109,16 @@ def test_matches_skf_closed_form_with_sampled_variance():
             # gain closed form: pa = r M^2 phat0 / (S phat0 + r), ratio-safe
             pa = r * traj.M2_over_S(i) * phat0 / (phat0 + traj.r_over_S(i))
             assert states[i].sampled_var == pytest.approx(pa, rel=1e-10)
+
+
+@pytest.mark.parametrize("m,value", [(1e200, "inf"), (1e-200, "0")])
+def test_run_stops_where_the_forecast_variance_leaves_range(m, value):
+    # the truth M_i x0 stays a double, the sampled forecast variance does not
+    traj = make_trajectory(3, 2, kind=[m, 1.0 / m])
+    init = sample_initial_ensemble(8, 1.0, 0.0, RngSpec(3, 1))
+    with pytest.raises(TrajectoryRangeError,
+                       match=r"^model: step 1: the sampled forecast variance %s " % value):
+        spenkf_run(traj, init)
 
 
 def test_theta_star_values():
