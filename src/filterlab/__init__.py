@@ -21,13 +21,11 @@ from .skf import (
 from .spenkf import (
     EnsembleState,
     InflationSchedule,
-    inflated_reference_run,
     inflation_schedule,
     sample_initial_ensemble,
     spenkf_analyze,
     spenkf_forecast,
     spenkf_run,
-    spenkf_step,
     theta_star,
     theta_step,
 )

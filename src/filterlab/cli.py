@@ -13,6 +13,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .mvspenkf import DiagonalizableModel, mv_inflation_schedule, mv_spenkf_run
 from .skf import skf_closed_form, skf_run
 from .spenkf import (
     EnsembleState,
-    inflated_reference_run,
     inflation_schedule,
     sample_initial_ensemble,
     spenkf_run,
@@ -64,8 +64,7 @@ def _describe(columns):
 def _load(args):
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed,
-                                  "seed_given": True})
+        cfg = replace(cfg, seed=args.seed, seed_given=True)
     if args.out is None and cfg.output_path is not None:
         args.out = cfg.output_path
     return cfg
@@ -84,10 +83,11 @@ def _load_mc(args):
 
 
 # the config field behind each library input, top level and in "mv"
-_TRAJ_FIELDS = {"model": "model", "x0_truth": "x0_truth", "obs_variance": "r"}
+_TRAJ_FIELDS = {"model": "model", "x0_truth": "x0_truth", "obs_variance": "r",
+                "p0": "p_tilde0"}
 _MV_FIELDS = {"model": "mv.multipliers", "x0_truth": "mv.x0", "obs_variance": "mv.r_diag",
               "Z": "mv.Z", "multipliers": "mv.multipliers", "p0_diag": "mv.p0_diag",
-              "r_diag": "mv.r_diag", "x0": "mv.x0"}
+              "p0": "mv.p0_diag", "r_diag": "mv.r_diag", "x0": "mv.x0"}
 
 
 @contextmanager
@@ -117,16 +117,28 @@ def _schedule(cfg, traj, alpha, field):
                           "optimal inflation (%s)" % (field, p, exc)) from exc
 
 
-def _gated_rows(args, one, n_rows):
-    # per-step rows, on worker threads when asked, and the largest gap in
-    # SE units over all of them; NaN if any gap is NaN, so a NaN cannot pass
+# a verification fails when any closed form sits more than this many
+# Monte Carlo standard errors from its estimate
+_GATE_SE = 4.0
+
+
+def _gated_rows(args, cols, one, n_rows, detail=""):
+    # per-step rows, on worker threads when asked, written as CSV; the
+    # verdict is on the largest gap in SE units over all of them, which is
+    # NaN if any gap is NaN, so a NaN cannot pass
     steps = range(n_rows)
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(one, steps))
     else:
         rows = [one(i) for i in steps]
-    return rows, float(np.max([row[-1] for row in rows]))
+    worst = float(np.max([row[-1] for row in rows]))
+    _write_csv(args.out, [n for n, _ in cols], rows)
+    ok = worst <= _GATE_SE
+    print("%s: %d steps%s, worst gap %.2f SE: %s"
+          % (args.command, n_rows, detail, worst, "PASS" if ok else "FAIL"),
+          file=sys.stderr)
+    return 0 if ok else 1
 
 
 def _gap(i, stat, diff, se):
@@ -196,22 +208,19 @@ def cmd_spenkf(args):
     cfg = _load(args)
     traj = _trajectory(cfg)
     alpha = 0.5 * cfg.ensemble_size
-    init = sample_initial_ensemble(cfg.ensemble_size, cfg.p_tilde0, cfg.x0,
-                                   RngSpec(cfg.seed, _STREAM_ENSEMBLE))
     sched = None
     if cfg.inflation != "none":
         sched = _schedule(cfg, traj, alpha, "p_tilde0")
-    if cfg.inflation == "initial-theta":
-        # one-shot: inflate the initial ensemble by theta at the final step
-        # (unbiased final analysis variance), no per-step corrections
-        th_last = float(sched.theta[traj.n_steps])
-        anoms = init.anomalies * math.sqrt(th_last)
-        init = EnsembleState(step=0, phase="forecast", mean=init.mean,
-                             anomalies=anoms,
-                             sampled_var=float(np.dot(anoms, anoms) / len(anoms)))
     with _config_fields(_TRAJ_FIELDS):
+        init = sample_initial_ensemble(cfg.ensemble_size, cfg.p_tilde0, cfg.x0,
+                                       RngSpec(cfg.seed, _STREAM_ENSEMBLE))
+        if cfg.inflation == "initial-theta":
+            # one-shot: inflate the initial ensemble by theta at the final
+            # step (unbiased final analysis variance), no per-step corrections
+            th_last = float(sched.theta[traj.n_steps])
+            init = EnsembleState.forecast(0, init.mean, init.anomalies * math.sqrt(th_last))
         states = spenkf_run(traj, init, sched if cfg.inflation == "sequential" else None)
-    ref = skf_run(traj, cfg.x0, cfg.p0)
+        ref = skf_run(traj, cfg.x0, cfg.p0)
     rows = []
     for i, s in enumerate(states):
         th = sched.theta[i] if sched is not None else math.nan
@@ -300,13 +309,8 @@ def cmd_mc_verify(args):
                 float(sched.theta[i]), float(sched.phi[i]),
                 float(sched.psi[i]), float(np.max(gaps))]
 
-    rows, worst = _gated_rows(args, one, traj.n_steps + 1)
-    _write_csv(args.out, [n for n, _ in _MC_COLS], rows)
-    ok = worst <= 4.0
-    print("mc-verify: %d steps, %d replicates, worst gap %.2f SE: %s"
-          % (len(rows), cfg.replicates, worst, "PASS" if ok else "FAIL"),
-          file=sys.stderr)
-    return 0 if ok else 1
+    return _gated_rows(args, _MC_COLS, one, traj.n_steps + 1,
+                       ", %d replicates" % cfg.replicates)
 
 
 # ---------------------------------------------------------------- inflation-table
@@ -378,12 +382,7 @@ def cmd_po_penalty(args):
                 rep.cov_cross, rep.cov_cross_se, rep.second_R,
                 rep.exact_second_R, float(np.max(gaps))]
 
-    rows, worst = _gated_rows(args, one, traj.n_steps + 1)
-    _write_csv(args.out, [n for n, _ in _PO_COLS], rows)
-    ok = worst <= 4.0
-    print("po-penalty: %d steps, worst gap %.2f SE: %s"
-          % (len(rows), worst, "PASS" if ok else "FAIL"), file=sys.stderr)
-    return 0 if ok else 1
+    return _gated_rows(args, _PO_COLS, one, traj.n_steps + 1)
 
 
 # ---------------------------------------------------------------- mv
@@ -496,14 +495,14 @@ def _selftest_checks():
         model = ModelSequence.random_loguniform(12, spec.stream(1))
         traj = build_trajectory(model, 0.5, 1.0, spec)
         sched = inflation_schedule(traj, 8.0, 1.0, 0.0)
-        means, variances = inflated_reference_run(traj, 0.0, 1.0, sched)
+        states = skf_run(traj, 0.0, 1.0, sched)
         # theta realized sequentially must equal theta realized in one shot
         worst = 0.0
-        for i in range(traj.n_steps + 1):
+        for i, s in enumerate(states):
             u = traj.r_over_S(i)
             one_shot = traj.obs_variance * sched.theta[i] * 1.0 \
                 * traj.M2_over_S(i) / (sched.theta[i] * 1.0 + u)
-            worst = max(worst, abs(variances[i] - one_shot) / one_shot)
+            worst = max(worst, abs(s.var_analysis - one_shot) / one_shot)
         return worst < 1e-10, "sequential-vs-one-shot rel err %.2e" % worst
 
     checks.append(("sequential schedule bootstraps one-shot inflation",

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -166,9 +166,8 @@ class ExperimentConfig:
             kwargs["model"] = ModelConfig.from_dict(_need(obj, "model", dict, path))
         if "mv" in obj:
             kwargs["mv"] = MvConfig.from_dict(_need(obj, "mv", dict, path))
-        known = {"seed", "steps", "ensemble_size", "replicates", "p0", "x0",
-                 "x0_truth", "r", "p_tilde0", "x_tilde0", "inflation",
-                 "perturbed_obs", "output_path", "model", "mv"}
+        # seed_given records whether "seed" was present; JSON cannot set it
+        known = {f.name for f in fields(cls)} - {"seed_given"}
         for key in obj:
             if key not in known:
                 raise ConfigError("config.%s: unknown field" % key)

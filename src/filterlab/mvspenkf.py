@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagators import (InputError, ModelSequence, ModelTrajectory,
-                          TrajectoryRangeError, build_trajectory)
+from .propagators import InputError, ModelSequence, build_trajectory
 from .rng import RngSpec, normal_polar
 from .spenkf import (
     EnsembleState,
     InflationSchedule,
     inflation_schedule,
-    spenkf_analyze,
     spenkf_run,
 )
 
@@ -103,7 +101,8 @@ def mv_spenkf_run(model: DiagonalizableModel, x0, n_members, spec: RngSpec,
 
     x0 (original coordinates) doubles as truth start and filter prior mean.
     Streams: component j uses spec.stream(2*j) for its trajectory noise and
-    spec.stream(2*j + 1) for its initial ensemble.
+    spec.stream(2*j + 1) for its initial ensemble.  An InputError of
+    component j is raised again with "basis component j, " before its detail.
     """
     n = model.dim
     x0 = np.asarray(x0, dtype=float)
@@ -122,11 +121,9 @@ def mv_spenkf_run(model: DiagonalizableModel, x0, n_members, spec: RngSpec,
             spec.stream(2 * j + 1).generator(), int(n_members)
         )
         anoms0[j] = a0
-        init = EnsembleState(step=0, phase="forecast", mean=x0_basis[j],
-                             anomalies=a0,
-                             sampled_var=float(np.dot(a0, a0) / len(a0)))
         sched = schedules[j] if schedules is not None else None
         try:
+            init = EnsembleState.forecast(0, x0_basis[j], a0)
             traj = build_trajectory(
                 ModelSequence(model.multipliers[:, j]),
                 x0_basis[j],
@@ -134,9 +131,8 @@ def mv_spenkf_run(model: DiagonalizableModel, x0, n_members, spec: RngSpec,
                 spec.stream(2 * j),
             )
             states = spenkf_run(traj, init, sched)
-        except TrajectoryRangeError as exc:
-            raise TrajectoryRangeError(
-                exc.param, "basis component %d, %s" % (j, exc.detail)) from exc
+        except InputError as exc:
+            raise type(exc)(exc.param, "basis component %d, %s" % (j, exc.detail)) from exc
         trajs.append(traj)
         means_basis[:, j] = [s.mean for s in states]
         variances[:, j] = [s.sampled_var for s in states]

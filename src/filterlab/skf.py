@@ -61,34 +61,42 @@ def skf_start(x0, p0, y0, r):
     return _analyze(0, float(x0), float(p0), float(y0), float(r))
 
 
-def skf_step(prev: SkfState, m, y, r):
-    """Forecast through multiplier m, then assimilate observation y.
+def skf_step(prev: SkfState, m, y, r, phi=1.0, psi=0.0):
+    """Forecast through multiplier m, then apply the variance inflation phi
+    and the mean shift psi, in that order, and assimilate observation y.
 
     Raises TrajectoryRangeError("model", ...) when the forecast variance
-    m^2 p_a leaves double range.
+    m^2 p_a phi leaves double range.
     """
     if m == 0.0:
         raise ValueError("model multiplier must be nonzero")
     # Python floats: an overflowing forecast gives inf without a warning
     m = float(m)
-    xf = m * prev.mean_analysis
-    pf = m * m * prev.var_analysis
+    xf = m * prev.mean_analysis + float(psi)
+    pf = m * m * prev.var_analysis * float(phi)
     if not math.isfinite(pf):
         raise TrajectoryRangeError("model", "step %d: the forecast variance "
                                    "m^2 p_a leaves double range" % (prev.step + 1))
     return _analyze(prev.step + 1, xf, pf, float(y), float(r))
 
 
-def skf_run(traj: ModelTrajectory, x0, p0):
+def skf_run(traj: ModelTrajectory, x0, p0, inflation=None):
     """The full recursion along a trajectory; returns one state per step.
 
-    Raises skf_step's TrajectoryRangeError at the first step whose forecast
-    variance leaves double range.
+    With an InflationSchedule, phi_0 multiplies p0 and (phi_i, psi_i)
+    correct every later forecast: fed the sampled (x0, phat0) of an
+    ensemble run, this is that run's mean and variance.  Raises skf_step's
+    TrajectoryRangeError at the first step whose forecast variance leaves
+    double range.
     """
     r = traj.obs_variance
-    states = [skf_start(x0, p0, traj.observations[0], r)]
+    n = traj.n_steps
+    phi = inflation.phi if inflation is not None else np.ones(n + 1)
+    psi = inflation.psi if inflation is not None else np.zeros(n + 1)
+    states = [skf_start(x0, p0 * phi[0], traj.observations[0], r)]
     for i, m in enumerate(traj.model.values):
-        states.append(skf_step(states[-1], m, traj.observations[i + 1], r))
+        states.append(skf_step(states[-1], m, traj.observations[i + 1], r,
+                               phi[i + 1], psi[i + 1]))
     return states
 
 

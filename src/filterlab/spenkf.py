@@ -29,12 +29,10 @@ __all__ = [
     "sample_initial_ensemble",
     "spenkf_analyze",
     "spenkf_forecast",
-    "spenkf_step",
     "spenkf_run",
     "theta_star",
     "theta_step",
     "inflation_schedule",
-    "inflated_reference_run",
 ]
 
 
@@ -54,6 +52,22 @@ class EnsembleState:
     anomalies: np.ndarray
     sampled_var: float
     gain: float = math.nan
+
+    @classmethod
+    def forecast(cls, step, mean, anomalies):
+        """Forecast-phase state whose sampled variance an analysis accepts.
+
+        Raises TrajectoryRangeError when (1/N) a.a leaves [1e-300, inf),
+        naming "p0" at step 0 and "model" at later steps.
+        """
+        with np.errstate(over="ignore"):
+            pf = _svar(anomalies)
+        if not _PF_MIN <= pf < math.inf:
+            raise TrajectoryRangeError("p0" if step == 0 else "model",
+                                       "step %d: the sampled forecast variance %g leaves "
+                                       "[%g, inf): degenerate ensemble" % (step, pf, _PF_MIN))
+        return cls(step=step, phase="forecast", mean=mean, anomalies=anomalies,
+                   sampled_var=pf)
 
     @property
     def size(self):
@@ -79,7 +93,8 @@ def sample_initial_ensemble(n_members, p0, x0, spec: RngSpec):
     phat0 = (1/N) a.a is exactly Gamma(N/2) scaled to mean p0.  The mean
     is carried separately, so the anomalies are not recentred; recentring
     would change the sampled-variance law to a chi-square with N-1 degrees
-    of freedom.
+    of freedom.  Raises TrajectoryRangeError("p0", ...) when phat0 leaves
+    [1e-300, inf).
     """
     n = int(n_members)
     if n < 3:
@@ -87,10 +102,7 @@ def sample_initial_ensemble(n_members, p0, x0, spec: RngSpec):
     if not (p0 > 0.0):
         raise ValueError("p0 must be positive")
     anoms = math.sqrt(p0) * normal_polar(spec.generator(), n)
-    if _svar(anoms) == 0.0:
-        raise ValueError("degenerate initial ensemble: all anomalies zero")
-    return EnsembleState(step=0, phase="forecast", mean=float(x0),
-                         anomalies=anoms, sampled_var=_svar(anoms))
+    return EnsembleState.forecast(0, float(x0), anoms)
 
 
 def spenkf_analyze(state: EnsembleState, y, r):
@@ -117,31 +129,15 @@ def spenkf_analyze(state: EnsembleState, y, r):
 def spenkf_forecast(state: EnsembleState, m, phi=1.0, psi=0.0):
     """Propagate through multiplier m, then apply the variance inflation phi
     (anomalies scaled by sqrt(phi)) and the mean shift psi, in that order,
-    before the next analysis."""
+    before the next analysis.  Raises TrajectoryRangeError("model", ...)
+    when the sampled forecast variance leaves [1e-300, inf)."""
     if state.phase != "analysis":
         raise ValueError("can only forecast from an analysis-phase state")
     if m == 0.0:
         raise ValueError("model multiplier must be nonzero")
-    anoms = state.anomalies * (m * math.sqrt(phi))
-    return EnsembleState(
-        step=state.step + 1,
-        phase="forecast",
-        mean=m * state.mean + psi,
-        anomalies=anoms,
-        sampled_var=_svar(anoms),
-    )
-
-
-def spenkf_step(state: EnsembleState, m, y, r, phi=1.0, psi=0.0):
-    """Forecast, then assimilate y.  Raises TrajectoryRangeError("model", ...)
-    when the sampled forecast variance overflows or falls below what the
-    analysis accepts."""
     with np.errstate(over="ignore"):
-        fc = spenkf_forecast(state, m, phi, psi)
-    if not _PF_MIN <= fc.sampled_var < math.inf:
-        raise TrajectoryRangeError("model", "step %d: the sampled forecast variance "
-                                   "%g leaves [%g, inf)" % (fc.step, fc.sampled_var, _PF_MIN))
-    return spenkf_analyze(fc, y, r)
+        return EnsembleState.forecast(state.step + 1, m * state.mean + psi,
+                                      state.anomalies * (m * math.sqrt(phi)))
 
 
 def spenkf_run(traj: ModelTrajectory, initial: EnsembleState,
@@ -150,21 +146,19 @@ def spenkf_run(traj: ModelTrajectory, initial: EnsembleState,
 
     With a schedule, phi_0 scales the initial anomalies before the first
     analysis and (phi_i, psi_i) correct every later forecast.  Raises
-    spenkf_step's TrajectoryRangeError at the first step whose sampled
-    forecast variance leaves range.
+    EnsembleState.forecast's TrajectoryRangeError at the first step whose
+    sampled forecast variance leaves range.
     """
     r = traj.obs_variance
     state = initial
     if inflation is not None:
-        anoms = state.anomalies * math.sqrt(inflation.phi[0])
-        state = EnsembleState(step=0, phase="forecast", mean=state.mean,
-                              anomalies=anoms, sampled_var=_svar(anoms))
+        state = EnsembleState.forecast(0, state.mean,
+                                       state.anomalies * math.sqrt(inflation.phi[0]))
     states = [spenkf_analyze(state, traj.observations[0], r)]
     for i, m in enumerate(traj.model.values):
-        phi = inflation.phi[i + 1] if inflation is not None else 1.0
-        psi = inflation.psi[i + 1] if inflation is not None else 0.0
-        states.append(spenkf_step(states[-1], m, traj.observations[i + 1], r,
-                                  phi=phi, psi=psi))
+        fc = (spenkf_forecast(states[-1], m) if inflation is None else
+              spenkf_forecast(states[-1], m, inflation.phi[i + 1], inflation.psi[i + 1]))
+        states.append(spenkf_analyze(fc, traj.observations[i + 1], r))
     return states
 
 
@@ -244,33 +238,3 @@ def inflation_schedule(traj: ModelTrajectory, alpha, p0, x_init):
     return InflationSchedule(alpha=alpha, p0=p0, r=r, x_init=x_init,
                              theta_star=theta_star(alpha), r_over_S=u,
                              theta=theta, phi=phi, psi=psi)
-
-
-def inflated_reference_run(traj: ModelTrajectory, x_init, p_init,
-                           schedule: InflationSchedule):
-    """Deterministic mean/variance recursion under a schedule.
-
-    Runs the exact filter recursion seeded at (x_init, p_init) with the
-    schedule's phi multiplying each forecast variance and psi added to each
-    forecast mean.  Feeding the sampled (phat0, xhat0) reproduces the
-    inflated ensemble run's statistics exactly; feeding (theta[i]-free)
-    means gives the expected-value bootstrap identity its reference.
-    Returns (means, variances) arrays over analysis states.
-    """
-    r = traj.obs_variance
-    n = traj.n_steps
-    means = np.empty(n + 1)
-    variances = np.empty(n + 1)
-    xf = float(x_init)
-    pf = float(p_init) * schedule.phi[0]
-    for i in range(n + 1):
-        y = traj.observations[i]
-        k = pf / (pf + r)
-        xa = xf + k * (y - xf)
-        pa = (1.0 - k) * pf
-        means[i], variances[i] = xa, pa
-        if i < n:
-            m = traj.model.values[i]
-            xf = m * xa + schedule.psi[i + 1]
-            pf = m * m * pa * schedule.phi[i + 1]
-    return means, variances

@@ -435,6 +435,18 @@ def test_overflowing_forecast_exits_2_naming_the_field(tmp_path, capsys, cmd, wh
     assert not dest.exists()
 
 
+def test_degenerate_initial_ensemble_exits_2_naming_the_field(tmp_path, capsys):
+    # phat0 of p0 = 1e-305 is below the smallest variance an analysis accepts
+    cfg = write_config(tmp_path, {"steps": 3, "p0": 1e-305})
+    dest = tmp_path / "out.csv"
+    code, _, err = run_cli(["spenkf", "--config", cfg, "--seed", "1",
+                            "--out", str(dest)], capsys)
+    assert code == 2
+    assert err.startswith("spenkf: config.p_tilde0: step 0: the sampled forecast variance ")
+    assert len(err.strip().splitlines()) == 1
+    assert not dest.exists()
+
+
 def _mv_demo(**changes):
     cfg = json.loads(MV_DEMO.read_text(encoding="utf-8"))
     cfg["mv"].update(changes)
@@ -447,6 +459,7 @@ def _mv_demo(**changes):
     ({"p0_diag": [1.0, 0.5]}, "p0_diag"),
     ({"r_diag": [1.0, 0.0, 0.7]}, "r_diag"),
     ({"multipliers": [[1.1, 0.9]]}, "multipliers"),
+    ({"p0_diag": [1e-305, 0.5, 2.0]}, "p0_diag: basis component 0, step 0"),
 ])
 def test_mv_bad_section_exits_2_naming_the_field(tmp_path, capsys, changes, field):
     cfg = write_config(tmp_path, _mv_demo(**changes))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from filterlab import (
     ModelSequence,
     RngSpec,
+    TrajectoryRangeError,
     build_trajectory,
+    inflation_schedule,
     skf_closed_form,
     skf_run,
     skf_start,
@@ -46,6 +49,18 @@ def test_rejects_zero_multiplier():
     s = skf_start(0.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         skf_step(s, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("inflated", [False, True])
+def test_run_stops_where_the_forecast_variance_leaves_range(inflated):
+    # the ratio ledger and the schedule stay finite, m_0^2 p_a phi_1 does not
+    traj = make_trajectory(3, 2, kind=[1e200, 1e-200])
+    sched = inflation_schedule(traj, 4.0, 1.0, 0.0) if inflated else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrajectoryRangeError,
+                           match=r"^model: step 1: the forecast variance "):
+            skf_run(traj, 0.0, 1.0, sched)
 
 
 def test_variance_gain_identity(unit_traj):

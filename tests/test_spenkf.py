@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from filterlab import (
     RngSpec,
     TrajectoryRangeError,
     expected_dp,
-    inflated_reference_run,
     inflation_schedule,
     sample_initial_ensemble,
     skf_closed_form,
@@ -43,6 +43,18 @@ def test_initial_ensemble_rejects_degenerate(monkeypatch):
     monkeypatch.setattr(mod, "normal_polar", lambda gen, n: np.zeros(n))
     with pytest.raises(ValueError, match="degenerate"):
         sample_initial_ensemble(8, 1.0, 0.0, RngSpec(1, 0))
+
+
+@pytest.mark.parametrize("step,a,param,value", [(0, 1e-152, "p0", "1e-304"),
+                                                (2, 1e200, "model", "inf")])
+def test_forecast_state_names_the_input_at_fault(step, a, param, value):
+    # (1/N) a.a underflows below, or overflows, what an analysis accepts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrajectoryRangeError,
+                           match=r"^%s: step %d: the sampled forecast variance %s leaves "
+                                 r"\[1e-300, inf\): degenerate" % (param, step, value)):
+            EnsembleState.forecast(step, 0.0, np.full(8, a))
 
 
 def test_initial_sampled_variance_law():
@@ -239,7 +251,9 @@ def test_reference_run_reproduces_ensemble():
     ens = sample_initial_ensemble(16, p0, x0, RngSpec(21, 9))
     sched = inflation_schedule(traj, 8.0, p0, x0)
     states = spenkf_run(traj, ens, inflation=sched)
-    means, variances = inflated_reference_run(traj, x0, ens.sampled_var, sched)
+    ref = skf_run(traj, x0, ens.sampled_var, sched)
+    means = np.array([s.mean_analysis for s in ref])
+    variances = np.array([s.var_analysis for s in ref])
     got_m = np.array([s.mean for s in states])
     got_v = np.array([s.sampled_var for s in states])
     np.testing.assert_allclose(got_m, means, rtol=1e-12)
