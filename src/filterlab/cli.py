@@ -44,8 +44,8 @@ def _fmt(v):
     return str(v)
 
 
-def _write_csv(out_path, header, rows):
-    text = ",".join(header) + "\n"
+def _write_csv(out_path, cols, rows):
+    text = ",".join(name for name, _ in cols) + "\n"
     for row in rows:
         text += ",".join(_fmt(v) for v in row) + "\n"
     if out_path is None:
@@ -61,24 +61,17 @@ def _describe(columns):
         print("%-*s  %s" % (width, name, doc))
 
 
-def _load(args):
+def _load(args, seeded=False):
+    # seeded: a Monte Carlo command refuses to run on an implicit seed, so
+    # either --seed or an explicit "seed" field in the config is required
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed, seed_given=True)
+    if seeded and not cfg.seed_given:
+        raise ConfigError("requires --seed or an explicit config.seed, so results "
+                          "are attributable to a stated seed")
     if args.out is None and cfg.output_path is not None:
         args.out = cfg.output_path
-    return cfg
-
-
-def _load_mc(args):
-    # Monte Carlo commands refuse to run on an implicit seed: either the
-    # --seed flag or an explicit "seed" field in the config is required.
-    cfg = _load(args)
-    if not cfg.seed_given:
-        print("this subcommand requires --seed (or an explicit seed in the "
-              "config) so results are attributable to a stated seed",
-              file=sys.stderr)
-        return None
     return cfg
 
 
@@ -133,7 +126,7 @@ def _gated_rows(args, cols, one, n_rows, detail=""):
     else:
         rows = [one(i) for i in steps]
     worst = float(np.max([row[-1] for row in rows]))
-    _write_csv(args.out, [n for n, _ in cols], rows)
+    _write_csv(args.out, cols, rows)
     ok = worst <= _GATE_SE
     print("%s: %d steps%s, worst gap %.2f SE: %s"
           % (args.command, n_rows, detail, worst, "PASS" if ok else "FAIL"),
@@ -164,9 +157,6 @@ _SKF_COLS = [
 
 
 def cmd_skf(args):
-    if args.describe:
-        _describe(_SKF_COLS)
-        return 0
     cfg = _load(args)
     traj = _trajectory(cfg)
     with _config_fields(_TRAJ_FIELDS):
@@ -178,7 +168,7 @@ def cmd_skf(args):
                      s.mean_forecast, s.var_forecast, s.gain,
                      s.mean_analysis, s.var_analysis,
                      c.mean_analysis, c.var_analysis])
-    _write_csv(args.out, [n for n, _ in _SKF_COLS], rows)
+    _write_csv(args.out, _SKF_COLS, rows)
     return 0
 
 
@@ -202,9 +192,6 @@ _SPENKF_COLS = [
 
 
 def cmd_spenkf(args):
-    if args.describe:
-        _describe(_SPENKF_COLS)
-        return 0
     cfg = _load(args)
     traj = _trajectory(cfg)
     alpha = 0.5 * cfg.ensemble_size
@@ -233,7 +220,7 @@ def cmd_spenkf(args):
                      s.mean, s.sampled_var, s.gain,
                      ref[i].mean_analysis, ref[i].var_analysis, th, ph, ps,
                      pen])
-    _write_csv(args.out, [n for n, _ in _SPENKF_COLS], rows)
+    _write_csv(args.out, _SPENKF_COLS, rows)
     return 0
 
 
@@ -271,16 +258,10 @@ _MC_COLS = [
 
 
 def cmd_mc_verify(args):
-    if args.describe:
-        _describe(_MC_COLS)
-        return 0
-    cfg = _load_mc(args)
-    if cfg is None:
-        return 2
+    cfg = _load(args, seeded=True)
     if cfg.ensemble_size < 5:
-        print("mc-verify: ensemble_size must be >= 5 (second moments need "
-              "alpha = N/2 > 2)", file=sys.stderr)
-        return 2
+        raise ConfigError("config.ensemble_size: must be >= 5 (second moments need "
+                          "alpha = N/2 > 2)")
     traj = _trajectory(cfg)
     alpha = 0.5 * cfg.ensemble_size
     inp = dsc.PerturbedInputs(p0=cfg.p0, x0=cfg.x0, p_tilde0=cfg.p_tilde0,
@@ -326,9 +307,6 @@ _INFL_COLS = [
 
 
 def cmd_inflation_table(args):
-    if args.describe:
-        _describe(_INFL_COLS)
-        return 0
     cfg = _load(args)
     traj = _trajectory(cfg)
     alpha = 0.5 * cfg.ensemble_size
@@ -336,7 +314,7 @@ def cmd_inflation_table(args):
     rows = [[i, float(sched.r_over_S[i]), float(sched.theta[i]), float(sched.phi[i]),
              float(sched.psi[i]), sched.theta_star]
             for i in range(traj.n_steps + 1)]
-    _write_csv(args.out, [n for n, _ in _INFL_COLS], rows)
+    _write_csv(args.out, _INFL_COLS, rows)
     return 0
 
 
@@ -357,16 +335,10 @@ _PO_COLS = [
 
 
 def cmd_po_penalty(args):
-    if args.describe:
-        _describe(_PO_COLS)
-        return 0
-    cfg = _load_mc(args)
-    if cfg is None:
-        return 2
+    cfg = _load(args, seeded=True)
     if cfg.ensemble_size < 9:
-        print("po-penalty: ensemble_size must be >= 9 (fourth moments need "
-              "alpha = N/2 > 4)", file=sys.stderr)
-        return 2
+        raise ConfigError("config.ensemble_size: must be >= 9 (fourth moments need "
+                          "alpha = N/2 > 4)")
     traj = _trajectory(cfg)
     alpha = 0.5 * cfg.ensemble_size
 
@@ -404,8 +376,7 @@ def cmd_mv(args):
         if args.describe:
             _describe(_mv_cols(2) + [("...", "column triple repeats per state dimension")])
             return 0
-        print("mv: config must contain an 'mv' section", file=sys.stderr)
-        return 2
+        raise ConfigError("config.mv: missing required section")
     with _config_fields(_MV_FIELDS):
         model = DiagonalizableModel(Z=np.array(cfg.mv.Z),
                                     multipliers=np.array(cfg.mv.multipliers),
@@ -426,7 +397,7 @@ def cmd_mv(args):
         row += [float(v) for v in result.variances_basis[i]]
         row += [float(v) for v in result.means[i]]
         rows.append(row)
-    _write_csv(args.out, [n for n, _ in _mv_cols(model.dim)], rows)
+    _write_csv(args.out, _mv_cols(model.dim), rows)
     return 0
 
 
@@ -541,43 +512,46 @@ def build_parser():
         description="Scalar and diagonalizable ensemble filtering laboratory.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the columns main documents for --describe; mv's vary, so it has its own
     specs = [
-        ("skf", cmd_skf, "run the exact scalar filter and its closed forms"),
-        ("spenkf", cmd_spenkf, "run the scalar ensemble filter (optionally inflated)"),
-        ("mc-verify", cmd_mc_verify,
+        ("skf", cmd_skf, _SKF_COLS, "run the exact scalar filter and its closed forms"),
+        ("spenkf", cmd_spenkf, _SPENKF_COLS,
+         "run the scalar ensemble filter (optionally inflated)"),
+        ("mc-verify", cmd_mc_verify, _MC_COLS,
          "check closed-form discrepancy moments against Monte Carlo"),
-        ("inflation-table", cmd_inflation_table,
+        ("inflation-table", cmd_inflation_table, _INFL_COLS,
          "tabulate the exact inflation schedule along a trajectory"),
-        ("po-penalty", cmd_po_penalty,
+        ("po-penalty", cmd_po_penalty, _PO_COLS,
          "perturbed-observation variance penalty and its Monte Carlo checks"),
-        ("mv", cmd_mv, "run the diagonalizable multivariate reduction"),
-        ("selftest", cmd_selftest, "run built-in consistency checks"),
+        ("mv", cmd_mv, None, "run the diagonalizable multivariate reduction"),
+        ("selftest", cmd_selftest, None, "run built-in consistency checks"),
     ]
-    for name, fn, help_text in specs:
+    for name, fn, columns, help_text in specs:
         s = sub.add_parser(name, help=help_text)
         _add_common(s)
-        s.set_defaults(fn=fn)
+        s.set_defaults(fn=fn, columns=columns)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.seed is not None and not (0 <= args.seed < 2**64):
-        print("--seed must fit in an unsigned 64-bit integer", file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 2
-    # bad input exits 2 with one line naming the field; exit 1 is reserved
-    # for a verification FAIL
+    # bad input exits 2 with the one line "<command>: <message>", where the
+    # message names the field; exit 1 is reserved for a verification FAIL
     try:
+        if args.seed is not None and not (0 <= args.seed < 2**64):
+            raise ConfigError("--seed: must fit in an unsigned 64-bit integer")
+        if args.threads < 1:
+            raise ConfigError("--threads: must be >= 1")
+        if args.describe and args.columns:
+            _describe(args.columns)
+            return 0
         return args.fn(args)
     except (ConfigError, DomainError) as exc:
-        print("%s: %s" % (args.command, exc), file=sys.stderr)
+        message = str(exc)
     except FileNotFoundError as exc:
         flag = "--config" if exc.filename == args.config else "--out"
-        print("%s: %s: no such file or directory: %s"
-              % (args.command, flag, exc.filename), file=sys.stderr)
+        message = "%s: no such file or directory: %s" % (flag, exc.filename)
+    print("%s: %s" % (args.command, message), file=sys.stderr)
     return 2
 
 

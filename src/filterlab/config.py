@@ -163,7 +163,13 @@ class ExperimentConfig:
         if "output_path" in obj:
             kwargs["output_path"] = _need(obj, "output_path", str, path)
         if "model" in obj:
-            kwargs["model"] = ModelConfig.from_dict(_need(obj, "model", dict, path))
+            model = kwargs["model"] = ModelConfig.from_dict(_need(obj, "model", dict, path))
+            # an explicit model fixes the step count: steps may only restate it
+            if model.kind == "explicit":
+                n = len(model.values)
+                if kwargs.setdefault("steps", n) != n:
+                    raise ConfigError("config.steps: %d does not match the %d values of "
+                                      "config.model.values" % (kwargs["steps"], n))
         if "mv" in obj:
             kwargs["mv"] = MvConfig.from_dict(_need(obj, "mv", dict, path))
         # seed_given records whether "seed" was present; JSON cannot set it

@@ -71,6 +71,10 @@ _EULER_GAMMA = 0.5772156649015328606065
 # reproduces it.
 _Z_CAP = 700.0
 
+# Newton stops at a step below this fraction of the root, or after this many steps
+_INVERSE_RTOL = 1e-14
+_INVERSE_MAXIT = 200
+
 # Largest block of series terms summed in one pass (floats; 256 KiB), and
 # the most terms a row ever needs at z < 1.
 _BLOCK = 32768
@@ -283,7 +287,7 @@ def expint(nu, z):
     return math.exp(-z) * expint_scaled(nu, z)
 
 
-def expint_scaled_inverse(alpha, y, rtol=1e-14, maxit=200):
+def expint_scaled_inverse(alpha, y):
     """Solve exp(z) * E_{alpha+1}(z) = y for z >= 0.
 
     Requires alpha > 1 and 0 < y <= 1/alpha (the range of the scaled
@@ -299,10 +303,10 @@ def expint_scaled_inverse(alpha, y, rtol=1e-14, maxit=200):
             "expint_scaled_inverse requires 0 < y <= 1/alpha; got y=%r with 1/alpha=%r"
             % (y, 1.0 / alpha)
         )
-    return expint_scaled_inverse_shifted(alpha, 1.0 / alpha - y, rtol, maxit)
+    return expint_scaled_inverse_shifted(alpha, 1.0 / alpha - y)
 
 
-def expint_scaled_inverse_shifted(alpha, delta, rtol=1e-14, maxit=200):
+def expint_scaled_inverse_shifted(alpha, delta):
     """Solve exp(z) * E_{alpha+1}(z) = 1/alpha - delta for z >= 0.
 
     Parameterizing by the shift delta = 1/alpha - y instead of y itself
@@ -310,10 +314,10 @@ def expint_scaled_inverse_shifted(alpha, delta, rtol=1e-14, maxit=200):
     z = 0 limit 1/alpha.  Requires alpha > 1 and 0 <= delta < 1/alpha.
     The scalar entry of expint_scaled_inverse_shifted_array.
     """
-    return float(expint_scaled_inverse_shifted_array(alpha, delta, rtol, maxit))
+    return float(expint_scaled_inverse_shifted_array(alpha, delta))
 
 
-def expint_scaled_inverse_shifted_array(alpha, delta, rtol=1e-14, maxit=200):
+def expint_scaled_inverse_shifted_array(alpha, delta):
     """Solve exp(z) * E_{alpha+1}(z) = 1/alpha - delta for every element of
     the array delta, at one alpha; returns the roots z >= 0 in delta's shape.
 
@@ -321,7 +325,7 @@ def expint_scaled_inverse_shifted_array(alpha, delta, rtol=1e-14, maxit=200):
     out of range, or one root beyond the supported cap z = 700 (where the
     forward map is flat to double precision and the inverse is saturated),
     raises DomainError for the whole array.  Every root carries relative
-    precision rtol in z.
+    precision _INVERSE_RTOL in z.
     """
     shape = np.shape(delta)
     delta = np.asarray(delta, dtype=float).ravel()
@@ -351,7 +355,7 @@ def expint_scaled_inverse_shifted_array(alpha, delta, rtol=1e-14, maxit=200):
     z = np.maximum(lo, (alpha - 1.0) * w)
     scaled_alpha = _FixedOrder(alpha)
     pending = np.flatnonzero(z > 0.0)
-    for _ in range(maxit):
+    for _ in range(_INVERSE_MAXIT):
         if not pending.size:
             break
         za = z[pending]
@@ -360,5 +364,5 @@ def expint_scaled_inverse_shifted_array(alpha, delta, rtol=1e-14, maxit=200):
         step = (w[pending] - h) / (alpha * s + h - 1.0)
         za = za + np.maximum(step, 0.0)
         z[pending] = za
-        pending = pending[step > rtol * za]
+        pending = pending[step > _INVERSE_RTOL * za]
     return z.reshape(shape)

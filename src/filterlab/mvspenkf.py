@@ -142,22 +142,16 @@ def mv_spenkf_run(model: DiagonalizableModel, x0, n_members, spec: RngSpec,
                        means=means, variances_basis=variances)
 
 
-def mv_inflation_schedule(result: MvRunResult, x_init=None):
+def mv_inflation_schedule(result: MvRunResult):
     """Component-wise exact inflation schedules for a completed run.
 
     Schedules depend on the realized basis observations through B_i, hence
-    on a run, not just on the model.  x_init defaults to the run's own
-    initial basis mean.
+    on a run, not just on the model.  The mean shifts are relative to the
+    run's own initial basis mean, the truth start of each component.
     """
     model = result.model
-    if x_init is None:
-        # the run seeds every component mean from the truth start
-        x_init_basis = np.array([t.truth[0] for t in result.trajectories])
-    else:
-        x_init_basis = np.linalg.solve(model.Z, np.asarray(x_init, dtype=float))
     alpha = 0.5 * result.initial_anomalies.shape[1]
     return [
-        inflation_schedule(result.trajectories[j], alpha, model.p0_diag[j],
-                           x_init_basis[j])
-        for j in range(model.dim)
+        inflation_schedule(t, alpha, model.p0_diag[j], t.truth[0])
+        for j, t in enumerate(result.trajectories)
     ]

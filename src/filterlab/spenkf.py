@@ -175,7 +175,10 @@ def _thetas(alpha, p0, u, inverse):
     # S_i p0 / (alpha (S_i p0 + r)).  The target sits near its z = 0 limit
     # 1/alpha for small u, so the inverse is driven by the shift
     # 1/alpha - y = u / (alpha (p0 + u)), formed here without cancellation.
-    delta = u / (alpha * (p0 + u))
+    # A huge p0 overflows the denominator to inf: delta = 0 is then the
+    # exact u -> 0 limit, so the overflow is silent.
+    with np.errstate(over="ignore"):
+        delta = u / (alpha * (p0 + u))
     z = inverse(alpha, delta)
     ts = theta_star(alpha)
     # z == 0: delta underflowed and the u -> 0 limit applies
@@ -225,16 +228,17 @@ def inflation_schedule(traj: ModelTrajectory, alpha, p0, x_init):
     r = traj.obs_variance
     u = r * np.array(traj.inv_S_seq)
     theta = _thetas(alpha, p0, u, expint_scaled_inverse_shifted_array)
-    th0, th1, ui = theta[:-1], theta[1:], u[:-1]
+    # phi and psi in v = u / p0, so no theta * p0 product can overflow
+    th0, th1, v = theta[:-1], theta[1:], u[:-1] / p0
     phi = np.empty_like(theta)
     phi[0] = theta[0]
-    phi[1:] = th1 * (th0 * p0 + ui) / (th0 * (th1 * p0 + ui))
+    phi[1:] = th1 * (th0 + v) / (th0 * (th1 + v))
     # M_{i+1}/S_i = m_i M_i/S_i and B_i/S_i from the ratio ledger
     m_next = traj.model.values * traj.M_over_S_seq[:-1]
     b = np.array(traj.B_over_S_seq[:-1])
     psi = np.zeros_like(theta)
-    psi[1:] = (m_next * (b - x_init) * (th1 - th0) * p0 * r
-               / ((th1 * p0 + ui) * (th0 * p0 + ui)))
+    psi[1:] = (m_next * (b - x_init) * (th1 - th0) * (r / p0)
+               / ((th1 + v) * (th0 + v)))
     return InflationSchedule(alpha=alpha, p0=p0, r=r, x_init=x_init,
                              theta_star=theta_star(alpha), r_over_S=u,
                              theta=theta, phi=phi, psi=psi)

@@ -13,8 +13,12 @@ import pytest
 
 import filterlab.discrepancy as dsc
 
-from filterlab.cli import main, _SKF_COLS, _SPENKF_COLS, _MC_COLS
+from filterlab.cli import (main, _INFL_COLS, _MC_COLS, _PO_COLS, _SKF_COLS, _SPENKF_COLS,
+                           _STREAM_ENSEMBLE, _trajectory)
 from filterlab.config import ConfigError, ExperimentConfig
+from filterlab.rng import RngSpec
+from filterlab.skf import skf_run
+from filterlab.spenkf import sample_initial_ensemble
 
 MV_DEMO = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "mv_demo.json"
 
@@ -68,7 +72,9 @@ def test_float_tokens_round_trip(capsys):
 def test_describe_lists_every_column(capsys):
     for argv, cols in ((["skf", "--describe"], _SKF_COLS),
                        (["spenkf", "--describe"], _SPENKF_COLS),
-                       (["mc-verify", "--describe"], _MC_COLS)):
+                       (["mc-verify", "--describe"], _MC_COLS),
+                       (["inflation-table", "--describe"], _INFL_COLS),
+                       (["po-penalty", "--describe"], _PO_COLS)):
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         for name, doc in cols:
@@ -202,6 +208,25 @@ def test_mv_requires_mv_section(tmp_path, capsys):
     assert "mv" in err
 
 
+@pytest.mark.parametrize("argv,cfg,field", [
+    (["mc-verify"], {"steps": 2}, "requires --seed"),
+    (["mc-verify", "--seed", "1"], {"ensemble_size": 4}, "config.ensemble_size: must be >= 5"),
+    (["po-penalty", "--seed", "1"], {"ensemble_size": 8}, "config.ensemble_size: must be >= 9"),
+    (["mv"], {"steps": 2}, "config.mv: missing required section"),
+    (["skf", "--seed", "-1"], {"steps": 2}, "--seed: "),
+    (["spenkf", "--threads", "0"], {"steps": 2}, "--threads: "),
+], ids=["no-seed", "mc-verify-ensemble", "po-penalty-ensemble", "no-mv-section",
+        "bad-seed", "no-threads"])
+def test_bad_input_prints_one_prefixed_line(tmp_path, capsys, argv, cfg, field):
+    dest = tmp_path / "out.csv"
+    code, out, err = run_cli(argv + ["--config", write_config(tmp_path, cfg),
+                                     "--out", str(dest)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("%s: %s" % (argv[0], field))
+    assert not dest.exists()
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -243,6 +268,30 @@ def test_inflation_table_bounds(tmp_path, capsys):
     assert star == 4.0 / 3.0
     for row in rows:
         assert 1.0 < float(row[idx["theta"]]) <= star + 1e-12
+
+
+def test_spenkf_initial_theta_inflates_only_the_initial_ensemble(tmp_path, capsys):
+    obj = {"seed": 8, "steps": 6, "ensemble_size": 10, "r": 0.5, "p0": 1.7,
+           "inflation": "initial-theta",
+           "model": {"kind": "random_loguniform", "low": 0.7, "high": 1.4}}
+    cfg_path = write_config(tmp_path, obj)
+    code, out, _ = run_cli(["spenkf", "--config", cfg_path], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    col = {name: [float(row[k]) for row in rows] for k, name in enumerate(header)}
+    code, out, _ = run_cli(["inflation-table", "--config", cfg_path], capsys)
+    assert code == 0
+    sched_header, sched_rows = parse_csv(out)
+    assert col["theta"] == [float(row[sched_header.index("theta")]) for row in sched_rows]
+    assert all(math.isnan(v) for v in col["phi"] + col["psi"])
+    # the ensemble is the exact filter started from theta_n times the
+    # uninflated sampled prior variance
+    cfg = ExperimentConfig.from_dict(obj)
+    phat0 = sample_initial_ensemble(cfg.ensemble_size, cfg.p_tilde0, cfg.x0,
+                                    RngSpec(cfg.seed, _STREAM_ENSEMBLE)).sampled_var
+    last = skf_run(_trajectory(cfg), cfg.x0, col["theta"][-1] * phat0)[-1]
+    assert col["mean"][-1] == pytest.approx(last.mean_analysis, rel=1e-12)
+    assert col["sampled_var"][-1] == pytest.approx(last.var_analysis, rel=1e-12)
 
 
 def test_mv_output_shape(tmp_path, capsys):
@@ -407,6 +456,35 @@ def test_mv_overflowing_truth_exits_2_naming_the_field(tmp_path, capsys):
     assert err.startswith("mv: config.mv.multipliers: basis component 0, step 2: ")
     assert len(err.strip().splitlines()) == 1
     assert not dest.exists()
+
+
+def test_explicit_model_steps_must_match_its_values(tmp_path, capsys):
+    model = {"kind": "explicit", "values": [1.0, 2.0, 0.5]}
+    dest = tmp_path / "out.csv"
+    code, _, err = run_cli(["skf", "--config", write_config(tmp_path, {"steps": 20, "model": model}),
+                            "--out", str(dest)], capsys)
+    assert code == 2
+    assert err == ("skf: config.steps: 20 does not match the 3 values of "
+                   "config.model.values\n")
+    assert not dest.exists()
+    # omitted, steps is the number of values
+    code, out, _ = run_cli(["skf", "--config", write_config(tmp_path, {"model": model})], capsys)
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 4
+    assert ExperimentConfig.from_dict({"model": model}).steps == 3
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_members", [3, 16])
+def test_huge_prior_schedule_is_finite_and_silent(tmp_path, capsys, n_members):
+    cfg = write_config(tmp_path, {"steps": 3, "p0": 1e308, "ensemble_size": n_members})
+    code, out, err = run_cli(["inflation-table", "--config", cfg, "--seed", "1"], capsys)
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    col = {name: [float(row[k]) for row in rows] for k, name in enumerate(header)}
+    assert all(math.isfinite(v) for row in rows for v in map(float, row))
+    star = col["theta_star"][0]
+    assert all(1.0 <= phi <= star for phi in col["phi"])
 
 
 def test_multipliers_beyond_1e154_with_a_finite_truth_run(tmp_path, capsys):

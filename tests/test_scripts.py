@@ -1,0 +1,30 @@
+"""Smoke tests for the parameter-study scripts: each runs from the checkout
+with src/ on the path and prints a CSV header plus rows of finite values."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script,header,n_rows", [
+    ("theta_convergence.py", "alpha,S_p0_over_r,theta,theta_star,gap", 35),
+    ("ensemble_size_sweep.py", "N,alpha,mean_dp,mean_dp_se,var_dp,p_a", 7),
+])
+def test_script_prints_finite_csv(script, header, n_rows):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + n_rows
+    for line in lines[1:]:
+        assert all(math.isfinite(float(tok)) for tok in line.split(","))
