@@ -12,7 +12,6 @@ import argparse
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -83,20 +82,10 @@ _MV_FIELDS = {"model": "mv.multipliers", "x0_truth": "mv.x0", "obs_variance": "m
               "p0": "mv.p0_diag", "r_diag": "mv.r_diag", "x0": "mv.x0"}
 
 
-@contextmanager
-def _config_fields(fields):
-    # report a library InputError as a ConfigError naming the config field
-    try:
-        yield
-    except InputError as exc:
-        raise ConfigError("config.%s: %s" % (fields[exc.param], exc.detail)) from exc
-
-
 def _trajectory(cfg):
     spec = RngSpec(cfg.seed, _STREAM_TRAJ)
     model = cfg.model.build(cfg.steps, spec.stream(_STREAM_MC_BASE - 1))
-    with _config_fields(_TRAJ_FIELDS):
-        return build_trajectory(model, cfg.x0_truth, cfg.r, spec)
+    return build_trajectory(model, cfg.x0_truth, cfg.r, spec)
 
 
 def _schedule(cfg, traj, alpha, field):
@@ -159,8 +148,7 @@ _SKF_COLS = [
 def cmd_skf(args):
     cfg = _load(args)
     traj = _trajectory(cfg)
-    with _config_fields(_TRAJ_FIELDS):
-        states = skf_run(traj, cfg.x0, cfg.p0)
+    states = skf_run(traj, cfg.x0, cfg.p0)
     rows = []
     for i, s in enumerate(states):
         c = skf_closed_form(traj, cfg.x0, cfg.p0, i)
@@ -198,16 +186,15 @@ def cmd_spenkf(args):
     sched = None
     if cfg.inflation != "none":
         sched = _schedule(cfg, traj, alpha, "p_tilde0")
-    with _config_fields(_TRAJ_FIELDS):
-        init = sample_initial_ensemble(cfg.ensemble_size, cfg.p_tilde0, cfg.x0,
-                                       RngSpec(cfg.seed, _STREAM_ENSEMBLE))
-        if cfg.inflation == "initial-theta":
-            # one-shot: inflate the initial ensemble by theta at the final
-            # step (unbiased final analysis variance), no per-step corrections
-            th_last = float(sched.theta[traj.n_steps])
-            init = EnsembleState.forecast(0, init.mean, init.anomalies * math.sqrt(th_last))
-        states = spenkf_run(traj, init, sched if cfg.inflation == "sequential" else None)
-        ref = skf_run(traj, cfg.x0, cfg.p0)
+    init = sample_initial_ensemble(cfg.ensemble_size, cfg.p_tilde0, cfg.x0,
+                                   RngSpec(cfg.seed, _STREAM_ENSEMBLE))
+    if cfg.inflation == "initial-theta":
+        # one-shot: inflate the initial ensemble by theta at the final
+        # step (unbiased final analysis variance), no per-step corrections
+        th_last = float(sched.theta[traj.n_steps])
+        init = EnsembleState.forecast(0, init.mean, init.anomalies * math.sqrt(th_last))
+    states = spenkf_run(traj, init, sched if cfg.inflation == "sequential" else None)
+    ref = skf_run(traj, cfg.x0, cfg.p0)
     rows = []
     for i, s in enumerate(states):
         th = sched.theta[i] if sched is not None else math.nan
@@ -377,19 +364,20 @@ def cmd_mv(args):
             _describe(_mv_cols(2) + [("...", "column triple repeats per state dimension")])
             return 0
         raise ConfigError("config.mv: missing required section")
-    with _config_fields(_MV_FIELDS):
-        model = DiagonalizableModel(Z=np.array(cfg.mv.Z),
-                                    multipliers=np.array(cfg.mv.multipliers),
-                                    p0_diag=np.array(cfg.mv.p0_diag),
-                                    r_diag=np.array(cfg.mv.r_diag))
-        if args.describe:
-            _describe(_mv_cols(model.dim))
-            return 0
-        spec = RngSpec(cfg.seed, _STREAM_MC_BASE)
-        result = mv_spenkf_run(model, np.array(cfg.mv.x0), cfg.ensemble_size, spec)
-        if cfg.inflation == "sequential":
-            result = mv_spenkf_run(model, np.array(cfg.mv.x0), cfg.ensemble_size,
-                                   spec, mv_inflation_schedule(result))
+    if cfg.inflation == "initial-theta":
+        raise ConfigError("config.inflation: mv runs only 'none' or 'sequential'")
+    model = DiagonalizableModel(Z=np.array(cfg.mv.Z),
+                                multipliers=np.array(cfg.mv.multipliers),
+                                p0_diag=np.array(cfg.mv.p0_diag),
+                                r_diag=np.array(cfg.mv.r_diag))
+    if args.describe:
+        _describe(_mv_cols(model.dim))
+        return 0
+    spec = RngSpec(cfg.seed, _STREAM_MC_BASE)
+    result = mv_spenkf_run(model, np.array(cfg.mv.x0), cfg.ensemble_size, spec)
+    if cfg.inflation == "sequential":
+        result = mv_spenkf_run(model, np.array(cfg.mv.x0), cfg.ensemble_size,
+                               spec, mv_inflation_schedule(result))
     rows = []
     for i in range(model.n_steps + 1):
         row = [i]
@@ -548,6 +536,10 @@ def main(argv=None):
         return args.fn(args)
     except (ConfigError, DomainError) as exc:
         message = str(exc)
+    except InputError as exc:
+        # a library input at fault, named by the config field it came from
+        where = _MV_FIELDS if args.command == "mv" else _TRAJ_FIELDS
+        message = "config.%s: %s" % (where[exc.param], exc.detail)
     except FileNotFoundError as exc:
         flag = "--config" if exc.filename == args.config else "--out"
         message = "%s: no such file or directory: %s" % (flag, exc.filename)

@@ -1,8 +1,11 @@
-"""JSON experiment configuration with field-path validation diagnostics."""
+"""JSON experiment configuration.  Each field is declared once, as
+dataclasses.field metadata: the JSON kind _get reads it as, its default and
+its rule, which __post_init__ checks.  Every error names the config path."""
 
 import json
-import math
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -16,53 +19,95 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field path."""
 
 
-def _need(obj, key, types, path):
-    if key not in obj:
-        raise ConfigError("%s.%s: missing required field" % (path, key))
+# two JSON kinds besides the plain ones: a nonempty list of numbers, and a
+# nonempty list of such lists, all of one length
+_VECTOR, _ROWS = "vector", "rows"
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def _get(obj, key, kind, path):
+    """obj[key] read as kind: a type of _KIND_NAMES, _VECTOR, _ROWS or a section
+    class.  No boolean is a number, every number must be finite and an
+    integer-valued one counts as an integer.  Errors name path.key or path[key]."""
+    name = "%s[%d]" % (path, key) if isinstance(obj, list) else "%s.%s" % (path, key)
+    if isinstance(obj, dict) and key not in obj:
+        raise ConfigError("%s: missing required field" % name)
     val = obj[key]
-    if not isinstance(val, types) or isinstance(val, bool):
-        raise ConfigError("%s.%s: expected %s, got %r" % (path, key, types, val))
-    return val
+    if is_dataclass(kind):
+        return kind.from_dict(_get(obj, key, dict, path))
+    if kind in (_VECTOR, _ROWS):
+        items = _get(obj, key, list, path)
+        if not items:
+            raise ConfigError("%s: expected a nonempty list" % name)
+        vals = tuple(_get(items, j, float if kind == _VECTOR else _VECTOR, name)
+                     for j in range(len(items)))
+        if kind == _ROWS and len(set(map(len, vals))) > 1:
+            raise ConfigError("%s: rows must all have the same length" % name)
+        return vals
+    if kind in (int, float):
+        number = isinstance(val, (int, float)) and not isinstance(val, bool)
+        # abs(nan) <= max is False, and so is it for an int beyond double range
+        if number and not abs(val) <= sys.float_info.max:
+            raise ConfigError("%s: expected a finite number, got %s" % (name, json.dumps(val)))
+        if number and (kind is float or float(val).is_integer()):
+            return kind(val)
+    elif isinstance(val, kind):
+        return val
+    raise ConfigError("%s: expected %s, got %s" % (name, _KIND_NAMES[kind], json.dumps(val)))
 
 
-def _opt(obj, key, types, path, default):
-    if key not in obj:
-        return default
-    return _need(obj, key, types, path)
+def _field(kind, default=MISSING, rule=None):
+    """A config field: its JSON kind, default and (test, message) rule."""
+    return field(default=default, metadata={"kind": kind, "rule": rule})
 
 
-_NUM = (int, float)
+def _one_of(*names):
+    return (lambda v: v in names, "expected one of %s" % ", ".join(map(repr, names)))
+
+
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+
+
+def _check(cfg):
+    """Raise a ConfigError naming the first field of cfg whose rule fails."""
+    for f in fields(cfg):
+        rule = f.metadata.get("rule")
+        if rule is not None and not rule[0](getattr(cfg, f.name)):
+            raise ConfigError("%s.%s: %s" % (cfg._PATH, f.name, rule[1]))
+
+
+def _read(cls, obj, names, required=False):
+    """The named fields of cls, all if required else those obj holds."""
+    kinds = {f.name: f.metadata.get("kind") for f in fields(cls)}
+    return {n: _get(obj, n, kinds[n], cls._PATH) for n in names if required or n in obj}
+
+
+# the fields each model kind reads: (required, optional)
+_MODEL_FIELDS = {"constant": (("m",), ()), "explicit": (("values",), ()),
+                 "random_loguniform": ((), ("low", "high", "signed"))}
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    kind: str
-    m: float = 1.0
-    values: tuple = ()
-    low: float = 0.5
-    high: float = 2.0
-    signed: bool = True
+    _PATH: ClassVar[str] = "config.model"
+    kind: str = _field(str, rule=_one_of(*_MODEL_FIELDS))
+    m: float = _field(float, 1.0, (lambda m: m != 0.0, "must be nonzero"))
+    values: tuple = _field(_VECTOR, (), (all, "must all be nonzero"))
+    low: float = _field(float, 0.5, _POSITIVE)
+    high: float = _field(float, 2.0)
+    signed: bool = _field(bool, True)
+
+    def __post_init__(self):
+        _check(self)
+        if not self.low <= self.high:
+            raise ConfigError("config.model.high: must be >= config.model.low")
 
     @classmethod
-    def from_dict(cls, obj, path="model"):
-        kind = _need(obj, "kind", str, path)
-        if kind == "constant":
-            return cls(kind=kind, m=float(_need(obj, "m", _NUM, path)))
-        if kind == "explicit":
-            vals = _need(obj, "values", list, path)
-            if not vals or not all(isinstance(v, _NUM) and v != 0 for v in vals):
-                raise ConfigError("%s.values: need a nonempty list of nonzero numbers" % path)
-            return cls(kind=kind, values=tuple(float(v) for v in vals))
-        if kind == "random_loguniform":
-            low = float(_opt(obj, "low", _NUM, path, 0.5))
-            high = float(_opt(obj, "high", _NUM, path, 2.0))
-            if not (0.0 < low <= high):
-                raise ConfigError("%s: need 0 < low <= high" % path)
-            signed = obj.get("signed", True)
-            if not isinstance(signed, bool):
-                raise ConfigError("%s.signed: expected a boolean" % path)
-            return cls(kind=kind, low=low, high=high, signed=signed)
-        raise ConfigError("%s.kind: unknown kind %r" % (path, kind))
+    def from_dict(cls, obj):
+        kind = _read(cls, obj, ("kind",), True)["kind"]
+        required, optional = _MODEL_FIELDS.get(kind, ((), ()))
+        return cls(kind, **_read(cls, obj, required, True), **_read(cls, obj, optional))
 
     def build(self, steps, spec: RngSpec):
         if self.kind == "constant":
@@ -75,115 +120,64 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class MvConfig:
-    Z: tuple
-    multipliers: tuple
-    p0_diag: tuple
-    r_diag: tuple
-    x0: tuple
+    _PATH: ClassVar[str] = "config.mv"
+    Z: tuple = _field(_ROWS)
+    multipliers: tuple = _field(_ROWS)
+    p0_diag: tuple = _field(_VECTOR)
+    r_diag: tuple = _field(_VECTOR)
+    x0: tuple = _field(_VECTOR)
 
     @classmethod
-    def from_dict(cls, obj, path="mv"):
-        def grid(key):
-            v = _need(obj, key, list, path)
-            if not v or not all(isinstance(row, list) for row in v):
-                raise ConfigError("%s.%s: expected a list of rows" % (path, key))
-            return tuple(tuple(float(x) for x in row) for row in v)
-
-        def vec(key):
-            v = _need(obj, key, list, path)
-            if not v or not all(isinstance(x, _NUM) for x in v):
-                raise ConfigError("%s.%s: expected a list of numbers" % (path, key))
-            return tuple(float(x) for x in v)
-
-        return cls(Z=grid("Z"), multipliers=grid("multipliers"),
-                   p0_diag=vec("p0_diag"), r_diag=vec("r_diag"), x0=vec("x0"))
+    def from_dict(cls, obj):
+        return cls(**_read(cls, obj, [f.name for f in fields(cls)], True))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    seed: int = 20260826
-    steps: int = 20
-    ensemble_size: int = 16
-    p0: float = 1.0
-    x0: float = 0.0
-    x0_truth: float = 1.0
-    r: float = 1.0
-    p_tilde0: float = 1.0
-    x_tilde0: float = 0.0
-    replicates: int = 100_000
-    inflation: str = "none"
-    perturbed_obs: bool = False
-    output_path: "str | None" = None
+    _PATH: ClassVar[str] = "config"
+    seed: int = _field(int, 20260826, (lambda s: 0 <= s < 2**64,
+                                       "must fit in an unsigned 64-bit integer"))
+    steps: int = _field(int, 20, (lambda v: v >= 1, "must be >= 1"))
+    ensemble_size: int = _field(int, 16, (lambda v: v >= 3, "must be >= 3"))
+    p0: float = _field(float, 1.0, _POSITIVE)
+    x0: float = _field(float, 0.0)
+    x0_truth: float = _field(float, 1.0)
+    r: float = _field(float, 1.0, _POSITIVE)
+    p_tilde0: float = _field(float, 1.0, _POSITIVE)
+    x_tilde0: float = _field(float, 0.0)
+    replicates: int = _field(int, 100_000, (lambda v: v >= 2, "must be >= 2"))
+    inflation: str = _field(str, "none", _one_of("none", "sequential", "initial-theta"))
+    perturbed_obs: bool = _field(bool, False)
+    output_path: "str | None" = _field(str, None)
+    # whether "seed" was given; JSON cannot set it
     seed_given: bool = False
-    model: ModelConfig = field(default_factory=lambda: ModelConfig(kind="constant", m=1.0))
-    mv: "MvConfig | None" = None
+    model: ModelConfig = _field(ModelConfig, ModelConfig("constant"))
+    mv: "MvConfig | None" = _field(MvConfig, None)
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError("steps: must be >= 1")
-        if self.ensemble_size < 3:
-            raise ConfigError("ensemble_size: must be >= 3")
-        for name in ("p0", "r", "p_tilde0"):
-            if not (getattr(self, name) > 0.0):
-                raise ConfigError("%s: must be positive" % name)
-        if self.replicates < 2:
-            raise ConfigError("replicates: must be >= 2")
-        if self.inflation not in ("none", "sequential", "initial-theta"):
-            raise ConfigError(
-                "inflation: expected 'none', 'sequential' or 'initial-theta'")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ConfigError("seed: must fit in an unsigned 64-bit integer")
+        _check(self)
+        # an explicit model fixes the step count: steps may only restate it
+        n = len(self.model.values)
+        if self.model.kind == "explicit" and self.steps != n:
+            raise ConfigError("config.steps: %d does not match the %d values of "
+                              "config.model.values" % (self.steps, n))
 
     @classmethod
     def from_dict(cls, obj):
         if not isinstance(obj, dict):
             raise ConfigError("config: top level must be a JSON object")
-        path = "config"
-        kwargs = {}
-        for name in ("seed", "steps", "ensemble_size", "replicates"):
-            if name in obj:
-                val = _need(obj, name, _NUM, path)
-                if not (isinstance(val, int) or val.is_integer()):
-                    raise ConfigError("%s.%s: expected an integer, got %r" % (path, name, val))
-                kwargs[name] = int(val)
-        for name in ("p0", "x0", "x0_truth", "r", "p_tilde0", "x_tilde0"):
-            if name in obj:
-                val = float(_need(obj, name, _NUM, path))
-                if not math.isfinite(val):
-                    raise ConfigError("%s.%s: expected a finite number, got %r"
-                                      % (path, name, val))
-                kwargs[name] = val
-        if "inflation" in obj:
-            kwargs["inflation"] = _need(obj, "inflation", str, path)
-        if "perturbed_obs" in obj:
-            po = obj["perturbed_obs"]
-            if not isinstance(po, bool):
-                raise ConfigError("config.perturbed_obs: expected a boolean")
-            kwargs["perturbed_obs"] = po
-        if "output_path" in obj:
-            kwargs["output_path"] = _need(obj, "output_path", str, path)
-        if "model" in obj:
-            model = kwargs["model"] = ModelConfig.from_dict(_need(obj, "model", dict, path))
-            # an explicit model fixes the step count: steps may only restate it
-            if model.kind == "explicit":
-                n = len(model.values)
-                if kwargs.setdefault("steps", n) != n:
-                    raise ConfigError("config.steps: %d does not match the %d values of "
-                                      "config.model.values" % (kwargs["steps"], n))
-        if "mv" in obj:
-            kwargs["mv"] = MvConfig.from_dict(_need(obj, "mv", dict, path))
-        # seed_given records whether "seed" was present; JSON cannot set it
-        known = {f.name for f in fields(cls)} - {"seed_given"}
+        known = {f.name for f in fields(cls) if f.metadata}
         for key in obj:
             if key not in known:
                 raise ConfigError("config.%s: unknown field" % key)
-        # defaults: sampled prior mean/variance follow the exact prior
-        if "p_tilde0" not in kwargs and "p0" in kwargs:
-            kwargs["p_tilde0"] = kwargs["p0"]
-        if "x_tilde0" not in kwargs and "x0" in kwargs:
-            kwargs["x_tilde0"] = kwargs["x0"]
-        kwargs["seed_given"] = "seed" in obj
-        return cls(**kwargs)
+        kwargs = _read(cls, obj, obj)
+        if getattr(kwargs.get("model"), "kind", None) == "explicit":
+            kwargs.setdefault("steps", len(kwargs["model"].values))
+        # the sampled prior mean and variance follow the exact prior
+        for exact, sampled in (("p0", "p_tilde0"), ("x0", "x_tilde0")):
+            if exact in kwargs:
+                kwargs.setdefault(sampled, kwargs[exact])
+        return cls(seed_given="seed" in obj, **kwargs)
 
     @classmethod
     def from_json(cls, path):

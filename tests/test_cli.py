@@ -7,6 +7,7 @@ stdout/stderr, and output files can be asserted directly.
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,8 @@ from filterlab.rng import RngSpec
 from filterlab.skf import skf_run
 from filterlab.spenkf import sample_initial_ensemble
 
-MV_DEMO = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "mv_demo.json"
+ROOT = Path(__file__).resolve().parents[1]
+MV_DEMO = ROOT / "scripts" / "configs" / "mv_demo.json"
 
 
 def run_cli(argv, capsys):
@@ -365,6 +367,15 @@ def test_invalid_values_rejected():
         ExperimentConfig.from_dict({"seed": -3})
 
 
+def test_readme_config_table_lists_every_field():
+    # the README table documents exactly the fields ExperimentConfig declares
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Config reference", 1)[1]
+    names = {name for line in table.splitlines() if line.startswith("| `")
+             for name in re.findall(r"`([^`]+)`", line.split("|")[1])}
+    assert names == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"seed_given"}
+
+
 def test_invalid_json_reported(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -546,6 +557,46 @@ def test_mv_bad_section_exits_2_naming_the_field(tmp_path, capsys, changes, fiel
     assert code == 2
     assert err.startswith("mv: config.mv.%s: " % field)
     assert len(err.strip().splitlines()) == 1
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("cmd,cfg,line", [
+    ("skf", {"model": {"kind": "constant", "m": 0}}, "config.model.m: must be nonzero"),
+    ("skf", {"model": {"kind": "constant", "m": math.nan}},
+     "config.model.m: expected a finite number, got NaN"),
+    ("skf", {"model": {"kind": "random_loguniform", "high": math.inf}},
+     "config.model.high: expected a finite number, got Infinity"),
+    ("skf", {"model": {"kind": "explicit", "values": [1.0, math.nan]}},
+     "config.model.values[1]: expected a finite number, got NaN"),
+    # json.load reads the literal 1e400 as inf
+    ("skf", '{"model": {"kind": "explicit", "values": [1.0, 1e400]}}',
+     "config.model.values[1]: expected a finite number, got Infinity"),
+    ("mv", _mv_demo(Z=[[1, 2], [3]]), "config.mv.Z: rows must all have the same length"),
+    ("skf", {"steps": 0}, "config.steps: must be >= 1"),
+    ("spenkf", {"ensemble_size": 2}, "config.ensemble_size: must be >= 3"),
+    ("skf", {"model": {}}, "config.model.kind: missing required field"),
+    ("mv", {"mv": {"Z": 1}}, "config.mv.Z: expected a list, got 1"),
+], ids=["m-zero", "m-nan", "high-inf", "values-nan", "values-1e400", "ragged-rows",
+        "steps-zero", "ensemble-2", "model-no-kind", "mv-Z-number"])
+def test_bad_config_prints_one_config_line(tmp_path, capsys, cmd, cfg, line):
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg), encoding="utf-8")
+    dest = tmp_path / "out.csv"
+    code, out, err = run_cli([cmd, "--config", str(path), "--seed", "1",
+                              "--out", str(dest)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "%s: %s\n" % (cmd, line)
+    assert not dest.exists()
+
+
+def test_mv_rejects_initial_theta(tmp_path, capsys):
+    # mv has no one-shot mode: it must not run the uninflated filter instead
+    cfg = write_config(tmp_path, dict(_mv_demo(), inflation="initial-theta"))
+    dest = tmp_path / "out.csv"
+    code, _, err = run_cli(["mv", "--config", cfg, "--out", str(dest)], capsys)
+    assert code == 2
+    assert err == "mv: config.inflation: mv runs only 'none' or 'sequential'\n"
     assert not dest.exists()
 
 
