@@ -206,12 +206,21 @@ def po_gain_spec(traj: ModelTrajectory, p0, alpha, r, i):
                           alpha=float(alpha), p=float(p0))
 
 
+def _po_gain_moment(traj, p0, alpha, r, i, n):
+    # E[K_i^n] for n = 1 or 4; once r/S_i underflows to 0, K_i = q_i X/(X + 0)
+    # is q_i = M_i^2/S_i to double precision
+    if r * traj.inv_S(i) == 0.0:
+        return traj.M2_over_S(i) ** n
+    spec = po_gain_spec(traj, p0, alpha, r, i)
+    return ratio_mean(spec) if n == 1 else ratio_fourth_moment(spec)
+
+
 def po_variance_penalty(traj, p0, alpha, r, i):
     """Extra analysis-variance term E[K_i^4] r^2 / alpha contributed by
     perturbing observations with sampled variance R ~ Gamma(alpha, r/alpha).
     Exact for alpha > 4."""
     alpha, r = float(alpha), float(r)
-    return ratio_fourth_moment(po_gain_spec(traj, p0, alpha, r, i)) * r * r / alpha
+    return _po_gain_moment(traj, p0, alpha, r, i, 4) * r * r / alpha
 
 
 @dataclass(frozen=True)
@@ -236,10 +245,9 @@ def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
     gen = spec.generator()
     n = int(replicates)
     alpha, r = float(alpha), float(r)
-    gspec = po_gain_spec(traj, p0, alpha, r, i)
     x = gen.gamma(alpha, p0 / alpha, n)
     rr = gen.gamma(alpha, r / alpha, n)
-    k = gspec.a * x / (gspec.c * x + gspec.d)
+    k = traj.M2_over_S(i) * x / (x + r * traj.inv_S(i))
     e = rr - r
     a_term = r * k
     b_term = k * k * e
@@ -253,7 +261,7 @@ def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
     return PoReport(
         mean_P=m_p,
         mean_P_se=se_p,
-        analytic_mean_rK=r * ratio_mean(gspec),
+        analytic_mean_rK=r * _po_gain_moment(traj, p0, alpha, r, i, 1),
         cov_cross=cov,
         cov_cross_se=cov_se,
         second_R=m_r2,

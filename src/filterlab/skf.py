@@ -50,7 +50,7 @@ def _analyze(step, xf, pf, y, r):
         var_forecast=pf,
         gain=k,
         mean_analysis=xf + k * (y - xf),
-        var_analysis=(1.0 - k) * pf,
+        var_analysis=k * r,
     )
 
 

@@ -54,16 +54,17 @@ class EnsembleState:
     gain: float = math.nan
 
     @classmethod
-    def forecast(cls, step, mean, anomalies):
+    def forecast(cls, step, mean, anomalies, below="model"):
         """Forecast-phase state whose sampled variance an analysis accepts.
 
         Raises TrajectoryRangeError when (1/N) a.a leaves [1e-300, inf),
-        naming "p0" at step 0 and "model" at later steps.
+        naming "p0" at step 0, and at later steps the input named by below
+        for a variance under 1e-300 and "model" for one that overflows.
         """
         with np.errstate(over="ignore"):
             pf = _svar(anomalies)
         if not _PF_MIN <= pf < math.inf:
-            raise TrajectoryRangeError("p0" if step == 0 else "model",
+            raise TrajectoryRangeError("p0" if step == 0 else below if pf < _PF_MIN else "model",
                                        "step %d: the sampled forecast variance %g leaves "
                                        "[%g, inf): degenerate ensemble" % (step, pf, _PF_MIN))
         return cls(step=step, phase="forecast", mean=mean, anomalies=anomalies,
@@ -114,7 +115,7 @@ def spenkf_analyze(state: EnsembleState, y, r):
     if pf < _PF_MIN:
         raise ValueError("degenerate ensemble: sampled variance underflowed")
     k = pf / (pf + r)
-    pa = (1.0 - k) * pf
+    pa = k * r
     anoms = state.anomalies * math.sqrt(pa / pf)
     return EnsembleState(
         step=state.step,
@@ -126,18 +127,19 @@ def spenkf_analyze(state: EnsembleState, y, r):
     )
 
 
-def spenkf_forecast(state: EnsembleState, m, phi=1.0, psi=0.0):
+def spenkf_forecast(state: EnsembleState, m, phi=1.0, psi=0.0, below="model"):
     """Propagate through multiplier m, then apply the variance inflation phi
     (anomalies scaled by sqrt(phi)) and the mean shift psi, in that order,
-    before the next analysis.  Raises TrajectoryRangeError("model", ...)
-    when the sampled forecast variance leaves [1e-300, inf)."""
+    before the next analysis.  Raises EnsembleState.forecast's
+    TrajectoryRangeError when the sampled forecast variance leaves
+    [1e-300, inf)."""
     if state.phase != "analysis":
         raise ValueError("can only forecast from an analysis-phase state")
     if m == 0.0:
         raise ValueError("model multiplier must be nonzero")
     with np.errstate(over="ignore"):
         return EnsembleState.forecast(state.step + 1, m * state.mean + psi,
-                                      state.anomalies * (m * math.sqrt(phi)))
+                                      state.anomalies * (m * math.sqrt(phi)), below)
 
 
 def spenkf_run(traj: ModelTrajectory, initial: EnsembleState,
@@ -150,14 +152,17 @@ def spenkf_run(traj: ModelTrajectory, initial: EnsembleState,
     sampled forecast variance leaves range.
     """
     r = traj.obs_variance
+    # every analysis variance is below r, so with r under the floor a
+    # forecast variance under it is r's fault, not the model's
+    below = "obs_variance" if r < _PF_MIN else "model"
     state = initial
     if inflation is not None:
         state = EnsembleState.forecast(0, state.mean,
                                        state.anomalies * math.sqrt(inflation.phi[0]))
     states = [spenkf_analyze(state, traj.observations[0], r)]
     for i, m in enumerate(traj.model.values):
-        fc = (spenkf_forecast(states[-1], m) if inflation is None else
-              spenkf_forecast(states[-1], m, inflation.phi[i + 1], inflation.psi[i + 1]))
+        fc = (spenkf_forecast(states[-1], m, below=below) if inflation is None else
+              spenkf_forecast(states[-1], m, inflation.phi[i + 1], inflation.psi[i + 1], below))
         states.append(spenkf_analyze(fc, traj.observations[i + 1], r))
     return states
 

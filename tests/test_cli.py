@@ -600,6 +600,53 @@ def test_mv_rejects_initial_theta(tmp_path, capsys):
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("cmd,cfg,line", [
+    ("spenkf", {"steps": 3, "r": 1e-320}, "spenkf: config.r: step 1: "),
+    ("mv", _mv_demo(r_diag=[1.0, 1e-320, 0.7]),
+     "mv: config.mv.r_diag: basis component 1, step 1: "),
+])
+def test_r_below_the_variance_floor_is_named(tmp_path, capsys, cmd, cfg, line):
+    # the analysis variance is below r, so the next forecast variance falls
+    # under 1e-300 with a model of m = 1: r is at fault, not the model
+    dest = tmp_path / "out.csv"
+    code, _, err = run_cli([cmd, "--config", write_config(tmp_path, cfg), "--seed", "1",
+                            "--out", str(dest)], capsys)
+    assert code == 2
+    assert err.startswith(line + "the sampled forecast variance ")
+    assert len(err.splitlines()) == 1
+    assert not dest.exists()
+
+
+def test_tiny_r_spenkf_runs(tmp_path, capsys):
+    # r/p_f = 1e-17: (1 - k) p_f rounded every analysis variance to 0
+    code, out, _ = run_cli(["spenkf", "--config", write_config(tmp_path, {"steps": 3, "r": 1e-17}),
+                            "--seed", "1"], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    # the analysis variance is about r / (step + 1)
+    assert all(0.0 < float(row[header.index("sampled_var")]) < 2e-17 for row in rows)
+
+
+def test_underflowed_r_over_s_uses_the_limit_gain(tmp_path, capsys):
+    # m = 2: r/S_i underflows to 0 from step 538, where K_i = q_i exactly
+    obj = {"steps": 600, "ensemble_size": 10, "perturbed_obs": True,
+           "model": {"kind": "constant", "m": 2.0}}
+    code, out, _ = run_cli(["spenkf", "--config", write_config(tmp_path, obj), "--seed", "1"],
+                           capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    q = _trajectory(ExperimentConfig.from_dict(dict(obj, seed=1))).M2_over_S(599)
+    assert float(rows[599][header.index("po_penalty")]) == q ** 4 * 1.0 ** 2 / 5.0
+    # po-penalty reaches the same limit; its verdict is a statistical outcome
+    obj = dict(obj, steps=560, replicates=2000)
+    dest = tmp_path / "po.csv"
+    code, _, err = run_cli(["po-penalty", "--config", write_config(tmp_path, obj), "--seed", "1",
+                            "--out", str(dest)], capsys)
+    assert code in (0, 1) and "po-penalty: 561 steps" in err
+    header, rows = parse_csv(dest.read_text(encoding="utf-8"))
+    assert all(math.isfinite(float(row[header.index("penalty")])) for row in rows)
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     code, _, err = run_cli(["skf", "--config", missing], capsys)

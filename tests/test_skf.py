@@ -63,6 +63,17 @@ def test_run_stops_where_the_forecast_variance_leaves_range(inflated):
             skf_run(traj, 0.0, 1.0, sched)
 
 
+@pytest.mark.parametrize("ratio", [1e-17, 1e-10])
+def test_recursion_matches_closed_form_when_r_is_tiny(ratio):
+    # (1 - k) p_f cancels once r << p_f (all of it at r/p_f = 1e-17); k r does not
+    p0 = 3.7
+    traj = make_trajectory(1, 40, r=ratio * p0)
+    for i, s in enumerate(skf_run(traj, 0.3, p0)):
+        c = skf_closed_form(traj, 0.3, p0, i)
+        for name in ("gain", "mean_analysis", "var_analysis"):
+            assert getattr(s, name) == pytest.approx(getattr(c, name), rel=1e-14, abs=0.0)
+
+
 def test_variance_gain_identity(unit_traj):
     for s in skf_run(unit_traj, 0.0, 1.0):
         assert s.var_analysis == pytest.approx(

@@ -133,6 +133,26 @@ def test_run_stops_where_the_forecast_variance_leaves_range(m, value):
         spenkf_run(traj, init)
 
 
+def test_run_with_tiny_r_matches_the_closed_form():
+    # r/phat0 = 1e-17: the analysis variance k r must not round to 0
+    traj = make_trajectory(1, 30, r=1e-17)
+    ens = sample_initial_ensemble(8, 1.0, 0.3, RngSpec(1, 5))
+    for i, s in enumerate(spenkf_run(traj, ens)):
+        ref = skf_closed_form(traj, 0.3, ens.sampled_var, i)
+        assert s.sampled_var == pytest.approx(ref.var_analysis, rel=1e-13, abs=0.0)
+        assert s.mean == pytest.approx(ref.mean_analysis, rel=1e-13, abs=0.0)
+
+
+def test_run_names_r_when_it_is_below_the_variance_floor():
+    # every analysis variance is below r = 1e-320, so the first forecast
+    # variance falls under 1e-300 whatever the model
+    traj = make_trajectory(1, 3, r=1e-320, kind="constant")
+    init = sample_initial_ensemble(8, 1.0, 0.0, RngSpec(1, 5))
+    with pytest.raises(TrajectoryRangeError,
+                       match=r"^obs_variance: step 1: the sampled forecast variance "):
+        spenkf_run(traj, init)
+
+
 def test_theta_star_values():
     assert theta_star(5.0) == 1.25
     assert theta_star(2.0) == 2.0
