@@ -636,7 +636,8 @@ def test_underflowed_r_over_s_uses_the_limit_gain(tmp_path, capsys):
     assert code == 0
     header, rows = parse_csv(out)
     q = _trajectory(ExperimentConfig.from_dict(dict(obj, seed=1))).M2_over_S(599)
-    assert float(rows[599][header.index("po_penalty")]) == q ** 4 * 1.0 ** 2 / 5.0
+    # E[K^4] r^2 / alpha with r = 1 and alpha = 5
+    assert float(rows[599][header.index("po_penalty")]) == q ** 4 / 5.0
     # po-penalty reaches the same limit; its verdict is a statistical outcome
     obj = dict(obj, steps=560, replicates=2000)
     dest = tmp_path / "po.csv"
