@@ -44,9 +44,9 @@ def _fmt(v):
 
 
 def _write_csv(out_path, cols, rows):
-    text = ",".join(name for name, _ in cols) + "\n"
-    for row in rows:
-        text += ",".join(_fmt(v) for v in row) + "\n"
+    lines = [",".join(name for name, _ in cols)]
+    lines += [",".join([_fmt(v) for v in row]) for row in rows]
+    text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -107,13 +107,16 @@ _GATE_SE = 4.0
 def _gated_rows(args, cols, one, n_rows, detail=""):
     # per-step rows, on worker threads when asked, written as CSV; the
     # verdict is on the largest gap in SE units over all of them, which is
-    # NaN if any gap is NaN, so a NaN cannot pass
-    steps = range(n_rows)
+    # NaN if any gap is NaN, so a NaN cannot pass.  Step 0 runs first on
+    # this thread: it builds the trajectory's closed-form tables, once,
+    # before any worker could race to build them again.
+    rows = [one(0)]
+    rest = range(1, n_rows)
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one, steps))
+            rows += pool.map(one, rest)
     else:
-        rows = [one(i) for i in steps]
+        rows += map(one, rest)
     worst = float(np.max([row[-1] for row in rows]))
     _write_csv(args.out, cols, rows)
     ok = worst <= _GATE_SE

@@ -77,6 +77,16 @@ def _check(cfg):
             raise ConfigError("%s.%s: %s" % (cfg._PATH, f.name, rule[1]))
 
 
+def _only(cls, obj, names, kind=None):
+    """Raise on the first key of obj outside names: unknown if cls does not
+    declare it, else not read by the model kind."""
+    declared = {f.name for f in fields(cls) if f.metadata}
+    for key in obj:
+        if key not in names:
+            why = "unknown field" if key not in declared else "not read by kind %r" % kind
+            raise ConfigError("%s.%s: %s" % (cls._PATH, key, why))
+
+
 def _read(cls, obj, names, required=False):
     """The named fields of cls, all if required else those obj holds."""
     kinds = {f.name: f.metadata.get("kind") for f in fields(cls)}
@@ -106,7 +116,10 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, obj):
         kind = _read(cls, obj, ("kind",), True)["kind"]
-        required, optional = _MODEL_FIELDS.get(kind, ((), ()))
+        if kind not in _MODEL_FIELDS:
+            return cls(kind)  # the kind's rule names the choices
+        required, optional = _MODEL_FIELDS[kind]
+        _only(cls, obj, ("kind",) + required + optional, kind)
         return cls(kind, **_read(cls, obj, required, True), **_read(cls, obj, optional))
 
     def build(self, steps, spec: RngSpec):
@@ -129,7 +142,9 @@ class MvConfig:
 
     @classmethod
     def from_dict(cls, obj):
-        return cls(**_read(cls, obj, [f.name for f in fields(cls)], True))
+        names = [f.name for f in fields(cls)]
+        _only(cls, obj, names)
+        return cls(**_read(cls, obj, names, True))
 
 
 @dataclass(frozen=True)
@@ -166,10 +181,7 @@ class ExperimentConfig:
     def from_dict(cls, obj):
         if not isinstance(obj, dict):
             raise ConfigError("config: top level must be a JSON object")
-        known = {f.name for f in fields(cls) if f.metadata}
-        for key in obj:
-            if key not in known:
-                raise ConfigError("config.%s: unknown field" % key)
+        _only(cls, obj, [f.name for f in fields(cls) if f.metadata])
         kwargs = _read(cls, obj, obj)
         if getattr(kwargs.get("model"), "kind", None) == "explicit":
             kwargs.setdefault("steps", len(kwargs["model"].values))

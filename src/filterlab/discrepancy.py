@@ -12,6 +12,14 @@ assembled from the trajectory's ratio ledger; nothing here evaluates M_i or
 S_i directly, which keeps every spec well scaled for long or unstable
 model sequences.
 
+The per-step closed forms index tables built a trajectory at a time: the
+first call for a (trajectory, inputs) pair evaluates one array spec over
+every step and keeps the moments in an 8-entry functools.lru_cache, keyed
+on the trajectory's identity.  A step the array spec leaves out (NaN) is
+evaluated again through its own spec, so it raises what it raised alone and
+no other step does.  Callers that fan steps out to threads evaluate one
+step first, so that each table is built once.
+
 The Monte Carlo checks (mc_discrepancy_moments, po_mean_identity_check and
 skf.skf_error_moments) reduce their samples with one function,
 sample_moments, in a single centring pass: the deviations from the mean are
@@ -23,6 +31,7 @@ two multiplications.  Mean, mean SE and variance are bit-identical to
 numpy's mean, std and var of the same sample.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,12 +83,26 @@ class PerturbedInputs:
             raise ValueError("need alpha > 1")
 
 
+def _coefs(inp, inv_s, q, m_s, b_s):
+    # (a, b) of dp_i and of dx_i and their shared (c, d), scaled by 1/S_i^2,
+    # from the ledger's 1/S_i, M_i^2/S_i, M_i/S_i and B_i/S_i: floats for one
+    # step, arrays for every step
+    u = inp.r * inv_s
+    c = inp.p0 + u
+    a_dp = q * u * inp.r  # M^2 r^2 / S^2
+    a_dx = inp.r * m_s * (b_s - inp.x0)
+    b_dx = inp.r * m_s * (c * inp.x_tilde0 - b_s * inp.p0 - u * inp.x0)
+    return (a_dp, -a_dp * inp.p0), (a_dx, b_dx), c, u * c
+
+
+def _step_coefs(traj, inp, i):
+    return _coefs(inp, traj.inv_S(i), traj.M2_over_S(i), traj.M_over_S(i), traj.B_over_S(i))
+
+
 def dp_spec(traj: ModelTrajectory, inp: PerturbedInputs, i):
     """Gamma-ratio spec of dp_i, scaled by 1/S_i^2 top and bottom."""
-    u = inp.r * traj.inv_S(i)
-    a = traj.M2_over_S(i) * u * inp.r  # M^2 r^2 / S^2
-    return GammaRatioSpec(a=a, b=-a * inp.p0, c=inp.p0 + u, d=u * (inp.p0 + u),
-                          alpha=inp.alpha, p=inp.p_tilde0)
+    (a, b), _, c, d = _step_coefs(traj, inp, i)
+    return GammaRatioSpec(a, b, c, d, inp.alpha, inp.p_tilde0)
 
 
 def dx_spec(traj: ModelTrajectory, inp: PerturbedInputs, i):
@@ -89,47 +112,58 @@ def dx_spec(traj: ModelTrajectory, inp: PerturbedInputs, i):
     case dx_i is the constant a/c; that case raises ValueError, since the
     rounded a*d and b*c need not come out equal.  Callers should branch on it.
     """
-    b_over_s = traj.B_over_S(i)
-    if b_over_s == inp.x_tilde0:
+    if traj.B_over_S(i) == inp.x_tilde0:
         raise ValueError("B_i/S_i == x_tilde0 makes dx_%d constant" % i)
-    u = inp.r * traj.inv_S(i)
-    m_over_s = traj.M_over_S(i)
-    a = inp.r * m_over_s * (b_over_s - inp.x0)
-    b = inp.r * m_over_s * (
-        (inp.p0 + u) * inp.x_tilde0 - b_over_s * inp.p0 - u * inp.x0
-    )
-    return GammaRatioSpec(a=a, b=b, c=inp.p0 + u, d=u * (inp.p0 + u),
-                          alpha=inp.alpha, p=inp.p_tilde0)
+    _, (a, b), c, d = _step_coefs(traj, inp, i)
+    return GammaRatioSpec(a, b, c, d, inp.alpha, inp.p_tilde0)
+
+
+@functools.lru_cache(maxsize=8)
+def _moment_table(traj, inp):
+    # E[dp_i], E[dx_i], E[dp_i^2], E[dx_i^2] at every step of traj, as lists
+    # of floats; NaN marks a step the array spec leaves out.  dp and dx
+    # share z, so one spec with a row for each evaluates every order once.
+    ledger = [np.array(s) for s in (traj.inv_S_seq, traj.M2_over_S_seq,
+                                    traj.M_over_S_seq, traj.B_over_S_seq)]
+    dp, dx, c, d = _coefs(inp, *ledger)
+    spec = GammaRatioSpec(np.stack([dp[0], dx[0]]), np.stack([dp[1], dx[1]]), c, d,
+                          inp.alpha, inp.p_tilde0)
+    mean = ratio_mean(spec)
+    second = ratio_second_moment(spec) if inp.alpha > 2.0 else np.full_like(mean, np.nan)
+    # B_i/S_i == x_tilde0: dx_i is the constant k = a/c at any alpha
+    const = ledger[3] == inp.x_tilde0
+    k = dx[0][const] / c[const]
+    mean[1, const] = k
+    second[1, const] = k * k  # not k ** 2: pow may round x^2 one ulp off x * x
+    return (*mean.tolist(), *second.tolist())
 
 
 def expected_dp(traj, inp, i):
     """E[dp_i], exact for alpha > 1."""
-    return ratio_mean(dp_spec(traj, inp, i))
+    v = _moment_table(traj, inp)[0][i]
+    return v if v == v else ratio_mean(dp_spec(traj, inp, i))
 
 
 def second_moment_dp(traj, inp, i):
     """E[dp_i^2], exact for alpha > 2."""
-    return ratio_second_moment(dp_spec(traj, inp, i))
-
-
-def _dx_constant(traj, inp, i):
-    u = inp.r * traj.inv_S(i)
-    return inp.r * traj.M_over_S(i) * (traj.B_over_S(i) - inp.x0) / (inp.p0 + u)
+    v = _moment_table(traj, inp)[2][i]
+    return v if v == v else ratio_second_moment(dp_spec(traj, inp, i))
 
 
 def expected_dx(traj, inp, i):
     """E[dx_i], exact for alpha > 1."""
-    if traj.B_over_S(i) == inp.x_tilde0:
-        return _dx_constant(traj, inp, i)
+    v = _moment_table(traj, inp)[1][i]
+    # a step with B_i/S_i == x_tilde0 holds the constant dx_i, NaN or not
+    if v == v or traj.B_over_S(i) == inp.x_tilde0:
+        return v
     return ratio_mean(dx_spec(traj, inp, i))
 
 
 def second_moment_dx(traj, inp, i):
     """E[dx_i^2], exact for alpha > 2."""
-    if traj.B_over_S(i) == inp.x_tilde0:
-        # c * c, not c ** 2: libm pow may round x^2 one ulp off x * x
-        c = _dx_constant(traj, inp, i)
-        return c * c
+    v = _moment_table(traj, inp)[3][i]
+    if v == v or traj.B_over_S(i) == inp.x_tilde0:
+        return v
     return ratio_second_moment(dx_spec(traj, inp, i))
 
 
@@ -198,17 +232,33 @@ def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
                      m_dx, se_dx, m_dx2, se_dx2, v_dx, vse_dx, n)
 
 
-def po_gain_spec(traj: ModelTrajectory, p0, alpha, r, i):
-    """Gamma-ratio spec of the propagated gain K_i = M_i^2 X / (S_i X + r),
-    rescaled by 1/S_i top and bottom so the coefficients stay bounded."""
-    u = float(r) * traj.inv_S(i)
-    return GammaRatioSpec(a=traj.M2_over_S(i), b=0.0, c=1.0, d=u,
+def _gain_spec(q, inv_s, p0, alpha, r):
+    return GammaRatioSpec(a=q, b=0.0, c=1.0, d=float(r) * inv_s,
                           alpha=float(alpha), p=float(p0))
 
 
+def po_gain_spec(traj: ModelTrajectory, p0, alpha, r, i):
+    """Gamma-ratio spec of the propagated gain K_i = M_i^2 X / (S_i X + r),
+    rescaled by 1/S_i top and bottom so the coefficients stay bounded."""
+    return _gain_spec(traj.M2_over_S(i), traj.inv_S(i), p0, alpha, r)
+
+
+@functools.lru_cache(maxsize=8)
+def _gain_table(traj, p0, alpha, r, n):
+    # E[K_i^n] (n = 1 or 4) at every step of traj, as a list of floats
+    spec = _gain_spec(np.array(traj.M2_over_S_seq), np.array(traj.inv_S_seq),
+                      p0, alpha, r)
+    if n == 1:
+        return ratio_mean(spec).tolist()
+    return (ratio_fourth_moment(spec) if alpha > 4.0 else np.full_like(spec.z, np.nan)).tolist()
+
+
 def _po_gain_moment(traj, p0, alpha, r, i, n):
-    # E[K_i^n] for n = 1 or 4; once r/S_i underflows to 0, K_i = q_i X/(X + 0)
-    # is q_i = M_i^2/S_i to double precision
+    # E[K_i^n] for n = 1 or 4, a NaN step through its own spec; once r/S_i
+    # underflows to 0, K_i = q_i X/(X + 0) is q_i = M_i^2/S_i to double precision
+    v = _gain_table(traj, p0, alpha, r, n)[i]
+    if v == v:
+        return v
     if r * traj.inv_S(i) == 0.0:
         return traj.M2_over_S(i) ** n
     spec = po_gain_spec(traj, p0, alpha, r, i)

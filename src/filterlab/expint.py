@@ -18,14 +18,16 @@ Two complementary evaluation schemes cover the domain:
     series has a simple pole in the order at every positive integer; the
     pole term from the Gamma prefactor and the offending series term are
     combined analytically through expm1, which keeps the evaluation
-    uniformly accurate arbitrarily close to integer orders.  The
-    order-only pieces of that prefactor are built by one helper, shared by
-    the scalar series and by the array series below.
+    uniformly accurate arbitrarily close to integer orders.
+
+One kernel, _FixedOrder, evaluates one order over an array of z: the
+series summed over a block of terms per row, the continued fraction one
+element at a time.  The inverse below and the gamma-ratio trajectory tables
+call it on arrays; expint_scaled is its one-element case.
 
 Both branches were checked against 50-digit quadrature of the defining
 integral over nu in [0, 201] x z in [1e-6, 700] including orders within
-1e-12 of integers; worst relative error observed was ~3e-15.  expint_scaled
-memoizes recent values in a bounded, thread-safe cache.
+1e-12 of integers; worst relative error observed was ~3e-15.
 
 The inverse problem scaled(alpha+1, z) = 1/alpha - delta is solved for a
 whole array of shifts delta at once.  By the recurrence DLMF 8.19.12,
@@ -173,43 +175,25 @@ def _pole_order(nu):
     return n, d, (-1.0) ** n * math.exp(-math.lgamma(n)), a, b
 
 
-def _pole_term(order, z, log_z, expm1):
-    # The prefactor c(z) for a float z (expm1 = math.expm1) or an array
-    # (np.expm1).  For n >= 1 it is the Gamma(1-nu) z^(nu-1) term plus the
-    # k = n-1 series term, which both blow up as d -> 0 while their sum
-    # stays finite:  c = (-1)^n z^(n-1) / Gamma(n) * h  with
+def _pole_term(order, z):
+    # The prefactor c(z) over an array z.  For n >= 1 it is the Gamma(1-nu)
+    # z^(nu-1) term plus the k = n-1 series term, which both blow up as
+    # d -> 0 while their sum stays finite:  c = (-1)^n z^(n-1) / Gamma(n) * h  with
     # h = expm1(d log z + a - b) / d, or log z - psi(n) at d = 0.
     n, d, scale, a, b = order
     if n == 0:
         return scale * z ** (d - 1.0)
-    h = log_z - b if d == 0.0 else expm1(d * log_z + a - b) / d
+    log_z = np.log(z)
+    h = log_z - b if d == 0.0 else np.expm1(d * log_z + a - b) / d
     return scale * z ** (n - 1.0) * h
-
-
-def _series_scaled(nu, z, maxit=700):
-    # Power series for 0 < z < 1, any real nu >= 0:
-    #   scaled(nu, z) = (c(z) - sum_{k != n-1} (-z)^k / (k! (k+1-nu))) e^z.
-    order = _pole_order(nu)
-    n = order[0]
-    s = 0.0
-    term = 1.0
-    k = 0
-    while k < maxit:
-        if k != n - 1:
-            inc = term / (k + 1.0 - nu)
-            s += inc
-            if k > n and abs(inc) < 1e-18 * max(abs(s), _TINY):
-                break
-        term *= -z / (k + 1.0)
-        k += 1
-    return (_pole_term(order, z, math.log(z), math.expm1) - s) * math.exp(z)
 
 
 class _FixedOrder:
     """scaled(nu, z) at one order for a 1-d array of z > 0.
 
-    Elements at z < 1 take the power series of _series_scaled.  Its
-    order-dependent pieces (the pole prefactor and the term coefficients
+    Elements at z < 1 take the power series
+        scaled(nu, z) = (c(z) - sum_{k != n-1} (-z)^k / (k! (k+1-nu))) e^z.
+    Its order-dependent pieces (the pole prefactor and the term coefficients
     1/(k+1-nu)) are built once; each call then sums a block of terms per
     row, in chunks of at most _BLOCK floats.  The series stops where the
     first dropped term z^K/K! is below 1e-18/(1+nu), a relative 6e-18 of
@@ -246,7 +230,7 @@ class _FixedOrder:
             np.divide.outer(-zc, self.k1[:terms - 1], out=block[:, 1:])
             np.cumprod(block, axis=1, out=block)
             s[lo:lo + rows] = block @ self.coef[:terms]
-        return (_pole_term(self.order, z, np.log(z), np.expm1) - s) * np.exp(z)
+        return (_pole_term(self.order, z) - s) * np.exp(z)
 
     def __call__(self, z):
         out = np.empty_like(z)
@@ -260,22 +244,17 @@ class _FixedOrder:
 
 
 def expint_scaled(nu, z):
-    """exp(z) * E_nu(z) for nu >= 0, z >= 0 (z > 0 when nu <= 1), memoized
-    in a bounded, thread-safe cache of 32 values; errors are never cached."""
+    """exp(z) * E_nu(z) for nu >= 0, z >= 0 (z > 0 when nu <= 1)."""
     if not (nu >= 0.0) or not (z >= 0.0):
         raise DomainError("expint_scaled requires nu >= 0 and z >= 0, got nu=%r z=%r" % (nu, z))
     if z == 0.0 and nu <= 1.0:
         raise DomainError("E_nu(0) diverges for nu <= 1 (nu=%r)" % (nu,))
-    return _scaled(float(nu), float(z))
-
-
-@functools.lru_cache(maxsize=32)
-def _scaled(nu, z):
+    nu, z = float(nu), float(z)
     if z == 0.0:
         return 1.0 / (nu - 1.0)
     if z >= 1.0:
         return _cf_scaled(nu, z)
-    return _series_scaled(nu, z)
+    return float(_FixedOrder(nu)._series(np.array([z]))[0])
 
 
 def expint(nu, z):

@@ -65,13 +65,15 @@ class ModelSequence:
         return cls(mag)
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelTrajectory:
     """Truth, observations, and the cumulative propagator ledger.
 
     Arrays are indexed by step i = 0..n where n = len(model).  The ledger is
     the five ratio sequences of the module docstring as Python floats, 1/S_i
     in inv_S_seq and X/S_i in X_over_S_seq; each accessor returns one step's.
+    A trajectory compares and hashes by identity: the closed-form tables of
+    discrepancy and skf are keyed on it.
     """
 
     model: ModelSequence

@@ -8,12 +8,14 @@ analysis variance and mean at step i have the closed forms
 
 which the recursion must reproduce exactly up to roundoff.  All closed
 forms are evaluated through the ratio ledger of the trajectory, so they do
-not degrade when M_i and S_i overflow.
+not degrade when M_i and S_i overflow, and for every step at once: the
+first skf_closed_form call for a (trajectory, x0, p0) builds the table that
+later steps index.
 """
 
-from dataclasses import dataclass
-
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,31 +102,32 @@ def skf_run(traj: ModelTrajectory, x0, p0, inflation=None):
     return states
 
 
-def _closed_analysis(traj, x0, p0, i):
+@functools.lru_cache(maxsize=8)
+def _closed_table(traj, x0, p0):
+    # closed-form analysis means and variances at every step, lists of floats
     r = traj.obs_variance
-    u = traj.r_over_S(i)
-    pa = r * p0 * traj.M2_over_S(i) / (p0 + u)
-    xa = (p0 * traj.MB_over_S(i) + traj.M_over_S(i) * r * x0) / (p0 + u)
-    return xa, pa
+    u = r * np.array(traj.inv_S_seq)
+    pa = r * p0 * np.array(traj.M2_over_S_seq) / (p0 + u)
+    xa = (p0 * np.array(traj.MB_over_S_seq) + np.array(traj.M_over_S_seq) * r * x0) / (p0 + u)
+    return xa.tolist(), pa.tolist()
 
 
 def skf_closed_form(traj: ModelTrajectory, x0, p0, i):
     """SkfState at step i straight from the closed forms (no recursion)."""
     i = int(i)
-    xa, pa = _closed_analysis(traj, x0, p0, i)
+    xa, pa = _closed_table(traj, x0, p0)
     if i == 0:
         xf, pf = float(x0), float(p0)
     else:
-        xa_prev, pa_prev = _closed_analysis(traj, x0, p0, i - 1)
         m = traj.model.values[i - 1]
-        xf, pf = m * xa_prev, m * m * pa_prev
+        xf, pf = m * xa[i - 1], m * m * pa[i - 1]
     return SkfState(
         step=i,
         mean_forecast=xf,
         var_forecast=pf,
-        gain=pa / traj.obs_variance,
-        mean_analysis=xa,
-        var_analysis=pa,
+        gain=pa[i] / traj.obs_variance,
+        mean_analysis=xa[i],
+        var_analysis=pa[i],
     )
 
 

@@ -5,14 +5,17 @@ stdout/stderr, and output files can be asserted directly.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import re
+import threading
 from pathlib import Path
 
 import pytest
 
 import filterlab.discrepancy as dsc
+import filterlab.skf as skf_module
 
 from filterlab.cli import (main, _INFL_COLS, _MC_COLS, _PO_COLS, _SKF_COLS, _SPENKF_COLS,
                            _STREAM_ENSEMBLE, _trajectory)
@@ -125,21 +128,33 @@ def test_different_seed_different_output(tmp_path, capsys):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_mc_verify_bytes_identical_across_threads(tmp_path, capsys):
+def test_mc_verify_bytes_identical_across_threads(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, {"seed": 4242, "steps": 3,
                                   "replicates": 5000, "ensemble_size": 16})
     outputs = []
     codes = []
-    for threads in ("1", "3"):
+    builds = []
+    for module, name in ((dsc, "_moment_table"), (skf_module, "_closed_table")):
+        build = getattr(module, name).__wrapped__
+
+        def recorded(*args, build=build, name=name):
+            builds.append((name, threading.current_thread() is threading.main_thread()))
+            return build(*args)
+        monkeypatch.setattr(module, name, functools.lru_cache(maxsize=8)(recorded))
+    for threads in ("1", "2", "3"):
         dest = tmp_path / ("mc_%s.csv" % threads)
+        builds.clear()
         code, _, err = run_cli(["mc-verify", "--config", cfg,
                                 "--threads", threads, "--out", str(dest)],
                                capsys)
         codes.append(code)
         outputs.append(dest.read_bytes())
         assert "mc-verify: 4 steps, 5000 replicates" in err
-    assert outputs[0] == outputs[1]
-    assert codes[0] == codes[1]
+        # each run's trajectory gets each table once, built on this thread
+        # before the worker pool starts
+        assert sorted(builds) == [("_closed_table", True), ("_moment_table", True)]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert codes[0] == codes[1] == codes[2]
 
 
 # ---------------------------------------------------------------- seed policy
@@ -576,8 +591,16 @@ def test_mv_bad_section_exits_2_naming_the_field(tmp_path, capsys, changes, fiel
     ("spenkf", {"ensemble_size": 2}, "config.ensemble_size: must be >= 3"),
     ("skf", {"model": {}}, "config.model.kind: missing required field"),
     ("mv", {"mv": {"Z": 1}}, "config.mv.Z: expected a list, got 1"),
+    ("skf", {"model": {"kind": "constant", "m": 2, "hgih": 3}},
+     "config.model.hgih: unknown field"),
+    ("skf", {"model": {"kind": "random_loguniform", "m": 0.5}},
+     "config.model.m: not read by kind 'random_loguniform'"),
+    ("skf", {"model": {"kind": "explicit", "values": [1.0], "signed": False}},
+     "config.model.signed: not read by kind 'explicit'"),
+    ("mv", {"mv": dict(_mv_demo()["mv"], p0=[1.0])}, "config.mv.p0: unknown field"),
 ], ids=["m-zero", "m-nan", "high-inf", "values-nan", "values-1e400", "ragged-rows",
-        "steps-zero", "ensemble-2", "model-no-kind", "mv-Z-number"])
+        "steps-zero", "ensemble-2", "model-no-kind", "mv-Z-number", "model-unknown-key",
+        "model-unread-key", "explicit-unread-key", "mv-unknown-key"])
 def test_bad_config_prints_one_config_line(tmp_path, capsys, cmd, cfg, line):
     path = tmp_path / "cfg.json"
     path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg), encoding="utf-8")
