@@ -104,19 +104,19 @@ def _schedule(cfg, traj, alpha, field):
 _GATE_SE = 4.0
 
 
-def _gated_rows(args, cols, one, n_rows, detail=""):
+def _gated_rows(args, cols, one, n_rows, warm, detail=""):
     # per-step rows, on worker threads when asked, written as CSV; the
     # verdict is on the largest gap in SE units over all of them, which is
-    # NaN if any gap is NaN, so a NaN cannot pass.  Step 0 runs first on
-    # this thread: it builds the trajectory's closed-form tables, once,
-    # before any worker could race to build them again.
-    rows = [one(0)]
-    rest = range(1, n_rows)
+    # NaN if any gap is NaN, so a NaN cannot pass.  warm() evaluates step
+    # 0's closed forms on this thread first: it builds the trajectory's
+    # tables once, before any worker could race to build them again.
+    warm()
+    steps = range(n_rows)
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows += pool.map(one, rest)
+            rows = list(pool.map(one, steps))
     else:
-        rows += map(one, rest)
+        rows = [one(i) for i in steps]
     worst = float(np.max([row[-1] for row in rows]))
     _write_csv(args.out, cols, rows)
     ok = worst <= _GATE_SE
@@ -280,7 +280,11 @@ def cmd_mc_verify(args):
                 float(sched.theta[i]), float(sched.phi[i]),
                 float(sched.psi[i]), float(np.max(gaps))]
 
-    return _gated_rows(args, _MC_COLS, one, traj.n_steps + 1,
+    def warm():
+        skf_closed_form(traj, cfg.x0, cfg.p0, 0)
+        dsc.expected_dp(traj, inp, 0)
+
+    return _gated_rows(args, _MC_COLS, one, traj.n_steps + 1, warm,
                        ", %d replicates" % cfg.replicates)
 
 
@@ -344,7 +348,11 @@ def cmd_po_penalty(args):
                 rep.cov_cross, rep.cov_cross_se, rep.second_R,
                 rep.exact_second_R, float(np.max(gaps))]
 
-    return _gated_rows(args, _PO_COLS, one, traj.n_steps + 1)
+    def warm():
+        dsc.po_gain_mean(traj, cfg.p0, alpha, cfg.r, 0)
+        dsc.po_variance_penalty(traj, cfg.p0, alpha, cfg.r, 0)
+
+    return _gated_rows(args, _PO_COLS, one, traj.n_steps + 1, warm)
 
 
 # ---------------------------------------------------------------- mv

@@ -58,6 +58,7 @@ __all__ = [
     "sample_moments",
     "mc_discrepancy_moments",
     "po_gain_spec",
+    "po_gain_mean",
     "po_variance_penalty",
     "PoReport",
     "po_mean_identity_check",
@@ -265,6 +266,11 @@ def _po_gain_moment(traj, p0, alpha, r, i, n):
     return ratio_mean(spec) if n == 1 else ratio_fourth_moment(spec)
 
 
+def po_gain_mean(traj, p0, alpha, r, i):
+    """E[K_i], the mean of the propagated gain, exact for alpha > 1."""
+    return _po_gain_moment(traj, p0, float(alpha), float(r), i, 1)
+
+
 def po_variance_penalty(traj, p0, alpha, r, i):
     """Extra analysis-variance term E[K_i^4] r^2 / alpha contributed by
     perturbing observations with sampled variance R ~ Gamma(alpha, r/alpha).
@@ -311,7 +317,7 @@ def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
     return PoReport(
         mean_P=m_p,
         mean_P_se=se_p,
-        analytic_mean_rK=r * _po_gain_moment(traj, p0, alpha, r, i, 1),
+        analytic_mean_rK=r * po_gain_mean(traj, p0, alpha, r, i),
         cov_cross=cov,
         cov_cross_se=cov_se,
         second_R=m_r2,

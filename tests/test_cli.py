@@ -128,19 +128,26 @@ def test_different_seed_different_output(tmp_path, capsys):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_mc_verify_bytes_identical_across_threads(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, {"seed": 4242, "steps": 3,
-                                  "replicates": 5000, "ensemble_size": 16})
-    outputs = []
-    codes = []
+def record_table_builds(monkeypatch, tables):
+    # (table, built on the main thread) for each table build
     builds = []
-    for module, name in ((dsc, "_moment_table"), (skf_module, "_closed_table")):
+    for module, name in tables:
         build = getattr(module, name).__wrapped__
 
         def recorded(*args, build=build, name=name):
             builds.append((name, threading.current_thread() is threading.main_thread()))
             return build(*args)
         monkeypatch.setattr(module, name, functools.lru_cache(maxsize=8)(recorded))
+    return builds
+
+
+def test_mc_verify_bytes_identical_across_threads(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {"seed": 4242, "steps": 3,
+                                  "replicates": 5000, "ensemble_size": 16})
+    outputs = []
+    codes = []
+    builds = record_table_builds(monkeypatch, ((dsc, "_moment_table"),
+                                               (skf_module, "_closed_table")))
     for threads in ("1", "2", "3"):
         dest = tmp_path / ("mc_%s.csv" % threads)
         builds.clear()
@@ -155,6 +162,21 @@ def test_mc_verify_bytes_identical_across_threads(tmp_path, capsys, monkeypatch)
         assert sorted(builds) == [("_closed_table", True), ("_moment_table", True)]
     assert outputs[0] == outputs[1] == outputs[2]
     assert codes[0] == codes[1] == codes[2]
+
+
+def test_po_penalty_builds_its_gain_tables_before_the_pool(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {"seed": 4242, "steps": 4, "replicates": 2000})
+    builds = record_table_builds(monkeypatch, ((dsc, "_gain_table"),))
+    outputs = []
+    for threads in ("1", "3"):
+        dest = tmp_path / ("po_%s.csv" % threads)
+        builds.clear()
+        run_cli(["po-penalty", "--config", cfg, "--threads", threads, "--out", str(dest)],
+                capsys)
+        outputs.append(dest.read_bytes())
+        # one table for E[K], one for E[K^4]
+        assert builds == [("_gain_table", True)] * 2
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------- seed policy

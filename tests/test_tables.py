@@ -49,7 +49,7 @@ def table_moments(traj, inp, i):
     gain = (traj, inp.p0, inp.alpha, inp.r, i)
     return (expected_dp(traj, inp, i), second_moment_dp(traj, inp, i),
             expected_dx(traj, inp, i), second_moment_dx(traj, inp, i),
-            dsc._po_gain_moment(*gain, 1), dsc._po_gain_moment(*gain, 4))
+            dsc.po_gain_mean(*gain), dsc._po_gain_moment(*gain, 4))
 
 
 # the moments benchmark's regime: |m| in [0.9, 1.1] over 100 steps, so z runs
@@ -156,7 +156,7 @@ def test_underflowed_r_over_s_takes_the_gain_limit():
     assert 500 < first < 600
     for i in (first - 1, first, 600):
         q = traj.M2_over_S(i)
-        gain = dsc._po_gain_moment(traj, 1.0, 5.0, 1.0, i, 1)
+        gain = dsc.po_gain_mean(traj, 1.0, 5.0, 1.0, i)
         penalty = po_variance_penalty(traj, 1.0, 5.0, 1.0, i)
         if i < first:
             spec = dsc.po_gain_spec(traj, 1.0, 5.0, 1.0, i)
@@ -170,7 +170,7 @@ def test_gain_fourth_moment_needs_alpha_above_four():
     traj = make_trajectory(15, 10)
     with pytest.raises(ValueError, match="fourth moment needs alpha > 4"):
         po_variance_penalty(traj, 1.0, 4.0, 1.0, 3)
-    assert math.isfinite(dsc._po_gain_moment(traj, 1.0, 4.0, 1.0, 3, 1))
+    assert math.isfinite(dsc.po_gain_mean(traj, 1.0, 4.0, 1.0, 3))
 
 
 # ---------------------------------------------------------------- keys
