@@ -224,7 +224,7 @@ class _FixedOrder:
         rows = max(1, _BLOCK // terms)
         for lo in range(0, len(z), rows):
             zc = z[lo:lo + rows]
-            # block[:, k] = (-z)^k / k!, the scalar recurrence term *= -z/(k+1)
+            # block[:, k] = (-z)^k / k!, by the recurrence term *= -z/(k+1)
             block = np.empty((len(zc), terms))
             block[:, 0] = 1.0
             np.divide.outer(-zc, self.k1[:terms - 1], out=block[:, 1:])

@@ -110,11 +110,11 @@ class GammaRatioSpec:
         np.divide(1.0 - (alpha - 1.0) * self._e1, z, out=e0, where=down)
         return e0
 
-    def _moment(self, value):
+    def _where_valid(self, value):
         # an array spec's value is NaN where the coefficients break a rule
         if not self._elementwise:
             return value
-        bad = ~((self.c > 0.0) & (self.d > 0.0)) | (self.a * self.d == self.b * self.c)
+        bad = np.logical_not((self.c > 0.0) & (self.d > 0.0)) | (self.a * self.d == self.b * self.c)
         return np.where(bad, np.nan, value)
 
 
@@ -146,7 +146,7 @@ def ratio_pdf(spec: GammaRatioSpec, y):
 def ratio_mean(spec: GammaRatioSpec):
     """E[Y], exact for alpha > 1."""
     a, b, c, p, alpha = spec.a, spec.b, spec.c, spec.p, spec.alpha
-    return spec._moment((alpha / c) * ((b / p) * spec._e1 + a * spec._e2))
+    return spec._where_valid((alpha / c) * ((b / p) * spec._e1 + a * spec._e2))
 
 
 def ratio_second_moment(spec: GammaRatioSpec):
@@ -161,7 +161,7 @@ def ratio_second_moment(spec: GammaRatioSpec):
     t1 = (alpha * alpha * b * (2.0 * a * p - b) / (c2 * p * p)) * spec._e1
     t2 = (alpha * a * ((alpha + 1.0) * a * p - 2.0 * alpha * b) / (c2 * p)) * spec._e2
     t3 = -(alpha * (alpha + 1.0) * a * a / c2) * e3
-    return spec._moment(t0 + t1 + t2 + t3)
+    return spec._where_valid(t0 + t1 + t2 + t3)
 
 
 def ratio_variance(spec: GammaRatioSpec):
@@ -195,4 +195,4 @@ def ratio_fourth_moment(spec: GammaRatioSpec):
     )
     bracket = poly - (ad / c) * nest * spec._e1
     a2, p2, c2 = a * a, p * p, c * c
-    return spec._moment(a2 * a2 / (6.0 * p2 * p2 * c2 * c2 * c2 * c) * bracket)
+    return spec._where_valid(a2 * a2 / (6.0 * p2 * p2 * c2 * c2 * c2 * c) * bracket)

@@ -158,3 +158,23 @@ def test_pdf_matches_histogram():
         mass, _ = quad(lambda y: ratio_pdf(spec, y), edges[k], edges[k + 1])
         se = math.sqrt(mass * (1.0 - mass) / n)
         assert abs(counts[k] / n - mass) < 4.0 * se + 1e-9
+
+
+def test_array_spec_is_elementwise():
+    # one Y per element, scalars broadcasting against arrays; an element
+    # that a float spec would reject (d = 0), or whose z underflows to 0,
+    # comes out NaN
+    specs = [GammaRatioSpec(float(s.a), 0.0, float(s.c), float(s.d), 8.0, 1.3)
+             for s in random_specs(606, 6, b_zero=True)]
+    a = np.array([s.a for s in specs] + [1.0, 1.0])
+    c = np.array([s.c for s in specs] + [1.0, 1e10])
+    d = np.array([s.d for s in specs] + [0.0, 5e-324])
+    spec = GammaRatioSpec(a, 0.0, c, d, 8.0, 1.3)
+    for fn in (ratio_mean, ratio_second_moment, ratio_fourth_moment):
+        got = fn(spec)
+        want = [fn(s) for s in specs]
+        assert type(want[0]) is float
+        np.testing.assert_allclose(got[:-2], want, rtol=1e-14, atol=0.0)
+        assert np.isnan(got[-2:]).all()
+    with pytest.raises(ValueError, match="c > 0"):
+        GammaRatioSpec(1.0, 0.0, 1.0, 0.0, 8.0, 1.3)
