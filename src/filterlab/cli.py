@@ -126,9 +126,12 @@ def _gated_rows(args, cols, one, n_rows, warm, detail=""):
     return 0 if ok else 1
 
 
-def _gap(i, stat, diff, se):
+def _gap(i, stat, diff, se, constant):
+    # constant: every replicate behind stat is the same double, so a zero
+    # SE is exact; otherwise the squared deviations underflowed
     if se == 0.0:
-        raise DomainError("step %d: the standard error of %s underflowed to 0" % (i, stat))
+        why = "is 0: every replicate is the same double" if constant else "underflowed to 0"
+        raise DomainError("step %d: the standard error of %s %s" % (i, stat, why))
     return abs(diff) / se
 
 
@@ -266,10 +269,11 @@ def cmd_mc_verify(args):
         a_dp2 = dsc.second_moment_dp(traj, inp, i)
         a_dx = dsc.expected_dx(traj, inp, i)
         a_dx2 = dsc.second_moment_dx(traj, inp, i)
-        gaps = [_gap(i, "dp_mean", a_dp - mc.mean_dp, mc.mean_dp_se),
-                _gap(i, "dp2", a_dp2 - mc.mean_dp2, mc.mean_dp2_se),
-                _gap(i, "dx_mean", a_dx - mc.mean_dx, mc.mean_dx_se),
-                _gap(i, "dx2", a_dx2 - mc.mean_dx2, mc.mean_dx2_se)]
+        const = mc.constant
+        gaps = [_gap(i, "dp_mean", a_dp - mc.mean_dp, mc.mean_dp_se, "mean_dp" in const),
+                _gap(i, "dp2", a_dp2 - mc.mean_dp2, mc.mean_dp2_se, "mean_dp2" in const),
+                _gap(i, "dx_mean", a_dx - mc.mean_dx, mc.mean_dx_se, "mean_dx" in const),
+                _gap(i, "dx2", a_dx2 - mc.mean_dx2, mc.mean_dx2_se, "mean_dx2" in const)]
         return [i, traj.M2_over_S(i), ref.mean_analysis, ref.var_analysis,
                 a_dp, mc.mean_dp, mc.mean_dp_se,
                 a_dp2 - a_dp * a_dp, mc.var_dp, mc.var_dp_se,
@@ -341,9 +345,12 @@ def cmd_po_penalty(args):
                                          cfg.replicates,
                                          RngSpec(cfg.seed, _STREAM_MC_BASE + i))
         k4 = rep.penalty * alpha / (cfg.r ** 2)
-        gaps = [_gap(i, "mean_P", rep.mean_P - rep.analytic_mean_rK, rep.mean_P_se),
-                _gap(i, "cov_cross", rep.cov_cross, rep.cov_cross_se),
-                _gap(i, "second_R", rep.second_R - rep.exact_second_R, rep.second_R_se)]
+        const = rep.constant
+        gaps = [_gap(i, "mean_P", rep.mean_P - rep.analytic_mean_rK, rep.mean_P_se,
+                     "mean_P" in const),
+                _gap(i, "cov_cross", rep.cov_cross, rep.cov_cross_se, "cov_cross" in const),
+                _gap(i, "second_R", rep.second_R - rep.exact_second_R, rep.second_R_se,
+                     "second_R" in const)]
         return [i, k4, rep.penalty, rep.mean_P, rep.analytic_mean_rK,
                 rep.cov_cross, rep.cov_cross_se, rep.second_R,
                 rep.exact_second_R, float(np.max(gaps))]

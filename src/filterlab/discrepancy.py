@@ -29,6 +29,30 @@ as (v - mean) ** 4 would send every replicate through libm pow, which numpy
 skips only for the exponents 2, 0.5, 1, 0 and -1, at ten times the cost of
 two multiplications.  Mean, mean SE and variance are bit-identical to
 numpy's mean, std and var of the same sample.
+
+The kernels work in place, with one replicate-sized buffer per live
+quantity, because at 1e5 replicates and more each array outgrows the L2
+cache and a fresh one per arithmetic step costs more than the arithmetic:
+
+    mc_discrepancy_moments (3 buffers)
+        x   the gamma draw X, then dx, then dx^2
+        xu  X + u, then the centring scratch of every reduction
+        dp  X r, times M_i^2/S_i, over X + u, minus the exact p_i: dp, then dp^2
+    po_mean_identity_check (4 buffers)
+        x   the gamma draw X, then K = (M_i^2/S_i) X / (X + r/S_i), then K^2 e
+        rr  the gamma draw R, then e = R - r, then e^2, P = rK + K^2 e and
+            the product of the centred terms, each in turn
+        den X + r/S_i, then rK
+        d   the centring scratch of every reduction
+
+Each sample is reduced with the scratch buffer as sample_moments' out, so
+it is still whole when a zero variance asks whether every replicate is the
+same double (McMoments.constant, PoReport.constant).  Every element goes
+through the same float operations, on the same operands and in the same
+order, as the plain array expressions in the comments: only the operands of
+a product are swapped, which is exact.  Nothing is re-associated, fused or
+shared between dp and dx (there is no common X/(X + u)), so the outputs are
+bit-identical to those expressions.
 """
 
 import functools
@@ -183,16 +207,22 @@ class McMoments:
     var_dx: float
     var_dx_se: float
     replicates: int
+    # the mean fields (of mean_dp, mean_dp2, mean_dx, mean_dx2) whose
+    # sample is one double repeated, so that their standard error is 0
+    constant: tuple = ()
 
 
-def sample_moments(v, fourth=False):
+def sample_moments(v, fourth=False, out=None):
     """Mean, its standard error, the ddof-1 variance and, with fourth=True,
     the variance's standard error (nan otherwise) of the sample v, from one
     centring pass: d = (v - mean)^2, squared in place again for the fourth
-    central moment rather than raised to ** 4 (see the module docstring)."""
+    central moment rather than raised to ** 4 (see the module docstring).
+
+    The pass writes d into out (a new array when None), which may be v
+    itself; the results do not depend on where d goes."""
     n = len(v)
     mean = float(np.mean(v))
-    d = v - mean
+    d = np.subtract(v, mean, out=out)
     d *= d
     var = float(np.sum(d)) / (n - 1)
     var_se = math.nan
@@ -200,6 +230,16 @@ def sample_moments(v, fourth=False):
         d *= d
         var_se = math.sqrt(max(float(np.mean(d)) - var * var, 0.0) / n)
     return mean, math.sqrt(var) / math.sqrt(n), var, var_se
+
+
+def _reduce(v, scratch, name, constant, fourth=False):
+    # sample_moments of v centred in scratch, so v is still whole when a
+    # zero variance leaves open whether every replicate is the same double
+    # (then name joins constant) or the squared deviations underflowed
+    res = sample_moments(v, fourth, scratch)
+    if res[2] == 0.0 and v.min() == v.max():
+        constant.append(name)
+    return res
 
 
 def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
@@ -219,18 +259,31 @@ def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
     r = inp.r
     xu = x + u
 
+    # dp = r * x * m2s / xu - pa_exact
     pa_exact = r * inp.p0 * m2s / (inp.p0 + u)
-    dp = r * x * m2s / xu - pa_exact
+    dp = np.multiply(x, r)
+    dp *= m2s
+    dp /= xu
+    dp -= pa_exact
 
+    # dx = (x * mbs + ms * r * x_tilde0) / xu - xa_exact, in x's buffer
     xa_exact = (inp.p0 * mbs + ms * r * inp.x0) / (inp.p0 + u)
-    dx = (x * mbs + ms * r * inp.x_tilde0) / xu - xa_exact
+    dx = x
+    dx *= mbs
+    dx += ms * r * inp.x_tilde0
+    dx /= xu
+    dx -= xa_exact
 
-    m_dp, se_dp, v_dp, vse_dp = sample_moments(dp, fourth=True)
-    m_dp2, se_dp2 = sample_moments(dp * dp)[:2]
-    m_dx, se_dx, v_dx, vse_dx = sample_moments(dx, fourth=True)
-    m_dx2, se_dx2 = sample_moments(dx * dx)[:2]
+    # xu is spent: it takes every centring pass, and the squares reuse dp, dx
+    constant = []
+    m_dp, se_dp, v_dp, vse_dp = _reduce(dp, xu, "mean_dp", constant, fourth=True)
+    dp *= dp
+    m_dp2, se_dp2 = _reduce(dp, xu, "mean_dp2", constant)[:2]
+    m_dx, se_dx, v_dx, vse_dx = _reduce(dx, xu, "mean_dx", constant, fourth=True)
+    dx *= dx
+    m_dx2, se_dx2 = _reduce(dx, xu, "mean_dx2", constant)[:2]
     return McMoments(m_dp, se_dp, m_dp2, se_dp2, v_dp, vse_dp,
-                     m_dx, se_dx, m_dx2, se_dx2, v_dx, vse_dx, n)
+                     m_dx, se_dx, m_dx2, se_dx2, v_dx, vse_dx, n, tuple(constant))
 
 
 def _gain_spec(q, inv_s, p0, alpha, r):
@@ -295,6 +348,9 @@ class PoReport:
     exact_second_R: float
     penalty: float
     replicates: int
+    # the fields (of mean_P, cov_cross, second_R) whose sample is one
+    # double repeated, so that their standard error is 0
+    constant: tuple = ()
 
 
 def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
@@ -303,17 +359,32 @@ def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
     alpha, r = float(alpha), float(r)
     x = gen.gamma(alpha, p0 / alpha, n)
     rr = gen.gamma(alpha, r / alpha, n)
-    k = traj.M2_over_S(i) * x / (x + r * traj.inv_S(i))
-    e = rr - r
-    a_term = r * k
-    b_term = k * k * e
+    # k = M2_over_S * x / (x + r * inv_S), in x's buffer
+    den = x + r * traj.inv_S(i)
+    k = x
+    k *= traj.M2_over_S(i)
+    k /= den
+    # e = rr - r, a_term = r * k, b_term = k * k * e
+    e = rr
+    e -= r
+    a_term = np.multiply(k, r, out=den)
+    b_term = k
+    b_term *= k
+    b_term *= e
 
-    m_p, se_p = sample_moments(a_term + b_term)[:2]
-    m_r2, se_r2 = sample_moments(e * e)[:2]
-    # centred in place: P has been reduced, so the terms are not needed again
+    # e is spent: its buffer holds e * e, P and the cross product in turn,
+    # and d takes every centring pass
+    constant = []
+    d = np.empty(n)
+    e *= e
+    m_r2, se_r2 = _reduce(e, d, "second_R", constant)[:2]
+    p = np.add(a_term, b_term, out=e)
+    m_p, se_p = _reduce(p, d, "mean_P", constant)[:2]
+    # P has been reduced, so the terms are centred in place
     a_term -= np.mean(a_term)
     b_term -= np.mean(b_term)
-    cov, cov_se = sample_moments(a_term * b_term)[:2]
+    cross = np.multiply(a_term, b_term, out=e)
+    cov, cov_se = _reduce(cross, d, "cov_cross", constant)[:2]
     return PoReport(
         mean_P=m_p,
         mean_P_se=se_p,
@@ -327,4 +398,5 @@ def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
         penalty=(po_variance_penalty(traj, p0, alpha, r, i)
                  if alpha > 4.0 else math.nan),
         replicates=n,
+        constant=tuple(constant),
     )

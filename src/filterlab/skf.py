@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 
+# smallest forecast variance an analysis accepts, here and in spenkf
+PF_MIN = 1e-300
+
+
 @dataclass(frozen=True)
 class SkfState:
     step: int
@@ -67,8 +71,10 @@ def skf_step(prev: SkfState, m, y, r, phi=1.0, psi=0.0):
     """Forecast through multiplier m, then apply the variance inflation phi
     and the mean shift psi, in that order, and assimilate observation y.
 
-    Raises TrajectoryRangeError("model", ...) when the forecast variance
-    m^2 p_a phi leaves double range.
+    Raises TrajectoryRangeError when the forecast variance m^2 p_a phi
+    leaves [PF_MIN, inf), naming "obs_variance" for one under the floor when
+    r itself is under it (every analysis variance is below r) and "model"
+    otherwise.
     """
     if m == 0.0:
         raise ValueError("model multiplier must be nonzero")
@@ -76,9 +82,10 @@ def skf_step(prev: SkfState, m, y, r, phi=1.0, psi=0.0):
     m = float(m)
     xf = m * prev.mean_analysis + float(psi)
     pf = m * m * prev.var_analysis * float(phi)
-    if not math.isfinite(pf):
-        raise TrajectoryRangeError("model", "step %d: the forecast variance "
-                                   "m^2 p_a leaves double range" % (prev.step + 1))
+    if not PF_MIN <= pf < math.inf:
+        param = "obs_variance" if pf < PF_MIN and r < PF_MIN else "model"
+        raise TrajectoryRangeError(param, "step %d: the forecast variance %g leaves "
+                                   "[%g, inf)" % (prev.step + 1, pf, PF_MIN))
     return _analyze(prev.step + 1, xf, pf, float(y), float(r))
 
 
@@ -89,7 +96,7 @@ def skf_run(traj: ModelTrajectory, x0, p0, inflation=None):
     correct every later forecast: fed the sampled (x0, phat0) of an
     ensemble run, this is that run's mean and variance.  Raises skf_step's
     TrajectoryRangeError at the first step whose forecast variance leaves
-    double range.
+    [PF_MIN, inf).
     """
     r = traj.obs_variance
     n = traj.n_steps
@@ -177,4 +184,4 @@ def skf_error_moments(traj: ModelTrajectory, x0, p0, i, replicates, spec: RngSpe
             -mi_over_si * r * prior_dev + p0 * sq * obs_part
         ) / (p0 + u)
         done += b
-    return ErrorMoments(*sample_moments(errs, fourth=True))
+    return ErrorMoments(*sample_moments(errs, fourth=True, out=errs))

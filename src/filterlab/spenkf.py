@@ -22,6 +22,7 @@ import numpy as np
 from .expint import expint_scaled_inverse_shifted, expint_scaled_inverse_shifted_array
 from .propagators import ModelTrajectory, TrajectoryRangeError
 from .rng import RngSpec, normal_polar
+from .skf import PF_MIN
 
 __all__ = [
     "EnsembleState",
@@ -63,10 +64,10 @@ class EnsembleState:
         """
         with np.errstate(over="ignore"):
             pf = _svar(anomalies)
-        if not _PF_MIN <= pf < math.inf:
-            raise TrajectoryRangeError("p0" if step == 0 else below if pf < _PF_MIN else "model",
+        if not PF_MIN <= pf < math.inf:
+            raise TrajectoryRangeError("p0" if step == 0 else below if pf < PF_MIN else "model",
                                        "step %d: the sampled forecast variance %g leaves "
-                                       "[%g, inf): degenerate ensemble" % (step, pf, _PF_MIN))
+                                       "[%g, inf): degenerate ensemble" % (step, pf, PF_MIN))
         return cls(step=step, phase="forecast", mean=mean, anomalies=anomalies,
                    sampled_var=pf)
 
@@ -77,10 +78,6 @@ class EnsembleState:
     @property
     def alpha(self):
         return 0.5 * len(self.anomalies)
-
-
-# smallest sampled forecast variance an analysis accepts
-_PF_MIN = 1e-300
 
 
 def _svar(anoms):
@@ -112,7 +109,7 @@ def spenkf_analyze(state: EnsembleState, y, r):
     if state.phase != "forecast":
         raise ValueError("can only analyze a forecast-phase state")
     pf = state.sampled_var
-    if pf < _PF_MIN:
+    if pf < PF_MIN:
         raise ValueError("degenerate ensemble: sampled variance underflowed")
     k = pf / (pf + r)
     pa = k * r
@@ -154,7 +151,7 @@ def spenkf_run(traj: ModelTrajectory, initial: EnsembleState,
     r = traj.obs_variance
     # every analysis variance is below r, so with r under the floor a
     # forecast variance under it is r's fault, not the model's
-    below = "obs_variance" if r < _PF_MIN else "model"
+    below = "obs_variance" if r < PF_MIN else "model"
     state = initial
     if inflation is not None:
         state = EnsembleState.forecast(0, state.mean,

@@ -662,6 +662,18 @@ def test_r_below_the_variance_floor_is_named(tmp_path, capsys, cmd, cfg, line):
     assert not dest.exists()
 
 
+def test_skf_with_r_below_the_variance_floor_exits_2_naming_r(tmp_path, capsys):
+    # p_a = k r is below r = 1e-320, so the first forecast variance is under
+    # spenkf's 1e-300 floor; past it the gains lost digits and still exited 0
+    dest = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, {"steps": 3, "r": 1e-320})
+    code, _, err = run_cli(["skf", "--config", cfg, "--seed", "1", "--out", str(dest)], capsys)
+    assert code == 2
+    assert err.startswith("skf: config.r: step 1: the forecast variance ")
+    assert len(err.splitlines()) == 1
+    assert not dest.exists()
+
+
 def test_tiny_r_spenkf_runs(tmp_path, capsys):
     # r/p_f = 1e-17: (1 - k) p_f rounded every analysis variance to 0
     code, out, _ = run_cli(["spenkf", "--config", write_config(tmp_path, {"steps": 3, "r": 1e-17}),
@@ -751,3 +763,18 @@ def test_zero_standard_error_exits_2_naming_step_and_statistic(tmp_path, capsys,
                             "--out", str(tmp_path / "out.csv")], capsys)
     assert code == 2
     assert err == "%s: step %d: the standard error of %s underflowed to 0\n" % (cmd, step, stat)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_constant_sample_exits_2_saying_so(tmp_path, capsys, threads):
+    # m = 2: once r/S_i is below about 1e-16 of X, X/(X + u) rounds to 1 and
+    # every replicate of dx_i is the same double; nothing underflowed
+    cfg = write_config(tmp_path, {"steps": 40, "ensemble_size": 8, "replicates": 2000,
+                                  "model": {"kind": "constant", "m": 2.0}})
+    dest = tmp_path / "out.csv"
+    code, _, err = run_cli(["mc-verify", "--config", cfg, "--seed", "1", "--threads",
+                            str(threads), "--out", str(dest)], capsys)
+    assert code == 2
+    assert err == ("mc-verify: step 29: the standard error of dx_mean is 0: "
+                   "every replicate is the same double\n")
+    assert not dest.exists()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from filterlab import (
     second_moment_dx,
     skf_closed_form,
 )
-from filterlab.discrepancy import dp_spec, dx_spec, po_gain_spec
+from filterlab.discrepancy import dp_spec, dx_spec, po_gain_spec, sample_moments
 from conftest import (VAR_SE_RTOL, make_trajectory, reference_mean_se,
                       reference_var_se)
 
@@ -93,6 +94,59 @@ def test_po_report_matches_reference_formulas(n):
     prod = (a_term - np.mean(a_term)) * (b_term - np.mean(b_term))
     assert (rep.cov_cross, rep.cov_cross_se) == reference_mean_se(prod)
     assert rep.replicates == n
+
+
+@pytest.mark.parametrize("fourth", [False, True])
+def test_sample_moments_in_place_matches_a_copy(fourth):
+    v = np.random.default_rng(3).gamma(4.0, 0.25, 10_001)
+    want = [x.hex() for x in sample_moments(v.copy(), fourth)]
+    scratch = np.empty_like(v)
+    kept = v.copy()
+    assert [x.hex() for x in sample_moments(v, fourth, out=scratch)] == want
+    assert np.array_equal(v, kept)
+    assert [x.hex() for x in sample_moments(v, fourth, out=v)] == want
+
+
+def _peak_bytes(call):
+    call()  # warm: the trajectory's ratios and every first-call allocation
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel,arrays", [("mc", 3), ("po", 4)])
+def test_monte_carlo_kernels_peak_at_their_live_buffers(kernel, arrays):
+    # one replicate-sized buffer per live quantity (see the discrepancy
+    # module docstring); a fresh array per arithmetic step peaked at 6 and 8
+    n = 100_000
+    traj = make_trajectory(7, 20)
+    if kernel == "mc":
+        inp = base_inputs(alpha=4.0, p_tilde0=1.4, x_tilde0=0.3, x0=0.1)
+        peak = _peak_bytes(lambda: mc_discrepancy_moments(traj, inp, 12, n, RngSpec(7, 12)))
+    else:
+        peak = _peak_bytes(lambda: po_mean_identity_check(traj, 1.3, 10.0, 2.0, 9, n,
+                                                          RngSpec(8, 9)))
+    assert peak <= arrays * 8 * n + 64 * 1024
+
+
+def test_constant_sample_is_told_from_an_underflowed_variance():
+    # m = 2: r/S_39 is about 1e-23 of X, so X/(X + u) rounds to 1 and every
+    # replicate of dx (and dx^2) is the same double
+    inp = base_inputs()
+    mc = mc_discrepancy_moments(make_trajectory(1, 40, kind="constant", m=2.0), inp,
+                                39, 2000, RngSpec(1, 39))
+    assert (mc.mean_dx_se, mc.mean_dx2_se) == (0.0, 0.0)
+    assert mc.constant == ("mean_dx", "mean_dx2")
+    # m = 0.3: dp^2 decays until its squared deviations underflow, though
+    # its replicates differ
+    mc = mc_discrepancy_moments(make_trajectory(1, 80, kind="constant", m=0.3),
+                                base_inputs(alpha=8.0), 77, 2000, RngSpec(1, 77))
+    assert mc.mean_dp2_se == 0.0
+    assert mc.constant == ()
 
 
 def test_variance_nonnegative():

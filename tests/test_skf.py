@@ -63,6 +63,16 @@ def test_run_stops_where_the_forecast_variance_leaves_range(inflated):
             skf_run(traj, 0.0, 1.0, sched)
 
 
+@pytest.mark.parametrize("r,param", [(1e-320, "obs_variance"), (1.0, "model")])
+def test_run_names_the_input_behind_a_forecast_variance_under_the_floor(r, param):
+    # p_a < r, so with r under 1e-300 the first forecast variance is too,
+    # whatever the model; with r = 1 a multiplier of 1e-160 takes it there
+    traj = make_trajectory(1, 3, r=r, kind=[1.0 if r < 1.0 else 1e-160, 1.0, 1.0])
+    with pytest.raises(TrajectoryRangeError,
+                       match=r"^%s: step 1: the forecast variance " % param):
+        skf_run(traj, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("ratio", [1e-17, 1e-10])
 def test_recursion_matches_closed_form_when_r_is_tiny(ratio):
     # (1 - k) p_f cancels once r << p_f (all of it at r/p_f = 1e-17); k r does not
