@@ -74,12 +74,13 @@ def _load(args, seeded=False):
     return cfg
 
 
-# the config field behind each library input, top level and in "mv"
+# the config field behind each library input, top level and in "mv": p0 is
+# an exact prior, phat0 the sampled variance of an initial ensemble
 _TRAJ_FIELDS = {"model": "model", "x0_truth": "x0_truth", "obs_variance": "r",
-                "p0": "p_tilde0"}
+                "p0": "p0", "phat0": "p_tilde0"}
 _MV_FIELDS = {"model": "mv.multipliers", "x0_truth": "mv.x0", "obs_variance": "mv.r_diag",
               "Z": "mv.Z", "multipliers": "mv.multipliers", "p0_diag": "mv.p0_diag",
-              "p0": "mv.p0_diag", "r_diag": "mv.r_diag", "x0": "mv.x0"}
+              "phat0": "mv.p0_diag", "r_diag": "mv.r_diag", "x0": "mv.x0"}
 
 
 def _trajectory(cfg):
@@ -344,7 +345,7 @@ def cmd_po_penalty(args):
         rep = dsc.po_mean_identity_check(traj, cfg.p0, alpha, cfg.r, i,
                                          cfg.replicates,
                                          RngSpec(cfg.seed, _STREAM_MC_BASE + i))
-        k4 = rep.penalty * alpha / (cfg.r ** 2)
+        k4 = dsc.po_gain_fourth(traj, cfg.p0, alpha, cfg.r, i)
         const = rep.constant
         gaps = [_gap(i, "mean_P", rep.mean_P - rep.analytic_mean_rK, rep.mean_P_se,
                      "mean_P" in const),

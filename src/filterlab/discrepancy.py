@@ -15,7 +15,8 @@ model sequences.
 The per-step closed forms index tables built a trajectory at a time: the
 first call for a (trajectory, inputs) pair evaluates one array spec over
 every step and keeps the moments in an 8-entry functools.lru_cache, keyed
-on the trajectory's identity.  A step the array spec leaves out (NaN) is
+on the trajectory's identity.  Every value equals that of the step's own
+scalar spec bit for bit.  A step the array spec leaves out (NaN) is
 evaluated again through its own spec, so it raises what it raised alone and
 no other step does.  Callers that fan steps out to threads evaluate one
 step first, so that each table is built once.
@@ -83,6 +84,7 @@ __all__ = [
     "mc_discrepancy_moments",
     "po_gain_spec",
     "po_gain_mean",
+    "po_gain_fourth",
     "po_variance_penalty",
     "PoReport",
     "po_mean_identity_check",
@@ -324,12 +326,17 @@ def po_gain_mean(traj, p0, alpha, r, i):
     return _po_gain_moment(traj, p0, float(alpha), float(r), i, 1)
 
 
+def po_gain_fourth(traj, p0, alpha, r, i):
+    """E[K_i^4], the fourth moment of the propagated gain, exact for alpha > 4."""
+    return _po_gain_moment(traj, p0, float(alpha), float(r), i, 4)
+
+
 def po_variance_penalty(traj, p0, alpha, r, i):
     """Extra analysis-variance term E[K_i^4] r^2 / alpha contributed by
     perturbing observations with sampled variance R ~ Gamma(alpha, r/alpha).
     Exact for alpha > 4."""
     alpha, r = float(alpha), float(r)
-    return _po_gain_moment(traj, p0, alpha, r, i, 4) * r * r / alpha
+    return po_gain_fourth(traj, p0, alpha, r, i) * r * r / alpha
 
 
 @dataclass(frozen=True)

@@ -14,20 +14,23 @@ Two complementary evaluation schemes cover the domain:
 
   * z >= 1: modified Lentz continued fraction, evaluated directly in the
     scaled form so no exponential factor is ever applied.
-  * 0 < z < 1: power series at the exact (real) order.  The classical
+  * 0 < z < 1: power series at the exact (real) order, summed by Horner's
+    rule over a fixed list of coefficients per order.  The classical
     series has a simple pole in the order at every positive integer; the
     pole term from the Gamma prefactor and the offending series term are
     combined analytically through expm1, which keeps the evaluation
     uniformly accurate arbitrarily close to integer orders.
 
-One kernel, _FixedOrder, evaluates one order over an array of z: the
-series summed over a block of terms per row, the continued fraction one
-element at a time.  The inverse below and the gamma-ratio trajectory tables
-call it on arrays; expint_scaled is its one-element case.
+One kernel, _scaled_array, evaluates one order over an array of z.  Each
+element goes through the same float operations whatever else the array
+holds, so a value does not depend on its batch: the inverse below and the
+gamma-ratio trajectory tables call it on arrays, and expint_scaled is its
+one-element case.
 
-Both branches were checked against 50-digit quadrature of the defining
-integral over nu in [0, 201] x z in [1e-6, 700] including orders within
-1e-12 of integers; worst relative error observed was ~3e-15.
+Against 50-digit quadrature of the defining integral, the worst relative
+error observed is 6.6e-15 on the series (at nu = 3.5; 40 z in [1e-6, 0.999]
+for 14 orders in [0.5, 1024], some within 1e-12 of an integer) and 4.3e-15
+on the continued fraction (orders 3.5 to 1026 over z in [1, 1e3]).
 
 The inverse problem scaled(alpha+1, z) = 1/alpha - delta is solved for a
 whole array of shifts delta at once.  By the recurrence DLMF 8.19.12,
@@ -43,12 +46,11 @@ secant needs two.  Newton started below the root (at the larger of the
 sandwich-bracket end and the tangent root at z = 0) climbs to it
 monotonically without overshooting, and every unresolved element takes
 its step together.  Elements below z = 1 evaluate scaled(alpha, z) with
-the power series summed over a block of terms per row at one fixed order.
-Elements at z >= 1 (about one root in a hundred along a long schedule)
-keep the scalar Lentz continued fraction, one element at a time: each
-fraction stops after its own number of terms, from a handful at large z
-to ~100 near z = 1, which a fixed-size array block could only match by
-always paying for the worst case.
+the Horner series at one fixed order.  Elements at z >= 1 (about one root
+in a hundred along a long schedule) keep the scalar Lentz continued
+fraction, one element at a time: each fraction stops after its own number
+of terms, from a handful at large z to ~100 near z = 1, which a fixed-size
+array block could only match by always paying for the worst case.
 """
 
 import functools
@@ -77,17 +79,16 @@ _Z_CAP = 700.0
 _INVERSE_RTOL = 1e-14
 _INVERSE_MAXIT = 200
 
-# Largest block of series terms summed in one pass (floats; 256 KiB), and
-# the most terms a row ever needs at z < 1.
-_BLOCK = 32768
-_MAX_TERMS = 48
+# The continued fraction stops at a step within this of 1, or after this many
+_CF_RTOL = 5e-16
+_CF_MAXIT = 20000
 
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the requested function."""
 
 
-def _cf_scaled(nu, z, tol=5e-16, maxit=20000):
+def _cf_scaled(nu, z):
     # Modified Lentz evaluation of the continued fraction
     #   1/(z+nu-) 1*(nu)/(z+nu+2-) 2*(nu+1)/(z+nu+4-) ...
     # which converges for z >= 1 at every nu >= 0.
@@ -95,7 +96,7 @@ def _cf_scaled(nu, z, tol=5e-16, maxit=20000):
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, maxit):
+    for i in range(1, _CF_MAXIT):
         a = -i * (nu - 1.0 + i)
         b += 2.0
         d = a * d + b
@@ -107,7 +108,7 @@ def _cf_scaled(nu, z, tol=5e-16, maxit=20000):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < _CF_RTOL:
             return h
     raise RuntimeError("continued fraction failed to converge at nu=%g z=%g" % (nu, z))
 
@@ -156,14 +157,23 @@ def _psi_int(n):
 
 @functools.lru_cache(maxsize=256)
 def _pole_order(nu):
-    # Order-only pieces (n, d, scale, a, b) of the series prefactor c(z),
-    # with n = round(nu) and d = nu - n; see _pole_term.  Cached: callers
-    # such as the gamma-ratio moments revisit a few orders many times, and
-    # the digamma and log-Gamma sums cost O(n).
+    # Order-only pieces (n, d, scale, a, b, coef) of the series, with
+    # n = round(nu) and d = nu - n; see _series.  Cached: callers such as
+    # the gamma-ratio moments revisit a few orders many times, and the
+    # digamma and log-Gamma sums cost O(n).
     n = int(round(nu))
     d = nu - n
+    # coef[k] = 1/(k! (k+1-nu)) for k < terms, 0 at the pole term k = n-1
+    # that c(z) carries.  The first dropped term z^terms/terms! is below
+    # 1/terms! <= 1e-18/(1+nu), a relative 6e-18 of the result (which
+    # exceeds 1/(1+nu)): 20 terms at nu = 0, 23 at nu = 1e4.
+    terms = 1
+    while math.factorial(terms) * (1e-18 / (1.0 + nu)) < 1.0:
+        terms += 1
+    coef = [0.0 if k == n - 1 else 1.0 / (math.factorial(k) * (k + 1.0 - nu))
+            for k in range(terms)]
     if n == 0:
-        return n, d, math.gamma(1.0 - nu), 0.0, 0.0
+        return n, d, math.gamma(1.0 - nu), 0.0, 0.0, coef
     if d == 0.0:
         a, b = 0.0, _psi_int(n)
     else:
@@ -172,75 +182,45 @@ def _pole_order(nu):
         # accuracy as d -> 0 (the direct log underflows against 1 below
         # |d| ~ 1e-8)
         a, b = _lgamma1p(d) + _lgamma1p(-d), _lgamma_shift(n, d)
-    return n, d, (-1.0) ** n * math.exp(-math.lgamma(n)), a, b
+    return n, d, (-1.0) ** n * math.exp(-math.lgamma(n)), a, b, coef
 
 
-def _pole_term(order, z):
-    # The prefactor c(z) over an array z.  For n >= 1 it is the Gamma(1-nu)
-    # z^(nu-1) term plus the k = n-1 series term, which both blow up as
-    # d -> 0 while their sum stays finite:  c = (-1)^n z^(n-1) / Gamma(n) * h  with
+def _series(nu, z):
+    # scaled(nu, z) over an array of 0 < z < 1 from the power series
+    #     scaled(nu, z) = (c(z) - sum_{k != n-1} (-z)^k / (k! (k+1-nu))) e^z,
+    # the sum by Horner's rule over the same coefficients at every z.  For
+    # n >= 1 the prefactor c(z) is the Gamma(1-nu) z^(nu-1) term plus the
+    # k = n-1 series term, which both blow up as d -> 0 while their sum stays
+    # finite:  c = (-1)^n z^(n-1) / Gamma(n) * h  with
     # h = expm1(d log z + a - b) / d, or log z - psi(n) at d = 0.
-    n, d, scale, a, b = order
+    n, d, scale, a, b, coef = _pole_order(nu)
     if n == 0:
-        return scale * z ** (d - 1.0)
-    log_z = np.log(z)
-    h = log_z - b if d == 0.0 else np.expm1(d * log_z + a - b) / d
-    return scale * z ** (n - 1.0) * h
+        c = scale * z ** (d - 1.0)
+    else:
+        log_z = np.log(z)
+        h = log_z - b if d == 0.0 else np.expm1(d * log_z + a - b) / d
+        c = scale * z ** (n - 1.0) * h
+    nz = -z
+    s = np.full_like(z, coef[-1])
+    for a_k in reversed(coef[:-1]):
+        s *= nz
+        s += a_k
+    return (c - s) * np.exp(z)
 
 
-class _FixedOrder:
-    """scaled(nu, z) at one order for a 1-d array of z > 0.
-
-    Elements at z < 1 take the power series
-        scaled(nu, z) = (c(z) - sum_{k != n-1} (-z)^k / (k! (k+1-nu))) e^z.
-    Its order-dependent pieces (the pole prefactor and the term coefficients
-    1/(k+1-nu)) are built once; each call then sums a block of terms per
-    row, in chunks of at most _BLOCK floats.  The series stops where the
-    first dropped term z^K/K! is below 1e-18/(1+nu), a relative 6e-18 of
-    the result (which exceeds 1/(1+nu)), so no call needs more than a few
-    dozen terms.  Elements at z >= 1 take the scalar Lentz continued
-    fraction one at a time.
-    """
-
-    def __init__(self, nu):
-        self.nu = nu
-        self.order = _pole_order(nu)
-        self.k1 = np.arange(1.0, _MAX_TERMS + 1.0)
-        denom = self.k1 - nu
-        pole = self.order[0] - 1  # the k = n-1 term, carried by c(z)
-        if 0 <= pole < _MAX_TERMS:
-            denom[pole] = np.inf
-        self.coef = 1.0 / denom
-        self.tol = 1e-18 / (1.0 + nu)
-
-    def _series(self, z):
-        # terms k < `terms` are kept; t bounds the first dropped one
-        zmax = float(z.max())
-        terms, t = 1, zmax
-        while t > self.tol and terms < _MAX_TERMS:
-            terms += 1
-            t *= zmax / terms
-        s = np.empty_like(z)
-        rows = max(1, _BLOCK // terms)
-        for lo in range(0, len(z), rows):
-            zc = z[lo:lo + rows]
-            # block[:, k] = (-z)^k / k!, by the recurrence term *= -z/(k+1)
-            block = np.empty((len(zc), terms))
-            block[:, 0] = 1.0
-            np.divide.outer(-zc, self.k1[:terms - 1], out=block[:, 1:])
-            np.cumprod(block, axis=1, out=block)
-            s[lo:lo + rows] = block @ self.coef[:terms]
-        return (_pole_term(self.order, z) - s) * np.exp(z)
-
-    def __call__(self, z):
-        out = np.empty_like(z)
-        small = z < 1.0
-        if small.any():
-            out[small] = self._series(z[small])
-        big = ~small
-        # Python floats: numpy scalars would slow the Lentz loop twofold
-        out[big] = [_cf_scaled(self.nu, t) for t in z[big].tolist()]
-        return out
+def _scaled_array(nu, z):
+    """scaled(nu, z) at one order for a 1-d array of z > 0: the Horner
+    series where z < 1, the scalar Lentz continued fraction one element at
+    a time elsewhere.  Every element takes the same float operations in any
+    batch, so it gets the value a one-element array would."""
+    out = np.empty_like(z)
+    small = z < 1.0
+    if small.any():
+        out[small] = _series(nu, z[small])
+    big = ~small
+    # Python floats: numpy scalars would slow the Lentz loop twofold
+    out[big] = [_cf_scaled(nu, t) for t in z[big].tolist()]
+    return out
 
 
 def expint_scaled(nu, z):
@@ -252,9 +232,7 @@ def expint_scaled(nu, z):
     nu, z = float(nu), float(z)
     if z == 0.0:
         return 1.0 / (nu - 1.0)
-    if z >= 1.0:
-        return _cf_scaled(nu, z)
-    return float(_FixedOrder(nu)._series(np.array([z]))[0])
+    return float(_scaled_array(nu, np.array([z]))[0])
 
 
 def expint(nu, z):
@@ -332,13 +310,12 @@ def expint_scaled_inverse_shifted_array(alpha, delta):
     # <= 0 is roundoff at the root and keeps the current lower bound.
     w = alpha * delta
     z = np.maximum(lo, (alpha - 1.0) * w)
-    scaled_alpha = _FixedOrder(alpha)
     pending = np.flatnonzero(z > 0.0)
     for _ in range(_INVERSE_MAXIT):
         if not pending.size:
             break
         za = z[pending]
-        s = scaled_alpha(za)
+        s = _scaled_array(alpha, za)
         h = za * s
         step = (w[pending] - h) / (alpha * s + h - 1.0)
         za = za + np.maximum(step, 0.0)

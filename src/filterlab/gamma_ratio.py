@@ -9,9 +9,10 @@ exponential integral at z = alpha*d/(c*p):
 
 The moments work elementwise: a spec with array coefficients (broadcasting
 together, one alpha and one p) gets arrays, each order of the scaled expint
-evaluated once per spec in one expint._FixedOrder pass over z, and NaN where
+evaluated once per spec in one expint._scaled_array pass over z, and NaN where
 an element breaks a coefficient rule or its z is 0 or not finite.  A spec of
-floats gets floats, through expint_scaled.
+floats gets floats, through expint_scaled, the same kernel on one element;
+each element of an array spec equals its float spec bit for bit.
 
 The closed forms below are exact for all alpha > 1 (alpha > 2, > 4 where
 the respective moment requires it); their floating-point accuracy degrades
@@ -27,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expint import _FixedOrder, expint_scaled
+from .expint import _scaled_array, expint_scaled
 
 __all__ = [
     "GammaRatioSpec",
@@ -47,7 +48,7 @@ def _scaled(nu, z):
         return expint_scaled(nu, z)
     out = np.full_like(z, np.nan)
     ok = (z > 0.0) & (z < np.inf)
-    out[ok] = _FixedOrder(nu)(z[ok])
+    out[ok] = _scaled_array(nu, z[ok])
     return out
 
 

@@ -61,9 +61,16 @@ def _analyze(step, xf, pf, y, r):
 
 
 def skf_start(x0, p0, y0, r):
-    """Step-0 state: forecast is the prior, followed by the first analysis."""
-    if not (p0 > 0.0 and r > 0.0):
-        raise ValueError("variances must be positive")
+    """Step-0 state: forecast is the prior, followed by the first analysis.
+
+    Raises TrajectoryRangeError naming "p0" when the prior variance leaves
+    [PF_MIN, inf), as skf_step does for a later forecast variance.
+    """
+    if not PF_MIN <= p0 < math.inf:
+        raise TrajectoryRangeError("p0", "step 0: the forecast variance %g leaves "
+                                   "[%g, inf)" % (p0, PF_MIN))
+    if not (r > 0.0):
+        raise ValueError("the observation variance must be positive")
     return _analyze(0, float(x0), float(p0), float(y0), float(r))
 
 

@@ -59,13 +59,13 @@ class EnsembleState:
         """Forecast-phase state whose sampled variance an analysis accepts.
 
         Raises TrajectoryRangeError when (1/N) a.a leaves [1e-300, inf),
-        naming "p0" at step 0, and at later steps the input named by below
+        naming "phat0" at step 0, and at later steps the input named by below
         for a variance under 1e-300 and "model" for one that overflows.
         """
         with np.errstate(over="ignore"):
             pf = _svar(anomalies)
         if not PF_MIN <= pf < math.inf:
-            raise TrajectoryRangeError("p0" if step == 0 else below if pf < PF_MIN else "model",
+            raise TrajectoryRangeError("phat0" if step == 0 else below if pf < PF_MIN else "model",
                                        "step %d: the sampled forecast variance %g leaves "
                                        "[%g, inf): degenerate ensemble" % (step, pf, PF_MIN))
         return cls(step=step, phase="forecast", mean=mean, anomalies=anomalies,
@@ -91,7 +91,7 @@ def sample_initial_ensemble(n_members, p0, x0, spec: RngSpec):
     phat0 = (1/N) a.a is exactly Gamma(N/2) scaled to mean p0.  The mean
     is carried separately, so the anomalies are not recentred; recentring
     would change the sampled-variance law to a chi-square with N-1 degrees
-    of freedom.  Raises TrajectoryRangeError("p0", ...) when phat0 leaves
+    of freedom.  Raises TrajectoryRangeError("phat0", ...) when phat0 leaves
     [1e-300, inf).
     """
     n = int(n_members)

@@ -561,6 +561,19 @@ def test_overflowing_forecast_exits_2_naming_the_field(tmp_path, capsys, cmd, wh
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("cmd,obj", [("skf", {"steps": 3, "p0": 1e-305}),
+                                     ("spenkf", {"steps": 3, "p0": 1e-305, "p_tilde0": 1.0})])
+def test_exact_prior_under_the_variance_floor_exits_2_naming_p0(tmp_path, capsys, cmd, obj):
+    # skf's prior, and spenkf's exact-prior reference run, start from config.p0
+    dest = tmp_path / "out.csv"
+    code, _, err = run_cli([cmd, "--config", write_config(tmp_path, obj), "--seed", "1",
+                            "--out", str(dest)], capsys)
+    assert code == 2
+    assert err == ("%s: config.p0: step 0: the forecast variance 1e-305 leaves "
+                   "[1e-300, inf)\n" % cmd)
+    assert not dest.exists()
+
+
 def test_degenerate_initial_ensemble_exits_2_naming_the_field(tmp_path, capsys):
     # phat0 of p0 = 1e-305 is below the smallest variance an analysis accepts
     cfg = write_config(tmp_path, {"steps": 3, "p0": 1e-305})
@@ -745,6 +758,22 @@ def test_po_penalty_nan_gap_fails(tmp_path, capsys, monkeypatch):
                             "--out", str(tmp_path / "po.csv")], capsys)
     assert code == 1
     assert "worst gap nan SE: FAIL" in err
+
+
+# the fourth-moment form itself overflows at d = r/S_i ~ 1e160 (its NaN
+# fails the gate); the point here is that no float pow raises
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_po_penalty_with_r_squared_beyond_double_range_writes_its_table(tmp_path, capsys):
+    # r^2 = 1e320 is not a double: gain_fourth is the closed form itself,
+    # not the penalty carried back through alpha / r^2
+    cfg = write_config(tmp_path, {"steps": 3, "r": 1e160})
+    dest = tmp_path / "po.csv"
+    code, _, err = run_cli(["po-penalty", "--config", cfg, "--seed", "1",
+                            "--out", str(dest)], capsys)
+    assert code == 1
+    assert "po-penalty: 4 steps, worst gap nan SE: FAIL" in err
+    header, rows = parse_csv(dest.read_text(encoding="utf-8"))
+    assert header[1] == "gain_fourth" and len(rows) == 4
 
 
 # ---------------------------------------------------------------- zero standard errors

@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterlab import DomainError, expint, expint_scaled, expint_scaled_inverse
-from filterlab.expint import _FixedOrder, expint_scaled_inverse_shifted_array
+from filterlab.expint import (
+    _scaled_array,
+    expint_scaled_inverse_shifted,
+    expint_scaled_inverse_shifted_array,
+)
 
 # Reference values of exp(z) * E_nu(z), 40-digit quadrature of
 # integral_0^inf exp(-z*u) (1+u)^(-nu) du, rounded to 17 significant digits.
@@ -155,6 +159,17 @@ def test_inverse_array_matches_50_digit_roots(alpha):
             expint_scaled_inverse_shifted_array(alpha, [d])
 
 
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_inverse_array_matches_the_scalar_entry_exactly(alpha):
+    # each root takes the same Newton steps alone as in a batch; the roots
+    # run from 0 through z = 1 to several alpha, short of the cap z = 700
+    top = (0.9 if alpha <= 50.0 else 0.5) / alpha
+    deltas = np.concatenate([[0.0, 1e-300], np.logspace(-12.0, 0.0, 300) * top])
+    got = expint_scaled_inverse_shifted_array(alpha, deltas)
+    assert got.max() > 1.0
+    assert got.tolist() == [expint_scaled_inverse_shifted(alpha, d) for d in deltas.tolist()]
+
+
 def test_inverse_array_one_bad_element_fails_the_whole_array():
     good = [0.0, 1e-6, 0.01]
     assert expint_scaled_inverse_shifted_array(4.0, good)[0] == 0.0
@@ -219,7 +234,25 @@ def _mp_orders(alpha, z):
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
 def test_array_kernel_matches_50_digit_quadrature(alpha):
-    got = [_FixedOrder(alpha + k)(KERNEL_Z) for k in (-1.0, 0.0, 1.0, 2.0)]
+    got = [_scaled_array(alpha + k, KERNEL_Z) for k in (-1.0, 0.0, 1.0, 2.0)]
     for j, z in enumerate(KERNEL_Z):
         for k, want in enumerate(_mp_orders(alpha, float(z))):
             assert abs(got[k][j] - want) <= 5e-14 * want, (alpha + k - 1.0, z, got[k][j], want)
+
+
+# orders within 1e-9 of an integer on either side, a half-integer and large
+# orders; z log-spaced over (0, 1) and packed across z = 1, shuffled so that
+# neighbours in the batch are unrelated
+BATCH_ORDERS = (0.3, 1.0 - 1e-9, 2.0 + 1e-9, 3.0 - 1e-10, 3.5, 8.0, 16.0 + 1e-9,
+                64.5, 1024.0)
+BATCH_Z = np.random.default_rng(0).permutation(
+    np.concatenate([np.logspace(-6.0, 0.0, 400, endpoint=False), np.linspace(0.9, 1.1, 101)]))
+
+
+@pytest.mark.parametrize("nu", BATCH_ORDERS)
+def test_array_kernel_gives_one_value_per_order_and_z(nu):
+    batch = _scaled_array(nu, BATCH_Z)
+    alone = [_scaled_array(nu, BATCH_Z[j:j + 1])[0] for j in range(len(BATCH_Z))]
+    np.testing.assert_array_equal(batch, alone)
+    # expint_scaled is the one-element case
+    assert batch.tolist() == [expint_scaled(nu, z) for z in BATCH_Z.tolist()]

@@ -3,9 +3,13 @@ in-process through filterlab.cli.main, must match the committed CSV in
 scripts/out/ byte for byte.
 
 The bytes are pinned on one numpy build: the Monte Carlo reductions sum in
-numpy's pairwise order, which a different build may change.
+numpy's pairwise order, which a different build may change.  A mismatch
+names each moved column with its column-scaled move, the largest
+|new - old| over the column's largest finite |old|, so the size of a
+regeneration shows in the failure.
 """
 
+import math
 import shlex
 from pathlib import Path
 
@@ -30,6 +34,32 @@ def _tables():
 TABLES = _tables()
 
 
+def _column_moves(new, old):
+    # "<column> <move>" for every column whose text differs; a value that
+    # turns non-finite, or a column of zeros, moves by inf
+    new_rows, old_rows = ([line.split(",") for line in text.decode().splitlines()]
+                          for text in (new, old))
+    if [len(r) for r in new_rows] != [len(r) for r in old_rows] or new_rows[0] != old_rows[0]:
+        return "the header or the table's shape changed"
+    moves = []
+    for j, name in enumerate(old_rows[0]):
+        pairs = [(float(n[j]), float(o[j])) for n, o in zip(new_rows[1:], old_rows[1:])
+                 if n[j] != o[j]]
+        if pairs:
+            scale = max([abs(float(o[j])) for o in old_rows[1:] if math.isfinite(float(o[j]))],
+                        default=0.0)
+            move = max(abs(a - b) if math.isfinite(a - b) else math.inf for a, b in pairs)
+            moves.append("%s %.1e" % (name, move / scale if scale else math.inf))
+    return "moved columns: " + ", ".join(moves)
+
+
+def test_column_moves_scale_each_moved_column():
+    old = b"step,a,b,c\n0,1,2,0\n1,-4,2,0\n"
+    new = b"step,a,b,c\n0,1.5,2,nan\n1,-4,2,0\n"
+    assert _column_moves(new, old) == "moved columns: a 1.2e-01, c inf"
+    assert _column_moves(b"step,a\n0,1\n", old) == "the header or the table's shape changed"
+
+
 def test_run_all_writes_six_tables():
     assert sorted(name for name, _ in TABLES) == sorted(
         p.name for p in (SCRIPTS / "out").glob("*.csv"))
@@ -41,4 +71,5 @@ def test_table_matches_committed_bytes(tmp_path, monkeypatch, capsys, name, argv
     monkeypatch.chdir(SCRIPTS)
     dest = tmp_path / name
     assert main(argv + ["--out", str(dest)]) == 0
-    assert dest.read_bytes() == (SCRIPTS / "out" / name).read_bytes()
+    new, old = dest.read_bytes(), (SCRIPTS / "out" / name).read_bytes()
+    assert new == old, _column_moves(new, old)

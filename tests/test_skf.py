@@ -73,6 +73,14 @@ def test_run_names_the_input_behind_a_forecast_variance_under_the_floor(r, param
         skf_run(traj, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("p0,shown", [(1e-305, "1e-305"), (0.0, "0"), (math.inf, "inf"),
+                                      (math.nan, "nan")])
+def test_start_names_p0_for_a_prior_outside_the_variance_range(p0, shown):
+    with pytest.raises(TrajectoryRangeError,
+                       match=r"^p0: step 0: the forecast variance %s leaves " % shown):
+        skf_start(0.0, p0, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("ratio", [1e-17, 1e-10])
 def test_recursion_matches_closed_form_when_r_is_tiny(ratio):
     # (1 - k) p_f cancels once r << p_f (all of it at r/p_f = 1e-17); k r does not

@@ -45,7 +45,7 @@ def test_initial_ensemble_rejects_degenerate(monkeypatch):
         sample_initial_ensemble(8, 1.0, 0.0, RngSpec(1, 0))
 
 
-@pytest.mark.parametrize("step,a,param,value", [(0, 1e-152, "p0", "1e-304"),
+@pytest.mark.parametrize("step,a,param,value", [(0, 1e-152, "phat0", "1e-304"),
                                                 (2, 1e200, "model", "inf")])
 def test_forecast_state_names_the_input_at_fault(step, a, param, value):
     # (1/N) a.a underflows below, or overflows, what an analysis accepts

@@ -3,9 +3,9 @@
 expected_dp, second_moment_dp, expected_dx, second_moment_dx,
 po_variance_penalty (and the gain mean of po_mean_identity_check) and
 skf_closed_form index a table built once per (trajectory, inputs).  These
-tests hold the tables to the scalar specs they replace: the same values,
-the same errors at the same steps, and keys that follow the trajectory's
-identity.
+tests hold the tables to the scalar specs they replace: the same values bit
+for bit, the same errors at the same steps, and keys that follow the
+trajectory's identity.
 """
 
 import dataclasses
@@ -49,7 +49,7 @@ def table_moments(traj, inp, i):
     gain = (traj, inp.p0, inp.alpha, inp.r, i)
     return (expected_dp(traj, inp, i), second_moment_dp(traj, inp, i),
             expected_dx(traj, inp, i), second_moment_dx(traj, inp, i),
-            dsc.po_gain_mean(*gain), dsc._po_gain_moment(*gain, 4))
+            dsc.po_gain_mean(*gain), dsc.po_gain_fourth(*gain))
 
 
 # the moments benchmark's regime: |m| in [0.9, 1.1] over 100 steps, so z runs
@@ -65,22 +65,10 @@ def test_table_matches_scalar_specs(seed, alpha):
     assert type(expected_dp(traj, inp, 3)) is float
     assert po_variance_penalty(traj, inp.p0, alpha, inp.r, 3) == \
         got[3, 5] * inp.r * inp.r / alpha
-    # where both z of the step are >= 1 the two routes run the same scalar
-    # continued fraction, and the same formula rounds alike for floats and
-    # arrays: bit for bit
-    cf = np.array([min(dsc.dp_spec(traj, inp, i).z,
-                       dsc.po_gain_spec(traj, inp.p0, alpha, inp.r, i).z) >= 1.0
-                   for i in steps])
-    np.testing.assert_array_equal(got[cf], want[cf])
-    # below z = 1 the block series sums its rows in a different order: the
-    # means agree to 1e-14 relative; the second and fourth moments cancel
-    # (roughly a digit per decade of alpha) and agree to 1e-14 of the
-    # largest value along the trajectory
-    for j in (0, 2, 4):
-        np.testing.assert_allclose(got[:, j], want[:, j], rtol=1e-14, atol=0.0)
-    for j in (1, 3, 5):
-        scale = np.abs(want[:, j]).max()
-        assert np.abs(got[:, j] - want[:, j]).max() <= 1e-14 * scale, j
+    # the scaled expint gives each (order, z) one value in any batch, and the
+    # same formula rounds alike for floats and arrays: bit for bit at every
+    # step, on both sides of the branch point z = 1
+    np.testing.assert_array_equal(got, want)
 
 
 def test_skf_closed_form_matches_the_step_formula():
@@ -138,12 +126,10 @@ def test_a_step_with_zero_r_over_s_raises_alone():
     for entry in (expected_dp, second_moment_dp, expected_dx, second_moment_dx):
         with pytest.raises(ValueError, match="need c > 0 and d > 0"):
             entry(broken, inp, k)
-        # the other steps evaluate as before, up to the block series' row
-        # order (see test_table_matches_scalar_specs)
+        # the other steps evaluate as before
         for i in range(traj.n_steps + 1):
             if i != k:
-                want = entry(traj, inp, i)
-                assert entry(broken, inp, i) == pytest.approx(want, rel=1e-13, abs=0.0)
+                assert entry(broken, inp, i) == entry(traj, inp, i)
     # the gain's r/S_k = 0 takes its limit q_k instead
     assert po_variance_penalty(broken, 1.1, 6.0, 0.8, k) == \
         broken.M2_over_S(k) ** 4 * 0.8 * 0.8 / 6.0
