@@ -105,19 +105,19 @@ def _schedule(cfg, traj, alpha, field):
 _GATE_SE = 4.0
 
 
-def _gated_rows(args, cols, one, n_rows, warm, detail=""):
-    # per-step rows, on worker threads when asked, written as CSV; the
-    # verdict is on the largest gap in SE units over all of them, which is
-    # NaN if any gap is NaN, so a NaN cannot pass.  warm() evaluates step
-    # 0's closed forms on this thread first: it builds the trajectory's
-    # tables once, before any worker could race to build them again.
-    warm()
-    steps = range(n_rows)
-    if args.threads > 1:
+def _gated_rows(args, cols, closed, one, n_rows, detail=""):
+    # closed(i), every step's closed forms, on this thread first: that builds
+    # each table once.  Then one(i, closed(i)) on args.threads threads, up to
+    # a step closed() refused, whose error is raised after those rows if none
+    # of them raises first.  The verdict is on the largest gap in SE units,
+    # NaN if any gap is NaN, so a NaN cannot pass.
+    forms = []
+    try:
+        for i in range(n_rows):
+            forms.append(closed(i))
+    finally:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one, steps))
-    else:
-        rows = [one(i) for i in steps]
+            rows = list(pool.map(one, range(len(forms)), forms))
     worst = float(np.max([row[-1] for row in rows]))
     _write_csv(args.out, cols, rows)
     ok = worst <= _GATE_SE
@@ -262,14 +262,15 @@ def cmd_mc_verify(args):
                               x_tilde0=cfg.x_tilde0, alpha=alpha, r=cfg.r)
     sched = _schedule(cfg, traj, alpha, "p0")
 
-    def one(i):
+    def closed(i):
+        return (skf_closed_form(traj, cfg.x0, cfg.p0, i),
+                dsc.expected_dp(traj, inp, i), dsc.second_moment_dp(traj, inp, i),
+                dsc.expected_dx(traj, inp, i), dsc.second_moment_dx(traj, inp, i))
+
+    def one(i, forms):
         mc = dsc.mc_discrepancy_moments(traj, inp, i, cfg.replicates,
                                         RngSpec(cfg.seed, _STREAM_MC_BASE + i))
-        ref = skf_closed_form(traj, cfg.x0, cfg.p0, i)
-        a_dp = dsc.expected_dp(traj, inp, i)
-        a_dp2 = dsc.second_moment_dp(traj, inp, i)
-        a_dx = dsc.expected_dx(traj, inp, i)
-        a_dx2 = dsc.second_moment_dx(traj, inp, i)
+        ref, a_dp, a_dp2, a_dx, a_dx2 = forms
         const = mc.constant
         gaps = [_gap(i, "dp_mean", a_dp - mc.mean_dp, mc.mean_dp_se, "mean_dp" in const),
                 _gap(i, "dp2", a_dp2 - mc.mean_dp2, mc.mean_dp2_se, "mean_dp2" in const),
@@ -285,11 +286,7 @@ def cmd_mc_verify(args):
                 float(sched.theta[i]), float(sched.phi[i]),
                 float(sched.psi[i]), float(np.max(gaps))]
 
-    def warm():
-        skf_closed_form(traj, cfg.x0, cfg.p0, 0)
-        dsc.expected_dp(traj, inp, 0)
-
-    return _gated_rows(args, _MC_COLS, one, traj.n_steps + 1, warm,
+    return _gated_rows(args, _MC_COLS, closed, one, traj.n_steps + 1,
                        ", %d replicates" % cfg.replicates)
 
 
@@ -341,26 +338,26 @@ def cmd_po_penalty(args):
     traj = _trajectory(cfg)
     alpha = 0.5 * cfg.ensemble_size
 
-    def one(i):
+    def closed(i):
+        # the tables po_mean_identity_check reads too
+        return (cfg.r * dsc.po_gain_mean(traj, cfg.p0, alpha, cfg.r, i),
+                dsc.po_gain_fourth(traj, cfg.p0, alpha, cfg.r, i))
+
+    def one(i, forms):
         rep = dsc.po_mean_identity_check(traj, cfg.p0, alpha, cfg.r, i,
                                          cfg.replicates,
                                          RngSpec(cfg.seed, _STREAM_MC_BASE + i))
-        k4 = dsc.po_gain_fourth(traj, cfg.p0, alpha, cfg.r, i)
+        mean_rk, k4 = forms
         const = rep.constant
-        gaps = [_gap(i, "mean_P", rep.mean_P - rep.analytic_mean_rK, rep.mean_P_se,
-                     "mean_P" in const),
+        gaps = [_gap(i, "mean_P", rep.mean_P - mean_rk, rep.mean_P_se, "mean_P" in const),
                 _gap(i, "cov_cross", rep.cov_cross, rep.cov_cross_se, "cov_cross" in const),
                 _gap(i, "second_R", rep.second_R - rep.exact_second_R, rep.second_R_se,
                      "second_R" in const)]
-        return [i, k4, rep.penalty, rep.mean_P, rep.analytic_mean_rK,
+        return [i, k4, rep.penalty, rep.mean_P, mean_rk,
                 rep.cov_cross, rep.cov_cross_se, rep.second_R,
                 rep.exact_second_R, float(np.max(gaps))]
 
-    def warm():
-        dsc.po_gain_mean(traj, cfg.p0, alpha, cfg.r, 0)
-        dsc.po_variance_penalty(traj, cfg.p0, alpha, cfg.r, 0)
-
-    return _gated_rows(args, _PO_COLS, one, traj.n_steps + 1, warm)
+    return _gated_rows(args, _PO_COLS, closed, one, traj.n_steps + 1)
 
 
 # ---------------------------------------------------------------- mv

@@ -12,14 +12,14 @@ assembled from the trajectory's ratio ledger; nothing here evaluates M_i or
 S_i directly, which keeps every spec well scaled for long or unstable
 model sequences.
 
-The per-step closed forms index tables built a trajectory at a time: the
-first call for a (trajectory, inputs) pair evaluates one array spec over
-every step and keeps the moments in an 8-entry functools.lru_cache, keyed
-on the trajectory's identity.  Every value equals that of the step's own
-scalar spec bit for bit.  A step the array spec leaves out (NaN) is
-evaluated again through its own spec, so it raises what it raised alone and
-no other step does.  Callers that fan steps out to threads evaluate one
-step first, so that each table is built once.
+The per-step closed forms read tables built a trajectory at a time, and
+nothing else: the first call for a (trajectory, inputs) pair evaluates one
+array spec over every step and keeps the moments and the spec in an
+8-entry functools.lru_cache, keyed on the trajectory's identity.  Every
+value equals that of the step's scalar spec (dp_spec, dx_spec,
+po_gain_spec) bit for bit.  A NaN row raises DomainError naming the step
+and the coefficient rule it breaks, or the moment's error for an alpha
+below its order; any other NaN is returned as it is.
 
 The Monte Carlo checks (mc_discrepancy_moments, po_mean_identity_check and
 skf.skf_error_moments) reduce their samples with one function,
@@ -62,6 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expint import DomainError
 from .gamma_ratio import (
     GammaRatioSpec,
     ratio_fourth_moment,
@@ -147,9 +148,9 @@ def dx_spec(traj: ModelTrajectory, inp: PerturbedInputs, i):
 
 @functools.lru_cache(maxsize=8)
 def _moment_table(traj, inp):
-    # E[dp_i], E[dx_i], E[dp_i^2], E[dx_i^2] at every step of traj, as lists
-    # of floats; NaN marks a step the array spec leaves out.  dp and dx
-    # share z, so one spec with a row for each evaluates every order once.
+    # E[dp_i], E[dx_i], E[dp_i^2], E[dx_i^2] at every step of traj as lists
+    # of floats, then their spec.  dp and dx share z, so one spec with a row
+    # for each evaluates every order once.
     ledger = [np.array(s) for s in (traj.inv_S_seq, traj.M2_over_S_seq,
                                     traj.M_over_S_seq, traj.B_over_S_seq)]
     dp, dx, c, d = _coefs(inp, *ledger)
@@ -162,36 +163,44 @@ def _moment_table(traj, inp):
     k = dx[0][const] / c[const]
     mean[1, const] = k
     second[1, const] = k * k  # not k ** 2: pow may round x^2 one ulp off x * x
-    return (*mean.tolist(), *second.tolist())
+    return (*mean.tolist(), *second.tolist(), spec)
+
+
+def _nan_row(spec, index, i, name, moment):
+    # a NaN row, element index of spec: the rule step i breaks, else the
+    # moment's own error for an alpha below its order, else the NaN itself
+    why = spec.refusal(index)
+    if why:
+        raise DomainError("step %d: %s: %s" % (i, name, why))
+    return float(moment(spec)[index])
 
 
 def expected_dp(traj, inp, i):
     """E[dp_i], exact for alpha > 1."""
-    v = _moment_table(traj, inp)[0][i]
-    return v if v == v else ratio_mean(dp_spec(traj, inp, i))
+    table = _moment_table(traj, inp)
+    v = table[0][i]
+    return v if v == v else _nan_row(table[4], (0, i), i, "dp", ratio_mean)
 
 
 def second_moment_dp(traj, inp, i):
     """E[dp_i^2], exact for alpha > 2."""
-    v = _moment_table(traj, inp)[2][i]
-    return v if v == v else ratio_second_moment(dp_spec(traj, inp, i))
+    table = _moment_table(traj, inp)
+    v = table[2][i]
+    return v if v == v else _nan_row(table[4], (0, i), i, "dp", ratio_second_moment)
 
 
 def expected_dx(traj, inp, i):
     """E[dx_i], exact for alpha > 1."""
-    v = _moment_table(traj, inp)[1][i]
-    # a step with B_i/S_i == x_tilde0 holds the constant dx_i, NaN or not
-    if v == v or traj.B_over_S(i) == inp.x_tilde0:
-        return v
-    return ratio_mean(dx_spec(traj, inp, i))
+    table = _moment_table(traj, inp)
+    v = table[1][i]
+    return v if v == v else _nan_row(table[4], (1, i), i, "dx", ratio_mean)
 
 
 def second_moment_dx(traj, inp, i):
     """E[dx_i^2], exact for alpha > 2."""
-    v = _moment_table(traj, inp)[3][i]
-    if v == v or traj.B_over_S(i) == inp.x_tilde0:
-        return v
-    return ratio_second_moment(dx_spec(traj, inp, i))
+    table = _moment_table(traj, inp)
+    v = table[3][i]
+    return v if v == v else _nan_row(table[4], (1, i), i, "dx", ratio_second_moment)
 
 
 @dataclass(frozen=True)
@@ -301,34 +310,28 @@ def po_gain_spec(traj: ModelTrajectory, p0, alpha, r, i):
 
 @functools.lru_cache(maxsize=8)
 def _gain_table(traj, p0, alpha, r, n):
-    # E[K_i^n] (n = 1 or 4) at every step of traj, as a list of floats
-    spec = _gain_spec(np.array(traj.M2_over_S_seq), np.array(traj.inv_S_seq),
-                      p0, alpha, r)
-    if n == 1:
-        return ratio_mean(spec).tolist()
-    return (ratio_fourth_moment(spec) if alpha > 4.0 else np.full_like(spec.z, np.nan)).tolist()
-
-
-def _po_gain_moment(traj, p0, alpha, r, i, n):
-    # E[K_i^n] for n = 1 or 4, a NaN step through its own spec; once r/S_i
-    # underflows to 0, K_i = q_i X/(X + 0) is q_i = M_i^2/S_i to double precision
-    v = _gain_table(traj, p0, alpha, r, n)[i]
-    if v == v:
-        return v
-    if r * traj.inv_S(i) == 0.0:
-        return traj.M2_over_S(i) ** n
-    spec = po_gain_spec(traj, p0, alpha, r, i)
-    return ratio_mean(spec) if n == 1 else ratio_fourth_moment(spec)
+    # E[K_i^n] (n = 1 or 4) at every step of traj as a list of floats, and its spec
+    spec = _gain_spec(np.array(traj.M2_over_S_seq), np.array(traj.inv_S_seq), p0, alpha, r)
+    moments = (ratio_mean(spec) if n == 1 else ratio_fourth_moment(spec)).tolist()
+    # once r/S_i underflows to 0, K_i = q_i X/(X + 0) is q_i to double
+    # precision; a Python float ** rounds as the scalar q_i ** n does
+    for i in np.flatnonzero(spec.d == 0.0).tolist():
+        moments[i] = traj.M2_over_S(i) ** n
+    return moments, spec
 
 
 def po_gain_mean(traj, p0, alpha, r, i):
     """E[K_i], the mean of the propagated gain, exact for alpha > 1."""
-    return _po_gain_moment(traj, p0, float(alpha), float(r), i, 1)
+    moments, spec = _gain_table(traj, p0, float(alpha), float(r), 1)
+    v = moments[i]
+    return v if v == v else _nan_row(spec, i, i, "K", ratio_mean)
 
 
 def po_gain_fourth(traj, p0, alpha, r, i):
     """E[K_i^4], the fourth moment of the propagated gain, exact for alpha > 4."""
-    return _po_gain_moment(traj, p0, float(alpha), float(r), i, 4)
+    moments, spec = _gain_table(traj, p0, float(alpha), float(r), 4)
+    v = moments[i]
+    return v if v == v else _nan_row(spec, i, i, "K", ratio_fourth_moment)
 
 
 def po_variance_penalty(traj, p0, alpha, r, i):

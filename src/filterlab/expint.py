@@ -5,15 +5,16 @@ The central object is the scaled function
     scaled(nu, z) = exp(z) * integral_1^inf exp(-z*t) t^(-nu) dt
                   = integral_0^inf exp(-z*u) (1+u)^(-nu) du
 
-for real order nu >= 0 and z >= 0.  Working with the scaled form avoids the
-exp(-z) underflow that makes the unscaled integral vanish below 1e-300 for
-z beyond ~700, and it is the quantity every downstream formula actually
-consumes.
+for real order nu >= 0 and z in [0, inf].  Working with the scaled form
+avoids the exp(-z) underflow that makes the unscaled integral vanish below
+1e-300 for z beyond ~700, and it is the quantity every downstream formula
+actually consumes.  The kernel takes the limits 1/(nu-1) at z = 0 (inf for
+nu <= 1, where expint_scaled raises DomainError) and 0 at z = inf.
 
-Two complementary evaluation schemes cover the domain:
+Two complementary evaluation schemes cover the rest:
 
-  * z >= 1: modified Lentz continued fraction, evaluated directly in the
-    scaled form so no exponential factor is ever applied.
+  * 1 <= z < inf: modified Lentz continued fraction, evaluated directly in
+    the scaled form so no exponential factor is ever applied.
   * 0 < z < 1: power series at the exact (real) order, summed by Horner's
     rule over a fixed list of coefficients per order.  The classical
     series has a simple pole in the order at every positive integer; the
@@ -91,7 +92,12 @@ class DomainError(ValueError):
 def _cf_scaled(nu, z):
     # Modified Lentz evaluation of the continued fraction
     #   1/(z+nu-) 1*(nu)/(z+nu+2-) 2*(nu+1)/(z+nu+4-) ...
-    # which converges for z >= 1 at every nu >= 0.
+    # which converges for z >= 1 at every nu >= 0; the limits 1/(nu-1) at
+    # z = 0 (inf for nu <= 1) and 0 at z = inf, and NaN off the domain.
+    if not 0.0 < z < math.inf:
+        if z == 0.0:
+            return 1.0 / (nu - 1.0) if nu > 1.0 else math.inf
+        return 0.0 if z == math.inf else math.nan
     b = z + nu
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -209,30 +215,27 @@ def _series(nu, z):
 
 
 def _scaled_array(nu, z):
-    """scaled(nu, z) at one order for a 1-d array of z > 0: the Horner
-    series where z < 1, the scalar Lentz continued fraction one element at
-    a time elsewhere.  Every element takes the same float operations in any
-    batch, so it gets the value a one-element array would."""
+    """scaled(nu, z) at one order for a 1-d array of z in [0, inf]: the
+    Horner series where 0 < z < 1, _cf_scaled one element at a time
+    elsewhere (NaN for a NaN z).  Every element takes the same float
+    operations in any batch, so it gets the value a one-element array would."""
     out = np.empty_like(z)
-    small = z < 1.0
+    small = (z > 0.0) & (z < 1.0)
     if small.any():
         out[small] = _series(nu, z[small])
-    big = ~small
+    rest = ~small
     # Python floats: numpy scalars would slow the Lentz loop twofold
-    out[big] = [_cf_scaled(nu, t) for t in z[big].tolist()]
+    out[rest] = [_cf_scaled(nu, t) for t in z[rest].tolist()]
     return out
 
 
 def expint_scaled(nu, z):
-    """exp(z) * E_nu(z) for nu >= 0, z >= 0 (z > 0 when nu <= 1)."""
+    """exp(z) * E_nu(z) for nu >= 0, z >= 0 (z > 0 when nu <= 1), 0 at z = inf."""
     if not (nu >= 0.0) or not (z >= 0.0):
         raise DomainError("expint_scaled requires nu >= 0 and z >= 0, got nu=%r z=%r" % (nu, z))
     if z == 0.0 and nu <= 1.0:
         raise DomainError("E_nu(0) diverges for nu <= 1 (nu=%r)" % (nu,))
-    nu, z = float(nu), float(z)
-    if z == 0.0:
-        return 1.0 / (nu - 1.0)
-    return float(_scaled_array(nu, np.array([z]))[0])
+    return float(_scaled_array(float(nu), np.array([float(z)]))[0])
 
 
 def expint(nu, z):

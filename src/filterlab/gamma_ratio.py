@@ -10,9 +10,9 @@ exponential integral at z = alpha*d/(c*p):
 The moments work elementwise: a spec with array coefficients (broadcasting
 together, one alpha and one p) gets arrays, each order of the scaled expint
 evaluated once per spec in one expint._scaled_array pass over z, and NaN where
-an element breaks a coefficient rule or its z is 0 or not finite.  A spec of
-floats gets floats, through expint_scaled, the same kernel on one element;
-each element of an array spec equals its float spec bit for bit.
+an element breaks a coefficient rule (GammaRatioSpec.refusal says which).  A
+spec of floats gets floats through expint_scaled, the same kernel on one
+element, so each element of an array spec equals its float spec bit for bit.
 
 The closed forms below are exact for all alpha > 1 (alpha > 2, > 4 where
 the respective moment requires it); their floating-point accuracy degrades
@@ -43,13 +43,8 @@ __all__ = [
 
 def _scaled(nu, z):
     # scaled(nu, z) elementwise: a float through expint_scaled, an array in
-    # one fixed-order pass over its elements with 0 < z < inf, NaN elsewhere
-    if not isinstance(z, np.ndarray):
-        return expint_scaled(nu, z)
-    out = np.full_like(z, np.nan)
-    ok = (z > 0.0) & (z < np.inf)
-    out[ok] = _scaled_array(nu, z[ok])
-    return out
+    # one fixed-order pass of the same kernel, which gives NaN for a NaN z
+    return _scaled_array(nu, z) if isinstance(z, np.ndarray) else expint_scaled(nu, z)
 
 
 @dataclass(frozen=True)
@@ -70,11 +65,9 @@ class GammaRatioSpec:
     p: float
 
     def __post_init__(self):
-        if not self._elementwise:
-            if not (self.c > 0.0 and self.d > 0.0):
-                raise ValueError("need c > 0 and d > 0")
-            if self.a * self.d == self.b * self.c:
-                raise ValueError("a*d == b*c makes Y constant")
+        why = not self._elementwise and self.refusal()
+        if why:
+            raise ValueError(why)
         if not (self.alpha > 1.0):
             raise ValueError("need alpha > 1")
         if not (self.p > 0.0):
@@ -111,12 +104,23 @@ class GammaRatioSpec:
         np.divide(1.0 - (alpha - 1.0) * self._e1, z, out=e0, where=down)
         return e0
 
+    def _rules(self):
+        # c > 0 and d > 0 (the denominator stays off 0 on X > 0), and
+        # a*d != b*c (Y is not constant): bools, elementwise for arrays
+        return (self.c > 0.0) & (self.d > 0.0), self.a * self.d != self.b * self.c
+
+    def refusal(self, index=()):
+        """Why the spec (element index of an array spec) breaks a rule, or None."""
+        shape = np.broadcast(self.a, self.b, self.c, self.d).shape
+        whys = ("need c > 0 and d > 0", "a*d == b*c makes Y constant")
+        return next((why for kept, why in zip(self._rules(), whys)
+                     if not np.broadcast_to(kept, shape)[index]), None)
+
     def _where_valid(self, value):
         # an array spec's value is NaN where the coefficients break a rule
         if not self._elementwise:
             return value
-        bad = np.logical_not((self.c > 0.0) & (self.d > 0.0)) | (self.a * self.d == self.b * self.c)
-        return np.where(bad, np.nan, value)
+        return np.where(np.logical_and(*self._rules()), value, np.nan)
 
 
 def ratio_support(spec: GammaRatioSpec):

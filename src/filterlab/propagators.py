@@ -73,7 +73,7 @@ class ModelTrajectory:
     the five ratio sequences of the module docstring as Python floats, 1/S_i
     in inv_S_seq and X/S_i in X_over_S_seq; each accessor returns one step's.
     A trajectory compares and hashes by identity: the closed-form tables of
-    discrepancy and skf are keyed on it.
+    discrepancy are keyed on it.
     """
 
     model: ModelSequence

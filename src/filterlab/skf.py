@@ -7,13 +7,11 @@ analysis variance and mean at step i have the closed forms
     x_i = M_i (B_i p0 + r x0) / (S_i p0 + r)
 
 which the recursion must reproduce exactly up to roundoff.  All closed
-forms are evaluated through the ratio ledger of the trajectory, so they do
-not degrade when M_i and S_i overflow, and for every step at once: the
-first skf_closed_form call for a (trajectory, x0, p0) builds the table that
-later steps index.
+forms are evaluated through the ratio ledger of the trajectory, in Python
+floats, so they do not degrade when M_i and S_i overflow: skf_closed_form
+reads steps i and i - 1 of the ledger and keeps no table.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -116,33 +114,27 @@ def skf_run(traj: ModelTrajectory, x0, p0, inflation=None):
     return states
 
 
-@functools.lru_cache(maxsize=8)
-def _closed_table(traj, x0, p0):
-    # closed-form analysis means and variances at every step, lists of floats
+def _closed_analysis(traj, x0, p0, i):
+    # closed-form analysis mean and variance at step i, from the ledger
     r = traj.obs_variance
-    u = r * np.array(traj.inv_S_seq)
-    pa = r * p0 * np.array(traj.M2_over_S_seq) / (p0 + u)
-    xa = (p0 * np.array(traj.MB_over_S_seq) + np.array(traj.M_over_S_seq) * r * x0) / (p0 + u)
-    return xa.tolist(), pa.tolist()
+    u = r * traj.inv_S_seq[i]
+    pa = r * p0 * traj.M2_over_S_seq[i] / (p0 + u)
+    xa = (p0 * traj.MB_over_S_seq[i] + traj.M_over_S_seq[i] * r * x0) / (p0 + u)
+    return xa, pa
 
 
 def skf_closed_form(traj: ModelTrajectory, x0, p0, i):
     """SkfState at step i straight from the closed forms (no recursion)."""
-    i = int(i)
-    xa, pa = _closed_table(traj, x0, p0)
+    i, x0, p0 = int(i), float(x0), float(p0)
+    xa, pa = _closed_analysis(traj, x0, p0, i)
     if i == 0:
-        xf, pf = float(x0), float(p0)
+        xf, pf = x0, p0
     else:
-        m = traj.model.values[i - 1]
-        xf, pf = m * xa[i - 1], m * m * pa[i - 1]
-    return SkfState(
-        step=i,
-        mean_forecast=xf,
-        var_forecast=pf,
-        gain=pa[i] / traj.obs_variance,
-        mean_analysis=xa[i],
-        var_analysis=pa[i],
-    )
+        m = float(traj.model.values[i - 1])
+        xm, pm = _closed_analysis(traj, x0, p0, i - 1)
+        xf, pf = m * xm, m * m * pm
+    return SkfState(step=i, mean_forecast=xf, var_forecast=pf, gain=pa / traj.obs_variance,
+                    mean_analysis=xa, var_analysis=pa)
 
 
 @dataclass(frozen=True)

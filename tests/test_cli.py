@@ -9,13 +9,11 @@ import functools
 import json
 import math
 import re
-import threading
 from pathlib import Path
 
 import pytest
 
 import filterlab.discrepancy as dsc
-import filterlab.skf as skf_module
 
 from filterlab.cli import (main, _INFL_COLS, _MC_COLS, _PO_COLS, _SKF_COLS, _SPENKF_COLS,
                            _STREAM_ENSEMBLE, _trajectory)
@@ -128,17 +126,33 @@ def test_different_seed_different_output(tmp_path, capsys):
     assert a.read_bytes() != b.read_bytes()
 
 
-def record_table_builds(monkeypatch, tables):
-    # (table, built on the main thread) for each table build
-    builds = []
-    for module, name in tables:
-        build = getattr(module, name).__wrapped__
+def record_builds_and_starts(monkeypatch, tables, mc, step_arg):
+    # one list, in the order they happen, of ("build", name) as each table
+    # build ends and ("mc", i) as the Monte Carlo of step i starts
+    events = []
+    for name in tables:
+        build = getattr(dsc, name).__wrapped__
 
         def recorded(*args, build=build, name=name):
-            builds.append((name, threading.current_thread() is threading.main_thread()))
-            return build(*args)
-        monkeypatch.setattr(module, name, functools.lru_cache(maxsize=8)(recorded))
-    return builds
+            table = build(*args)
+            events.append(("build", name))
+            return table
+        monkeypatch.setattr(dsc, name, functools.lru_cache(maxsize=8)(recorded))
+    run = getattr(dsc, mc)
+
+    def started(*args):
+        events.append(("mc", args[step_arg]))
+        return run(*args)
+    monkeypatch.setattr(dsc, mc, started)
+    return events
+
+
+def assert_built_once_before_the_monte_carlo(events, tables, n_steps):
+    builds = [k for k, (kind, _) in enumerate(events) if kind == "build"]
+    assert sorted(events[k][1] for k in builds) == sorted(tables)
+    starts = [k for k, (kind, _) in enumerate(events) if kind == "mc"]
+    assert sorted(events[k][1] for k in starts) == list(range(n_steps + 1))
+    assert max(builds) < min(starts)
 
 
 def test_mc_verify_bytes_identical_across_threads(tmp_path, capsys, monkeypatch):
@@ -146,37 +160,105 @@ def test_mc_verify_bytes_identical_across_threads(tmp_path, capsys, monkeypatch)
                                   "replicates": 5000, "ensemble_size": 16})
     outputs = []
     codes = []
-    builds = record_table_builds(monkeypatch, ((dsc, "_moment_table"),
-                                               (skf_module, "_closed_table")))
+    events = record_builds_and_starts(monkeypatch, ("_moment_table",),
+                                      "mc_discrepancy_moments", 2)
     for threads in ("1", "2", "3"):
         dest = tmp_path / ("mc_%s.csv" % threads)
-        builds.clear()
+        events.clear()
         code, _, err = run_cli(["mc-verify", "--config", cfg,
                                 "--threads", threads, "--out", str(dest)],
                                capsys)
         codes.append(code)
         outputs.append(dest.read_bytes())
         assert "mc-verify: 4 steps, 5000 replicates" in err
-        # each run's trajectory gets each table once, built on this thread
-        # before the worker pool starts
-        assert sorted(builds) == [("_closed_table", True), ("_moment_table", True)]
+        # each run's trajectory gets its table once, from the closed forms
+        # evaluated before any step's Monte Carlo starts
+        assert_built_once_before_the_monte_carlo(events, ["_moment_table"], 3)
     assert outputs[0] == outputs[1] == outputs[2]
     assert codes[0] == codes[1] == codes[2]
 
 
 def test_po_penalty_builds_its_gain_tables_before_the_pool(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, {"seed": 4242, "steps": 4, "replicates": 2000})
-    builds = record_table_builds(monkeypatch, ((dsc, "_gain_table"),))
+    events = record_builds_and_starts(monkeypatch, ("_gain_table",),
+                                      "po_mean_identity_check", 4)
     outputs = []
     for threads in ("1", "3"):
         dest = tmp_path / ("po_%s.csv" % threads)
-        builds.clear()
+        events.clear()
         run_cli(["po-penalty", "--config", cfg, "--threads", threads, "--out", str(dest)],
                 capsys)
         outputs.append(dest.read_bytes())
         # one table for E[K], one for E[K^4]
-        assert builds == [("_gain_table", True)] * 2
+        assert_built_once_before_the_monte_carlo(events, ["_gain_table"] * 2, 4)
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------- refused steps
+
+
+# configs whose closed forms meet a step the gamma-ratio rules refuse, or
+# whose Monte Carlo standard error underflows, at an infinite z
+@pytest.mark.parametrize("cmd,obj,last", [
+    ("mc-verify", {"steps": 3, "r": 1e-320, "ensemble_size": 10, "replicates": 2000},
+     "mc-verify: step 0: dp: a*d == b*c makes Y constant"),
+    ("mc-verify", {"steps": 2, "ensemble_size": 10, "replicates": 2000,
+                   "model": {"kind": "explicit", "values": [1e200, 1e-200]}},
+     "mc-verify: step 1: dp: need c > 0 and d > 0"),
+    ("po-penalty", {"steps": 3, "r": 1e10, "p0": 1e-300, "replicates": 2000},
+     "po-penalty: step 0: the standard error of mean_P underflowed to 0"),
+], ids=["r-1e-320", "explicit-1e200", "z-inf"])
+def test_a_refused_step_exits_2_naming_it(tmp_path, capsys, cmd, obj, last):
+    cfg = write_config(tmp_path, obj)
+    code, _, err = run_cli([cmd, "--config", cfg, "--seed", "1",
+                            "--out", str(tmp_path / "out.csv")], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_earlier_failing_step_is_reported_before_a_refused_one(tmp_path, capsys, threads):
+    # m = 2 over 600 steps: r/S_i underflows to 0 from step 538 on, which the
+    # dp table refuses, but the Monte Carlo of step 30 fails first
+    cfg = write_config(tmp_path, {"steps": 600, "ensemble_size": 8, "replicates": 2000,
+                                  "model": {"kind": "constant", "m": 2.0}})
+    code, _, err = run_cli(["mc-verify", "--config", cfg, "--seed", "1", "--threads",
+                            str(threads), "--out", str(tmp_path / "out.csv")], capsys)
+    assert code == 2
+    assert err == ("mc-verify: step 30: the standard error of dx_mean is 0: "
+                   "every replicate is the same double\n")
+
+
+# extreme inputs for every command that reads the scalar config: each run
+# must return from main (no exception escapes, so no traceback) with exit
+# 0, 1 or 2, and a nonzero exit must end on one "<command>: " line
+SWEEP_CONFIGS = {
+    "r-1e10-p0-1e-300": {"r": 1e10, "p0": 1e-300},
+    "r-1e10-p_tilde0-1e-300": {"r": 1e10, "p_tilde0": 1e-300},
+    "r-1e160": {"r": 1e160},
+    "p0-1e308": {"p0": 1e308},
+    "r-1e-320": {"r": 1e-320},
+    "m-2-600-steps": {"steps": 600, "model": {"kind": "constant", "m": 2.0}},
+    "m-0.3-400-steps": {"steps": 400, "model": {"kind": "constant", "m": 0.3}},
+    "explicit-1e200": {"steps": 2, "model": {"kind": "explicit", "values": [1e200, 1e-200]}},
+}
+
+
+# numpy's overflow RuntimeWarnings at these inputs are not what is checked
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
+@pytest.mark.parametrize("cmd", ["skf", "spenkf", "inflation-table", "mc-verify", "po-penalty"])
+def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, cmd, name):
+    obj = dict(ensemble_size=10, replicates=2000, perturbed_obs=True,
+               inflation="sequential", **SWEEP_CONFIGS[name])
+    cfg = write_config(tmp_path, obj)
+    code, _, err = run_cli([cmd, "--config", cfg, "--seed", "1",
+                            "--out", str(tmp_path / "out.csv")], capsys)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert err.splitlines()[-1].startswith(cmd + ": ")
 
 
 # ---------------------------------------------------------------- seed policy

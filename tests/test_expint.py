@@ -256,3 +256,22 @@ def test_array_kernel_gives_one_value_per_order_and_z(nu):
     np.testing.assert_array_equal(batch, alone)
     # expint_scaled is the one-element case
     assert batch.tolist() == [expint_scaled(nu, z) for z in BATCH_Z.tolist()]
+
+
+# ---------------------------------------------------------------- domain limits
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 3.0, 64.5])
+def test_scaled_is_zero_at_infinite_z(nu):
+    assert expint_scaled(nu, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("nu", BATCH_ORDERS)
+def test_array_kernel_takes_the_limits_at_the_ends_of_the_domain(nu):
+    z = np.array([0.0, 1e300, math.inf])
+    got = _scaled_array(nu, z)
+    np.testing.assert_array_equal(got, [_scaled_array(nu, z[j:j + 1])[0] for j in range(3)])
+    # 1/(nu - 1) at z = 0, diverging for nu <= 1; 0 at z = inf
+    assert got[0] == (1.0 / (nu - 1.0) if nu > 1.0 else math.inf)
+    assert got[1] == pytest.approx(1e-300, rel=1e-15)
+    assert got[2] == 0.0

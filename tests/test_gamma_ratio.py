@@ -161,20 +161,25 @@ def test_pdf_matches_histogram():
 
 
 def test_array_spec_is_elementwise():
-    # one Y per element, scalars broadcasting against arrays; an element
-    # that a float spec would reject (d = 0), or whose z underflows to 0,
-    # comes out NaN
+    # one Y per element, scalars broadcasting against arrays, each equal to
+    # its float spec bit for bit, an element whose z underflows to 0 (the
+    # kernel's z = 0 limit) included; an element that a float spec would
+    # reject (d = 0) comes out NaN
     specs = [GammaRatioSpec(float(s.a), 0.0, float(s.c), float(s.d), 8.0, 1.3)
              for s in random_specs(606, 6, b_zero=True)]
-    a = np.array([s.a for s in specs] + [1.0, 1.0])
-    c = np.array([s.c for s in specs] + [1.0, 1e10])
-    d = np.array([s.d for s in specs] + [0.0, 5e-324])
+    specs.append(GammaRatioSpec(1.0, 0.0, 1e10, 5e-324, 8.0, 1.3))
+    assert specs[-1].z == 0.0
+    a = np.array([s.a for s in specs] + [1.0])
+    c = np.array([s.c for s in specs] + [1.0])
+    d = np.array([s.d for s in specs] + [0.0])
     spec = GammaRatioSpec(a, 0.0, c, d, 8.0, 1.3)
-    for fn in (ratio_mean, ratio_second_moment, ratio_fourth_moment):
+    for fn, tiny in ((ratio_mean, 1e-10), (ratio_second_moment, 1e-20),
+                     (ratio_fourth_moment, 1e-40)):
         got = fn(spec)
         want = [fn(s) for s in specs]
         assert type(want[0]) is float
-        np.testing.assert_allclose(got[:-2], want, rtol=1e-14, atol=0.0)
-        assert np.isnan(got[-2:]).all()
+        np.testing.assert_array_equal(got[:-1], want)
+        assert got[-2] == pytest.approx(tiny, rel=1e-15)
+        assert np.isnan(got[-1])
     with pytest.raises(ValueError, match="c > 0"):
         GammaRatioSpec(1.0, 0.0, 1.0, 0.0, 8.0, 1.3)
