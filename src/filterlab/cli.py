@@ -4,14 +4,16 @@ Every subcommand reads one JSON config (all fields optional, defaults in
 config.ExperimentConfig), draws all randomness from the --seed override or
 the config seed, and emits UTF-8 CSV with floats at 17 significant digits,
 so outputs are byte-identical across runs and thread counts for a given
-seed.  Verification commands (mc-verify, po-penalty, selftest) exit
+seed.  Every row is printed by one format, "%.17g" per value: each value
+is a float or a step index, and "%.17g" prints an int below 1e17 as str()
+does.  Verification commands (mc-verify, po-penalty, selftest) exit
 nonzero when a check fails.
 """
 
 import argparse
+import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -37,15 +39,12 @@ _STREAM_ENSEMBLE = 1
 _STREAM_MC_BASE = 10
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
-
-
 def _write_csv(out_path, cols, rows):
+    # one format for every value: a float prints at 17 digits, and a step
+    # index (an int below 1e17) prints as str() would print it
+    fmt = ",".join(["%.17g"] * len(cols))
     lines = [",".join(name for name, _ in cols)]
-    lines += [",".join([_fmt(v) for v in row]) for row in rows]
+    lines += [fmt % tuple(row) for row in rows]
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -111,6 +110,8 @@ def _gated_rows(args, cols, closed, one, n_rows, detail=""):
     # a step closed() refused, whose error is raised after those rows if none
     # of them raises first.  The verdict is on the largest gap in SE units,
     # NaN if any gap is NaN, so a NaN cannot pass.
+    from concurrent.futures import ThreadPoolExecutor  # only these commands make a pool
+
     forms = []
     try:
         for i in range(n_rows):
@@ -307,9 +308,9 @@ def cmd_inflation_table(args):
     traj = _trajectory(cfg)
     alpha = 0.5 * cfg.ensemble_size
     sched = _schedule(cfg, traj, alpha, "p_tilde0")
-    rows = [[i, float(sched.r_over_S[i]), float(sched.theta[i]), float(sched.phi[i]),
-             float(sched.psi[i]), sched.theta_star]
-            for i in range(traj.n_steps + 1)]
+    n = traj.n_steps + 1
+    rows = zip(range(n), sched.r_over_S.tolist(), sched.theta.tolist(), sched.phi.tolist(),
+               sched.psi.tolist(), [sched.theta_star] * n)
     _write_csv(args.out, _INFL_COLS, rows)
     return 0
 
@@ -394,13 +395,8 @@ def cmd_mv(args):
     if cfg.inflation == "sequential":
         result = mv_spenkf_run(model, np.array(cfg.mv.x0), cfg.ensemble_size,
                                spec, mv_inflation_schedule(result))
-    rows = []
-    for i in range(model.n_steps + 1):
-        row = [i]
-        row += [float(v) for v in result.means_basis[i]]
-        row += [float(v) for v in result.variances_basis[i]]
-        row += [float(v) for v in result.means[i]]
-        rows.append(row)
+    table = np.hstack([result.means_basis, result.variances_basis, result.means])
+    rows = [[i] + row for i, row in enumerate(table.tolist())]
     _write_csv(args.out, _mv_cols(model.dim), rows)
     return 0
 
@@ -510,6 +506,8 @@ def _add_common(sub):
                      help="print documentation for every output column and exit")
 
 
+# built once per process; main only reads it and writes its own namespace
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="filterlab",

@@ -102,19 +102,21 @@ def _cf_scaled(nu, z):
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
+    # -tol < x < tol is abs(x) < tol for every double, NaN included
+    nu1 = nu - 1.0
     for i in range(1, _CF_MAXIT):
-        a = -i * (nu - 1.0 + i)
+        a = -i * (nu1 + i)
         b += 2.0
         d = a * d + b
-        if abs(d) < _TINY:
+        if -_TINY < d < _TINY:
             d = _TINY
         c = b + a / c
-        if abs(c) < _TINY:
+        if -_TINY < c < _TINY:
             c = _TINY
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _CF_RTOL:
+        if -_CF_RTOL < delta - 1.0 < _CF_RTOL:
             return h
     raise RuntimeError("continued fraction failed to converge at nu=%g z=%g" % (nu, z))
 

@@ -8,15 +8,19 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import filterlab.discrepancy as dsc
 
-from filterlab.cli import (main, _INFL_COLS, _MC_COLS, _PO_COLS, _SKF_COLS, _SPENKF_COLS,
-                           _STREAM_ENSEMBLE, _trajectory)
+from filterlab.cli import (build_parser, main, _INFL_COLS, _MC_COLS, _PO_COLS, _SKF_COLS,
+                           _SPENKF_COLS, _STREAM_ENSEMBLE, _trajectory, _write_csv)
 from filterlab.config import ConfigError, ExperimentConfig
 from filterlab.rng import RngSpec
 from filterlab.skf import skf_run
@@ -105,6 +109,55 @@ def test_output_path_from_config(tmp_path, capsys):
     assert out == ""
     header, rows = parse_csv(dest.read_text(encoding="utf-8"))
     assert len(rows) == 4
+
+
+def test_write_csv_prints_ints_and_floats_as_before(tmp_path):
+    # one "%.17g" per value prints what "%.17g" for a float and str() for a
+    # step index printed, at the edges the golden tables never reach
+    row = [0, 7, 1000, 10**16, -0.0, 5e-324, 1.7976931348623157e308, 0.1,
+           math.nan, math.inf, -math.inf, np.float64(1 / 3)]
+    cols = [("c%d" % j, "") for j in range(len(row))]
+    dest = tmp_path / "row.csv"
+    _write_csv(str(dest), cols, [row])
+    old = ",".join(["%.17g" % v if isinstance(v, float) else str(v) for v in row])
+    assert dest.read_text(encoding="utf-8") == ",".join(n for n, _ in cols) + "\n" + old + "\n"
+
+
+def test_one_parser_serves_many_main_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    dest = tmp_path / "from_config.csv"
+    cfg = write_config(tmp_path, {"steps": 3, "output_path": str(dest)})
+    code, out, _ = run_cli(["skf", "--config", cfg], capsys)
+    assert (code, out) == (0, "")
+    dest.unlink()
+    # the config's output_path stays with the run that read it
+    code, out, _ = run_cli(["skf"], capsys)
+    assert code == 0 and not dest.exists()
+    assert parse_csv(out)[0] == [n for n, _ in _SKF_COLS]
+    code, out, _ = run_cli(["skf", "--describe"], capsys)
+    assert code == 0 and "closed_var" in out
+    code, out, _ = run_cli(["inflation-table"], capsys)
+    header, rows = parse_csv(out)
+    assert code == 0 and header == [n for n, _ in _INFL_COLS] and len(rows) == 21
+    with pytest.raises(SystemExit) as exc:
+        main(["skf", "--threads", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(["skf", "--seed", "3"], capsys)
+    assert code == 0 and len(parse_csv(out)[1]) == 21
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    # what "import filterlab.cli" adds to "import numpy", the imports the
+    # benchmark's set-up times; numpy may load some of these itself
+    code = ("import sys, numpy; seen = set(sys.modules); import filterlab.cli; "
+            "print(*sorted(set(sys.modules) - seen))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    denied = ("concurrent", "logging", "subprocess", "platform", "importlib.metadata",
+              "multiprocessing", "scipy", "mpmath")
+    assert [m for m in added if m in denied or m.startswith(tuple(d + "." for d in denied))] == []
 
 
 # ---------------------------------------------------------------- determinism
