@@ -277,7 +277,7 @@ def cmd_mc_verify(args):
                 _gap(i, "dp2", a_dp2 - mc.mean_dp2, mc.mean_dp2_se, "mean_dp2" in const),
                 _gap(i, "dx_mean", a_dx - mc.mean_dx, mc.mean_dx_se, "mean_dx" in const),
                 _gap(i, "dx2", a_dx2 - mc.mean_dx2, mc.mean_dx2_se, "mean_dx2" in const)]
-        return [i, traj.M2_over_S(i), ref.mean_analysis, ref.var_analysis,
+        return [i, traj.M2_over_S[i], ref.mean_analysis, ref.var_analysis,
                 a_dp, mc.mean_dp, mc.mean_dp_se,
                 a_dp2 - a_dp * a_dp, mc.var_dp, mc.var_dp_se,
                 a_dp2, mc.mean_dp2, mc.mean_dp2_se,
@@ -309,7 +309,8 @@ def cmd_inflation_table(args):
     alpha = 0.5 * cfg.ensemble_size
     sched = _schedule(cfg, traj, alpha, "p_tilde0")
     n = traj.n_steps + 1
-    rows = zip(range(n), sched.r_over_S.tolist(), sched.theta.tolist(), sched.phi.tolist(),
+    u = traj.obs_variance * np.array(traj.inv_S)
+    rows = zip(range(n), u.tolist(), sched.theta.tolist(), sched.phi.tolist(),
                sched.psi.tolist(), [sched.theta_star] * n)
     _write_csv(args.out, _INFL_COLS, rows)
     return 0
@@ -470,9 +471,9 @@ def _selftest_checks():
         # theta realized sequentially must equal theta realized in one shot
         worst = 0.0
         for i, s in enumerate(states):
-            u = traj.r_over_S(i)
+            u = traj.obs_variance * traj.inv_S[i]
             one_shot = traj.obs_variance * sched.theta[i] * 1.0 \
-                * traj.M2_over_S(i) / (sched.theta[i] * 1.0 + u)
+                * traj.M2_over_S[i] / (sched.theta[i] * 1.0 + u)
             worst = max(worst, abs(s.var_analysis - one_shot) / one_shot)
         return worst < 1e-10, "sequential-vs-one-shot rel err %.2e" % worst
 

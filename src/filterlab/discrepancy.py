@@ -69,7 +69,7 @@ from .gamma_ratio import (
     ratio_mean,
     ratio_second_moment,
 )
-from .propagators import ModelTrajectory
+from .propagators import InputError, ModelTrajectory
 from .rng import RngSpec
 
 __all__ = [
@@ -124,7 +124,7 @@ def _coefs(inp, inv_s, q, m_s, b_s):
 
 
 def _step_coefs(traj, inp, i):
-    return _coefs(inp, traj.inv_S(i), traj.M2_over_S(i), traj.M_over_S(i), traj.B_over_S(i))
+    return _coefs(inp, traj.inv_S[i], traj.M2_over_S[i], traj.M_over_S[i], traj.B_over_S[i])
 
 
 def dp_spec(traj: ModelTrajectory, inp: PerturbedInputs, i):
@@ -140,7 +140,7 @@ def dx_spec(traj: ModelTrajectory, inp: PerturbedInputs, i):
     case dx_i is the constant a/c; that case raises ValueError, since the
     rounded a*d and b*c need not come out equal.  Callers should branch on it.
     """
-    if traj.B_over_S(i) == inp.x_tilde0:
+    if traj.B_over_S[i] == inp.x_tilde0:
         raise ValueError("B_i/S_i == x_tilde0 makes dx_%d constant" % i)
     _, (a, b), c, d = _step_coefs(traj, inp, i)
     return GammaRatioSpec(a, b, c, d, inp.alpha, inp.p_tilde0)
@@ -151,8 +151,7 @@ def _moment_table(traj, inp):
     # E[dp_i], E[dx_i], E[dp_i^2], E[dx_i^2] at every step of traj as lists
     # of floats, then their spec.  dp and dx share z, so one spec with a row
     # for each evaluates every order once.
-    ledger = [np.array(s) for s in (traj.inv_S_seq, traj.M2_over_S_seq,
-                                    traj.M_over_S_seq, traj.B_over_S_seq)]
+    ledger = [np.array(s) for s in (traj.inv_S, traj.M2_over_S, traj.M_over_S, traj.B_over_S)]
     dp, dx, c, d = _coefs(inp, *ledger)
     spec = GammaRatioSpec(np.stack([dp[0], dx[0]]), np.stack([dp[1], dx[1]]), c, d,
                           inp.alpha, inp.p_tilde0)
@@ -253,20 +252,29 @@ def _reduce(v, scratch, name, constant, fourth=False):
     return res
 
 
+def _check_draws(x, param, mean, i):
+    # gamma draws are nonnegative, so one max finds an inf (or a NaN)
+    if not x.max() < math.inf:
+        raise InputError(param, "step %d: a gamma draw of mean %g is not a finite double"
+                         % (i, mean))
+
+
 def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
                            spec: RngSpec):
     """Monte Carlo moments of (dp_i, dx_i) over the initial-variance draw.
 
     Independent route from the closed forms: samples X with the library
     gamma sampler and evaluates both filters' analysis formulas per draw.
+    Raises InputError naming "phat0" when a draw of X is not a finite double.
     """
     gen = spec.generator()
     n = int(replicates)
     x = gen.gamma(inp.alpha, inp.p_tilde0 / inp.alpha, n)
-    u = inp.r * traj.inv_S(i)
-    m2s = traj.M2_over_S(i)
-    ms = traj.M_over_S(i)
-    mbs = traj.MB_over_S(i)
+    _check_draws(x, "phat0", inp.p_tilde0, i)
+    u = inp.r * traj.inv_S[i]
+    m2s = traj.M2_over_S[i]
+    ms = traj.M_over_S[i]
+    mbs = traj.MB_over_S[i]
     r = inp.r
     xu = x + u
 
@@ -305,18 +313,18 @@ def _gain_spec(q, inv_s, p0, alpha, r):
 def po_gain_spec(traj: ModelTrajectory, p0, alpha, r, i):
     """Gamma-ratio spec of the propagated gain K_i = M_i^2 X / (S_i X + r),
     rescaled by 1/S_i top and bottom so the coefficients stay bounded."""
-    return _gain_spec(traj.M2_over_S(i), traj.inv_S(i), p0, alpha, r)
+    return _gain_spec(traj.M2_over_S[i], traj.inv_S[i], p0, alpha, r)
 
 
 @functools.lru_cache(maxsize=8)
 def _gain_table(traj, p0, alpha, r, n):
     # E[K_i^n] (n = 1 or 4) at every step of traj as a list of floats, and its spec
-    spec = _gain_spec(np.array(traj.M2_over_S_seq), np.array(traj.inv_S_seq), p0, alpha, r)
+    spec = _gain_spec(np.array(traj.M2_over_S), np.array(traj.inv_S), p0, alpha, r)
     moments = (ratio_mean(spec) if n == 1 else ratio_fourth_moment(spec)).tolist()
     # once r/S_i underflows to 0, K_i = q_i X/(X + 0) is q_i to double
     # precision; a Python float ** rounds as the scalar q_i ** n does
     for i in np.flatnonzero(spec.d == 0.0).tolist():
-        moments[i] = traj.M2_over_S(i) ** n
+        moments[i] = traj.M2_over_S[i] ** n
     return moments, spec
 
 
@@ -369,10 +377,12 @@ def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
     alpha, r = float(alpha), float(r)
     x = gen.gamma(alpha, p0 / alpha, n)
     rr = gen.gamma(alpha, r / alpha, n)
+    _check_draws(x, "p0", p0, i)
+    _check_draws(rr, "obs_variance", r, i)
     # k = M2_over_S * x / (x + r * inv_S), in x's buffer
-    den = x + r * traj.inv_S(i)
+    den = x + r * traj.inv_S[i]
     k = x
-    k *= traj.M2_over_S(i)
+    k *= traj.M2_over_S[i]
     k /= den
     # e = rr - r, a_term = r * k, b_term = k * k * e
     e = rr

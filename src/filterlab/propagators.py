@@ -18,7 +18,8 @@ for the ledger; 1/S_i never grows and B_i/S_i stays of the size of
 x0_truth plus the noise, so both are plain doubles.  Each update rounds a
 few bounded numbers, so the ratios keep their relative accuracy however far
 M_i and S_i leave double range and come back.  The truth x0_truth * M_i is
-multiplied out the same way.
+multiplied out the same way.  ModelTrajectory holds each ratio as a tuple
+of Python floats, read by index only: traj.inv_S[i], traj.M2_over_S[i], ...
 """
 
 import math
@@ -70,48 +71,30 @@ class ModelTrajectory:
     """Truth, observations, and the cumulative propagator ledger.
 
     Arrays are indexed by step i = 0..n where n = len(model).  The ledger is
-    the five ratio sequences of the module docstring as Python floats, 1/S_i
-    in inv_S_seq and X/S_i in X_over_S_seq; each accessor returns one step's.
-    A trajectory compares and hashes by identity: the closed-form tables of
-    discrepancy are keyed on it.
+    the five ratio sequences of the module docstring as tuples of Python
+    floats, read by index: 1/S_i is inv_S[i] and X/S_i is X_over_S[i] (r/S_i
+    is obs_variance * inv_S[i]).  A trajectory compares and hashes by
+    identity: the closed-form tables of discrepancy are keyed on it.
     """
 
     model: ModelSequence
     obs_variance: float
     truth: np.ndarray
     observations: np.ndarray
-    inv_S_seq: tuple = field(repr=False)
-    M_over_S_seq: tuple = field(repr=False)
-    M2_over_S_seq: tuple = field(repr=False)
-    B_over_S_seq: tuple = field(repr=False)
-    MB_over_S_seq: tuple = field(repr=False)
+    inv_S: tuple = field(repr=False)
+    M_over_S: tuple = field(repr=False)
+    M2_over_S: tuple = field(repr=False)
+    B_over_S: tuple = field(repr=False)
+    MB_over_S: tuple = field(repr=False)
 
     @property
     def n_steps(self):
         """Index of the last step (arrays have n_steps + 1 entries)."""
         return len(self.model)
 
-    def inv_S(self, i):
-        return self.inv_S_seq[i]
-
-    def r_over_S(self, i):
-        return self.obs_variance * self.inv_S_seq[i]
-
-    def M_over_S(self, i):
-        return self.M_over_S_seq[i]
-
-    def M2_over_S(self, i):
-        return self.M2_over_S_seq[i]
-
-    def B_over_S(self, i):
-        return self.B_over_S_seq[i]
-
-    def MB_over_S(self, i):
-        return self.MB_over_S_seq[i]
-
     def doubly_normalized_deviation(self, c, i):
         """M_i (B_i - c S_i) / S_i^2, bounded in probability uniformly in i."""
-        return self.M_over_S(i) * (self.B_over_S(i) - c)
+        return self.M_over_S[i] * (self.B_over_S[i] - c)
 
 
 class InputError(ValueError):

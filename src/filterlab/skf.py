@@ -114,18 +114,25 @@ def skf_run(traj: ModelTrajectory, x0, p0, inflation=None):
     return states
 
 
+def _checked_step(traj, i):
+    if not 0 <= i <= traj.n_steps:
+        raise IndexError("step %d is outside [0, %d]" % (i, traj.n_steps))
+    return int(i)
+
+
 def _closed_analysis(traj, x0, p0, i):
     # closed-form analysis mean and variance at step i, from the ledger
     r = traj.obs_variance
-    u = r * traj.inv_S_seq[i]
-    pa = r * p0 * traj.M2_over_S_seq[i] / (p0 + u)
-    xa = (p0 * traj.MB_over_S_seq[i] + traj.M_over_S_seq[i] * r * x0) / (p0 + u)
+    u = r * traj.inv_S[i]
+    pa = r * p0 * traj.M2_over_S[i] / (p0 + u)
+    xa = (p0 * traj.MB_over_S[i] + traj.M_over_S[i] * r * x0) / (p0 + u)
     return xa, pa
 
 
 def skf_closed_form(traj: ModelTrajectory, x0, p0, i):
-    """SkfState at step i straight from the closed forms (no recursion)."""
-    i, x0, p0 = int(i), float(x0), float(p0)
+    """SkfState at step i straight from the closed forms (no recursion);
+    IndexError for a step outside [0, n_steps]."""
+    i, x0, p0 = _checked_step(traj, i), float(x0), float(p0)
     xa, pa = _closed_analysis(traj, x0, p0, i)
     if i == 0:
         xf, pf = x0, p0
@@ -150,37 +157,26 @@ def skf_error_moments(traj: ModelTrajectory, x0, p0, i, replicates, spec: RngSpe
 
     Each replicate redraws the initial truth from the prior N(x0, p0) and
     the observation noise of every assimilated observation, so the sample
-    variance is calibrated against the closed-form analysis variance.
-    Returns sample mean/variance of the error with their standard errors.
+    variance is calibrated against the closed-form analysis variance.  The
+    error replays the recursion e <- (r/(p_f + r)) m e + k sqrt(r) n of
+    skf_step's p_f and k from e = -sqrt(p0) n, one normal_polar draw a step.
+    Raises IndexError for a step outside [0, n_steps].
     """
-    i = int(i)
+    i = _checked_step(traj, i)
     r = traj.obs_variance
-    u = traj.r_over_S(i)
-    # weights v_l = M_i M_l / S_i on each observation replicate: |v_l| <= 1
-    # where M_l overflows, so they come from log|M_l| anchored on the larger
-    # of M_i^2/S_i and |M_i/S_i|; if both underflow, so does v_l^2 <= M_i^2/S_i
-    m = traj.model.values[:i]
-    log_M = np.concatenate(([0.0], np.cumsum(np.log(np.abs(m)))))
-    sign = np.concatenate(([1.0], np.cumprod(np.sign(m))))
-    q, mos = traj.M2_over_S(i), abs(traj.M_over_S(i))
-    anchor, log_v = (q, log_M - log_M[i]) if q >= mos else (mos, log_M)
-    v = sign[i] * sign * np.exp(log_v + math.log(anchor)) if anchor else np.zeros(i + 1)
     gen = spec.generator()
-    nrep = int(replicates)
-    errs = np.empty(nrep)
-    chunk = max(1, min(nrep, 4_000_000 // (i + 2)))
-    done = 0
-    sq = math.sqrt(r)
-    sp = math.sqrt(p0)
-    mi_over_si = traj.M_over_S(i)
-    while done < nrep:
-        b = min(chunk, nrep - done)
-        noise = normal_polar(gen, b * (i + 2)).reshape(b, i + 2)
-        # error = [ (M_i/S_i) r (x0 - x0_truth) + p0 sqrt(r) v.n ] / (p0 + u)
-        prior_dev = sp * noise[:, 0]
-        obs_part = noise[:, 1:] @ v
-        errs[done : done + b] = (
-            -mi_over_si * r * prior_dev + p0 * sq * obs_part
-        ) / (p0 + u)
-        done += b
-    return ErrorMoments(*sample_moments(errs, fourth=True, out=errs))
+    n = int(replicates)
+    e = normal_polar(gen, n)
+    e *= -math.sqrt(p0)
+    state = skf_start(x0, p0, traj.observations[0], r)
+    for j in range(i + 1):
+        if j:
+            m = traj.model.values[j - 1]
+            state = skf_step(state, m, traj.observations[j], r)
+            e *= m
+        # r/(p_f + r), not 1 - k, which cancels once p_f >> r
+        e *= r / (state.var_forecast + r)
+        noise = normal_polar(gen, n)
+        noise *= state.gain * math.sqrt(r)
+        e += noise
+    return ErrorMoments(*sample_moments(e, fourth=True, out=noise))

@@ -206,7 +206,6 @@ class InflationSchedule:
     corrections that realize theta[i] given theta[i-1] was realized, with
     phi[0] = theta[0] applied to the initial ensemble.  x_init is the mean
     the filter was started from; the mean shifts psi are relative to it.
-    r_over_S[i] is the ratio r / S_i each theta[i] was solved for.
     """
 
     alpha: float
@@ -214,7 +213,6 @@ class InflationSchedule:
     r: float
     x_init: float
     theta_star: float
-    r_over_S: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
@@ -228,7 +226,7 @@ def inflation_schedule(traj: ModelTrajectory, alpha, p0, x_init):
     """
     alpha, p0, x_init = float(alpha), float(p0), float(x_init)
     r = traj.obs_variance
-    u = r * np.array(traj.inv_S_seq)
+    u = r * np.array(traj.inv_S)
     theta = _thetas(alpha, p0, u, expint_scaled_inverse_shifted_array)
     # phi and psi in v = u / p0, so no theta * p0 product can overflow
     th0, th1, v = theta[:-1], theta[1:], u[:-1] / p0
@@ -236,11 +234,10 @@ def inflation_schedule(traj: ModelTrajectory, alpha, p0, x_init):
     phi[0] = theta[0]
     phi[1:] = th1 * (th0 + v) / (th0 * (th1 + v))
     # M_{i+1}/S_i = m_i M_i/S_i and B_i/S_i from the ratio ledger
-    m_next = traj.model.values * traj.M_over_S_seq[:-1]
-    b = np.array(traj.B_over_S_seq[:-1])
+    m_next = traj.model.values * traj.M_over_S[:-1]
+    b = np.array(traj.B_over_S[:-1])
     psi = np.zeros_like(theta)
     psi[1:] = (m_next * (b - x_init) * (th1 - th0) * (r / p0)
                / ((th1 + v) * (th0 + v)))
     return InflationSchedule(alpha=alpha, p0=p0, r=r, x_init=x_init,
-                             theta_star=theta_star(alpha), r_over_S=u,
-                             theta=theta, phi=phi, psi=psi)
+                             theta_star=theta_star(alpha), theta=theta, phi=phi, psi=psi)

@@ -250,8 +250,9 @@ def test_po_penalty_builds_its_gain_tables_before_the_pool(tmp_path, capsys, mon
 # ---------------------------------------------------------------- refused steps
 
 
-# configs whose closed forms meet a step the gamma-ratio rules refuse, or
-# whose Monte Carlo standard error underflows, at an infinite z
+# configs whose closed forms meet a step the gamma-ratio rules refuse, whose
+# Monte Carlo standard error underflows at an infinite z, or whose sampled
+# variances leave double range
 @pytest.mark.parametrize("cmd,obj,last", [
     ("mc-verify", {"steps": 3, "r": 1e-320, "ensemble_size": 10, "replicates": 2000},
      "mc-verify: step 0: dp: a*d == b*c makes Y constant"),
@@ -260,7 +261,14 @@ def test_po_penalty_builds_its_gain_tables_before_the_pool(tmp_path, capsys, mon
      "mc-verify: step 1: dp: need c > 0 and d > 0"),
     ("po-penalty", {"steps": 3, "r": 1e10, "p0": 1e-300, "replicates": 2000},
      "po-penalty: step 0: the standard error of mean_P underflowed to 0"),
-], ids=["r-1e-320", "explicit-1e200", "z-inf"])
+    ("mc-verify", {"steps": 20, "p0": 1e308, "ensemble_size": 10, "replicates": 2000},
+     "mc-verify: config.p_tilde0: step 0: a gamma draw of mean 1e+308 is not a finite double"),
+    ("po-penalty", {"steps": 20, "p0": 1e308, "ensemble_size": 10, "replicates": 2000},
+     "po-penalty: config.p0: step 0: a gamma draw of mean 1e+308 is not a finite double"),
+    ("po-penalty", {"steps": 3, "r": 1e308, "ensemble_size": 10, "replicates": 2000},
+     "po-penalty: config.r: step 0: a gamma draw of mean 1e+308 is not a finite double"),
+], ids=["r-1e-320", "explicit-1e200", "z-inf", "mc-verify-p0-1e308", "po-penalty-p0-1e308",
+        "po-penalty-r-1e308"])
 def test_a_refused_step_exits_2_naming_it(tmp_path, capsys, cmd, obj, last):
     cfg = write_config(tmp_path, obj)
     code, _, err = run_cli([cmd, "--config", cfg, "--seed", "1",
@@ -840,7 +848,7 @@ def test_underflowed_r_over_s_uses_the_limit_gain(tmp_path, capsys):
                            capsys)
     assert code == 0
     header, rows = parse_csv(out)
-    q = _trajectory(ExperimentConfig.from_dict(dict(obj, seed=1))).M2_over_S(599)
+    q = _trajectory(ExperimentConfig.from_dict(dict(obj, seed=1))).M2_over_S[599]
     # E[K^4] r^2 / alpha with r = 1 and alpha = 5
     assert float(rows[599][header.index("po_penalty")]) == q ** 4 / 5.0
     # po-penalty reaches the same limit; its verdict is a statistical outcome

@@ -61,8 +61,8 @@ def test_mc_moments_match_reference_formulas(n):
     i, spec = 12, RngSpec(7, 12)
     mc = mc_discrepancy_moments(traj, inp, i, n, spec)
     x = spec.generator().gamma(inp.alpha, inp.p_tilde0 / inp.alpha, n)
-    u = inp.r * traj.inv_S(i)
-    m2s, ms, mbs, r = traj.M2_over_S(i), traj.M_over_S(i), traj.MB_over_S(i), inp.r
+    u = inp.r * traj.inv_S[i]
+    m2s, ms, mbs, r = traj.M2_over_S[i], traj.M_over_S[i], traj.MB_over_S[i], inp.r
     dp = r * x * m2s / (x + u) - r * inp.p0 * m2s / (inp.p0 + u)
     dx = ((x * mbs + ms * r * inp.x_tilde0) / (x + u)
           - (inp.p0 * mbs + ms * r * inp.x0) / (inp.p0 + u))
@@ -191,9 +191,9 @@ def test_dx_exceedance_probability_decays():
     x = rng.gamma(inp.alpha, inp.p_tilde0 / inp.alpha, 200_000)
     probs = []
     for i in (2, 20, 200):
-        u = inp.r * traj.inv_S(i)
-        mbs = traj.MB_over_S(i)
-        ms = traj.M_over_S(i)
+        u = inp.r * traj.inv_S[i]
+        mbs = traj.MB_over_S[i]
+        ms = traj.M_over_S[i]
         xa_exact = (inp.p0 * mbs + ms * inp.r * inp.x0) / (inp.p0 + u)
         xa_hat = (x * mbs + ms * inp.r * inp.x_tilde0) / (x + u)
         probs.append(np.mean(np.abs(xa_hat - xa_exact) > 0.05))
@@ -204,14 +204,14 @@ def test_dx_degenerate_branch():
     # when B_i/S_i equals x_tilde0 the ratio collapses to a constant
     traj = make_trajectory(5, 8)
     i = 4
-    inp = base_inputs(x_tilde0=traj.B_over_S(i), x0=-0.7)
+    inp = base_inputs(x_tilde0=traj.B_over_S[i], x0=-0.7)
     with pytest.raises(ValueError, match="constant"):
         dx_spec(traj, inp, i)
     const = expected_dx(traj, inp, i)
     assert second_moment_dx(traj, inp, i) == pytest.approx(const * const,
                                                            rel=1e-14)
-    u = inp.r * traj.inv_S(i)
-    want = inp.r * traj.M_over_S(i) * (traj.B_over_S(i) - inp.x0) \
+    u = inp.r * traj.inv_S[i]
+    want = inp.r * traj.M_over_S[i] * (traj.B_over_S[i] - inp.x0) \
         / (inp.p0 + u)
     assert const == pytest.approx(want, rel=1e-14)
 
@@ -222,7 +222,7 @@ def test_dx_degenerate_at_every_step(seed):
     # of the spec need not come out equal
     traj = make_trajectory(seed, 50)
     for i in range(traj.n_steps + 1):
-        inp = base_inputs(x_tilde0=traj.B_over_S(i), x0=-0.7)
+        inp = base_inputs(x_tilde0=traj.B_over_S[i], x0=-0.7)
         with pytest.raises(ValueError, match="constant"):
             dx_spec(traj, inp, i)
         const = expected_dx(traj, inp, i)

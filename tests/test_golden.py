@@ -66,6 +66,8 @@ def test_run_all_writes_six_tables():
     assert len(TABLES) == 6
 
 
+# the committed configs run without a numpy warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name,argv", TABLES, ids=[name for name, _ in TABLES])
 def test_table_matches_committed_bytes(tmp_path, monkeypatch, capsys, name, argv):
     monkeypatch.chdir(SCRIPTS)

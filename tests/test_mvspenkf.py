@@ -209,11 +209,11 @@ def test_inflated_run_matches_vector_filter_in_expectation():
         traj = result.trajectories[j]
         p0 = model.p0_diag[j]
         th = scheds[j].theta[i]
-        u = traj.r_over_S(i)
+        u = traj.obs_variance * traj.inv_S[i]
         x0b = traj.truth[0]
         phat = rng.gamma(4.0, p0 / 4.0, reps)
-        mbs = traj.MB_over_S(i)
-        xa = ((th * phat * mbs + traj.M_over_S(i) * model.r_diag[j] * x0b)
+        mbs = traj.MB_over_S[i]
+        xa = ((th * phat * mbs + traj.M_over_S[i] * model.r_diag[j] * x0b)
               / (th * phat + u))
         mean_b[j] = np.mean(xa)
         se_b[j] = np.std(xa) / np.sqrt(reps)

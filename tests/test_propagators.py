@@ -27,10 +27,10 @@ def test_ledger_matches_brute_force():
     traj = build_trajectory(model, 1.0, 0.8, spec)
     M, S, B = brute_msb(model.values, traj.observations)
     for i in range(41):
-        assert traj.M2_over_S(i) == pytest.approx(M[i] ** 2 / S[i], rel=1e-12)
-        assert traj.M_over_S(i) == pytest.approx(M[i] / S[i], rel=1e-12)
-        assert traj.B_over_S(i) == pytest.approx(B[i] / S[i], rel=1e-10)
-        assert traj.r_over_S(i) == pytest.approx(0.8 / S[i], rel=1e-12)
+        assert traj.M2_over_S[i] == pytest.approx(M[i] ** 2 / S[i], rel=1e-12)
+        assert traj.M_over_S[i] == pytest.approx(M[i] / S[i], rel=1e-12)
+        assert traj.B_over_S[i] == pytest.approx(B[i] / S[i], rel=1e-10)
+        assert traj.obs_variance * traj.inv_S[i] == pytest.approx(0.8 / S[i], rel=1e-12)
 
 
 def test_ratios_survive_overflow():
@@ -39,18 +39,18 @@ def test_ratios_survive_overflow():
     traj = build_trajectory(ModelSequence.constant(2.0, 1200), 0.0, 1.0,
                             RngSpec(1, 0))
     i = 1200
-    assert traj.inv_S(i) == 0.0  # S_i is beyond double range
-    assert traj.M2_over_S(i) == pytest.approx(1.0 - 0.25, rel=1e-9)
-    assert math.isfinite(traj.B_over_S(i))
-    assert traj.r_over_S(i) == pytest.approx(0.0, abs=1e-300)
+    assert traj.inv_S[i] == 0.0  # S_i is beyond double range
+    assert traj.M2_over_S[i] == pytest.approx(1.0 - 0.25, rel=1e-9)
+    assert math.isfinite(traj.B_over_S[i])
+    assert traj.obs_variance * traj.inv_S[i] == pytest.approx(0.0, abs=1e-300)
 
 
 def test_decaying_model_keeps_precision():
     traj = build_trajectory(ModelSequence.constant(0.5, 900), 1.0, 1.0,
                             RngSpec(3, 0))
     # S_i -> sum 4^-l = 4/3; M_i^2/S_i underflows gracefully
-    assert traj.inv_S(900) == pytest.approx(3.0 / 4.0, rel=1e-12)
-    assert traj.M2_over_S(900) >= 0.0
+    assert traj.inv_S[900] == pytest.approx(3.0 / 4.0, rel=1e-12)
+    assert traj.M2_over_S[900] >= 0.0
 
 
 def test_determinism_and_stream_separation():
@@ -92,7 +92,7 @@ def test_doubly_normalized_deviation_formula():
 
 
 def mp_ledger(traj, c):
-    # every accessor at every step from M_i, S_i and B_i summed at 50 digits
+    # every ledger ratio at every step from M_i, S_i and B_i summed at 50 digits
     with mpmath.workdps(50):
         M, S, B = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
         ms = [1.0] + traj.model.values.tolist()
@@ -141,8 +141,12 @@ def test_ratio_accessors_match_50_digit_ledger(make):
     c = -2.5
     for i, want in enumerate(mp_ledger(traj, c)):
         for name, ref in want.items():
-            args = (c, i) if name == "doubly_normalized_deviation" else (i,)
-            got = getattr(traj, name)(*args)
+            if name == "r_over_S":
+                got = traj.obs_variance * traj.inv_S[i]
+            elif name == "doubly_normalized_deviation":
+                got = traj.doubly_normalized_deviation(c, i)
+            else:
+                got = getattr(traj, name)[i]
             assert type(got) is float
             assert abs(got - ref) <= 1e-13 * max(abs(ref), sys.float_info.min), \
                 (name, i, got, ref)

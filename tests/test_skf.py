@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -143,42 +144,79 @@ def test_error_moments_deterministic(unit_traj):
     assert a == b
 
 
+def _replay(traj, p0, i, n, spec):
+    # the errors x_i - truth_i skf_error_moments replays, in plain array
+    # expressions: the prior draw, then one observation draw per step
+    r = traj.obs_variance
+    gen = spec.generator()
+    e = -math.sqrt(p0) * normal_polar(gen, n)
+    for j, s in enumerate(skf_run(traj, 0.0, p0)[: i + 1]):
+        if j:
+            e = traj.model.values[j - 1] * e
+        e = (r / (s.var_forecast + r)) * e + (s.gain * math.sqrt(r)) * normal_polar(gen, n)
+    return e
+
+
 @pytest.mark.parametrize("n", [100_000, 300_000])
 def test_error_moments_match_reference_formulas(n):
-    # the replicates skf_error_moments draws, chunk by chunk, through
-    # numpy's own mean/std/var; the mean SE was sqrt(var/n) and is now
+    # the replicates skf_error_moments draws, step by step, through numpy's
+    # own mean/std/var; the mean SE was sqrt(var/n) and is now
     # sqrt(var)/sqrt(n), so it and the variance SE may move by a rounding
     traj = make_trajectory(31, 12, low=0.8, high=1.25)
     x0, p0, i, spec = 0.4, 1.3, 12, RngSpec(31, 3)
     em = skf_error_moments(traj, x0, p0, i, n, spec)
-    r, u = traj.obs_variance, traj.r_over_S(i)
-    # weights M_i M_l / S_i as the kernel forms them
-    m = traj.model.values[:i]
-    log_M = np.concatenate(([0.0], np.cumsum(np.log(np.abs(m)))))
-    sign = np.concatenate(([1.0], np.cumprod(np.sign(m))))
-    q, mos = traj.M2_over_S(i), abs(traj.M_over_S(i))
-    anchor, log_v = (q, log_M - log_M[i]) if q >= mos else (mos, log_M)
-    v = sign[i] * sign * np.exp(log_v + math.log(anchor))
-    gen = spec.generator()
-    chunk = 4_000_000 // (i + 2)
-    parts = []
-    for start in range(0, n, chunk):
-        b = min(chunk, n - start)
-        noise = normal_polar(gen, b * (i + 2)).reshape(b, i + 2)
-        parts.append((-traj.M_over_S(i) * r * (math.sqrt(p0) * noise[:, 0])
-                      + p0 * math.sqrt(r) * (noise[:, 1:] @ v)) / (p0 + u))
-    errs = np.concatenate(parts)
+    errs = _replay(traj, p0, i, n, spec)
     mean, _ = reference_mean_se(errs)
     var, var_se = reference_var_se(errs)
     assert (em.mean, em.var) == (mean, var)
     assert em.mean_se == pytest.approx(math.sqrt(var / n), rel=VAR_SE_RTOL, abs=0.0)
     assert em.var_se == pytest.approx(var_se, rel=VAR_SE_RTOL, abs=0.0)
+    # the replay's algebra: on the same draws, the truth from the prior, its
+    # observations and the filter's analysis mean give the same error
+    r = traj.obs_variance
+    gen = spec.generator()
+    truth = x0 + math.sqrt(p0) * normal_polar(gen, n)
+    xa = np.full(n, x0)
+    for j, s in enumerate(skf_run(traj, x0, p0)[: i + 1]):
+        if j:
+            m = traj.model.values[j - 1]
+            truth, xa = m * truth, m * xa
+        y = truth + math.sqrt(r) * normal_polar(gen, n)
+        xa = xa + s.gain * (y - xa)
+    sim_mean, _ = reference_mean_se(xa - truth)
+    sim_var, _ = reference_var_se(xa - truth)
+    assert sim_mean == pytest.approx(em.mean, rel=1e-12, abs=0.0)
+    assert sim_var == pytest.approx(em.var, rel=1e-12, abs=0.0)
+
+
+def test_error_moments_peak_at_a_few_replicate_arrays():
+    # one replicate-sized error and one draw per step; drawing the noise of
+    # every step as one n * (i + 2) block peaks at about 70 arrays here
+    traj = make_trajectory(31, 12, low=0.8, high=1.25)
+    n = 100_000
+    tracemalloc.start()
+    try:
+        skf_error_moments(traj, 0.4, 1.3, 12, n, RngSpec(31, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * n
+
+
+@pytest.mark.parametrize("i", [-1, 4])
+def test_a_step_outside_the_trajectory_is_refused(i):
+    # steps 0..3 on model [2, 0.5, 3]; step -1 must not wrap round to step 3
+    traj = make_trajectory(7, 3, kind=[2.0, 0.5, 3.0])
+    with pytest.raises(IndexError, match=r"^step %d is outside \[0, 3\]$" % i):
+        skf_closed_form(traj, 0.0, 1.0, i)
+    with pytest.raises(IndexError, match=r"^step %d is outside \[0, 3\]$" % i):
+        skf_error_moments(traj, 0.0, 1.0, i, 100, RngSpec(7, 3))
 
 
 @pytest.mark.parametrize("i", [1050, 1100])
 def test_error_moments_past_propagator_overflow(i):
     # m = 2: M_l leaves double range at l = 1024 and M_i/S_i underflows at
-    # i = 1075, yet the weights M_i M_l / S_i stay bounded and the moments
+    # i = 1075, yet the replayed recursion never forms M_i and the moments
     # match the closed form
     traj = make_trajectory(19, i, x0_truth=0.0, kind="constant", m=2.0)
     em = skf_error_moments(traj, 0.0, 1.0, i, 400, RngSpec(19, 3))

@@ -119,7 +119,7 @@ def test_matches_skf_closed_form_with_sampled_variance():
             assert states[i].sampled_var == pytest.approx(
                 ref.var_analysis, rel=1e-10)
             # gain closed form: pa = r M^2 phat0 / (S phat0 + r), ratio-safe
-            pa = r * traj.M2_over_S(i) * phat0 / (phat0 + traj.r_over_S(i))
+            pa = r * traj.M2_over_S[i] * phat0 / (phat0 + r * traj.inv_S[i])
             assert states[i].sampled_var == pytest.approx(pa, rel=1e-10)
 
 
@@ -234,7 +234,7 @@ def test_schedule_matches_per_step_scalar_entry():
     traj = make_trajectory(17, 1000, low=0.5, high=2.0)
     for alpha, p0 in ((1.26, 0.7), (4.5, 1.3), (16.5, 1.0), (256.0, 2.0)):
         sched = inflation_schedule(traj, alpha, p0, 0.0)
-        single = np.array([theta_step(alpha, 1.0 / traj.inv_S(i), p0,
+        single = np.array([theta_step(alpha, 1.0 / traj.inv_S[i], p0,
                                       traj.obs_variance)
                            for i in range(traj.n_steps + 1)])
         np.testing.assert_allclose(sched.theta, single, rtol=1e-12, atol=0)
@@ -295,11 +295,11 @@ def test_inflation_efficacy_monte_carlo():
     phat0 = rng.gamma(alpha, p0 / alpha, size=reps)
     for i in (0, 5, 12):
         th = sched.theta[i]
-        u = traj.r_over_S(i)
+        u = r * traj.inv_S[i]
         # constant m = 1: M_i B_i / S_i reduces to B_i / S_i
-        mbs = traj.B_over_S(i)
-        pa_hat = r * traj.M2_over_S(i) * th * phat0 / (th * phat0 + u)
-        xa_hat = ((th * phat0 * mbs + traj.M_over_S(i) * r * x0)
+        mbs = traj.B_over_S[i]
+        pa_hat = r * traj.M2_over_S[i] * th * phat0 / (th * phat0 + u)
+        xa_hat = ((th * phat0 * mbs + traj.M_over_S[i] * r * x0)
                   / (th * phat0 + u))
         ref = skf_closed_form(traj, x0, p0, i)
         se_p = math.sqrt(np.var(pa_hat) / reps)

@@ -76,10 +76,10 @@ def test_skf_closed_form_matches_the_step_formula():
     x0, p0, r = 0.3, 1.7, traj.obs_variance
     for i in range(traj.n_steps + 1):
         s = skf_closed_form(traj, x0, p0, i)
-        u = traj.r_over_S(i)
-        assert s.var_analysis == r * p0 * traj.M2_over_S(i) / (p0 + u)
-        assert s.mean_analysis == (p0 * traj.MB_over_S(i)
-                                   + traj.M_over_S(i) * r * x0) / (p0 + u)
+        u = r * traj.inv_S[i]
+        assert s.var_analysis == r * p0 * traj.M2_over_S[i] / (p0 + u)
+        assert s.mean_analysis == (p0 * traj.MB_over_S[i]
+                                   + traj.M_over_S[i] * r * x0) / (p0 + u)
         assert s.gain == s.var_analysis / r
         if i:
             prev = skf_closed_form(traj, x0, p0, i - 1)
@@ -109,7 +109,7 @@ def test_small_alpha_has_means_but_no_second_moments(alpha):
 
 def test_small_alpha_keeps_the_constant_dx():
     traj = make_trajectory(12, 10)
-    inp = inputs(1.5, x_tilde0=traj.B_over_S(4))
+    inp = inputs(1.5, x_tilde0=traj.B_over_S[4])
     const = expected_dx(traj, inp, 4)
     assert second_moment_dx(traj, inp, 4) == const * const
     with pytest.raises(ValueError, match="second moment needs alpha > 2"):
@@ -119,9 +119,9 @@ def test_small_alpha_keeps_the_constant_dx():
 def test_a_step_with_zero_r_over_s_raises_alone():
     traj = make_trajectory(13, 12)
     k = 7
-    inv_s = list(traj.inv_S_seq)
+    inv_s = list(traj.inv_S)
     inv_s[k] = 0.0
-    broken = dataclasses.replace(traj, inv_S_seq=tuple(inv_s))
+    broken = dataclasses.replace(traj, inv_S=tuple(inv_s))
     inp = inputs(6.0)
     for entry in (expected_dp, second_moment_dp, expected_dx, second_moment_dx):
         with pytest.raises(ValueError, match="need c > 0 and d > 0"):
@@ -132,16 +132,16 @@ def test_a_step_with_zero_r_over_s_raises_alone():
                 assert entry(broken, inp, i) == entry(traj, inp, i)
     # the gain's r/S_k = 0 takes its limit q_k instead
     assert po_variance_penalty(broken, 1.1, 6.0, 0.8, k) == \
-        broken.M2_over_S(k) ** 4 * 0.8 * 0.8 / 6.0
+        broken.M2_over_S[k] ** 4 * 0.8 * 0.8 / 6.0
 
 
 def test_underflowed_r_over_s_takes_the_gain_limit():
     # m = 2: r/S_i underflows to 0 from step 538 on
     traj = make_trajectory(14, 600, kind="constant", m=2.0)
-    first = next(i for i in range(601) if traj.r_over_S(i) == 0.0)
+    first = next(i for i in range(601) if traj.obs_variance * traj.inv_S[i] == 0.0)
     assert 500 < first < 600
     for i in (first - 1, first, 600):
-        q = traj.M2_over_S(i)
+        q = traj.M2_over_S[i]
         gain = dsc.po_gain_mean(traj, 1.0, 5.0, 1.0, i)
         penalty = po_variance_penalty(traj, 1.0, 5.0, 1.0, i)
         if i < first:
