@@ -5,7 +5,7 @@ sampling-error moments, optimal variance inflation, and the real-order
 exponential-integral machinery they are built on.
 """
 
-from .expint import DomainError, expint, expint_scaled, expint_scaled_inverse
+from .expint import DomainError, expint_scaled, expint_scaled_inverse
 from .rng import RngSpec, normal_polar
 from .propagators import (InputError, ModelSequence, ModelTrajectory,
                           TrajectoryRangeError, build_trajectory)
@@ -33,10 +33,7 @@ from .gamma_ratio import (
     GammaRatioSpec,
     ratio_fourth_moment,
     ratio_mean,
-    ratio_pdf,
     ratio_second_moment,
-    ratio_support,
-    ratio_variance,
 )
 from .discrepancy import (
     PerturbedInputs,

@@ -15,11 +15,13 @@ model sequences.
 The per-step closed forms read tables built a trajectory at a time, and
 nothing else: the first call for a (trajectory, inputs) pair evaluates one
 array spec over every step and keeps the moments and the spec in an
-8-entry functools.lru_cache, keyed on the trajectory's identity.  Every
-value equals that of the step's scalar spec (dp_spec, dx_spec,
-po_gain_spec) bit for bit.  A NaN row raises DomainError naming the step
-and the coefficient rule it breaks, or the moment's error for an alpha
-below its order; any other NaN is returned as it is.
+8-entry functools.lru_cache, keyed on the trajectory's identity.  There is
+no per-step spec: each element of a table's array spec evaluates as the
+float spec of its coefficients would, bit for bit (see gamma_ratio).  A
+step outside [0, n_steps] raises IndexError (ModelTrajectory.check_step,
+shared with the Monte Carlo kernels and skf).  A NaN row raises DomainError
+naming the step and the coefficient rule it breaks, or the moment's error
+for an alpha below its order; any other NaN is returned as it is.
 
 The Monte Carlo checks (mc_discrepancy_moments, po_mean_identity_check and
 skf.skf_error_moments) reduce their samples with one function,
@@ -69,13 +71,11 @@ from .gamma_ratio import (
     ratio_mean,
     ratio_second_moment,
 )
-from .propagators import InputError, ModelTrajectory
+from .propagators import InputError
 from .rng import RngSpec
 
 __all__ = [
     "PerturbedInputs",
-    "dp_spec",
-    "dx_spec",
     "expected_dp",
     "second_moment_dp",
     "expected_dx",
@@ -83,7 +83,6 @@ __all__ = [
     "McMoments",
     "sample_moments",
     "mc_discrepancy_moments",
-    "po_gain_spec",
     "po_gain_mean",
     "po_gain_fourth",
     "po_variance_penalty",
@@ -113,37 +112,13 @@ class PerturbedInputs:
 
 def _coefs(inp, inv_s, q, m_s, b_s):
     # (a, b) of dp_i and of dx_i and their shared (c, d), scaled by 1/S_i^2,
-    # from the ledger's 1/S_i, M_i^2/S_i, M_i/S_i and B_i/S_i: floats for one
-    # step, arrays for every step
+    # at every step, from the ledger's 1/S_i, M_i^2/S_i, M_i/S_i and B_i/S_i
     u = inp.r * inv_s
     c = inp.p0 + u
     a_dp = q * u * inp.r  # M^2 r^2 / S^2
     a_dx = inp.r * m_s * (b_s - inp.x0)
     b_dx = inp.r * m_s * (c * inp.x_tilde0 - b_s * inp.p0 - u * inp.x0)
     return (a_dp, -a_dp * inp.p0), (a_dx, b_dx), c, u * c
-
-
-def _step_coefs(traj, inp, i):
-    return _coefs(inp, traj.inv_S[i], traj.M2_over_S[i], traj.M_over_S[i], traj.B_over_S[i])
-
-
-def dp_spec(traj: ModelTrajectory, inp: PerturbedInputs, i):
-    """Gamma-ratio spec of dp_i, scaled by 1/S_i^2 top and bottom."""
-    (a, b), _, c, d = _step_coefs(traj, inp, i)
-    return GammaRatioSpec(a, b, c, d, inp.alpha, inp.p_tilde0)
-
-
-def dx_spec(traj: ModelTrajectory, inp: PerturbedInputs, i):
-    """Gamma-ratio spec of dx_i, scaled by 1/S_i^2 top and bottom.
-
-    Degenerates (a*d == b*c) exactly when B_i/S_i == x_tilde0, in which
-    case dx_i is the constant a/c; that case raises ValueError, since the
-    rounded a*d and b*c need not come out equal.  Callers should branch on it.
-    """
-    if traj.B_over_S[i] == inp.x_tilde0:
-        raise ValueError("B_i/S_i == x_tilde0 makes dx_%d constant" % i)
-    _, (a, b), c, d = _step_coefs(traj, inp, i)
-    return GammaRatioSpec(a, b, c, d, inp.alpha, inp.p_tilde0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -165,41 +140,42 @@ def _moment_table(traj, inp):
     return (*mean.tolist(), *second.tolist(), spec)
 
 
-def _nan_row(spec, index, i, name, moment):
-    # a NaN row, element index of spec: the rule step i breaks, else the
-    # moment's own error for an alpha below its order, else the NaN itself
-    why = spec.refusal(index)
+def _at(traj, i, column, spec, row, name, moment):
+    # column[i] at a step i of traj; a NaN there raises the rule step i
+    # breaks (element row + (i,) of spec), else the moment's own error for
+    # an alpha below its order, else it is returned as it is
+    i = traj.check_step(i)
+    v = column[i]
+    if v == v:
+        return v
+    why = spec.refusal(row + (i,))
     if why:
         raise DomainError("step %d: %s: %s" % (i, name, why))
-    return float(moment(spec)[index])
+    return float(moment(spec)[row + (i,)])
 
 
 def expected_dp(traj, inp, i):
     """E[dp_i], exact for alpha > 1."""
-    table = _moment_table(traj, inp)
-    v = table[0][i]
-    return v if v == v else _nan_row(table[4], (0, i), i, "dp", ratio_mean)
+    t = _moment_table(traj, inp)
+    return _at(traj, i, t[0], t[4], (0,), "dp", ratio_mean)
 
 
 def second_moment_dp(traj, inp, i):
     """E[dp_i^2], exact for alpha > 2."""
-    table = _moment_table(traj, inp)
-    v = table[2][i]
-    return v if v == v else _nan_row(table[4], (0, i), i, "dp", ratio_second_moment)
+    t = _moment_table(traj, inp)
+    return _at(traj, i, t[2], t[4], (0,), "dp", ratio_second_moment)
 
 
 def expected_dx(traj, inp, i):
     """E[dx_i], exact for alpha > 1."""
-    table = _moment_table(traj, inp)
-    v = table[1][i]
-    return v if v == v else _nan_row(table[4], (1, i), i, "dx", ratio_mean)
+    t = _moment_table(traj, inp)
+    return _at(traj, i, t[1], t[4], (1,), "dx", ratio_mean)
 
 
 def second_moment_dx(traj, inp, i):
     """E[dx_i^2], exact for alpha > 2."""
-    table = _moment_table(traj, inp)
-    v = table[3][i]
-    return v if v == v else _nan_row(table[4], (1, i), i, "dx", ratio_second_moment)
+    t = _moment_table(traj, inp)
+    return _at(traj, i, t[3], t[4], (1,), "dx", ratio_second_moment)
 
 
 @dataclass(frozen=True)
@@ -216,7 +192,6 @@ class McMoments:
     mean_dx2_se: float
     var_dx: float
     var_dx_se: float
-    replicates: int
     # the mean fields (of mean_dp, mean_dp2, mean_dx, mean_dx2) whose
     # sample is one double repeated, so that their standard error is 0
     constant: tuple = ()
@@ -265,8 +240,10 @@ def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
 
     Independent route from the closed forms: samples X with the library
     gamma sampler and evaluates both filters' analysis formulas per draw.
-    Raises InputError naming "phat0" when a draw of X is not a finite double.
+    Raises InputError naming "phat0" when a draw of X is not a finite double,
+    and IndexError for a step outside [0, n_steps].
     """
+    i = traj.check_step(i)
     gen = spec.generator()
     n = int(replicates)
     x = gen.gamma(inp.alpha, inp.p_tilde0 / inp.alpha, n)
@@ -302,24 +279,16 @@ def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
     dx *= dx
     m_dx2, se_dx2 = _reduce(dx, xu, "mean_dx2", constant)[:2]
     return McMoments(m_dp, se_dp, m_dp2, se_dp2, v_dp, vse_dp,
-                     m_dx, se_dx, m_dx2, se_dx2, v_dx, vse_dx, n, tuple(constant))
-
-
-def _gain_spec(q, inv_s, p0, alpha, r):
-    return GammaRatioSpec(a=q, b=0.0, c=1.0, d=float(r) * inv_s,
-                          alpha=float(alpha), p=float(p0))
-
-
-def po_gain_spec(traj: ModelTrajectory, p0, alpha, r, i):
-    """Gamma-ratio spec of the propagated gain K_i = M_i^2 X / (S_i X + r),
-    rescaled by 1/S_i top and bottom so the coefficients stay bounded."""
-    return _gain_spec(traj.M2_over_S[i], traj.inv_S[i], p0, alpha, r)
+                     m_dx, se_dx, m_dx2, se_dx2, v_dx, vse_dx, tuple(constant))
 
 
 @functools.lru_cache(maxsize=8)
 def _gain_table(traj, p0, alpha, r, n):
-    # E[K_i^n] (n = 1 or 4) at every step of traj as a list of floats, and its spec
-    spec = _gain_spec(np.array(traj.M2_over_S), np.array(traj.inv_S), p0, alpha, r)
+    # E[K_i^n] (n = 1 or 4) at every step of traj as a list of floats, and
+    # the spec of K_i = M_i^2 X / (S_i X + r), rescaled by 1/S_i top and
+    # bottom so the coefficients stay bounded
+    spec = GammaRatioSpec(a=np.array(traj.M2_over_S), b=0.0, c=1.0,
+                          d=r * np.array(traj.inv_S), alpha=alpha, p=float(p0))
     moments = (ratio_mean(spec) if n == 1 else ratio_fourth_moment(spec)).tolist()
     # once r/S_i underflows to 0, K_i = q_i X/(X + 0) is q_i to double
     # precision; a Python float ** rounds as the scalar q_i ** n does
@@ -331,15 +300,13 @@ def _gain_table(traj, p0, alpha, r, n):
 def po_gain_mean(traj, p0, alpha, r, i):
     """E[K_i], the mean of the propagated gain, exact for alpha > 1."""
     moments, spec = _gain_table(traj, p0, float(alpha), float(r), 1)
-    v = moments[i]
-    return v if v == v else _nan_row(spec, i, i, "K", ratio_mean)
+    return _at(traj, i, moments, spec, (), "K", ratio_mean)
 
 
 def po_gain_fourth(traj, p0, alpha, r, i):
     """E[K_i^4], the fourth moment of the propagated gain, exact for alpha > 4."""
     moments, spec = _gain_table(traj, p0, float(alpha), float(r), 4)
-    v = moments[i]
-    return v if v == v else _nan_row(spec, i, i, "K", ratio_fourth_moment)
+    return _at(traj, i, moments, spec, (), "K", ratio_fourth_moment)
 
 
 def po_variance_penalty(traj, p0, alpha, r, i):
@@ -352,26 +319,32 @@ def po_variance_penalty(traj, p0, alpha, r, i):
 
 @dataclass(frozen=True)
 class PoReport:
-    """Monte Carlo evidence for the perturbed-observation decomposition
-    P = rK + K^2 (R - r): the cross term is uncorrelated with rK and the
-    noise-variance fluctuation has second moment exactly r^2/alpha."""
+    """Monte Carlo estimates, with standard errors, for the decomposition
+    P = rK + K^2 (R - r): the mean of P, the covariance of rK and
+    K^2 (R - r), and the mean of (R - r)^2.  No closed form: the caller
+    holds them to r E[K] (po_gain_mean), 0 and r^2/alpha."""
 
     mean_P: float
     mean_P_se: float
-    analytic_mean_rK: float
     cov_cross: float
     cov_cross_se: float
     second_R: float
     second_R_se: float
-    exact_second_R: float
-    penalty: float
-    replicates: int
     # the fields (of mean_P, cov_cross, second_R) whose sample is one
     # double repeated, so that their standard error is 0
     constant: tuple = ()
 
 
 def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
+    """PoReport at step i from draws X ~ Gamma(alpha, p0/alpha), then
+    R ~ Gamma(alpha, r/alpha), of one stream: per replicate the gain
+    K = (M_i^2/S_i) X / (X + r/S_i) and P = rK + K^2 (R - r).
+
+    It reads the ledger at step i and no closed-form table.  Raises
+    InputError naming "p0" or "obs_variance" when a draw of X or of R is not
+    a finite double, and IndexError for a step outside [0, n_steps].
+    """
+    i = traj.check_step(i)
     gen = spec.generator()
     n = int(replicates)
     alpha, r = float(alpha), float(r)
@@ -405,18 +378,4 @@ def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
     b_term -= np.mean(b_term)
     cross = np.multiply(a_term, b_term, out=e)
     cov, cov_se = _reduce(cross, d, "cov_cross", constant)[:2]
-    return PoReport(
-        mean_P=m_p,
-        mean_P_se=se_p,
-        analytic_mean_rK=r * po_gain_mean(traj, p0, alpha, r, i),
-        cov_cross=cov,
-        cov_cross_se=cov_se,
-        second_R=m_r2,
-        second_R_se=se_r2,
-        exact_second_R=r * r / alpha,
-        # the closed-form penalty needs the fourth gain moment (alpha > 4)
-        penalty=(po_variance_penalty(traj, p0, alpha, r, i)
-                 if alpha > 4.0 else math.nan),
-        replicates=n,
-        constant=tuple(constant),
-    )
+    return PoReport(m_p, se_p, cov, cov_se, m_r2, se_r2, tuple(constant))

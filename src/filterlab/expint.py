@@ -61,7 +61,6 @@ import numpy as np
 
 __all__ = [
     "DomainError",
-    "expint",
     "expint_scaled",
     "expint_scaled_inverse",
     "expint_scaled_inverse_shifted",
@@ -238,15 +237,6 @@ def expint_scaled(nu, z):
     if z == 0.0 and nu <= 1.0:
         raise DomainError("E_nu(0) diverges for nu <= 1 (nu=%r)" % (nu,))
     return float(_scaled_array(float(nu), np.array([float(z)]))[0])
-
-
-def expint(nu, z):
-    """E_nu(z) = integral_1^inf exp(-z*t) t^(-nu) dt.
-
-    Underflows gracefully (subnormal, then 0.0) for z beyond ~745; prefer
-    expint_scaled whenever the caller can absorb the exp(z) factor.
-    """
-    return math.exp(-z) * expint_scaled(nu, z)
 
 
 def expint_scaled_inverse(alpha, y):

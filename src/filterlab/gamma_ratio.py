@@ -1,4 +1,4 @@
-"""Moments and density of Y = (aX + b) / (cX + d) for X ~ Gamma(alpha, p/alpha).
+"""Moments of Y = (aX + b) / (cX + d) for X ~ Gamma(alpha, p/alpha).
 
 X has shape alpha and mean p (scale p/alpha).  Every sampling-error
 statistic of the stochastically initialized scalar filter is a variable of
@@ -13,6 +13,9 @@ evaluated once per spec in one expint._scaled_array pass over z, and NaN where
 an element breaks a coefficient rule (GammaRatioSpec.refusal says which).  A
 spec of floats gets floats through expint_scaled, the same kernel on one
 element, so each element of an array spec equals its float spec bit for bit.
+The laboratory builds array specs only; the float route stays as their
+reference and because the benchmark's span tracer wraps it by name.  The
+density of Y, for the quadrature oracle, lives beside the tests.
 
 The closed forms below are exact for all alpha > 1 (alpha > 2, > 4 where
 the respective moment requires it); their floating-point accuracy degrades
@@ -22,7 +25,6 @@ the fourth.  Callers probing the alpha -> infinity regime should compare
 against the degenerate limit Y -> (a*p + b)/(c*p + d) directly.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,11 +34,8 @@ from .expint import _scaled_array, expint_scaled
 
 __all__ = [
     "GammaRatioSpec",
-    "ratio_support",
-    "ratio_pdf",
     "ratio_mean",
     "ratio_second_moment",
-    "ratio_variance",
     "ratio_fourth_moment",
 ]
 
@@ -123,31 +122,6 @@ class GammaRatioSpec:
         return np.where(np.logical_and(*self._rules()), value, np.nan)
 
 
-def ratio_support(spec: GammaRatioSpec):
-    """Open interval swept by (aX+b)/(cX+d) as X runs over (0, inf)."""
-    lo = spec.b / spec.d
-    hi = spec.a / spec.c
-    return (lo, hi) if lo < hi else (hi, lo)
-
-
-def ratio_pdf(spec: GammaRatioSpec, y):
-    """Density of Y at y (zero outside the support), formed in log space."""
-    a, b, c, d, alpha, p = spec.a, spec.b, spec.c, spec.d, spec.alpha, spec.p
-    lo, hi = ratio_support(spec)
-    if not (lo < y < hi):
-        return 0.0
-    x = (d * y - b) / (a - c * y)
-    lf = (
-        math.log(abs(b * c - a * d))
-        + alpha * math.log(alpha * x / p)
-        - alpha * x / p
-        - math.log(abs(d * y - b))
-        - math.log(abs(a - c * y))
-        - math.lgamma(alpha)
-    )
-    return math.exp(lf)
-
-
 def ratio_mean(spec: GammaRatioSpec):
     """E[Y], exact for alpha > 1."""
     a, b, c, p, alpha = spec.a, spec.b, spec.c, spec.p, spec.alpha
@@ -167,11 +141,6 @@ def ratio_second_moment(spec: GammaRatioSpec):
     t2 = (alpha * a * ((alpha + 1.0) * a * p - 2.0 * alpha * b) / (c2 * p)) * spec._e2
     t3 = -(alpha * (alpha + 1.0) * a * a / c2) * e3
     return spec._where_valid(t0 + t1 + t2 + t3)
-
-
-def ratio_variance(spec: GammaRatioSpec):
-    m = ratio_mean(spec)
-    return ratio_second_moment(spec) - m * m
 
 
 def ratio_fourth_moment(spec: GammaRatioSpec):

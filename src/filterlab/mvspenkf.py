@@ -4,7 +4,8 @@ When every model matrix is Z diag(m_i) Z^(-1) for one fixed invertible Z,
 and prior/observation covariances are diagonal in the same basis, the
 n-dimensional filter splits exactly into n independent scalar filters in
 the Z basis plus two basis changes.  This module runs that reduction;
-the matrix-form filter it replaces exists only in the test suite, as the
+the matrix-form filter it replaces, and the model matrices
+Z diag(m_i) Z^(-1) it steps with, exist only in the test suite, as the
 independent oracle.
 """
 
@@ -70,10 +71,6 @@ class DiagonalizableModel:
     @property
     def n_steps(self):
         return self.multipliers.shape[0]
-
-    def matrix(self, i):
-        """The step-i model matrix Z diag(m_i) Z^(-1)."""
-        return self.Z @ np.diag(self.multipliers[i]) @ np.linalg.inv(self.Z)
 
 
 @dataclass

@@ -92,9 +92,11 @@ class ModelTrajectory:
         """Index of the last step (arrays have n_steps + 1 entries)."""
         return len(self.model)
 
-    def doubly_normalized_deviation(self, c, i):
-        """M_i (B_i - c S_i) / S_i^2, bounded in probability uniformly in i."""
-        return self.M_over_S[i] * (self.B_over_S[i] - c)
+    def check_step(self, i):
+        """Step i as an int; IndexError for a step outside [0, n_steps]."""
+        if not 0 <= i < len(self.inv_S):
+            raise IndexError("step %d is outside [0, %d]" % (i, self.n_steps))
+        return int(i)
 
 
 class InputError(ValueError):

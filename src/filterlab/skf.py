@@ -114,12 +114,6 @@ def skf_run(traj: ModelTrajectory, x0, p0, inflation=None):
     return states
 
 
-def _checked_step(traj, i):
-    if not 0 <= i <= traj.n_steps:
-        raise IndexError("step %d is outside [0, %d]" % (i, traj.n_steps))
-    return int(i)
-
-
 def _closed_analysis(traj, x0, p0, i):
     # closed-form analysis mean and variance at step i, from the ledger
     r = traj.obs_variance
@@ -132,7 +126,7 @@ def _closed_analysis(traj, x0, p0, i):
 def skf_closed_form(traj: ModelTrajectory, x0, p0, i):
     """SkfState at step i straight from the closed forms (no recursion);
     IndexError for a step outside [0, n_steps]."""
-    i, x0, p0 = _checked_step(traj, i), float(x0), float(p0)
+    i, x0, p0 = traj.check_step(i), float(x0), float(p0)
     xa, pa = _closed_analysis(traj, x0, p0, i)
     if i == 0:
         xf, pf = x0, p0
@@ -162,7 +156,7 @@ def skf_error_moments(traj: ModelTrajectory, x0, p0, i, replicates, spec: RngSpe
     skf_step's p_f and k from e = -sqrt(p0) n, one normal_polar draw a step.
     Raises IndexError for a step outside [0, n_steps].
     """
-    i = _checked_step(traj, i)
+    i = traj.check_step(i)
     r = traj.obs_variance
     gen = spec.generator()
     n = int(replicates)

@@ -71,14 +71,6 @@ class EnsembleState:
         return cls(step=step, phase="forecast", mean=mean, anomalies=anomalies,
                    sampled_var=pf)
 
-    @property
-    def size(self):
-        return len(self.anomalies)
-
-    @property
-    def alpha(self):
-        return 0.5 * len(self.anomalies)
-
 
 def _svar(anoms):
     return float(np.dot(anoms, anoms) / len(anoms))
@@ -204,14 +196,10 @@ class InflationSchedule:
     theta[i] is the one-shot factor making the expected inflated analysis
     variance exact at step i; phi[i]/psi[i] are the sequential forecast
     corrections that realize theta[i] given theta[i-1] was realized, with
-    phi[0] = theta[0] applied to the initial ensemble.  x_init is the mean
-    the filter was started from; the mean shifts psi are relative to it.
+    phi[0] = theta[0] applied to the initial ensemble.  theta_star is the
+    limit alpha/(alpha-1) of theta[i] as r/S_i -> 0.
     """
 
-    alpha: float
-    p0: float
-    r: float
-    x_init: float
     theta_star: float
     theta: np.ndarray
     phi: np.ndarray
@@ -219,10 +207,12 @@ class InflationSchedule:
 
 
 def inflation_schedule(traj: ModelTrajectory, alpha, p0, x_init):
-    """Exact inflation schedule along a trajectory.
+    """Exact inflation schedule along a trajectory, for an ensemble of
+    alpha = N/2 whose sampled prior variance has mean p0.
 
-    The mean shifts depend on the realized observations through B_i, so the
-    schedule is trajectory-specific, not just model-specific.
+    x_init is the mean the filter is started from; the mean shifts psi are
+    relative to it.  They depend on the realized observations through B_i,
+    so the schedule is trajectory-specific, not just model-specific.
     """
     alpha, p0, x_init = float(alpha), float(p0), float(x_init)
     r = traj.obs_variance
@@ -239,5 +229,4 @@ def inflation_schedule(traj: ModelTrajectory, alpha, p0, x_init):
     psi = np.zeros_like(theta)
     psi[1:] = (m_next * (b - x_init) * (th1 - th0) * (r / p0)
                / ((th1 + v) * (th0 + v)))
-    return InflationSchedule(alpha=alpha, p0=p0, r=r, x_init=x_init,
-                             theta_star=theta_star(alpha), theta=theta, phi=phi, psi=psi)
+    return InflationSchedule(theta_star=theta_star(alpha), theta=theta, phi=phi, psi=psi)

@@ -41,3 +41,32 @@ def reference_var_se(v):
     var = float(np.var(v, ddof=1))
     m4 = float(np.mean((v - np.mean(v)) ** 4))
     return var, math.sqrt(max(m4 - var * var, 0.0) / len(v))
+
+
+# The quadrature oracle of the gamma-ratio moments: the density of
+# Y = (aX+b)/(cX+d), X ~ Gamma(alpha, p/alpha), over the interval Y sweeps.
+
+
+def ratio_support(spec):
+    """Open interval swept by (aX+b)/(cX+d) as X runs over (0, inf)."""
+    lo = spec.b / spec.d
+    hi = spec.a / spec.c
+    return (lo, hi) if lo < hi else (hi, lo)
+
+
+def ratio_pdf(spec, y):
+    """Density of Y at y (zero outside the support), formed in log space."""
+    a, b, c, d, alpha, p = spec.a, spec.b, spec.c, spec.d, spec.alpha, spec.p
+    lo, hi = ratio_support(spec)
+    if not (lo < y < hi):
+        return 0.0
+    x = (d * y - b) / (a - c * y)
+    lf = (
+        math.log(abs(b * c - a * d))
+        + alpha * math.log(alpha * x / p)
+        - alpha * x / p
+        - math.log(abs(d * y - b))
+        - math.log(abs(a - c * y))
+        - math.lgamma(alpha)
+    )
+    return math.exp(lf)

@@ -892,7 +892,7 @@ def test_po_penalty_nan_gap_fails(tmp_path, capsys, monkeypatch):
 
     def patched(traj, p0, alpha, r, i, replicates, spec):
         rep = real(traj, p0, alpha, r, i, replicates, spec)
-        return dataclasses.replace(rep, exact_second_R=math.nan) if i == 2 else rep
+        return dataclasses.replace(rep, second_R=math.nan) if i == 2 else rep
 
     monkeypatch.setattr(dsc, "po_mean_identity_check", patched)
     cfg = write_config(tmp_path, {"seed": 13, "steps": 2, "replicates": 40000,

@@ -16,7 +16,8 @@ from filterlab import (
     second_moment_dx,
     skf_closed_form,
 )
-from filterlab.discrepancy import dp_spec, dx_spec, po_gain_spec, sample_moments
+from filterlab import discrepancy as dsc
+from filterlab.discrepancy import sample_moments
 from conftest import (VAR_SE_RTOL, make_trajectory, reference_mean_se,
                       reference_var_se)
 
@@ -74,7 +75,6 @@ def test_mc_moments_match_reference_formulas(n):
         want, want_se = reference_var_se(v)
         assert var == want
         assert var_se == pytest.approx(want_se, rel=VAR_SE_RTOL, abs=0.0)
-    assert mc.replicates == n
 
 
 @pytest.mark.parametrize("n", [100_000, 300_000])
@@ -85,15 +85,13 @@ def test_po_report_matches_reference_formulas(n):
     gen = spec.generator()
     x = gen.gamma(alpha, p0 / alpha, n)
     rr = gen.gamma(alpha, r / alpha, n)
-    gs = po_gain_spec(traj, p0, alpha, r, i)
-    k = gs.a * x / (gs.c * x + gs.d)
+    k = traj.M2_over_S[i] * x / (x + r * traj.inv_S[i])
     a_term = r * k
     b_term = k * k * (rr - r)
     assert (rep.mean_P, rep.mean_P_se) == reference_mean_se(r * k + k * k * (rr - r))
     assert (rep.second_R, rep.second_R_se) == reference_mean_se((rr - r) ** 2)
     prod = (a_term - np.mean(a_term)) * (b_term - np.mean(b_term))
     assert (rep.cov_cross, rep.cov_cross_se) == reference_mean_se(prod)
-    assert rep.replicates == n
 
 
 @pytest.mark.parametrize("fourth", [False, True])
@@ -205,8 +203,6 @@ def test_dx_degenerate_branch():
     traj = make_trajectory(5, 8)
     i = 4
     inp = base_inputs(x_tilde0=traj.B_over_S[i], x0=-0.7)
-    with pytest.raises(ValueError, match="constant"):
-        dx_spec(traj, inp, i)
     const = expected_dx(traj, inp, i)
     assert second_moment_dx(traj, inp, i) == pytest.approx(const * const,
                                                            rel=1e-14)
@@ -223,8 +219,6 @@ def test_dx_degenerate_at_every_step(seed):
     traj = make_trajectory(seed, 50)
     for i in range(traj.n_steps + 1):
         inp = base_inputs(x_tilde0=traj.B_over_S[i], x0=-0.7)
-        with pytest.raises(ValueError, match="constant"):
-            dx_spec(traj, inp, i)
         const = expected_dx(traj, inp, i)
         assert second_moment_dx(traj, inp, i) == const * const
 
@@ -234,9 +228,9 @@ def test_specs_are_well_scaled_for_unstable_models():
     # ratio-spec coefficients stay finite and the moments evaluate
     traj = make_trajectory(77, 300, low=1.2, high=2.0, signed=False)
     inp = base_inputs(alpha=5.0, p_tilde0=1.3)
+    sp = dsc._moment_table(traj, inp)[4]
     for i in (150, 300):
-        sp = dp_spec(traj, inp, i)
-        for v in (sp.a, sp.b, sp.c, sp.d):
+        for v in (sp.a[0, i], sp.b[0, i], sp.c[i], sp.d[i]):
             assert math.isfinite(v)
         assert math.isfinite(expected_dp(traj, inp, i))
         assert math.isfinite(second_moment_dp(traj, inp, i))
@@ -247,16 +241,15 @@ def test_po_penalty_examples():
     # E[(R-r)^2] = r^2/alpha exactly: r=2, alpha=4 -> 1.0
     rep = po_mean_identity_check(traj, 1.0, 4.0, 2.0, 5, 100_000,
                                  RngSpec(10, 0))
-    assert rep.exact_second_R == 1.0
     assert abs(rep.second_R - 1.0) < 4.0 * rep.second_R_se
     # mean identity and zero covariance
-    assert abs(rep.mean_P - rep.analytic_mean_rK) < 4.0 * rep.mean_P_se
+    mean_rk = 2.0 * dsc.po_gain_mean(traj, 1.0, 4.0, 2.0, 5)
+    assert abs(rep.mean_P - mean_rk) < 4.0 * rep.mean_P_se
     assert abs(rep.cov_cross) < 4.0 * rep.cov_cross_se
     # alpha = 4 sits on the fourth-moment order boundary
-    assert math.isnan(rep.penalty)
-    rep2 = po_mean_identity_check(traj, 1.0, 6.0, 2.0, 5, 50_000,
-                                  RngSpec(10, 1))
-    assert rep2.penalty > 0.0
+    with pytest.raises(ValueError, match="fourth moment needs alpha > 4"):
+        po_variance_penalty(traj, 1.0, 4.0, 2.0, 5)
+    assert po_variance_penalty(traj, 1.0, 6.0, 2.0, 5) > 0.0
 
 
 def test_po_penalty_matches_monte_carlo():
@@ -266,8 +259,7 @@ def test_po_penalty_matches_monte_carlo():
     n = 1_000_000
     x = rng.gamma(alpha, p0 / alpha, n)
     rr = rng.gamma(alpha, r / alpha, n)
-    gs = po_gain_spec(traj, p0, alpha, r, i)
-    k = gs.a * x / (gs.c * x + gs.d)
+    k = traj.M2_over_S[i] * x / (x + r * traj.inv_S[i])
     term = k * k * (rr - r)
     est = np.var(term)
     se = math.sqrt(np.var((term - np.mean(term)) ** 2) / n)
@@ -287,8 +279,7 @@ def test_po_degenerate_noise_is_exact():
     # r_hat identically r: the perturbation term is exactly zero and the
     # update reduces to r*K per draw
     traj = make_trajectory(6, 8, kind="constant", m=1.0)
-    gs = po_gain_spec(traj, 1.0, 4.0, 1.0, 3)
     x = np.random.default_rng(3).gamma(4.0, 0.25, 1000)
-    k = gs.a * x / (gs.c * x + gs.d)
+    k = traj.M2_over_S[3] * x / (x + traj.inv_S[3])
     p_var = 1.0 * k + k * k * (1.0 - 1.0)
     np.testing.assert_array_equal(p_var, k)

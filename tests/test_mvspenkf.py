@@ -28,6 +28,11 @@ def diag_mask(a):
     return np.diag(np.diag(a))
 
 
+def model_matrix(model, i):
+    """The step-i model matrix Z diag(m_i) Z^(-1)."""
+    return model.Z @ np.diag(model.multipliers[i]) @ np.linalg.inv(model.Z)
+
+
 def matrix_filter_replay(result):
     """Matrix-form square-root filter in the shared basis with diagonal
     (Schur-identity) masking, replaying the run's stored randomness."""
@@ -78,7 +83,7 @@ def test_conjugation_identity():
     Zi = np.linalg.inv(model.Z)
     prod = np.eye(model.dim)
     for i in range(model.n_steps):
-        prod = model.matrix(i) @ prod
+        prod = model_matrix(model, i) @ prod
         want = model.Z @ np.diag(np.prod(model.multipliers[: i + 1], axis=0)) @ Zi
         np.testing.assert_allclose(prod, want, rtol=1e-10, atol=1e-12)
 

@@ -80,18 +80,7 @@ def test_loguniform_magnitudes_in_range(seed):
     assert np.all((mags >= 0.5) & (mags <= 2.0))
 
 
-def test_doubly_normalized_deviation_formula():
-    spec = RngSpec(11, 0)
-    model = ModelSequence.random_loguniform(15, spec.stream(1))
-    traj = build_trajectory(model, 0.3, 2.0, spec)
-    M, S, B = brute_msb(model.values, traj.observations)
-    for i in (0, 5, 15):
-        want = M[i] * (B[i] - 1.7 * S[i]) / S[i] ** 2
-        assert traj.doubly_normalized_deviation(1.7, i) == pytest.approx(
-            want, rel=1e-10)
-
-
-def mp_ledger(traj, c):
+def mp_ledger(traj):
     # every ledger ratio at every step from M_i, S_i and B_i summed at 50 digits
     with mpmath.workdps(50):
         M, S, B = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
@@ -107,7 +96,6 @@ def mp_ledger(traj, c):
                 "M2_over_S": float(M * M / S),
                 "B_over_S": float(B / S),
                 "MB_over_S": float(M * B / S),
-                "doubly_normalized_deviation": float(M * (B - c * S) / (S * S)),
             }
 
 
@@ -138,13 +126,10 @@ def test_ratio_accessors_match_50_digit_ledger(make):
     # relative error 1e-13, against the smallest normal double for ratios
     # that underflow
     traj = make()
-    c = -2.5
-    for i, want in enumerate(mp_ledger(traj, c)):
+    for i, want in enumerate(mp_ledger(traj)):
         for name, ref in want.items():
             if name == "r_over_S":
                 got = traj.obs_variance * traj.inv_S[i]
-            elif name == "doubly_normalized_deviation":
-                got = traj.doubly_normalized_deviation(c, i)
             else:
                 got = getattr(traj, name)[i]
             assert type(got) is float

@@ -29,7 +29,7 @@ def test_initial_ensemble_basics():
     ens = sample_initial_ensemble(8, 2.0, 3.0, RngSpec(11, 0))
     assert ens.phase == "forecast"
     assert ens.mean == 3.0
-    assert ens.size == 8 and ens.alpha == 4.0
+    assert len(ens.anomalies) == 8
     assert ens.sampled_var == pytest.approx(
         float(np.dot(ens.anomalies, ens.anomalies)) / 8.0, rel=1e-15)
     with pytest.raises(ValueError):

@@ -3,10 +3,11 @@
 expected_dp, second_moment_dp, expected_dx, second_moment_dx, po_gain_mean
 and po_gain_fourth (behind po_variance_penalty) index a table built once
 per (trajectory, inputs), and read nothing else.  These tests hold the
-tables to the per-step scalar specs dp_spec, dx_spec and po_gain_spec: the
-same values bit for bit, the same errors at the same steps, and keys that
-follow the trajectory's identity.  skf_closed_form keeps no table; it is
-held to the step formula it evaluates.
+tables to float specs sliced from the table's own array spec, one step at a
+time: the same values bit for bit, the same errors at the same steps, no
+step outside the trajectory, and keys that follow the trajectory's
+identity.  skf_closed_form keeps no table; it is held to the step formula
+it evaluates.
 """
 
 import dataclasses
@@ -16,7 +17,9 @@ import numpy as np
 import pytest
 
 from filterlab import (
+    GammaRatioSpec,
     PerturbedInputs,
+    RngSpec,
     expected_dp,
     expected_dx,
     po_variance_penalty,
@@ -37,10 +40,26 @@ def inputs(alpha, **kw):
     return PerturbedInputs(**args)
 
 
+def float_spec(spec, index):
+    # element index of an array spec, as the spec of floats it stands for
+    a, b, c, d = (float(np.broadcast_to(v, np.shape(spec.a))[index])
+                  for v in (spec.a, spec.b, spec.c, spec.d))
+    return GammaRatioSpec(a, b, c, d, spec.alpha, spec.p)
+
+
+def dp_dx_specs(traj, inp, i):
+    spec = dsc._moment_table(traj, inp)[4]
+    return float_spec(spec, (0, i)), float_spec(spec, (1, i))
+
+
+def gain_spec(traj, p0, alpha, r, i):
+    return float_spec(dsc._gain_table(traj, p0, float(alpha), float(r), 1)[1], i)
+
+
 def scalar_moments(traj, inp, i):
-    # the per-step route the tables replace: one scalar spec per moment
-    dp, dx = dsc.dp_spec(traj, inp, i), dsc.dx_spec(traj, inp, i)
-    gain = dsc.po_gain_spec(traj, inp.p0, inp.alpha, inp.r, i)
+    # the per-step route the tables replace: one float spec per moment
+    dp, dx = dp_dx_specs(traj, inp, i)
+    gain = gain_spec(traj, inp.p0, inp.alpha, inp.r, i)
     return (ratio_mean(dp), ratio_second_moment(dp), ratio_mean(dx),
             ratio_second_moment(dx), ratio_mean(gain), ratio_fourth_moment(gain))
 
@@ -98,8 +117,8 @@ def test_small_alpha_has_means_but_no_second_moments(alpha):
     traj = make_trajectory(11, 30)
     inp = inputs(alpha)
     for i in range(traj.n_steps + 1):
-        for entry, spec in ((expected_dp, dsc.dp_spec), (expected_dx, dsc.dx_spec)):
-            want = ratio_mean(spec(traj, inp, i))
+        for entry, spec in zip((expected_dp, expected_dx), dp_dx_specs(traj, inp, i)):
+            want = ratio_mean(spec)
             assert entry(traj, inp, i) == pytest.approx(want, rel=1e-14, abs=0.0)
         with pytest.raises(ValueError, match="second moment needs alpha > 2"):
             second_moment_dp(traj, inp, i)
@@ -145,11 +164,29 @@ def test_underflowed_r_over_s_takes_the_gain_limit():
         gain = dsc.po_gain_mean(traj, 1.0, 5.0, 1.0, i)
         penalty = po_variance_penalty(traj, 1.0, 5.0, 1.0, i)
         if i < first:
-            spec = dsc.po_gain_spec(traj, 1.0, 5.0, 1.0, i)
+            spec = gain_spec(traj, 1.0, 5.0, 1.0, i)
             assert gain == ratio_mean(spec)
             assert penalty == ratio_fourth_moment(spec) / 5.0
         else:
             assert (gain, penalty) == (q, q ** 4 / 5.0)
+
+
+@pytest.mark.parametrize("i", [-1, 4])
+def test_a_step_outside_the_trajectory_is_refused(i):
+    # steps 0..3 on model [2, 0.5, 3]: step -1 must not wrap round to step 3,
+    # and each entry refuses it with skf's check and message (test_skf.py)
+    traj = make_trajectory(7, 3, kind=[2.0, 0.5, 3.0])
+    inp = inputs(6.0)
+    gain = (traj, inp.p0, inp.alpha, inp.r, i)
+    calls = [lambda: expected_dp(traj, inp, i), lambda: second_moment_dp(traj, inp, i),
+             lambda: expected_dx(traj, inp, i), lambda: second_moment_dx(traj, inp, i),
+             lambda: dsc.po_gain_mean(*gain), lambda: dsc.po_gain_fourth(*gain),
+             lambda: po_variance_penalty(*gain),
+             lambda: dsc.mc_discrepancy_moments(traj, inp, i, 100, RngSpec(7, 3)),
+             lambda: dsc.po_mean_identity_check(*gain, 100, RngSpec(7, 3))]
+    for call in calls:
+        with pytest.raises(IndexError, match=r"^step %d is outside \[0, 3\]$" % i):
+            call()
 
 
 def test_gain_fourth_moment_needs_alpha_above_four():
