@@ -18,10 +18,11 @@ array spec over every step and keeps the moments and the spec in an
 8-entry functools.lru_cache, keyed on the trajectory's identity.  There is
 no per-step spec: each element of a table's array spec evaluates as the
 float spec of its coefficients would, bit for bit (see gamma_ratio).  A
-step outside [0, n_steps] raises IndexError (ModelTrajectory.check_step,
-shared with the Monte Carlo kernels and skf).  A NaN row raises DomainError
-naming the step and the coefficient rule it breaks, or the moment's error
-for an alpha below its order; any other NaN is returned as it is.
+step outside [0, n_steps] raises IndexError before any table is built or
+looked up (ModelTrajectory.check_step, shared with the Monte Carlo kernels
+and skf).  A NaN row raises DomainError naming the step and the coefficient
+rule it breaks, or the moment's error for an alpha below its order; any
+other NaN is returned as it is.
 
 The Monte Carlo checks (mc_discrepancy_moments, po_mean_identity_check and
 skf.skf_error_moments) reduce their samples with one function,
@@ -140,11 +141,10 @@ def _moment_table(traj, inp):
     return (*mean.tolist(), *second.tolist(), spec)
 
 
-def _at(traj, i, column, spec, row, name, moment):
-    # column[i] at a step i of traj; a NaN there raises the rule step i
-    # breaks (element row + (i,) of spec), else the moment's own error for
-    # an alpha below its order, else it is returned as it is
-    i = traj.check_step(i)
+def _at(i, column, spec, row, name, moment):
+    # column[i] at a step i that check_step passed; a NaN there raises the
+    # rule step i breaks (element row + (i,) of spec), else the moment's own
+    # error for an alpha below its order, else it is returned as it is
     v = column[i]
     if v == v:
         return v
@@ -156,26 +156,30 @@ def _at(traj, i, column, spec, row, name, moment):
 
 def expected_dp(traj, inp, i):
     """E[dp_i], exact for alpha > 1."""
+    i = traj.check_step(i)
     t = _moment_table(traj, inp)
-    return _at(traj, i, t[0], t[4], (0,), "dp", ratio_mean)
+    return _at(i, t[0], t[4], (0,), "dp", ratio_mean)
 
 
 def second_moment_dp(traj, inp, i):
     """E[dp_i^2], exact for alpha > 2."""
+    i = traj.check_step(i)
     t = _moment_table(traj, inp)
-    return _at(traj, i, t[2], t[4], (0,), "dp", ratio_second_moment)
+    return _at(i, t[2], t[4], (0,), "dp", ratio_second_moment)
 
 
 def expected_dx(traj, inp, i):
     """E[dx_i], exact for alpha > 1."""
+    i = traj.check_step(i)
     t = _moment_table(traj, inp)
-    return _at(traj, i, t[1], t[4], (1,), "dx", ratio_mean)
+    return _at(i, t[1], t[4], (1,), "dx", ratio_mean)
 
 
 def second_moment_dx(traj, inp, i):
     """E[dx_i^2], exact for alpha > 2."""
+    i = traj.check_step(i)
     t = _moment_table(traj, inp)
-    return _at(traj, i, t[3], t[4], (1,), "dx", ratio_second_moment)
+    return _at(i, t[3], t[4], (1,), "dx", ratio_second_moment)
 
 
 @dataclass(frozen=True)
@@ -299,14 +303,16 @@ def _gain_table(traj, p0, alpha, r, n):
 
 def po_gain_mean(traj, p0, alpha, r, i):
     """E[K_i], the mean of the propagated gain, exact for alpha > 1."""
+    i = traj.check_step(i)
     moments, spec = _gain_table(traj, p0, float(alpha), float(r), 1)
-    return _at(traj, i, moments, spec, (), "K", ratio_mean)
+    return _at(i, moments, spec, (), "K", ratio_mean)
 
 
 def po_gain_fourth(traj, p0, alpha, r, i):
     """E[K_i^4], the fourth moment of the propagated gain, exact for alpha > 4."""
+    i = traj.check_step(i)
     moments, spec = _gain_table(traj, p0, float(alpha), float(r), 4)
-    return _at(traj, i, moments, spec, (), "K", ratio_fourth_moment)
+    return _at(i, moments, spec, (), "K", ratio_fourth_moment)
 
 
 def po_variance_penalty(traj, p0, alpha, r, i):

@@ -7,8 +7,9 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filterlab import DomainError, expint_scaled, expint_scaled_inverse
+from filterlab import DomainError, expint, expint_scaled, expint_scaled_inverse
 from filterlab.expint import (
+    _depth,
     _scaled_array,
     expint_scaled_inverse_shifted,
     expint_scaled_inverse_shifted_array,
@@ -116,9 +117,12 @@ def test_inverse_saturation_is_reported():
 def _mp_scaled(a, z):
     # 50-digit quadrature of integral_0^inf exp(-z*u) (1+u)^(-a) du in the
     # variable 1+u = e^s, cut where the integrand has fallen below 1e-60
+    # (for a <= 1 at z >= 1 only, where the exponential alone gets it there)
     with mp.workdps(50):
         a, z = mp.mpf(a), mp.mpf(z)
-        top = min(140 / (a - 1), mp.log1p(140 / z))
+        top = mp.log1p(140 / z)
+        if a > 1:
+            top = min(140 / (a - 1), top)
         cuts = [c for c in (1 / (z + a), 1, 10) if c < top]
         return mp.quad(lambda s: mp.exp(-z * mp.expm1(s) - (a - 1) * s),
                        [0] + cuts + [top])
@@ -249,6 +253,86 @@ def test_array_kernel_gives_one_value_per_order_and_z(nu):
     np.testing.assert_array_equal(batch, alone)
     # expint_scaled is the one-element case
     assert batch.tolist() == [expint_scaled(nu, z) for z in BATCH_Z.tolist()]
+
+
+# ---------------------------------------------------------------- continued fraction
+
+# orders from 0 (where the fraction is 1/z after one term) to 4097, where
+# the depth is set by the order alone
+FRACTION_ORDERS = (0.0, 0.5, 1.0, 1.26, 3.5, 4.5, 16.0, 64.5, 256.0, 1024.0, 4097.0)
+FRACTION_RTOL = 1e-15
+
+
+def _fraction_z():
+    # z log-spaced over [1, 1e3], and on either side of every step of the
+    # depth's z term floor(7 + 108 z^(-3/4)), which falls to j - 1 at
+    # z = (108/(j - 7))^(4/3), shuffled so that neighbours are unrelated
+    steps = [(108.0 / (j - 7)) ** (4.0 / 3.0) for j in range(8, 115)]
+    sides = np.multiply.outer(steps, [1.0 - 1e-12, 1.0 + 1e-12]).ravel()
+    z = np.concatenate([np.logspace(0.0, 3.0, 61), sides])
+    return np.random.default_rng(1).permutation(z)
+
+
+def _batches(z):
+    # consecutive runs of 1, 2, 3, 5, 8, ... elements, then the whole array
+    sizes, a, b = [], 1, 2
+    while sum(sizes) + a <= len(z):
+        sizes.append(a)
+        a, b = b, a + b
+    return np.split(z, np.cumsum(sizes)) + [z]
+
+
+def test_depth_takes_every_step_in_z():
+    # the same depth for an element alone, in Python floats, as in an array
+    z = _fraction_z()
+    for nu in FRACTION_ORDERS:
+        k = _depth(nu, z).astype(int).tolist()
+        assert k == [int(_depth(nu, x, math.sqrt, min)) for x in z.tolist()]
+    assert sorted(set(_depth(0.5, z).astype(int).tolist())) == list(range(7, 116))
+
+
+@pytest.mark.parametrize("nu", FRACTION_ORDERS)
+def test_fraction_gives_one_value_per_order_and_z(nu):
+    # a batch runs in numpy when its terms, k.sum(), exceed
+    # _ITERATION_TERMS times its deepest k (so it has more elements than
+    # that), else one element at a time in Python floats; both must occur
+    paths = set()
+    for batch in _batches(_fraction_z()):
+        k = _depth(nu, batch).astype(int)
+        paths.add(bool(k.sum() > expint._ITERATION_TERMS * k.max()))
+        got = _scaled_array(nu, batch)
+        alone = [_scaled_array(nu, batch[j:j + 1])[0] for j in range(len(batch))]
+        np.testing.assert_array_equal(got, alone)
+        assert got.tolist() == [expint_scaled(nu, z) for z in batch.tolist()]
+    assert paths == {False, True}
+
+
+@pytest.mark.parametrize("nu", FRACTION_ORDERS)
+def test_fraction_matches_50_digit_quadrature(nu):
+    z = np.logspace(0.0, math.log10(700.0), 9)
+    got = _scaled_array(nu, z)
+    for zj, g in zip(z.tolist(), got.tolist()):
+        want = _mp_scaled(nu, zj)
+        assert abs(g - want) <= FRACTION_RTOL * want, (nu, zj, g, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nu=st.floats(0.0, 5000.0), z=st.floats(1.0, 1000.0))
+def test_fraction_matches_50_digit_quadrature_anywhere(nu, z):
+    want = _mp_scaled(nu, z)
+    assert abs(expint_scaled(nu, z) - want) <= FRACTION_RTOL * want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fraction_is_converged_at_its_depth(monkeypatch):
+    # doubling every depth moves no value by more than 2 ulp
+    z = np.logspace(0.0, 3.0, 400)
+    orders = np.concatenate([np.linspace(0.0, 10.0, 41), np.logspace(1.0, 4.0, 60)])
+    at_depth = [_scaled_array(nu, z) for nu in orders.tolist()]
+    monkeypatch.setattr(expint, "_depth", lambda nu, z, *ops, depth=_depth: 2 * depth(nu, z, *ops))
+    for nu, got in zip(orders.tolist(), at_depth):
+        deeper = _scaled_array(nu, z)
+        assert (np.abs(got - deeper) <= 2.0 * np.spacing(deeper)).all(), nu
 
 
 # ---------------------------------------------------------------- domain limits

@@ -9,7 +9,7 @@ names each moved column with its column-scaled move, the largest
 regeneration shows in the failure.
 """
 
-import math
+import importlib.util
 import shlex
 from pathlib import Path
 
@@ -34,23 +34,19 @@ def _tables():
 TABLES = _tables()
 
 
+# the column-scaled move of scripts/golden_diff.py, loaded from its file
+_spec = importlib.util.spec_from_file_location("golden_diff", SCRIPTS / "golden_diff.py")
+golden_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_diff)
+
+
 def _column_moves(new, old):
-    # "<column> <move>" for every column whose text differs; a value that
-    # turns non-finite, or a column of zeros, moves by inf
-    new_rows, old_rows = ([line.split(",") for line in text.decode().splitlines()]
-                          for text in (new, old))
-    if [len(r) for r in new_rows] != [len(r) for r in old_rows] or new_rows[0] != old_rows[0]:
+    # "<column> <move>" for every column whose text differs, as
+    # scripts/golden_diff.py measures it
+    moves = golden_diff.column_moves(new, old)
+    if moves is None:
         return "the header or the table's shape changed"
-    moves = []
-    for j, name in enumerate(old_rows[0]):
-        pairs = [(float(n[j]), float(o[j])) for n, o in zip(new_rows[1:], old_rows[1:])
-                 if n[j] != o[j]]
-        if pairs:
-            scale = max([abs(float(o[j])) for o in old_rows[1:] if math.isfinite(float(o[j]))],
-                        default=0.0)
-            move = max(abs(a - b) if math.isfinite(a - b) else math.inf for a, b in pairs)
-            moves.append("%s %.1e" % (name, move / scale if scale else math.inf))
-    return "moved columns: " + ", ".join(moves)
+    return "moved columns: " + ", ".join("%s %.1e" % move for move in moves)
 
 
 def test_column_moves_scale_each_moved_column():

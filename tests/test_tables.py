@@ -174,7 +174,10 @@ def test_underflowed_r_over_s_takes_the_gain_limit():
 @pytest.mark.parametrize("i", [-1, 4])
 def test_a_step_outside_the_trajectory_is_refused(i):
     # steps 0..3 on model [2, 0.5, 3]: step -1 must not wrap round to step 3,
-    # and each entry refuses it with skf's check and message (test_skf.py)
+    # and each entry refuses it with skf's check and message (test_skf.py),
+    # before it builds or looks up a table
+    dsc._moment_table.cache_clear()
+    dsc._gain_table.cache_clear()
     traj = make_trajectory(7, 3, kind=[2.0, 0.5, 3.0])
     inp = inputs(6.0)
     gain = (traj, inp.p0, inp.alpha, inp.r, i)
@@ -187,6 +190,8 @@ def test_a_step_outside_the_trajectory_is_refused(i):
     for call in calls:
         with pytest.raises(IndexError, match=r"^step %d is outside \[0, 3\]$" % i):
             call()
+    for table in (dsc._moment_table, dsc._gain_table):
+        assert table.cache_info() == (0, 0, 8, 0)
 
 
 def test_gain_fourth_moment_needs_alpha_above_four():
