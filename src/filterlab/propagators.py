@@ -17,18 +17,31 @@ a mantissa and a binary exponent (math.frexp) and rounded to doubles only
 for the ledger; 1/S_i never grows and B_i/S_i stays of the size of
 x0_truth plus the noise, so both are plain doubles.  Each update rounds a
 few bounded numbers, so the ratios keep their relative accuracy however far
-M_i and S_i leave double range and come back.  The truth x0_truth * M_i is
-multiplied out the same way.  ModelTrajectory holds each ratio as a tuple
-of Python floats, read by index only: traj.inv_S[i], traj.M2_over_S[i], ...
+M_i and S_i leave double range and come back.
+
+While every input of a step (the five ratios, m_i, y_{i+1}) has magnitude in
+[2^-k, 2^k], k = 128, the step runs in plain doubles with the same bits: its
+products and quotients lie in [2^(-6k-1), 2^(3k+1)], normal for k <= 170,
+where scaling by a power of two is exact; a sum that cancels below that
+range is exact in both forms; and 1 + t = t once t > 2^64, where the
+mantissa form takes g = t.  At the first step with an input outside the
+window, frexp hands the state over exactly and the mantissa form finishes.
+The truth x0_truth * M_i is a left fold, the same bits as the mantissa
+product while every partial product is normal or x0_truth is 0, and is
+otherwise multiplied out the same way.  ModelTrajectory holds each ratio as
+a tuple of Python floats, read by index only: traj.inv_S[i], ...
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from math import frexp, ldexp
 
 import numpy as np
 
 from .rng import RngSpec, normal_polar
+
+_LO, _HI = 2.0 ** -128, 2.0 ** 128  # the plain-double window of the ledger
 
 __all__ = ["ModelSequence", "ModelTrajectory", "InputError",
            "TrajectoryRangeError", "build_trajectory"]
@@ -117,13 +130,21 @@ class TrajectoryRangeError(InputError):
     """
 
 
-def _add(a, ea, b, eb):
-    """Mantissa and exponent of a 2^ea + b 2^eb, for a, b each 0 or within a
-    few dozen binades of 1."""
-    if b and (not a or eb > ea):
-        a, ea, b, eb = b, eb, a, ea
-    f, e = frexp(a + ldexp(b, eb - ea))
-    return f, e + ea
+def _truth(x0, values):
+    """x0 * M_i for i = 0..n, with its mantissas and exponents."""
+    with np.errstate(over="ignore"):
+        truth = np.multiply.accumulate(np.append(x0, values))
+    if not x0 or np.isfinite(truth).all() and np.abs(truth).min() >= sys.float_info.min:
+        return (truth, *np.frexp(truth))
+    xf, xe = frexp(x0)
+    truth_f, truth_e = [xf], [xe]
+    for mf, me in zip(*(a.tolist() for a in np.frexp(values))):
+        xf, e = frexp(xf * mf)
+        xe += me + e
+        truth_f.append(xf)
+        truth_e.append(xe)
+    with np.errstate(over="ignore"):
+        return np.ldexp(truth_f, truth_e), truth_f, truth_e
 
 
 def build_trajectory(model: ModelSequence, x0_truth, obs_variance, spec: RngSpec):
@@ -140,17 +161,9 @@ def build_trajectory(model: ModelSequence, x0_truth, obs_variance, spec: RngSpec
     x0 = float(x0_truth)
     if not math.isfinite(x0):
         raise TrajectoryRangeError("x0_truth", "not a finite number")
-    mfs, mes = (a.tolist() for a in np.frexp(model.values))
-    xf, xe = frexp(x0)
-    truth_f, truth_e = [xf], [xe]
-    for mf, me in zip(mfs, mes):
-        xf, e = frexp(xf * mf)
-        xe += me + e
-        truth_f.append(xf)
-        truth_e.append(xe)
-    noise = math.sqrt(r) * normal_polar(spec.generator(), len(mfs) + 1)
+    truth, truth_f, truth_e = _truth(x0, model.values)
+    noise = math.sqrt(r) * normal_polar(spec.generator(), len(model) + 1)
     with np.errstate(over="ignore"):
-        truth = np.ldexp(truth_f, truth_e)
         obs = truth + noise
 
     def range_error(i):
@@ -170,13 +183,31 @@ def build_trajectory(model: ModelSequence, x0_truth, obs_variance, spec: RngSpec
     if not np.isfinite(obs).all():
         raise range_error(int(np.argmin(np.isfinite(obs))))
 
-    yfs, yes = (a.tolist() for a in np.frexp(obs))
-    # one row per step: 1/S, B/S, and M/S, q, MB/S as mantissa and exponent
-    inv_s, b_s = 1.0, float(obs[0])
-    qf, qe, uf, ue, wf, we = 0.5, 1, 0.5, 1, yfs[0], yes[0]
-    rows = [(inv_s, b_s, uf, ue, qf, qe, wf, we)]
+    ms, ys = model.values.tolist(), obs.tolist()
+    # rows of 1/S, B/S, M/S, q, MB/S: plain doubles while a step's inputs lie
+    # in the window, then with M/S, q and MB/S as mantissa and exponent
+    ins = np.abs(np.column_stack((model.values, obs[1:])))
+    n_in = int(np.argmin(np.append(((ins >= _LO) & (ins <= _HI)).all(axis=1), False)))
+    rows = [(1.0, ys[0], 1.0, 1.0, ys[0])]
+    inv_s, b_s, u, q, w = rows[0]
+    for m, y in zip(ms[:n_in], ys[1:]):
+        if not (_LO <= q and _LO <= inv_s and _LO <= abs(u) <= _HI
+                and _LO <= abs(b_s) <= _HI and _LO <= abs(w) <= _HI):
+            break
+        t = m * m * q
+        g = 1.0 + t
+        inv_s /= g
+        b_s = b_s / g + m * u * y / g
+        q = t / g
+        u = m * u / g
+        w = m * w / g + q * y
+        rows.append((inv_s, b_s, u, q, w))
+    n = len(rows)
+    (uf, ue), (qf, qe), (wf, we) = frexp(u), frexp(q), frexp(w)
+    mfs, mes, yfs, yes = (a.tolist() for a in (*np.frexp(ms[n - 1:]), *np.frexp(ys[n:])))
+    tail = []
     try:
-        for mf, me, yf, ye in zip(mfs, mes, yfs[1:], yes[1:]):
+        for mf, me, yf, ye in zip(mfs, mes, yfs, yes):
             # t = m^2 q = tf 2^te and g = 1 + t = gf 2^ge
             tf, te = mf * mf * qf, 2 * me + qe
             gf, ge = (tf, te) if te > 64 else (1.0 + ldexp(tf, te), 0)
@@ -186,17 +217,21 @@ def build_trajectory(model: ModelSequence, x0_truth, obs_variance, spec: RngSpec
             qe = te - ge + e
             uf, e = frexp(mf * uf / gf)
             ue += me - ge + e
-            wf, we = _add(mf * wf / gf, me + we - ge, qf * yf, qe + ye)
-            rows.append((inv_s, b_s, uf, ue, qf, qe, wf, we))
+            # MB/S = a 2^ae + b 2^be, added at the larger exponent
+            af, ae, bf, be = mf * wf / gf, me + we - ge, qf * yf, qe + ye
+            if bf and (not af or be > ae):
+                af, ae, bf, be = bf, be, af, ae
+            wf, e = frexp(af + ldexp(bf, be - ae))
+            we = ae + e
+            tail.append((inv_s, b_s, uf, ue, qf, qe, wf, we))
     except OverflowError:
-        raise range_error(len(rows)) from None
-    inv_ss, b_ss, u_f, u_e, q_f, q_e, w_f, w_e = zip(*rows)
-    with np.errstate(over="ignore"):
-        mb_s = np.ldexp(w_f, w_e)
+        raise range_error(n + len(tail)) from None
+    if tail:
+        inv_t, b_t, *fe = zip(*tail)
+        with np.errstate(over="ignore"):
+            rows += zip(inv_t, b_t, *np.ldexp(fe[0::2], fe[1::2]).tolist())
+    inv_ss, b_ss, u_s, q_s, mb_s = zip(*rows)
     finite = np.isfinite(b_ss) & np.isfinite(mb_s)
     if not finite.all():
         raise range_error(int(np.argmin(finite)))
-    return ModelTrajectory(model, r, truth, obs, inv_ss,
-                           tuple(np.ldexp(u_f, u_e).tolist()),
-                           tuple(np.ldexp(q_f, q_e).tolist()),
-                           b_ss, tuple(mb_s.tolist()))
+    return ModelTrajectory(model, r, truth, obs, inv_ss, u_s, q_s, b_ss, mb_s)

@@ -15,6 +15,7 @@ the forecast variance and mean.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,10 +170,14 @@ def _thetas(alpha, p0, u, inverse):
     # S_i p0 / (alpha (S_i p0 + r)).  The target sits near its z = 0 limit
     # 1/alpha for small u, so the inverse is driven by the shift
     # 1/alpha - y = u / (alpha (p0 + u)), formed here without cancellation.
-    # A huge p0 overflows the denominator to inf: delta = 0 is then the
-    # exact u -> 0 limit, so the overflow is silent.
+    # theta depends on u / p0 alone: where alpha (p0 + u) overflows, both are
+    # scaled by 2^-64.  A huge p0 then gives a subnormal shift, taken as the
+    # u -> 0 limit 0, and a huge u one that rounds to 1/alpha and is refused.
     with np.errstate(over="ignore"):
-        delta = u / (alpha * (p0 + u))
+        big = np.isinf(alpha * (p0 + u))
+    p0, u = np.where(big, p0 * 2.0 ** -64, p0), np.where(big, u * 2.0 ** -64, u)
+    delta = u / (alpha * (p0 + u))
+    delta = np.where(big & (delta < sys.float_info.min), 0.0, delta)
     z = inverse(alpha, delta)
     ts = theta_star(alpha)
     # z == 0: delta underflowed and the u -> 0 limit applies

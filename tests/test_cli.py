@@ -303,6 +303,10 @@ SWEEP_CONFIGS = {
     "m-2-600-steps": {"steps": 600, "model": {"kind": "constant", "m": 2.0}},
     "m-0.3-400-steps": {"steps": 400, "model": {"kind": "constant", "m": 0.3}},
     "explicit-1e200": {"steps": 2, "model": {"kind": "explicit", "values": [1e200, 1e-200]}},
+    "r-1e308": {"steps": 3, "r": 1e308},
+    # the ratio ledger leaves the plain-double window and M_i comes back to 1
+    "window-crossing": {"steps": 300, "model": {"kind": "explicit",
+                                                "values": [0.01] * 150 + [100.0] * 150}},
 }
 
 
@@ -676,6 +680,20 @@ def test_huge_prior_schedule_is_finite_and_silent(tmp_path, capsys, n_members):
     assert all(math.isfinite(v) for row in rows for v in map(float, row))
     star = col["theta_star"][0]
     assert all(1.0 <= phi <= star for phi in col["phi"])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cmd,field", [("inflation-table", "p_tilde0"),
+                                       ("spenkf", "p_tilde0"), ("mc-verify", "p0")])
+def test_huge_r_over_s_is_refused_naming_the_prior(tmp_path, capsys, cmd, field):
+    # alpha (prior + r / S_i) overflows on r / S_i: the inverse's shift
+    # rounds to 1/alpha, so theta has no root, not the r / S_i -> 0 limit
+    cfg = write_config(tmp_path, {"steps": 3, "r": 1e308, "ensemble_size": 16,
+                                  "inflation": "sequential", "replicates": 2000})
+    code, out, err = run_cli([cmd, "--config", cfg, "--seed", "1"], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("%s: config.%s: 1.0 is too small against r / S_i" % (cmd, field))
 
 
 def test_multipliers_beyond_1e154_with_a_finite_truth_run(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from filterlab import (
+    DomainError,
     EnsembleState,
     PerturbedInputs,
     RngSpec,
@@ -188,6 +189,26 @@ def test_theta_step_matches_direct_root():
 
     root = brentq(gap, 1.0, theta_star(alpha), xtol=1e-13, rtol=1e-13)
     assert th == pytest.approx(root, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p0,r,p0_small,r_small", [
+    (1e308, 1e308, 1.0, 1.0),  # alpha (p0 + r / S_i) overflows on both
+    (1e308, 1e300, 1e8, 1.0),  # on p0, with r / S_i not negligible
+])
+def test_theta_depends_on_r_over_s_p0_alone_where_the_shift_overflows(p0, r, p0_small, r_small):
+    for alpha in (1.5, 8.0, 512.5):
+        assert theta_step(alpha, 1.0, p0, r) == pytest.approx(
+            theta_step(alpha, 1.0, p0_small, r_small), rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_shift_is_the_limit_on_p0_and_refused_on_r_over_s():
+    # on p0 with r / (S_i p0) below the normal range: the r / S_i -> 0 limit
+    assert theta_step(8.0, 1.0, 1.7e308, 1e-8) == theta_star(8.0)
+    # on r / S_i: the shift rounds to 1/alpha and theta has no root
+    with pytest.raises(DomainError, match="requires 0 <= delta < 1/alpha"):
+        theta_step(8.0, 1.0, 1.0, 1e308)
 
 
 @settings(max_examples=60, deadline=None)
