@@ -25,42 +25,37 @@ rule it breaks, or the moment's error for an alpha below its order; any
 other NaN is returned as it is.
 
 The Monte Carlo checks (mc_discrepancy_moments, po_mean_identity_check and
-skf.skf_error_moments) reduce their samples with one function,
-sample_moments, in a single centring pass: the deviations from the mean are
-squared in place for the variance and squared once more for the fourth
-central moment behind the variance's standard error.  Writing that moment
-as (v - mean) ** 4 would send every replicate through libm pow, which numpy
-skips only for the exponents 2, 0.5, 1, 0 and -1, at ten times the cost of
-two multiplications.  Mean, mean SE and variance are bit-identical to
-numpy's mean, std and var of the same sample.
+skf.skf_error_moments) reduce every sample v one way, into the shifted power
+sums s_k = sum of d^k, k = 1..4, d = v - c (Chan, Golub & LeVeque 1983).
+The shift c is the median of the first _W replicates: as a replicate it
+keeps the central sum c_2 >= s_2/(n+1), and near the mean it keeps the
+running sums small.  The mean, E[v^2], the variance and their
+standard errors follow in closed form (_moments; Pebay 2008), so dp^2 is
+never a sample of its own.  A sample whose deviations sum to 0 and square
+to 0 is constant: its zero standard error is exact, not an underflow.
 
-The kernels work in place, with one replicate-sized buffer per live
-quantity, because at 1e5 replicates and more each array outgrows the L2
-cache and a fresh one per arithmetic step costs more than the arithmetic:
+The sums run through block buffers of _BLOCK replicates, a multiple of _W,
+each after a row of _W running column sums: reducing [sums; block] along
+axis 0 adds each replicate to its column (index mod _W) in replicate order,
+and math.fsum adds the columns exactly.  So the order of every addition is
+fixed by the replicate index alone, not by numpy's pairwise summation, the
+block size, a whole or blocked feed, or the thread count, and a seeded run
+writes the same bytes on any build whose float operations round alike.
 
-    mc_discrepancy_moments (3 buffers)
-        x   the gamma draw X, then dx, then dx^2
-        xu  X + u, then the centring scratch of every reduction
-        dp  X r, times M_i^2/S_i, over X + u, minus the exact p_i: dp, then dp^2
-    po_mean_identity_check (4 buffers)
-        x   the gamma draw X, then K = (M_i^2/S_i) X / (X + r/S_i), then K^2 e
-        rr  the gamma draw R, then e = R - r, then e^2, P = rK + K^2 e and
-            the product of the centred terms, each in turn
-        den X + r/S_i, then rK
-        d   the centring scratch of every reduction
-
-Each sample is reduced with the scratch buffer as sample_moments' out, so
-it is still whole when a zero variance asks whether every replicate is the
-same double (McMoments.constant, PoReport.constant).  Every element goes
-through the same float operations, on the same operands and in the same
-order, as the plain array expressions in the comments: only the operands of
-a product are swapped, which is exact.  Nothing is re-associated, fused or
-shared between dp and dx (there is no common X/(X + u)), so the outputs are
-bit-identical to those expressions.
+mc_discrepancy_moments allocates no replicate-sized array, only four block
+buffers that fit one core's L2 cache: x (the draw X, as gen.gamma draws it,
+then dx), xu (X + u), dp and a scratch slot.  The fold turns dx and dp into
+their deviations d and then d^3, and xu and the scratch into d^2 and d^4.
+Each replicate of dp and dx goes through the float operations of the array
+expressions in the comments, in their order (only a product's operands are
+swapped, which is exact).  po_mean_identity_check (its R draws follow all n
+X draws in one stream) and skf_error_moments (normal_polar's draws depend
+on the count asked for) keep whole arrays and feed sample_moments.
 """
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,34 +196,88 @@ class McMoments:
     constant: tuple = ()
 
 
-def sample_moments(v, fourth=False, out=None):
-    """Mean, its standard error, the ddof-1 variance and, with fourth=True,
-    the variance's standard error (nan otherwise) of the sample v, from one
-    centring pass: d = (v - mean)^2, squared in place again for the fourth
-    central moment rather than raised to ** 4 (see the module docstring).
-
-    The pass writes d into out (a new array when None), which may be v
-    itself; the results do not depend on where d goes."""
-    n = len(v)
-    mean = float(np.mean(v))
-    d = np.subtract(v, mean, out=out)
-    d *= d
-    var = float(np.sum(d)) / (n - 1)
-    var_se = math.nan
-    if fourth:
-        d *= d
-        var_se = math.sqrt(max(float(np.mean(d)) - var * var, 0.0) / n)
-    return mean, math.sqrt(var) / math.sqrt(n), var, var_se
+_W = 256  # running column sums per power sum
+_BLOCK = 1 << 15  # replicates per block, a multiple of _W; 4 buffers fill half an L2
 
 
-def _reduce(v, scratch, name, constant, fourth=False):
-    # sample_moments of v centred in scratch, so v is still whole when a
-    # zero variance leaves open whether every replicate is the same double
-    # (then name joins constant) or the squared deviations underflowed
-    res = sample_moments(v, fourth, scratch)
-    if res[2] == 0.0 and v.min() == v.max():
-        constant.append(name)
-    return res
+# mean2 is E[v^2], var the ddof-1 variance, and constant says that every
+# replicate is the same double
+SampleMoments = namedtuple("SampleMoments", "mean mean_se mean2 mean2_se var var_se constant")
+
+
+def _buffers(slots):
+    # slots sample buffers of _BLOCK replicates, each after a row of running
+    # column sums, and the column sums of d, d^2 (acc[0]) and d^3, d^4 (acc[1])
+    return np.empty((slots, _BLOCK // _W + 1, _W)), np.zeros((2, slots, _W))
+
+
+def _samples(buf, m):
+    # the first m replicates of every slot of buf, as a (slots, m) view
+    return buf.reshape(len(buf), -1)[:, _W:_W + m]
+
+
+def _add_columns(buf, m, acc):
+    # acc[s, j] += the replicates of slot s in column j, in replicate order
+    rows, tail = divmod(m, _W)
+    buf[:, 0] = acc
+    np.add.reduce(buf[:, :rows + 1], axis=1, out=acc)
+    if tail:
+        acc[:, :tail] += buf[:, rows + 1, :tail]
+
+
+def _fold(buf, m, acc):
+    # the deviations d in slots 0, 2, .. of buf into acc[0] (d, d^2) and
+    # acc[1] (d^3, d^4), slot by slot; slots 1, 3, .. are scratch
+    v = _samples(buf, m)
+    d, p = v[0::2], v[1::2]
+    np.multiply(d, d, out=p)
+    _add_columns(buf, m, acc[0])
+    d *= p
+    p *= p
+    _add_columns(buf, m, acc[1])
+
+
+def _total(cols):
+    # the exact sum; math.fsum raises on inf + -inf or past double range
+    try:
+        return math.fsum(cols)
+    except (ValueError, OverflowError):
+        return sum(cols)
+
+
+def _shift(v):
+    # for each row of v, the median replicate of its first _W: a replicate
+    # near the mean keeps every running column sum near 0, where additions
+    # round least
+    k = (min(len(v[0]), _W) - 1) // 2
+    return np.partition(v[:, :_W], k, axis=1)[:, k:k + 1]
+
+
+def _moments(acc, j, shift, n):
+    # SampleMoments of the sample in slot 2j of the folds into acc
+    s1, s2, s3, s4 = [_total(c.tolist()) for a in acc for c in a[2 * j:2 * j + 2]]
+    t = s1 / n
+    c2 = max(s2 - t * s1, 0.0)  # the central sums; s2 may underflow where s1 does not
+    c3 = s3 - 3.0 * t * s2 + 2.0 * t * t * s1
+    c4 = s4 - 4.0 * t * s3 + 6.0 * t * t * s2 - 3.0 * t * t * t * s1
+    mean, var = shift + t, c2 / (n - 1)
+    # the sum of (v^2 - mean2)^2, mean2 = mean^2 + c2/n
+    q = 4.0 * mean * mean * c2 + 4.0 * mean * c3 + c4 - c2 * c2 / n
+    return SampleMoments(mean, math.sqrt(var) / math.sqrt(n), mean * mean + c2 / n,
+                         math.sqrt(max(q, 0.0) / (n - 1)) / math.sqrt(n), var,
+                         math.sqrt(max(c4 / n - var * var, 0.0) / n), s1 == s2 == 0.0)
+
+
+def sample_moments(v):
+    """SampleMoments of the whole sample v, fed to the power sums in blocks
+    (see the module docstring)."""
+    n, shift = len(v), float(_shift(v[None, :])[0, 0])
+    buf, acc = _buffers(2)
+    for lo in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - lo)
+        np.subtract(v[lo:lo + m], shift, out=_samples(buf, m)[0])
+        _fold(buf, m, acc)
+    return _moments(acc, 0, shift, n)
 
 
 def _check_draws(x, param, mean, i):
@@ -250,40 +299,36 @@ def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
     i = traj.check_step(i)
     gen = spec.generator()
     n = int(replicates)
-    x = gen.gamma(inp.alpha, inp.p_tilde0 / inp.alpha, n)
-    _check_draws(x, "phat0", inp.p_tilde0, i)
     u = inp.r * traj.inv_S[i]
-    m2s = traj.M2_over_S[i]
-    ms = traj.M_over_S[i]
-    mbs = traj.MB_over_S[i]
-    r = inp.r
-    xu = x + u
-
-    # dp = r * x * m2s / xu - pa_exact
+    m2s, ms, mbs, r = traj.M2_over_S[i], traj.M_over_S[i], traj.MB_over_S[i], inp.r
     pa_exact = r * inp.p0 * m2s / (inp.p0 + u)
-    dp = np.multiply(x, r)
-    dp *= m2s
-    dp /= xu
-    dp -= pa_exact
-
-    # dx = (x * mbs + ms * r * x_tilde0) / xu - xa_exact, in x's buffer
     xa_exact = (inp.p0 * mbs + ms * r * inp.x0) / (inp.p0 + u)
-    dx = x
-    dx *= mbs
-    dx += ms * r * inp.x_tilde0
-    dx /= xu
-    dx -= xa_exact
-
-    # xu is spent: it takes every centring pass, and the squares reuse dp, dx
-    constant = []
-    m_dp, se_dp, v_dp, vse_dp = _reduce(dp, xu, "mean_dp", constant, fourth=True)
-    dp *= dp
-    m_dp2, se_dp2 = _reduce(dp, xu, "mean_dp2", constant)[:2]
-    m_dx, se_dx, v_dx, vse_dx = _reduce(dx, xu, "mean_dx", constant, fourth=True)
-    dx *= dx
-    m_dx2, se_dx2 = _reduce(dx, xu, "mean_dx2", constant)[:2]
-    return McMoments(m_dp, se_dp, m_dp2, se_dp2, v_dp, vse_dp,
-                     m_dx, se_dx, m_dx2, se_dx2, v_dx, vse_dx, tuple(constant))
+    (buf, acc), shift = _buffers(4), None
+    for lo in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - lo)
+        x, xu, dp, _ = v = _samples(buf, m)
+        gen.standard_gamma(inp.alpha, out=x)
+        with np.errstate(over="ignore"):  # an infinite draw is named below
+            x *= inp.p_tilde0 / inp.alpha
+        _check_draws(x, "phat0", inp.p_tilde0, i)
+        np.add(x, u, out=xu)
+        # dp = r * x * m2s / xu - pa_exact
+        np.multiply(x, r, out=dp)
+        dp *= m2s
+        dp /= xu
+        dp -= pa_exact
+        # dx = (x * mbs + ms * r * x_tilde0) / xu - xa_exact, in x's slot
+        x *= mbs
+        x += ms * r * inp.x_tilde0
+        x /= xu
+        x -= xa_exact
+        if shift is None:
+            shift = _shift(v[0::2])  # of dx and dp
+        v[0::2] -= shift
+        _fold(buf, m, acc)
+    dx, dp = (_moments(acc, j, float(shift[j, 0]), n) for j in (0, 1))
+    return McMoments(*dp[:6], *dx[:6], ("mean_dp", "mean_dp2") * dp.constant
+                     + ("mean_dx", "mean_dx2") * dx.constant)
 
 
 @functools.lru_cache(maxsize=8)
@@ -371,17 +416,11 @@ def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
     b_term *= k
     b_term *= e
 
-    # e is spent: its buffer holds e * e, P and the cross product in turn,
-    # and d takes every centring pass
-    constant = []
-    d = np.empty(n)
-    e *= e
-    m_r2, se_r2 = _reduce(e, d, "second_R", constant)[:2]
-    p = np.add(a_term, b_term, out=e)
-    m_p, se_p = _reduce(p, d, "mean_P", constant)[:2]
-    # P has been reduced, so the terms are centred in place
-    a_term -= np.mean(a_term)
-    b_term -= np.mean(b_term)
-    cross = np.multiply(a_term, b_term, out=e)
-    cov, cov_se = _reduce(cross, d, "cov_cross", constant)[:2]
-    return PoReport(m_p, se_p, cov, cov_se, m_r2, se_r2, tuple(constant))
+    # e is spent: its buffer holds P and then the product of the centred terms
+    r2 = sample_moments(e)
+    p = sample_moments(np.add(a_term, b_term, out=e))
+    a_term -= sample_moments(a_term).mean
+    b_term -= sample_moments(b_term).mean
+    cross = sample_moments(np.multiply(a_term, b_term, out=e))
+    return PoReport(*p[:2], *cross[:2], *r2[2:4], ("second_R",) * r2.constant
+                    + ("mean_P",) * p.constant + ("cov_cross",) * cross.constant)

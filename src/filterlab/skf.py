@@ -173,4 +173,5 @@ def skf_error_moments(traj: ModelTrajectory, x0, p0, i, replicates, spec: RngSpe
         noise = normal_polar(gen, n)
         noise *= state.gain * math.sqrt(r)
         e += noise
-    return ErrorMoments(*sample_moments(e, fourth=True, out=noise))
+    m = sample_moments(e)
+    return ErrorMoments(m.mean, m.mean_se, m.var, m.var_se)

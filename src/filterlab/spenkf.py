@@ -171,13 +171,13 @@ def _thetas(alpha, p0, u, inverse):
     # 1/alpha for small u, so the inverse is driven by the shift
     # 1/alpha - y = u / (alpha (p0 + u)), formed here without cancellation.
     # theta depends on u / p0 alone: where alpha (p0 + u) overflows, both are
-    # scaled by 2^-64.  A huge p0 then gives a subnormal shift, taken as the
-    # u -> 0 limit 0, and a huge u one that rounds to 1/alpha and is refused.
+    # scaled by 2^-64, and a huge u gives a shift that rounds to 1/alpha and is
+    # refused.  A subnormal shift is taken as 0: theta rounds to theta_star.
     with np.errstate(over="ignore"):
         big = np.isinf(alpha * (p0 + u))
     p0, u = np.where(big, p0 * 2.0 ** -64, p0), np.where(big, u * 2.0 ** -64, u)
     delta = u / (alpha * (p0 + u))
-    delta = np.where(big & (delta < sys.float_info.min), 0.0, delta)
+    delta = np.where(delta < sys.float_info.min, 0.0, delta)
     z = inverse(alpha, delta)
     ts = theta_star(alpha)
     # z == 0: delta underflowed and the u -> 0 limit applies

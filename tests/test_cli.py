@@ -231,6 +231,22 @@ def test_mc_verify_bytes_identical_across_threads(tmp_path, capsys, monkeypatch)
     assert codes[0] == codes[1] == codes[2]
 
 
+@pytest.mark.parametrize("cmd", ["mc-verify", "po-penalty"])
+def test_bytes_identical_across_threads_over_several_blocks(tmp_path, capsys, cmd):
+    # 2 blocks and 7 replicates a step: each sample crosses two block
+    # boundaries and ends in a ragged row (criterion 13)
+    cfg = write_config(tmp_path, {"seed": 4242, "steps": 3, "ensemble_size": 16,
+                                  "replicates": 2 * dsc._BLOCK + 7})
+    outputs = []
+    for threads in ("1", "2", "4"):
+        dest = tmp_path / ("%s.csv" % threads)
+        code, _, _ = run_cli([cmd, "--config", cfg, "--threads", threads, "--out", str(dest)],
+                             capsys)
+        assert code in (0, 1)
+        outputs.append(dest.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_po_penalty_builds_its_gain_tables_before_the_pool(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, {"seed": 4242, "steps": 4, "replicates": 2000})
     events = record_builds_and_starts(monkeypatch, ("_gain_table",),
@@ -956,15 +972,18 @@ def test_zero_standard_error_exits_2_naming_step_and_statistic(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_constant_sample_exits_2_saying_so(tmp_path, capsys, threads):
+def test_constant_sample_exits_2_saying_so(tmp_path, capsys, monkeypatch, threads):
     # m = 2: once r/S_i is below about 1e-16 of X, X/(X + u) rounds to 1 and
-    # every replicate of dx_i is the same double; nothing underflowed
+    # every replicate of dx_i is the same double; nothing underflowed.  The
+    # 2000 replicates fill one block, then four
     cfg = write_config(tmp_path, {"steps": 40, "ensemble_size": 8, "replicates": 2000,
                                   "model": {"kind": "constant", "m": 2.0}})
     dest = tmp_path / "out.csv"
-    code, _, err = run_cli(["mc-verify", "--config", cfg, "--seed", "1", "--threads",
-                            str(threads), "--out", str(dest)], capsys)
-    assert code == 2
-    assert err == ("mc-verify: step 29: the standard error of dx_mean is 0: "
-                   "every replicate is the same double\n")
-    assert not dest.exists()
+    for block in (dsc._BLOCK, 512):
+        monkeypatch.setattr(dsc, "_BLOCK", block)
+        code, _, err = run_cli(["mc-verify", "--config", cfg, "--seed", "1", "--threads",
+                                str(threads), "--out", str(dest)], capsys)
+        assert code == 2
+        assert err == ("mc-verify: step 29: the standard error of dx_mean is 0: "
+                       "every replicate is the same double\n")
+        assert not dest.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,8 +19,7 @@ from filterlab import (
 )
 from filterlab import discrepancy as dsc
 from filterlab.discrepancy import sample_moments
-from conftest import (VAR_SE_RTOL, make_trajectory, reference_mean_se,
-                      reference_var_se)
+from conftest import MC_RTOL, make_trajectory, reference_mean_se, reference_var_se
 
 
 def base_inputs(**kw):
@@ -56,7 +56,7 @@ def test_moments_match_monte_carlo():
 @pytest.mark.parametrize("n", [100_000, 300_000])
 def test_mc_moments_match_reference_formulas(n):
     # the same draws through the kernel's first expressions and numpy's own
-    # mean/std/var: every field bit for bit but the two variance SEs
+    # mean/std/var: every field within MC_RTOL
     traj = make_trajectory(7, 20)
     inp = base_inputs(alpha=4.0, p_tilde0=1.4, x_tilde0=0.3, x0=0.1)
     i, spec = 12, RngSpec(7, 12)
@@ -67,14 +67,10 @@ def test_mc_moments_match_reference_formulas(n):
     dp = r * x * m2s / (x + u) - r * inp.p0 * m2s / (inp.p0 + u)
     dx = ((x * mbs + ms * r * inp.x_tilde0) / (x + u)
           - (inp.p0 * mbs + ms * r * inp.x0) / (inp.p0 + u))
-    assert (mc.mean_dp, mc.mean_dp_se) == reference_mean_se(dp)
-    assert (mc.mean_dp2, mc.mean_dp2_se) == reference_mean_se(dp * dp)
-    assert (mc.mean_dx, mc.mean_dx_se) == reference_mean_se(dx)
-    assert (mc.mean_dx2, mc.mean_dx2_se) == reference_mean_se(dx * dx)
-    for v, var, var_se in ((dp, mc.var_dp, mc.var_dp_se), (dx, mc.var_dx, mc.var_dx_se)):
-        want, want_se = reference_var_se(v)
-        assert var == want
-        assert var_se == pytest.approx(want_se, rel=VAR_SE_RTOL, abs=0.0)
+    want = (reference_mean_se(dp) + reference_mean_se(dp * dp) + reference_var_se(dp)
+            + reference_mean_se(dx) + reference_mean_se(dx * dx) + reference_var_se(dx))
+    assert dataclasses.astuple(mc)[:-1] == pytest.approx(want, rel=MC_RTOL, abs=0.0)
+    assert mc.constant == ()
 
 
 @pytest.mark.parametrize("n", [100_000, 300_000])
@@ -88,21 +84,39 @@ def test_po_report_matches_reference_formulas(n):
     k = traj.M2_over_S[i] * x / (x + r * traj.inv_S[i])
     a_term = r * k
     b_term = k * k * (rr - r)
-    assert (rep.mean_P, rep.mean_P_se) == reference_mean_se(r * k + k * k * (rr - r))
-    assert (rep.second_R, rep.second_R_se) == reference_mean_se((rr - r) ** 2)
     prod = (a_term - np.mean(a_term)) * (b_term - np.mean(b_term))
-    assert (rep.cov_cross, rep.cov_cross_se) == reference_mean_se(prod)
+    want = (reference_mean_se(r * k + k * k * (rr - r)) + reference_mean_se(prod)
+            + reference_mean_se((rr - r) ** 2))
+    assert dataclasses.astuple(rep)[:-1] == pytest.approx(want, rel=MC_RTOL, abs=0.0)
+    assert rep.constant == ()
 
 
-@pytest.mark.parametrize("fourth", [False, True])
-def test_sample_moments_in_place_matches_a_copy(fourth):
-    v = np.random.default_rng(3).gamma(4.0, 0.25, 10_001)
-    want = [x.hex() for x in sample_moments(v.copy(), fourth)]
-    scratch = np.empty_like(v)
-    kept = v.copy()
-    assert [x.hex() for x in sample_moments(v, fourth, out=scratch)] == want
-    assert np.array_equal(v, kept)
-    assert [x.hex() for x in sample_moments(v, fourth, out=v)] == want
+def _bits(m):
+    return [x.hex() for x in m[:-1]] + [m.constant]
+
+
+def test_power_sums_do_not_depend_on_the_block_size(monkeypatch):
+    # two block sizes that are multiples of _W, and the whole sample as one
+    # block: every addition happens in replicate order within its column
+    v = np.random.default_rng(3).gamma(4.0, 0.25, 5 * 512 + 7)
+    traj = make_trajectory(7, 20)
+    inp = base_inputs(alpha=4.0, p_tilde0=1.4, x_tilde0=0.3, x0=0.1)
+    got = []
+    for block in (2 * dsc._W, 4 * dsc._W, 1 << 20):
+        monkeypatch.setattr(dsc, "_BLOCK", block)
+        mc = mc_discrepancy_moments(traj, inp, 12, len(v), RngSpec(7, 12))
+        got.append((_bits(sample_moments(v)), [x.hex() for x in dataclasses.astuple(mc)[:-1]]))
+    assert got[0] == got[1] == got[2]
+
+
+def test_a_non_finite_power_sum_is_nan_not_an_exception():
+    # d^3 is +inf in column 1 and -inf in column 2: math.fsum would raise
+    v = np.zeros(1000)
+    v[1], v[2] = 1e200, -1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = sample_moments(v)
+    assert (m.mean, m.var, m.mean2) == (0.0, math.inf, math.inf)
+    assert math.isnan(m.var_se) and math.isnan(m.mean2_se)
 
 
 def _peak_bytes(call):
@@ -116,35 +130,40 @@ def _peak_bytes(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("kernel,arrays", [("mc", 3), ("po", 4)])
-def test_monte_carlo_kernels_peak_at_their_live_buffers(kernel, arrays):
-    # one replicate-sized buffer per live quantity (see the discrepancy
-    # module docstring); a fresh array per arithmetic step peaked at 6 and 8
-    n = 100_000
+@pytest.mark.parametrize("n", [100_000, 300_000])
+@pytest.mark.parametrize("kernel", ["mc", "po"])
+def test_monte_carlo_kernels_peak_at_their_live_buffers(kernel, n):
+    # mc_discrepancy_moments streams through four block buffers at any n;
+    # po_mean_identity_check keeps three replicate-sized arrays and feeds
+    # them through a two-slot block buffer, within its old bound of four
     traj = make_trajectory(7, 20)
     if kernel == "mc":
         inp = base_inputs(alpha=4.0, p_tilde0=1.4, x_tilde0=0.3, x0=0.1)
         peak = _peak_bytes(lambda: mc_discrepancy_moments(traj, inp, 12, n, RngSpec(7, 12)))
+        bound = 4 * 8 * (dsc._BLOCK + dsc._W)
     else:
         peak = _peak_bytes(lambda: po_mean_identity_check(traj, 1.3, 10.0, 2.0, 9, n,
                                                           RngSpec(8, 9)))
-    assert peak <= arrays * 8 * n + 64 * 1024
+        bound = 4 * 8 * n
+    assert peak <= bound + 64 * 1024
 
 
-def test_constant_sample_is_told_from_an_underflowed_variance():
-    # m = 2: r/S_39 is about 1e-23 of X, so X/(X + u) rounds to 1 and every
-    # replicate of dx (and dx^2) is the same double
-    inp = base_inputs()
-    mc = mc_discrepancy_moments(make_trajectory(1, 40, kind="constant", m=2.0), inp,
-                                39, 2000, RngSpec(1, 39))
-    assert (mc.mean_dx_se, mc.mean_dx2_se) == (0.0, 0.0)
-    assert mc.constant == ("mean_dx", "mean_dx2")
-    # m = 0.3: dp^2 decays until its squared deviations underflow, though
-    # its replicates differ
-    mc = mc_discrepancy_moments(make_trajectory(1, 80, kind="constant", m=0.3),
-                                base_inputs(alpha=8.0), 77, 2000, RngSpec(1, 77))
-    assert mc.mean_dp2_se == 0.0
-    assert mc.constant == ()
+def test_constant_sample_is_told_from_an_underflowed_variance(monkeypatch):
+    for block in (dsc._BLOCK, 512):
+        # m = 2: r/S_39 is about 1e-23 of X, so X/(X + u) rounds to 1 and
+        # every replicate of dx (and dx^2) is the same double, in one block
+        # or over four
+        monkeypatch.setattr(dsc, "_BLOCK", block)
+        mc = mc_discrepancy_moments(make_trajectory(1, 40, kind="constant", m=2.0),
+                                    base_inputs(), 39, 2000, RngSpec(1, 39))
+        assert (mc.mean_dx_se, mc.mean_dx2_se) == (0.0, 0.0)
+        assert mc.constant == ("mean_dx", "mean_dx2")
+        # m = 0.3: dp^2 decays until its squared deviations underflow, though
+        # its replicates differ
+        mc = mc_discrepancy_moments(make_trajectory(1, 80, kind="constant", m=0.3),
+                                    base_inputs(alpha=8.0), 77, 2000, RngSpec(1, 77))
+        assert mc.mean_dp2_se == 0.0
+        assert mc.constant == ()
 
 
 def test_variance_nonnegative():

@@ -2,11 +2,13 @@
 in-process through filterlab.cli.main, must match the committed CSV in
 scripts/out/ byte for byte.
 
-The bytes are pinned on one numpy build: the Monte Carlo reductions sum in
-numpy's pairwise order, which a different build may change.  A mismatch
-names each moved column with its column-scaled move, the largest
-|new - old| over the column's largest finite |old|, so the size of a
-regeneration shows in the failure.
+The Monte Carlo reductions add in an order fixed by the replicate index
+alone (see the discrepancy module docstring), not numpy's pairwise order,
+so no build's summation moves the bytes.  They still rest on numpy's gamma
+and uniform draws and on libm, which another numpy release or platform may
+change.  A mismatch names each moved column with its column-scaled move,
+the largest |new - old| over the column's largest finite |old|, so the size
+of a regeneration shows in the failure.
 """
 
 import importlib.util

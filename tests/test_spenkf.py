@@ -211,6 +211,14 @@ def test_an_overflowing_shift_is_the_limit_on_p0_and_refused_on_r_over_s():
         theta_step(8.0, 1.0, 1.0, 1e308)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p0,r", [(1e300, 1e-9), (1e305, 1e-4)])
+def test_a_subnormal_shift_is_the_limit_where_nothing_overflows(p0, r):
+    # alpha (p0 + r / S_i) is finite, but the shift r / (alpha S_i (p0 + u))
+    # is subnormal, so it has lost digits; the exact theta rounds to theta_star
+    assert theta_step(8.0, 1.0, p0, r) == theta_star(8.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(alpha=st.floats(1.1, 200.0), s=st.floats(1.0, 1e6),
        p0=st.floats(1e-3, 1e3), r=st.floats(1e-3, 1e3))
