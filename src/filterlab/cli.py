@@ -106,10 +106,12 @@ _GATE_SE = 4.0
 
 def _gated_rows(args, cols, closed, one, n_rows, detail=""):
     # closed(i), every step's closed forms, on this thread first: that builds
-    # each table once.  Then one(i, closed(i)) on args.threads threads, up to
-    # a step closed() refused, whose error is raised after those rows if none
-    # of them raises first.  The verdict is on the largest gap in SE units,
-    # NaN if any gap is NaN, so a NaN cannot pass.
+    # each table once.  Then one(i, closed(i)), a row and its (statistic,
+    # gap) pairs, on args.threads threads, up to a step closed() refused,
+    # whose error is raised after those rows if none of them raises first.
+    # Each row ends with its largest gap in SE units, NaN if any gap is NaN,
+    # and the verdict is on the largest of those, so a NaN cannot pass.  It
+    # names the first NaN gap's statistic and step, else the first largest.
     from concurrent.futures import ThreadPoolExecutor  # only these commands make a pool
 
     forms = []
@@ -118,23 +120,27 @@ def _gated_rows(args, cols, closed, one, n_rows, detail=""):
             forms.append(closed(i))
     finally:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one, range(len(forms)), forms))
-    worst = float(np.max([row[-1] for row in rows]))
+            results = list(pool.map(one, range(len(forms)), forms))
+    rows = [row + [float(np.max([g for _, g in gaps]))] for row, gaps in results]
+    flat = [(g, i, stat) for i, (_, gaps) in enumerate(results) for stat, g in gaps]
+    nans = [t for t in flat if t[0] != t[0]]
+    worst, step, stat = nans[0] if nans else max(flat, key=lambda t: t[0])
     _write_csv(args.out, cols, rows)
     ok = worst <= _GATE_SE
-    print("%s: %d steps%s, worst gap %.2f SE: %s"
-          % (args.command, n_rows, detail, worst, "PASS" if ok else "FAIL"),
+    print("%s: %d steps%s, worst gap %.2f SE: %s (%s at step %d)"
+          % (args.command, n_rows, detail, worst, "PASS" if ok else "FAIL", stat, step),
           file=sys.stderr)
     return 0 if ok else 1
 
 
 def _gap(i, stat, diff, se, constant):
-    # constant: every replicate behind stat is the same double, so a zero
-    # SE is exact; otherwise the squared deviations underflowed
+    # (stat, |diff| in SE units); constant: every replicate behind stat is
+    # the same double, so a zero SE is exact; otherwise the squared
+    # deviations underflowed
     if se == 0.0:
         why = "is 0: every replicate is the same double" if constant else "underflowed to 0"
         raise DomainError("step %d: the standard error of %s %s" % (i, stat, why))
-    return abs(diff) / se
+    return stat, abs(diff) / se
 
 
 # ---------------------------------------------------------------- skf
@@ -285,7 +291,7 @@ def cmd_mc_verify(args):
                 a_dx2 - a_dx * a_dx, mc.var_dx, mc.var_dx_se,
                 a_dx2, mc.mean_dx2, mc.mean_dx2_se,
                 float(sched.theta[i]), float(sched.phi[i]),
-                float(sched.psi[i]), float(np.max(gaps))]
+                float(sched.psi[i])], gaps
 
     return _gated_rows(args, _MC_COLS, closed, one, traj.n_steps + 1,
                        ", %d replicates" % cfg.replicates)
@@ -360,7 +366,7 @@ def cmd_po_penalty(args):
                      "second_R" in const)]
         return [i, k4, penalty, rep.mean_P, mean_rk,
                 rep.cov_cross, rep.cov_cross_se, rep.second_R,
-                second_r, float(np.max(gaps))]
+                second_r], gaps
 
     return _gated_rows(args, _PO_COLS, closed, one, traj.n_steps + 1)
 

@@ -15,14 +15,18 @@ model sequences.
 The per-step closed forms read tables built a trajectory at a time, and
 nothing else: the first call for a (trajectory, inputs) pair evaluates one
 array spec over every step and keeps the moments and the spec in an
-8-entry functools.lru_cache, keyed on the trajectory's identity.  There is
-no per-step spec: each element of a table's array spec evaluates as the
-float spec of its coefficients would, bit for bit (see gamma_ratio).  A
-step outside [0, n_steps] raises IndexError before any table is built or
-looked up (ModelTrajectory.check_step, shared with the Monte Carlo kernels
-and skf).  A NaN row raises DomainError naming the step and the coefficient
-rule it breaks, or the moment's error for an alpha below its order; any
-other NaN is returned as it is.
+8-entry functools.lru_cache, keyed on the trajectory's identity and on the
+inputs.  PerturbedInputs computes the hash of its six fields once, at
+construction, so a cache lookup does not hash six floats again (equality
+stays field by field), and a per-step entry costs a step check and a table
+read.  There is no per-step spec: each element of a table's array spec
+evaluates as the float spec of its coefficients would, bit for bit (see
+gamma_ratio).  A step that is not an integer or lies outside [0, n_steps]
+raises IndexError before any table is built or looked up
+(ModelTrajectory.check_step, shared with the Monte Carlo kernels and skf).
+A NaN row raises DomainError naming the step and the coefficient rule it
+breaks, or the moment's error for an alpha below its order; any other NaN
+is returned as it is.
 
 The Monte Carlo checks (mc_discrepancy_moments, po_mean_identity_check and
 skf.skf_error_moments) reduce every sample v one way, into the shifted power
@@ -104,6 +108,11 @@ class PerturbedInputs:
             raise ValueError("variances must be positive")
         if not (self.alpha > 1.0):
             raise ValueError("need alpha > 1")
+        object.__setattr__(self, "_hash", hash((self.p0, self.x0, self.p_tilde0,
+                                                 self.x_tilde0, self.alpha, self.r)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def _coefs(inp, inv_s, q, m_s, b_s):
@@ -364,8 +373,9 @@ def po_variance_penalty(traj, p0, alpha, r, i):
     """Extra analysis-variance term E[K_i^4] r^2 / alpha contributed by
     perturbing observations with sampled variance R ~ Gamma(alpha, r/alpha).
     Exact for alpha > 4."""
-    alpha, r = float(alpha), float(r)
-    return po_gain_fourth(traj, p0, alpha, r, i) * r * r / alpha
+    i, alpha, r = traj.check_step(i), float(alpha), float(r)
+    moments, spec = _gain_table(traj, p0, alpha, r, 4)
+    return _at(i, moments, spec, (), "K", ratio_fourth_moment) * r * r / alpha
 
 
 @dataclass(frozen=True)

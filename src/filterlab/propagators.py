@@ -33,6 +33,7 @@ a tuple of Python floats, read by index only: traj.inv_S[i], ...
 """
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from math import frexp, ldexp
@@ -106,10 +107,15 @@ class ModelTrajectory:
         return len(self.model)
 
     def check_step(self, i):
-        """Step i as an int; IndexError for a step outside [0, n_steps]."""
+        """Step i as an int; IndexError for a step that is not an integer
+        (an int, a numpy integer or a bool) or lies outside [0, n_steps]."""
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise IndexError("step %r is not an integer" % (i,)) from None
         if not 0 <= i < len(self.inv_S):
             raise IndexError("step %d is outside [0, %d]" % (i, self.n_steps))
-        return int(i)
+        return i
 
 
 class InputError(ValueError):

@@ -10,10 +10,15 @@ which the recursion must reproduce exactly up to roundoff.  All closed
 forms are evaluated through the ratio ledger of the trajectory, in Python
 floats, so they do not degrade when M_i and S_i overflow: skf_closed_form
 reads steps i and i - 1 of the ledger and keeps no table.
+
+SkfState is a NamedTuple, an immutable record of its six fields in order:
+it constructs in a third of a frozen dataclass's time (one
+object.__setattr__ a field), which is most of a per-step closed form.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +41,7 @@ __all__ = [
 PF_MIN = 1e-300
 
 
-@dataclass(frozen=True)
-class SkfState:
+class SkfState(NamedTuple):
     step: int
     mean_forecast: float
     var_forecast: float
@@ -48,14 +52,7 @@ class SkfState:
 
 def _analyze(step, xf, pf, y, r):
     k = pf / (pf + r)
-    return SkfState(
-        step=step,
-        mean_forecast=xf,
-        var_forecast=pf,
-        gain=k,
-        mean_analysis=xf + k * (y - xf),
-        var_analysis=k * r,
-    )
+    return SkfState(step, xf, pf, k, xf + k * (y - xf), k * r)
 
 
 def skf_start(x0, p0, y0, r):
@@ -131,11 +128,10 @@ def skf_closed_form(traj: ModelTrajectory, x0, p0, i):
     if i == 0:
         xf, pf = x0, p0
     else:
-        m = float(traj.model.values[i - 1])
+        m = traj.model.values.item(i - 1)
         xm, pm = _closed_analysis(traj, x0, p0, i - 1)
         xf, pf = m * xm, m * m * pm
-    return SkfState(step=i, mean_forecast=xf, var_forecast=pf, gain=pa / traj.obs_variance,
-                    mean_analysis=xa, var_analysis=pa)
+    return SkfState(i, xf, pf, pa / traj.obs_variance, xa, pa)
 
 
 @dataclass(frozen=True)

@@ -917,6 +917,7 @@ def test_mc_verify_nan_gap_fails(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(["mc-verify", "--config", cfg, "--out", str(dest)], capsys)
     assert code == 1
     assert "worst gap nan SE: FAIL" in err
+    assert err.rstrip().endswith("FAIL (dx_mean at step 1)")
     header, rows = parse_csv(dest.read_text(encoding="utf-8"))
     assert rows[1][header.index("max_gap_se")] == "nan"
 
@@ -935,6 +936,27 @@ def test_po_penalty_nan_gap_fails(tmp_path, capsys, monkeypatch):
                             "--out", str(tmp_path / "po.csv")], capsys)
     assert code == 1
     assert "worst gap nan SE: FAIL" in err
+    assert err.rstrip().endswith("FAIL (second_R at step 2)")
+
+
+@pytest.mark.parametrize("cmd,obj,stats", [
+    ("mc-verify", {"seed": 5, "steps": 12, "replicates": 4000, "ensemble_size": 10},
+     ("dp_mean", "dp2", "dx_mean", "dx2")),
+    ("po-penalty", {"seed": 6, "steps": 12, "replicates": 4000, "ensemble_size": 10},
+     ("mean_P", "cov_cross", "second_R")),
+])
+def test_the_verdict_names_the_step_of_the_largest_gap(tmp_path, capsys, cmd, obj, stats):
+    dest = tmp_path / "gate.csv"
+    code, _, err = run_cli([cmd, "--config", write_config(tmp_path, obj), "--out", str(dest)],
+                           capsys)
+    m = re.fullmatch(r"%s: 13 steps.*, worst gap ([\d.]+) SE: (PASS|FAIL) "
+                     r"\((\w+) at step (\d+)\)\n" % cmd, err)
+    assert m, err
+    header, rows = parse_csv(dest.read_text(encoding="utf-8"))
+    gaps = [float(row[header.index("max_gap_se")]) for row in rows]
+    assert int(m[4]) == int(np.argmax(gaps))
+    assert m[3] in stats and m[1] == "%.2f" % max(gaps)
+    assert code == (0 if max(gaps) <= 4.0 else 1)
 
 
 # the fourth-moment form itself overflows at d = r/S_i ~ 1e160 (its NaN

@@ -45,3 +45,9 @@ def test_gate_false_alarms_reports_each_gate():
         assert m, line
         q = [float(x) for x in m.groups()[1:]]
         assert q == sorted(q)
+        # the statistics the verdict lines named: one per FAIL, one per run
+        fails, held = re.search(r"; FAILs decided by (.*); worst gaps held by (.*)\), ",
+                                line).groups()
+        counts = [sum(int(t.rsplit(" ", 1)[1]) for t in tally.split(", ") if t != "none")
+                  for tally in (fails, held)]
+        assert counts == [int(m[1]), 3]

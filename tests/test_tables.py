@@ -12,6 +12,7 @@ it evaluates.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from filterlab import (
     GammaRatioSpec,
     PerturbedInputs,
     RngSpec,
+    SkfState,
     expected_dp,
     expected_dx,
     po_variance_penalty,
@@ -171,11 +173,13 @@ def test_underflowed_r_over_s_takes_the_gain_limit():
             assert (gain, penalty) == (q, q ** 4 / 5.0)
 
 
-@pytest.mark.parametrize("i", [-1, 4])
+@pytest.mark.parametrize("i", [-1, 4, 2.5, np.float64(1.0)])
 def test_a_step_outside_the_trajectory_is_refused(i):
     # steps 0..3 on model [2, 0.5, 3]: step -1 must not wrap round to step 3,
-    # and each entry refuses it with skf's check and message (test_skf.py),
-    # before it builds or looks up a table
+    # a fractional step must not truncate to the step below, and each entry
+    # refuses either with skf's check and message (test_skf.py), before it
+    # builds or looks up a table
+    why = "is not an integer" if isinstance(i, float) else r"is outside \[0, 3\]"
     dsc._moment_table.cache_clear()
     dsc._gain_table.cache_clear()
     traj = make_trajectory(7, 3, kind=[2.0, 0.5, 3.0])
@@ -185,13 +189,26 @@ def test_a_step_outside_the_trajectory_is_refused(i):
              lambda: expected_dx(traj, inp, i), lambda: second_moment_dx(traj, inp, i),
              lambda: dsc.po_gain_mean(*gain), lambda: dsc.po_gain_fourth(*gain),
              lambda: po_variance_penalty(*gain),
+             lambda: skf_closed_form(traj, inp.x0, inp.p0, i),
              lambda: dsc.mc_discrepancy_moments(traj, inp, i, 100, RngSpec(7, 3)),
              lambda: dsc.po_mean_identity_check(*gain, 100, RngSpec(7, 3))]
     for call in calls:
-        with pytest.raises(IndexError, match=r"^step %d is outside \[0, 3\]$" % i):
+        with pytest.raises(IndexError, match=r"^step %s %s$" % (re.escape(repr(i)), why)):
             call()
     for table in (dsc._moment_table, dsc._gain_table):
         assert table.cache_info() == (0, 0, 8, 0)
+
+
+def test_integer_steps_of_any_integer_type_are_read():
+    traj = make_trajectory(7, 3, kind=[2.0, 0.5, 3.0])
+    inp = inputs(6.0)
+    for step, i in ((np.int64(2), 2), (np.int32(3), 3), (True, 1)):
+        assert skf_closed_form(traj, inp.x0, inp.p0, step) == \
+            skf_closed_form(traj, inp.x0, inp.p0, i)
+        assert type(skf_closed_form(traj, inp.x0, inp.p0, step).step) is int
+        assert expected_dp(traj, inp, step) == expected_dp(traj, inp, i)
+        assert po_variance_penalty(traj, inp.p0, inp.alpha, inp.r, step) == \
+            po_variance_penalty(traj, inp.p0, inp.alpha, inp.r, i)
 
 
 def test_gain_fourth_moment_needs_alpha_above_four():
@@ -202,6 +219,50 @@ def test_gain_fourth_moment_needs_alpha_above_four():
 
 
 # ---------------------------------------------------------------- keys
+
+
+def test_equal_inputs_built_apart_share_one_table():
+    traj = make_trajectory(23, 20)
+    a, b = inputs(8.0), inputs(8.0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash(dataclasses.astuple(a))
+    dsc._moment_table.cache_clear()
+    assert expected_dp(traj, a, 3) == expected_dp(traj, b, 3)
+    assert dsc._moment_table.cache_info()[:2] == (1, 1)  # one hit, one miss
+
+
+def test_unequal_inputs_do_not_share_a_table():
+    traj = make_trajectory(24, 20)
+    dsc._moment_table.cache_clear()
+    base = inputs(8.0)
+    # each field moved alone, by the smallest step its double takes
+    moved = [dataclasses.replace(base, **{f.name: math.nextafter(getattr(base, f.name), 2.0)})
+             for f in dataclasses.fields(base)]
+    assert all(inp != base for inp in moved)
+    for inp in [base] + moved:
+        expected_dp(traj, inp, 0)
+    assert dsc._moment_table.cache_info()[:2] == (0, 7)
+
+
+def test_skf_state_is_a_record_of_six_fields_that_refuses_assignment():
+    traj = make_trajectory(25, 5)
+    s = skf_closed_form(traj, 0.3, 1.7, 2)
+    assert SkfState._fields == ("step", "mean_forecast", "var_forecast", "gain",
+                                "mean_analysis", "var_analysis")
+    assert s == SkfState(2, s.mean_forecast, s.var_forecast, s.gain, s.mean_analysis,
+                         s.var_analysis)
+    for name in SkfState._fields:
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0.0)
+    assert s.step == 2
+
+
+def test_penalty_is_the_gain_fourth_moment_times_r_squared_over_alpha():
+    traj = make_trajectory(26, 100, low=0.9, high=1.1)
+    for alpha, r in ((4.5, 0.8), (64.5, 1.3), (1024.0, 0.9)):
+        for i in range(traj.n_steps + 1):
+            want = dsc.po_gain_fourth(traj, 1.1, alpha, r, i) * r * r / alpha
+            assert po_variance_penalty(traj, 1.1, alpha, r, i) == want
 
 
 def test_trajectories_are_keyed_by_identity():
