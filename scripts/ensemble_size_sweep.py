@@ -24,11 +24,10 @@ def main():
     for k, n_members in enumerate((8, 16, 32, 64, 128, 256, 512)):
         inp = PerturbedInputs(p0=1.0, x0=0.0, p_tilde0=1.0, x_tilde0=0.0,
                               alpha=0.5 * n_members, r=1.0)
-        mc = mc_discrepancy_moments(traj, inp, STEP, REPLICATES,
-                                    RngSpec(120, k))
+        dp, _ = mc_discrepancy_moments(traj, inp, STEP, REPLICATES,
+                                       RngSpec(120, k))
         print("%d,%.17g,%.17g,%.17g,%.17g,%.17g"
-              % (n_members, 0.5 * n_members, mc.mean_dp, mc.mean_dp_se,
-                 mc.var_dp, p_a))
+              % (n_members, 0.5 * n_members, dp.mean, dp.mean_se, dp.var, p_a))
     return 0
 
 

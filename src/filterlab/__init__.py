@@ -10,7 +10,6 @@ from .rng import RngSpec, normal_polar
 from .propagators import (InputError, ModelSequence, ModelTrajectory,
                           TrajectoryRangeError, build_trajectory)
 from .skf import (
-    ErrorMoments,
     SkfState,
     skf_closed_form,
     skf_error_moments,

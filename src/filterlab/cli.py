@@ -275,21 +275,20 @@ def cmd_mc_verify(args):
                 dsc.expected_dx(traj, inp, i), dsc.second_moment_dx(traj, inp, i))
 
     def one(i, forms):
-        mc = dsc.mc_discrepancy_moments(traj, inp, i, cfg.replicates,
-                                        RngSpec(cfg.seed, _STREAM_MC_BASE + i))
+        dp, dx = dsc.mc_discrepancy_moments(traj, inp, i, cfg.replicates,
+                                            RngSpec(cfg.seed, _STREAM_MC_BASE + i))
         ref, a_dp, a_dp2, a_dx, a_dx2 = forms
-        const = mc.constant
-        gaps = [_gap(i, "dp_mean", a_dp - mc.mean_dp, mc.mean_dp_se, "mean_dp" in const),
-                _gap(i, "dp2", a_dp2 - mc.mean_dp2, mc.mean_dp2_se, "mean_dp2" in const),
-                _gap(i, "dx_mean", a_dx - mc.mean_dx, mc.mean_dx_se, "mean_dx" in const),
-                _gap(i, "dx2", a_dx2 - mc.mean_dx2, mc.mean_dx2_se, "mean_dx2" in const)]
+        gaps = [_gap(i, "dp_mean", a_dp - dp.mean, dp.mean_se, dp.constant),
+                _gap(i, "dp2", a_dp2 - dp.mean2, dp.mean2_se, dp.constant),
+                _gap(i, "dx_mean", a_dx - dx.mean, dx.mean_se, dx.constant),
+                _gap(i, "dx2", a_dx2 - dx.mean2, dx.mean2_se, dx.constant)]
         return [i, traj.M2_over_S[i], ref.mean_analysis, ref.var_analysis,
-                a_dp, mc.mean_dp, mc.mean_dp_se,
-                a_dp2 - a_dp * a_dp, mc.var_dp, mc.var_dp_se,
-                a_dp2, mc.mean_dp2, mc.mean_dp2_se,
-                a_dx, mc.mean_dx, mc.mean_dx_se,
-                a_dx2 - a_dx * a_dx, mc.var_dx, mc.var_dx_se,
-                a_dx2, mc.mean_dx2, mc.mean_dx2_se,
+                a_dp, dp.mean, dp.mean_se,
+                a_dp2 - a_dp * a_dp, dp.var, dp.var_se,
+                a_dp2, dp.mean2, dp.mean2_se,
+                a_dx, dx.mean, dx.mean_se,
+                a_dx2 - a_dx * a_dx, dx.var, dx.var_se,
+                a_dx2, dx.mean2, dx.mean2_se,
                 float(sched.theta[i]), float(sched.phi[i]),
                 float(sched.psi[i])], gaps
 
@@ -349,23 +348,20 @@ def cmd_po_penalty(args):
 
     def closed(i):
         # r E[K], E[K^4] and the penalty from the gain tables; the Monte
-        # Carlo report reads none of them
+        # Carlo kernel reads none of them
         return (cfg.r * dsc.po_gain_mean(traj, cfg.p0, alpha, cfg.r, i),
                 dsc.po_gain_fourth(traj, cfg.p0, alpha, cfg.r, i),
                 dsc.po_variance_penalty(traj, cfg.p0, alpha, cfg.r, i))
 
     def one(i, forms):
-        rep = dsc.po_mean_identity_check(traj, cfg.p0, alpha, cfg.r, i,
-                                         cfg.replicates,
-                                         RngSpec(cfg.seed, _STREAM_MC_BASE + i))
+        p, cross, r2 = dsc.po_mean_identity_check(traj, cfg.p0, alpha, cfg.r, i,
+                                                  cfg.replicates,
+                                                  RngSpec(cfg.seed, _STREAM_MC_BASE + i))
         mean_rk, k4, penalty = forms
-        const = rep.constant
-        gaps = [_gap(i, "mean_P", rep.mean_P - mean_rk, rep.mean_P_se, "mean_P" in const),
-                _gap(i, "cov_cross", rep.cov_cross, rep.cov_cross_se, "cov_cross" in const),
-                _gap(i, "second_R", rep.second_R - second_r, rep.second_R_se,
-                     "second_R" in const)]
-        return [i, k4, penalty, rep.mean_P, mean_rk,
-                rep.cov_cross, rep.cov_cross_se, rep.second_R,
+        gaps = [_gap(i, "mean_P", p.mean - mean_rk, p.mean_se, p.constant),
+                _gap(i, "cov_cross", cross.mean, cross.mean_se, cross.constant),
+                _gap(i, "second_R", r2.mean2 - second_r, r2.mean2_se, r2.constant)]
+        return [i, k4, penalty, p.mean, mean_rk, cross.mean, cross.mean_se, r2.mean2,
                 second_r], gaps
 
     return _gated_rows(args, _PO_COLS, closed, one, traj.n_steps + 1)

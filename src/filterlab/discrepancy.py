@@ -28,37 +28,49 @@ A NaN row raises DomainError naming the step and the coefficient rule it
 breaks, or the moment's error for an alpha below its order; any other NaN
 is returned as it is.
 
-The Monte Carlo checks (mc_discrepancy_moments, po_mean_identity_check and
-skf.skf_error_moments) reduce every sample v one way, into the shifted power
-sums s_k = sum of d^k, k = 1..4, d = v - c (Chan, Golub & LeVeque 1983).
-The shift c is the median of the first _W replicates: as a replicate it
-keeps the central sum c_2 >= s_2/(n+1), and near the mean it keeps the
-running sums small.  The mean, E[v^2], the variance and their
+The Monte Carlo kernels (mc_discrepancy_moments, po_mean_identity_check and
+skf.skf_error_moments) return one SampleMoments record per sample, and one
+driver, _stream, reduces every sample v the same way: into the shifted
+power sums s_k = sum of d^k, k = 1..4, d = v - c (Chan, Golub & LeVeque
+1983).  The shift c is the median of the first _W replicates: as a
+replicate it keeps the central sum c_2 >= s_2/(n+1), and near the mean it
+keeps the running sums small.  The mean, E[v^2], the variance and their
 standard errors follow in closed form (_moments; Pebay 2008), so dp^2 is
 never a sample of its own.  A sample whose deviations sum to 0 and square
 to 0 is constant: its zero standard error is exact, not an underflow.
+Each kernel refuses a replicate count that is not an integer >= 2
+(check_replicates) before it draws.
 
-The sums run through block buffers of _BLOCK replicates, a multiple of _W,
-each after a row of _W running column sums: reducing [sums; block] along
-axis 0 adds each replicate to its column (index mod _W) in replicate order,
-and math.fsum adds the columns exactly.  So the order of every addition is
-fixed by the replicate index alone, not by numpy's pairwise summation, the
-block size, a whole or blocked feed, or the thread count, and a seeded run
-writes the same bytes on any build whose float operations round alike.
+_stream runs the replicates through block buffers of _BLOCK replicates, a
+multiple of _W, each after a row of _W running column sums.  For each block
+a kernel's fill writes sample j into row 2j (odd rows are scratch), and the
+driver subtracts the shifts, taken from the first block, and folds:
+reducing [sums; block] along axis 0 adds each replicate to its column
+(index mod _W) in replicate order, and math.fsum adds the columns exactly.
+So the order of every addition is fixed by the replicate index alone, not
+by numpy's pairwise summation, the block size, a whole or blocked feed, or
+the thread count, and a seeded run writes the same bytes on any build whose
+float operations round alike.
 
-mc_discrepancy_moments allocates no replicate-sized array, only four block
-buffers that fit one core's L2 cache: x (the draw X, as gen.gamma draws it,
-then dx), xu (X + u), dp and a scratch slot.  The fold turns dx and dp into
-their deviations d and then d^3, and xu and the scratch into d^2 and d^4.
-Each replicate of dp and dx goes through the float operations of the array
-expressions in the comments, in their order (only a product's operands are
-swapped, which is exact).  po_mean_identity_check (its R draws follow all n
-X draws in one stream) and skf_error_moments (normal_polar's draws depend
-on the count asked for) keep whole arrays and feed sample_moments.
+mc_discrepancy_moments allocates no replicate-sized array, only the
+driver's four block buffers, which fit one core's L2 cache: x (the draw X,
+as gen.gamma draws it, then dx), xu (X + u), dp and a scratch row.  The
+fold turns dx and dp into their deviations d and then d^3, and xu and the
+scratch into d^2 and d^4.  Each replicate of dp and dx goes through the
+float operations of the array expressions in the comments, in their order
+(only a product's operands are swapped, which is exact).
+po_mean_identity_check keeps its stream layout, all n X draws and then all
+n R draws, so it holds those two replicate-sized arrays and forms the rest
+block by block in three passes of the driver: R - r and P, then the means
+of rK and K^2 (R - r), which the first pass wrote over X and R, then the
+product of their centred values.  skf_error_moments keeps whole arrays,
+since normal_polar's draws depend on the count asked for, and feeds
+sample_moments, the driver fed slices of one whole sample.
 """
 
 import functools
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -80,13 +92,13 @@ __all__ = [
     "second_moment_dp",
     "expected_dx",
     "second_moment_dx",
-    "McMoments",
+    "SampleMoments",
     "sample_moments",
+    "check_replicates",
     "mc_discrepancy_moments",
     "po_gain_mean",
     "po_gain_fourth",
     "po_variance_penalty",
-    "PoReport",
     "po_mean_identity_check",
 ]
 
@@ -186,25 +198,6 @@ def second_moment_dx(traj, inp, i):
     return _at(i, t[3], t[4], (1,), "dx", ratio_second_moment)
 
 
-@dataclass(frozen=True)
-class McMoments:
-    mean_dp: float
-    mean_dp_se: float
-    mean_dp2: float
-    mean_dp2_se: float
-    var_dp: float
-    var_dp_se: float
-    mean_dx: float
-    mean_dx_se: float
-    mean_dx2: float
-    mean_dx2_se: float
-    var_dx: float
-    var_dx_se: float
-    # the mean fields (of mean_dp, mean_dp2, mean_dx, mean_dx2) whose
-    # sample is one double repeated, so that their standard error is 0
-    constant: tuple = ()
-
-
 _W = 256  # running column sums per power sum
 _BLOCK = 1 << 15  # replicates per block, a multiple of _W; 4 buffers fill half an L2
 
@@ -277,16 +270,41 @@ def _moments(acc, j, shift, n):
                          math.sqrt(max(c4 / n - var * var, 0.0) / n), s1 == s2 == 0.0)
 
 
+def _stream(n, slots, fill):
+    # SampleMoments of slots samples of n replicates, block by block:
+    # fill(lo, v) writes replicates lo, lo + 1, .. of sample j into v[2j]
+    # (v holds 2 * slots rows of the block's length; odd rows are scratch),
+    # and the first block's medians are the shifts
+    (buf, acc), shift = _buffers(2 * slots), None
+    for lo in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - lo)
+        v = _samples(buf, m)
+        fill(lo, v)
+        if shift is None:
+            shift = _shift(v[0::2])
+        v[0::2] -= shift
+        _fold(buf, m, acc)
+    return [_moments(acc, j, float(shift[j, 0]), n) for j in range(slots)]
+
+
 def sample_moments(v):
     """SampleMoments of the whole sample v, fed to the power sums in blocks
     (see the module docstring)."""
-    n, shift = len(v), float(_shift(v[None, :])[0, 0])
-    buf, acc = _buffers(2)
-    for lo in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - lo)
-        np.subtract(v[lo:lo + m], shift, out=_samples(buf, m)[0])
-        _fold(buf, m, acc)
-    return _moments(acc, 0, shift, n)
+    def fill(lo, w):
+        w[0] = v[lo:lo + len(w[0])]
+    return _stream(len(v), 1, fill)[0]
+
+
+def check_replicates(replicates):
+    """replicates as an int; ValueError for a count that is not an integer
+    (an int or a numpy integer) or is below 2, which no variance admits."""
+    try:
+        n = operator.index(replicates)
+    except TypeError:
+        n = None
+    if n is None or n < 2:
+        raise ValueError("replicates must be an integer >= 2, not %r" % (replicates,))
+    return n
 
 
 def _check_draws(x, param, mean, i):
@@ -298,24 +316,23 @@ def _check_draws(x, param, mean, i):
 
 def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
                            spec: RngSpec):
-    """Monte Carlo moments of (dp_i, dx_i) over the initial-variance draw.
+    """SampleMoments of (dp_i, dx_i) over the initial-variance draw.
 
     Independent route from the closed forms: samples X with the library
     gamma sampler and evaluates both filters' analysis formulas per draw.
     Raises InputError naming "phat0" when a draw of X is not a finite double,
-    and IndexError for a step outside [0, n_steps].
+    IndexError for a step outside [0, n_steps], and ValueError for a
+    replicate count check_replicates refuses.
     """
-    i = traj.check_step(i)
+    i, n = traj.check_step(i), check_replicates(replicates)
     gen = spec.generator()
-    n = int(replicates)
     u = inp.r * traj.inv_S[i]
     m2s, ms, mbs, r = traj.M2_over_S[i], traj.M_over_S[i], traj.MB_over_S[i], inp.r
     pa_exact = r * inp.p0 * m2s / (inp.p0 + u)
     xa_exact = (inp.p0 * mbs + ms * r * inp.x0) / (inp.p0 + u)
-    (buf, acc), shift = _buffers(4), None
-    for lo in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - lo)
-        x, xu, dp, _ = v = _samples(buf, m)
+
+    def fill(lo, v):
+        x, xu, dp, _ = v
         gen.standard_gamma(inp.alpha, out=x)
         with np.errstate(over="ignore"):  # an infinite draw is named below
             x *= inp.p_tilde0 / inp.alpha
@@ -331,13 +348,9 @@ def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
         x += ms * r * inp.x_tilde0
         x /= xu
         x -= xa_exact
-        if shift is None:
-            shift = _shift(v[0::2])  # of dx and dp
-        v[0::2] -= shift
-        _fold(buf, m, acc)
-    dx, dp = (_moments(acc, j, float(shift[j, 0]), n) for j in (0, 1))
-    return McMoments(*dp[:6], *dx[:6], ("mean_dp", "mean_dp2") * dp.constant
-                     + ("mean_dx", "mean_dx2") * dx.constant)
+
+    dx, dp = _stream(n, 2, fill)
+    return dp, dx
 
 
 @functools.lru_cache(maxsize=8)
@@ -378,59 +391,50 @@ def po_variance_penalty(traj, p0, alpha, r, i):
     return _at(i, moments, spec, (), "K", ratio_fourth_moment) * r * r / alpha
 
 
-@dataclass(frozen=True)
-class PoReport:
-    """Monte Carlo estimates, with standard errors, for the decomposition
-    P = rK + K^2 (R - r): the mean of P, the covariance of rK and
-    K^2 (R - r), and the mean of (R - r)^2.  No closed form: the caller
-    holds them to r E[K] (po_gain_mean), 0 and r^2/alpha."""
-
-    mean_P: float
-    mean_P_se: float
-    cov_cross: float
-    cov_cross_se: float
-    second_R: float
-    second_R_se: float
-    # the fields (of mean_P, cov_cross, second_R) whose sample is one
-    # double repeated, so that their standard error is 0
-    constant: tuple = ()
-
-
 def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
-    """PoReport at step i from draws X ~ Gamma(alpha, p0/alpha), then
+    """SampleMoments of P, of the product of the centred rK and K^2 (R - r),
+    and of R - r, at step i from draws X ~ Gamma(alpha, p0/alpha), then
     R ~ Gamma(alpha, r/alpha), of one stream: per replicate the gain
-    K = (M_i^2/S_i) X / (X + r/S_i) and P = rK + K^2 (R - r).
+    K = (M_i^2/S_i) X / (X + r/S_i) and P = rK + K^2 (R - r).  No closed
+    form: the caller holds P's mean to r E[K] (po_gain_mean), the product's
+    mean (the covariance) to 0, and E[(R - r)^2], the mean2 of R - r, to
+    r^2/alpha.
 
     It reads the ledger at step i and no closed-form table.  Raises
     InputError naming "p0" or "obs_variance" when a draw of X or of R is not
-    a finite double, and IndexError for a step outside [0, n_steps].
+    a finite double, IndexError for a step outside [0, n_steps], and
+    ValueError for a replicate count check_replicates refuses.
     """
-    i = traj.check_step(i)
+    i, n = traj.check_step(i), check_replicates(replicates)
     gen = spec.generator()
-    n = int(replicates)
     alpha, r = float(alpha), float(r)
     x = gen.gamma(alpha, p0 / alpha, n)
     rr = gen.gamma(alpha, r / alpha, n)
     _check_draws(x, "p0", p0, i)
     _check_draws(rr, "obs_variance", r, i)
-    # k = M2_over_S * x / (x + r * inv_S), in x's buffer
-    den = x + r * traj.inv_S[i]
-    k = x
-    k *= traj.M2_over_S[i]
-    k /= den
-    # e = rr - r, a_term = r * k, b_term = k * k * e
-    e = rr
-    e -= r
-    a_term = np.multiply(k, r, out=den)
-    b_term = k
-    b_term *= k
-    b_term *= e
+    u, g = r * traj.inv_S[i], traj.M2_over_S[i]
 
-    # e is spent: its buffer holds P and then the product of the centred terms
-    r2 = sample_moments(e)
-    p = sample_moments(np.add(a_term, b_term, out=e))
-    a_term -= sample_moments(a_term).mean
-    b_term -= sample_moments(b_term).mean
-    cross = sample_moments(np.multiply(a_term, b_term, out=e))
-    return PoReport(*p[:2], *cross[:2], *r2[2:4], ("second_R",) * r2.constant
-                    + ("mean_P",) * p.constant + ("cov_cross",) * cross.constant)
+    def r_and_p(lo, v):
+        # e = R - r, then P = a + b of a = r * k and b = k * k * e, where
+        # k = g * x / (x + u): a replaces X and b replaces R
+        xs, rs = x[lo:lo + len(v[0])], rr[lo:lo + len(v[0])]
+        np.subtract(rs, r, out=v[0])
+        np.add(xs, u, out=v[1])
+        xs *= g
+        xs /= v[1]
+        np.multiply(xs, xs, out=v[1])
+        np.multiply(v[1], v[0], out=rs)
+        xs *= r
+        np.add(xs, rs, out=v[2])
+
+    def a_and_b(lo, v):
+        v[0], v[2] = x[lo:lo + len(v[0])], rr[lo:lo + len(v[0])]
+
+    def centred_product(lo, v):
+        np.subtract(x[lo:lo + len(v[0])], a_mean, out=v[0])
+        np.subtract(rr[lo:lo + len(v[0])], b_mean, out=v[1])
+        v[0] *= v[1]
+
+    r2, p = _stream(n, 2, r_and_p)
+    a_mean, b_mean = (m.mean for m in _stream(n, 2, a_and_b))
+    return p, _stream(n, 1, centred_product)[0], r2

@@ -17,18 +17,16 @@ object.__setattr__ a field), which is most of a per-step closed form.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .discrepancy import sample_moments
+from .discrepancy import check_replicates, sample_moments
 from .propagators import ModelTrajectory, TrajectoryRangeError
 from .rng import RngSpec, normal_polar
 
 __all__ = [
     "SkfState",
-    "ErrorMoments",
     "skf_start",
     "skf_step",
     "skf_run",
@@ -134,28 +132,20 @@ def skf_closed_form(traj: ModelTrajectory, x0, p0, i):
     return SkfState(i, xf, pf, pa / traj.obs_variance, xa, pa)
 
 
-@dataclass(frozen=True)
-class ErrorMoments:
-    mean: float
-    mean_se: float
-    var: float
-    var_se: float
-
-
 def skf_error_moments(traj: ModelTrajectory, x0, p0, i, replicates, spec: RngSpec):
-    """Monte Carlo moments of the analysis error x_i - truth_i at step i.
+    """SampleMoments of the analysis error x_i - truth_i at step i.
 
     Each replicate redraws the initial truth from the prior N(x0, p0) and
     the observation noise of every assimilated observation, so the sample
     variance is calibrated against the closed-form analysis variance.  The
     error replays the recursion e <- (r/(p_f + r)) m e + k sqrt(r) n of
     skf_step's p_f and k from e = -sqrt(p0) n, one normal_polar draw a step.
-    Raises IndexError for a step outside [0, n_steps].
+    Raises IndexError for a step outside [0, n_steps] and ValueError for a
+    replicate count check_replicates refuses.
     """
-    i = traj.check_step(i)
+    i, n = traj.check_step(i), check_replicates(replicates)
     r = traj.obs_variance
     gen = spec.generator()
-    n = int(replicates)
     e = normal_polar(gen, n)
     e *= -math.sqrt(p0)
     state = skf_start(x0, p0, traj.observations[0], r)
@@ -169,5 +159,4 @@ def skf_error_moments(traj: ModelTrajectory, x0, p0, i, replicates, spec: RngSpe
         noise = normal_polar(gen, n)
         noise *= state.gain * math.sqrt(r)
         e += noise
-    m = sample_moments(e)
-    return ErrorMoments(m.mean, m.mean_se, m.var, m.var_se)
+    return sample_moments(e)

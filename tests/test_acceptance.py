@@ -298,13 +298,13 @@ def test_criterion_09_mc_discrepancy_verification():
     worst = 0.0
     for inp in inputs:
         for i in (0, 3, 10, 20):
-            mc = mc_discrepancy_moments(traj, inp, i, 100_000,
-                                        RngSpec(90 + i, i))
+            dp, dx = mc_discrepancy_moments(traj, inp, i, 100_000,
+                                            RngSpec(90 + i, i))
             gaps = [
-                abs(expected_dp(traj, inp, i) - mc.mean_dp) / mc.mean_dp_se,
-                abs(second_moment_dp(traj, inp, i) - mc.mean_dp2) / mc.mean_dp2_se,
-                abs(expected_dx(traj, inp, i) - mc.mean_dx) / mc.mean_dx_se,
-                abs(second_moment_dx(traj, inp, i) - mc.mean_dx2) / mc.mean_dx2_se,
+                abs(expected_dp(traj, inp, i) - dp.mean) / dp.mean_se,
+                abs(second_moment_dp(traj, inp, i) - dp.mean2) / dp.mean2_se,
+                abs(expected_dx(traj, inp, i) - dx.mean) / dx.mean_se,
+                abs(second_moment_dx(traj, inp, i) - dx.mean2) / dx.mean2_se,
             ]
             worst = max(worst, max(gaps))
     assert worst <= 4.0
@@ -320,20 +320,20 @@ def test_criterion_09_mc_discrepancy_verification():
 def test_criterion_10_perturbed_observation_penalty():
     traj = build_trajectory(ModelSequence.constant(1.0, 8), 1.0, 2.0,
                             RngSpec(10, 0))
-    rep = po_mean_identity_check(traj, 1.0, 10.0, 2.0, 5, 200_000,
-                                 RngSpec(10, 1))
+    p, cross, r2 = po_mean_identity_check(traj, 1.0, 10.0, 2.0, 5, 200_000,
+                                          RngSpec(10, 1))
     # exact by construction: E[(R - r)^2] = r^2 / alpha
-    assert abs(rep.second_R - 4.0 / 10.0) <= 4.0 * rep.second_R_se
-    assert abs(rep.cov_cross) <= 4.0 * rep.cov_cross_se
+    assert abs(r2.mean2 - 4.0 / 10.0) <= 4.0 * r2.mean2_se
+    assert abs(cross.mean) <= 4.0 * cross.mean_se
     mean_rk = 2.0 * po_gain_mean(traj, 1.0, 10.0, 2.0, 5)
-    assert abs(rep.mean_P - mean_rk) <= 4.0 * rep.mean_P_se
+    assert abs(p.mean - mean_rk) <= 4.0 * p.mean_se
     pen10 = po_variance_penalty(traj, 1.0, 10.0, 2.0, 5)
     pen1000 = po_variance_penalty(traj, 1.0, 1000.0, 2.0, 5)
     ratio = pen10 / pen1000
     assert ratio > 50.0
     _report(10, "perturbed-observation penalty",
             "cov within %.2f SE of 0, penalty ratio %.0f"
-            % (abs(rep.cov_cross) / rep.cov_cross_se, ratio))
+            % (abs(cross.mean) / cross.mean_se, ratio))
 
 
 # ------------------------------------------------------------ criterion 11
@@ -386,9 +386,9 @@ def test_criterion_12_ensemble_size_degeneration():
     for k, n_members in enumerate((8, 32, 128, 512)):
         inp = PerturbedInputs(p0=1.0, x0=0.0, p_tilde0=1.0, x_tilde0=0.0,
                               alpha=0.5 * n_members, r=1.0)
-        mc = mc_discrepancy_moments(traj, inp, i, 400_000, RngSpec(120, k))
-        means.append(abs(mc.mean_dp))
-        variances.append(mc.var_dp)
+        dp, _ = mc_discrepancy_moments(traj, inp, i, 400_000, RngSpec(120, k))
+        means.append(abs(dp.mean))
+        variances.append(dp.var)
     assert all(a > b for a, b in zip(means, means[1:]))
     assert all(a > b for a, b in zip(variances, variances[1:]))
     assert means[-1] <= 1e-2 * p_a

@@ -926,8 +926,8 @@ def test_po_penalty_nan_gap_fails(tmp_path, capsys, monkeypatch):
     real = dsc.po_mean_identity_check
 
     def patched(traj, p0, alpha, r, i, replicates, spec):
-        rep = real(traj, p0, alpha, r, i, replicates, spec)
-        return dataclasses.replace(rep, second_R=math.nan) if i == 2 else rep
+        p, cross, r2 = real(traj, p0, alpha, r, i, replicates, spec)
+        return p, cross, r2._replace(mean2=math.nan) if i == 2 else r2
 
     monkeypatch.setattr(dsc, "po_mean_identity_check", patched)
     cfg = write_config(tmp_path, {"seed": 13, "steps": 2, "replicates": 40000,

@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,6 +16,7 @@ from filterlab import (
     second_moment_dp,
     second_moment_dx,
     skf_closed_form,
+    skf_error_moments,
 )
 from filterlab import discrepancy as dsc
 from filterlab.discrepancy import sample_moments
@@ -44,13 +45,11 @@ def test_moments_match_monte_carlo():
         traj = make_trajectory(seed, steps)
         inp = base_inputs(alpha=alpha, p_tilde0=1.4, x_tilde0=0.3, x0=0.1)
         i = steps // 2
-        mc = mc_discrepancy_moments(traj, inp, i, 400_000, RngSpec(seed, 2))
-        assert abs(mc.mean_dp - expected_dp(traj, inp, i)) < 4 * mc.mean_dp_se
-        assert abs(mc.mean_dp2 - second_moment_dp(traj, inp, i)) \
-            < 4 * mc.mean_dp2_se
-        assert abs(mc.mean_dx - expected_dx(traj, inp, i)) < 4 * mc.mean_dx_se
-        assert abs(mc.mean_dx2 - second_moment_dx(traj, inp, i)) \
-            < 4 * mc.mean_dx2_se
+        dp, dx = mc_discrepancy_moments(traj, inp, i, 400_000, RngSpec(seed, 2))
+        assert abs(dp.mean - expected_dp(traj, inp, i)) < 4 * dp.mean_se
+        assert abs(dp.mean2 - second_moment_dp(traj, inp, i)) < 4 * dp.mean2_se
+        assert abs(dx.mean - expected_dx(traj, inp, i)) < 4 * dx.mean_se
+        assert abs(dx.mean2 - second_moment_dx(traj, inp, i)) < 4 * dx.mean2_se
 
 
 @pytest.mark.parametrize("n", [100_000, 300_000])
@@ -60,7 +59,7 @@ def test_mc_moments_match_reference_formulas(n):
     traj = make_trajectory(7, 20)
     inp = base_inputs(alpha=4.0, p_tilde0=1.4, x_tilde0=0.3, x0=0.1)
     i, spec = 12, RngSpec(7, 12)
-    mc = mc_discrepancy_moments(traj, inp, i, n, spec)
+    dp_mc, dx_mc = mc_discrepancy_moments(traj, inp, i, n, spec)
     x = spec.generator().gamma(inp.alpha, inp.p_tilde0 / inp.alpha, n)
     u = inp.r * traj.inv_S[i]
     m2s, ms, mbs, r = traj.M2_over_S[i], traj.M_over_S[i], traj.MB_over_S[i], inp.r
@@ -69,15 +68,15 @@ def test_mc_moments_match_reference_formulas(n):
           - (inp.p0 * mbs + ms * r * inp.x0) / (inp.p0 + u))
     want = (reference_mean_se(dp) + reference_mean_se(dp * dp) + reference_var_se(dp)
             + reference_mean_se(dx) + reference_mean_se(dx * dx) + reference_var_se(dx))
-    assert dataclasses.astuple(mc)[:-1] == pytest.approx(want, rel=MC_RTOL, abs=0.0)
-    assert mc.constant == ()
+    assert (*dp_mc[:6], *dx_mc[:6]) == pytest.approx(want, rel=MC_RTOL, abs=0.0)
+    assert (dp_mc.constant, dx_mc.constant) == (False, False)
 
 
 @pytest.mark.parametrize("n", [100_000, 300_000])
 def test_po_report_matches_reference_formulas(n):
     traj = make_trajectory(8, 20)
     p0, alpha, r, i, spec = 1.3, 10.0, 2.0, 9, RngSpec(8, 9)
-    rep = po_mean_identity_check(traj, p0, alpha, r, i, n, spec)
+    p, cross, r2 = po_mean_identity_check(traj, p0, alpha, r, i, n, spec)
     gen = spec.generator()
     x = gen.gamma(alpha, p0 / alpha, n)
     rr = gen.gamma(alpha, r / alpha, n)
@@ -87,8 +86,8 @@ def test_po_report_matches_reference_formulas(n):
     prod = (a_term - np.mean(a_term)) * (b_term - np.mean(b_term))
     want = (reference_mean_se(r * k + k * k * (rr - r)) + reference_mean_se(prod)
             + reference_mean_se((rr - r) ** 2))
-    assert dataclasses.astuple(rep)[:-1] == pytest.approx(want, rel=MC_RTOL, abs=0.0)
-    assert rep.constant == ()
+    assert (*p[:2], *cross[:2], *r2[2:4]) == pytest.approx(want, rel=MC_RTOL, abs=0.0)
+    assert (p.constant, cross.constant, r2.constant) == (False, False, False)
 
 
 def _bits(m):
@@ -97,15 +96,20 @@ def _bits(m):
 
 def test_power_sums_do_not_depend_on_the_block_size(monkeypatch):
     # two block sizes that are multiples of _W, and the whole sample as one
-    # block: every addition happens in replicate order within its column
+    # block: every addition happens in replicate order within its column,
+    # in every sample of every kernel
     v = np.random.default_rng(3).gamma(4.0, 0.25, 5 * 512 + 7)
+    n = len(v)
     traj = make_trajectory(7, 20)
     inp = base_inputs(alpha=4.0, p_tilde0=1.4, x_tilde0=0.3, x0=0.1)
     got = []
     for block in (2 * dsc._W, 4 * dsc._W, 1 << 20):
         monkeypatch.setattr(dsc, "_BLOCK", block)
-        mc = mc_discrepancy_moments(traj, inp, 12, len(v), RngSpec(7, 12))
-        got.append((_bits(sample_moments(v)), [x.hex() for x in dataclasses.astuple(mc)[:-1]]))
+        samples = [sample_moments(v),
+                   *mc_discrepancy_moments(traj, inp, 12, n, RngSpec(7, 12)),
+                   *po_mean_identity_check(traj, 1.3, 10.0, 2.0, 9, n, RngSpec(8, 9)),
+                   skf_error_moments(traj, 0.4, 1.3, 12, n, RngSpec(31, 3))]
+        got.append([_bits(m) for m in samples])
     assert got[0] == got[1] == got[2]
 
 
@@ -134,8 +138,9 @@ def _peak_bytes(call):
 @pytest.mark.parametrize("kernel", ["mc", "po"])
 def test_monte_carlo_kernels_peak_at_their_live_buffers(kernel, n):
     # mc_discrepancy_moments streams through four block buffers at any n;
-    # po_mean_identity_check keeps three replicate-sized arrays and feeds
-    # them through a two-slot block buffer, within its old bound of four
+    # po_mean_identity_check keeps its X and R draws, two replicate-sized
+    # arrays, and streams everything it forms from them through at most
+    # four block buffers
     traj = make_trajectory(7, 20)
     if kernel == "mc":
         inp = base_inputs(alpha=4.0, p_tilde0=1.4, x_tilde0=0.3, x0=0.1)
@@ -144,8 +149,29 @@ def test_monte_carlo_kernels_peak_at_their_live_buffers(kernel, n):
     else:
         peak = _peak_bytes(lambda: po_mean_identity_check(traj, 1.3, 10.0, 2.0, 9, n,
                                                           RngSpec(8, 9)))
-        bound = 4 * 8 * n
+        bound = 2 * 8 * n + sum(a.nbytes for a in dsc._buffers(4))
     assert peak <= bound + 64 * 1024
+
+
+class _NoDraws:
+    def generator(self):
+        raise AssertionError("a refused replicate count drew")
+
+
+@pytest.mark.parametrize("replicates", [1, 0, -3, 2.7])
+@pytest.mark.parametrize("kernel", ["mc", "po", "skf"])
+def test_a_replicate_count_below_two_or_not_an_integer_is_refused(kernel, replicates):
+    # one count has no variance, and 2.7 must not run 2: each kernel
+    # refuses before it asks its spec for a generator
+    traj = make_trajectory(7, 20)
+    call = {"mc": lambda: mc_discrepancy_moments(traj, base_inputs(), 12, replicates,
+                                                 _NoDraws()),
+            "po": lambda: po_mean_identity_check(traj, 1.3, 10.0, 2.0, 9, replicates,
+                                                 _NoDraws()),
+            "skf": lambda: skf_error_moments(traj, 0.4, 1.3, 12, replicates, _NoDraws())}
+    with pytest.raises(ValueError, match=r"^replicates must be an integer >= 2, not %s$"
+                       % re.escape(repr(replicates))):
+        call[kernel]()
 
 
 def test_constant_sample_is_told_from_an_underflowed_variance(monkeypatch):
@@ -154,16 +180,16 @@ def test_constant_sample_is_told_from_an_underflowed_variance(monkeypatch):
         # every replicate of dx (and dx^2) is the same double, in one block
         # or over four
         monkeypatch.setattr(dsc, "_BLOCK", block)
-        mc = mc_discrepancy_moments(make_trajectory(1, 40, kind="constant", m=2.0),
-                                    base_inputs(), 39, 2000, RngSpec(1, 39))
-        assert (mc.mean_dx_se, mc.mean_dx2_se) == (0.0, 0.0)
-        assert mc.constant == ("mean_dx", "mean_dx2")
+        dp, dx = mc_discrepancy_moments(make_trajectory(1, 40, kind="constant", m=2.0),
+                                        base_inputs(), 39, 2000, RngSpec(1, 39))
+        assert (dx.mean_se, dx.mean2_se) == (0.0, 0.0)
+        assert (dp.constant, dx.constant) == (False, True)
         # m = 0.3: dp^2 decays until its squared deviations underflow, though
         # its replicates differ
-        mc = mc_discrepancy_moments(make_trajectory(1, 80, kind="constant", m=0.3),
-                                    base_inputs(alpha=8.0), 77, 2000, RngSpec(1, 77))
-        assert mc.mean_dp2_se == 0.0
-        assert mc.constant == ()
+        dp, dx = mc_discrepancy_moments(make_trajectory(1, 80, kind="constant", m=0.3),
+                                        base_inputs(alpha=8.0), 77, 2000, RngSpec(1, 77))
+        assert dp.mean2_se == 0.0
+        assert (dp.constant, dx.constant) == (False, False)
 
 
 def test_variance_nonnegative():
@@ -258,13 +284,13 @@ def test_specs_are_well_scaled_for_unstable_models():
 def test_po_penalty_examples():
     traj = make_trajectory(1, 10, kind="constant", m=1.0)
     # E[(R-r)^2] = r^2/alpha exactly: r=2, alpha=4 -> 1.0
-    rep = po_mean_identity_check(traj, 1.0, 4.0, 2.0, 5, 100_000,
-                                 RngSpec(10, 0))
-    assert abs(rep.second_R - 1.0) < 4.0 * rep.second_R_se
+    p, cross, r2 = po_mean_identity_check(traj, 1.0, 4.0, 2.0, 5, 100_000,
+                                          RngSpec(10, 0))
+    assert abs(r2.mean2 - 1.0) < 4.0 * r2.mean2_se
     # mean identity and zero covariance
     mean_rk = 2.0 * dsc.po_gain_mean(traj, 1.0, 4.0, 2.0, 5)
-    assert abs(rep.mean_P - mean_rk) < 4.0 * rep.mean_P_se
-    assert abs(rep.cov_cross) < 4.0 * rep.cov_cross_se
+    assert abs(p.mean - mean_rk) < 4.0 * p.mean_se
+    assert abs(cross.mean) < 4.0 * cross.mean_se
     # alpha = 4 sits on the fourth-moment order boundary
     with pytest.raises(ValueError, match="fourth moment needs alpha > 4"):
         po_variance_penalty(traj, 1.0, 4.0, 2.0, 5)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -166,7 +165,8 @@ def test_error_moments_match_reference_formulas(n):
     em = skf_error_moments(traj, x0, p0, i, n, spec)
     errs = _replay(traj, p0, i, n, spec)
     want = reference_mean_se(errs) + reference_var_se(errs)
-    assert dataclasses.astuple(em) == pytest.approx(want, rel=MC_RTOL, abs=0.0)
+    assert (em.mean, em.mean_se, em.var, em.var_se) == pytest.approx(want, rel=MC_RTOL,
+                                                                     abs=0.0)
     # the replay's algebra: on the same draws, the truth from the prior, its
     # observations and the filter's analysis mean give the same error
     r = traj.obs_variance
