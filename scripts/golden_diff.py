@@ -4,10 +4,11 @@ For each scripts/out/*.csv it reads the committed bytes with
 `git show HEAD:scripts/out/<name>` and prints one line per moved column:
 the table, the column, and the column's largest |new - old| over its
 largest finite |old| (inf where a value turned non-finite or the column
-was all zeros).  A table whose bytes match prints "unchanged".  Run it
-after scripts/run_all.sh, from anywhere in a checkout:
+was all zeros).  A table whose bytes match prints "unchanged".  It exits
+1 when any table moved, changed shape or is missing from HEAD, so after
+scripts/run_all.sh it is a gate, from anywhere in a checkout:
 
-    python3 scripts/golden_diff.py
+    scripts/run_all.sh && python3 scripts/golden_diff.py
 """
 
 import math
@@ -41,23 +42,23 @@ def column_moves(new, old):
 
 def main():
     root = OUT.parents[1]
+    status = 0
     for path in sorted(OUT.glob("*.csv")):
         committed = subprocess.run(["git", "show", "HEAD:" + path.relative_to(root).as_posix()],
                                    cwd=root, capture_output=True)
+        new = path.read_bytes()
         if committed.returncode:
             print("%s: not in HEAD" % path.name)
-            continue
-        new = path.read_bytes()
-        if new == committed.stdout:
+        elif new == committed.stdout:
             print("%s: unchanged" % path.name)
             continue
-        moves = column_moves(new, committed.stdout)
-        if moves is None:
-            print("%s: the header or the table's shape changed" % path.name)
-            continue
-        for name, move in moves:
-            print("%s %s %.1e" % (path.name, name, move))
-    return 0
+        elif not (moves := column_moves(new, committed.stdout)):
+            print("%s: the header, the table's shape or its line ends changed" % path.name)
+        else:
+            for name, move in moves:
+                print("%s %s %.1e" % (path.name, name, move))
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

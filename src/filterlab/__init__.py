@@ -22,9 +22,9 @@ from .spenkf import (
     InflationSchedule,
     inflation_schedule,
     sample_initial_ensemble,
-    spenkf_analyze,
-    spenkf_forecast,
     spenkf_run,
+    spenkf_start,
+    spenkf_step,
     theta_star,
     theta_step,
 )

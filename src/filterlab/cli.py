@@ -26,7 +26,6 @@ from .rng import RngSpec
 from .mvspenkf import DiagonalizableModel, mv_inflation_schedule, mv_spenkf_run
 from .skf import skf_closed_form, skf_run
 from .spenkf import (
-    EnsembleState,
     inflation_schedule,
     sample_initial_ensemble,
     spenkf_run,
@@ -197,17 +196,13 @@ def cmd_spenkf(args):
     cfg = _load(args)
     traj = _trajectory(cfg)
     alpha = 0.5 * cfg.ensemble_size
-    sched = None
+    sched = run = None
     if cfg.inflation != "none":
         sched = _schedule(cfg, traj, alpha, "p_tilde0")
+        run = sched.initial_theta() if cfg.inflation == "initial-theta" else sched
     init = sample_initial_ensemble(cfg.ensemble_size, cfg.p_tilde0, cfg.x0,
                                    RngSpec(cfg.seed, _STREAM_ENSEMBLE))
-    if cfg.inflation == "initial-theta":
-        # one-shot: inflate the initial ensemble by theta at the final
-        # step (unbiased final analysis variance), no per-step corrections
-        th_last = float(sched.theta[traj.n_steps])
-        init = EnsembleState.forecast(0, init.mean, init.anomalies * math.sqrt(th_last))
-    states = spenkf_run(traj, init, sched if cfg.inflation == "sequential" else None)
+    states = spenkf_run(traj, init, run)
     ref = skf_run(traj, cfg.x0, cfg.p0)
     rows = []
     for i, s in enumerate(states):
@@ -560,9 +555,12 @@ def main(argv=None):
         # a library input at fault, named by the config field it came from
         where = _MV_FIELDS if args.command == "mv" else _TRAJ_FIELDS
         message = "config.%s: %s" % (where[exc.param], exc.detail)
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # the file that --config or --out names cannot be read or written
+        if exc.filename is None or exc.filename not in (args.config, args.out):
+            raise
         flag = "--config" if exc.filename == args.config else "--out"
-        message = "%s: no such file or directory: %s" % (flag, exc.filename)
+        message = "%s: %s: %s" % (flag, exc.strerror.lower(), exc.filename)
     print("%s: %s" % (args.command, message), file=sys.stderr)
     return 2
 

@@ -196,6 +196,6 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError("config: invalid JSON in %s: %s" % (path, exc)) from exc
         return cls.from_dict(obj)

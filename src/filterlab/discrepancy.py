@@ -70,7 +70,6 @@ sample_moments, the driver fed slices of one whole sample.
 
 import functools
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -84,7 +83,7 @@ from .gamma_ratio import (
     ratio_second_moment,
 )
 from .propagators import InputError
-from .rng import RngSpec
+from .rng import RngSpec, check_count
 
 __all__ = [
     "PerturbedInputs",
@@ -298,13 +297,7 @@ def sample_moments(v):
 def check_replicates(replicates):
     """replicates as an int; ValueError for a count that is not an integer
     (an int or a numpy integer) or is below 2, which no variance admits."""
-    try:
-        n = operator.index(replicates)
-    except TypeError:
-        n = None
-    if n is None or n < 2:
-        raise ValueError("replicates must be an integer >= 2, not %r" % (replicates,))
-    return n
+    return check_count(replicates, 2, "replicates")
 
 
 def _check_draws(x, param, mean, i):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagators import InputError, ModelSequence, build_trajectory
-from .rng import RngSpec, normal_polar
+from .rng import RngSpec, check_count, normal_polar
 from .spenkf import (
     EnsembleState,
     InflationSchedule,
@@ -100,7 +100,9 @@ def mv_spenkf_run(model: DiagonalizableModel, x0, n_members, spec: RngSpec,
     Streams: component j uses spec.stream(2*j) for its trajectory noise and
     spec.stream(2*j + 1) for its initial ensemble.  An InputError of
     component j is raised again with "basis component j, " before its detail.
+    ValueError for a member count that is not an integer or is below 3.
     """
+    n_members = check_count(n_members, 3, "n_members")
     n = model.dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
@@ -108,19 +110,19 @@ def mv_spenkf_run(model: DiagonalizableModel, x0, n_members, spec: RngSpec,
     x0_basis = np.linalg.solve(model.Z, x0)
     steps = model.n_steps
     trajs = []
-    anoms0 = np.empty((n, int(n_members)))
+    anoms0 = np.empty((n, n_members))
     means_basis = np.empty((steps + 1, n))
     variances = np.empty((steps + 1, n))
     for j in range(n):
         # i.i.d. anomalies, not recentred: keeps the per-component sampled
         # variance exactly Gamma(N/2), matching the scalar filter
         a0 = math.sqrt(model.p0_diag[j]) * normal_polar(
-            spec.stream(2 * j + 1).generator(), int(n_members)
+            spec.stream(2 * j + 1).generator(), n_members
         )
         anoms0[j] = a0
         sched = schedules[j] if schedules is not None else None
         try:
-            init = EnsembleState.forecast(0, x0_basis[j], a0)
+            init = EnsembleState.initial(x0_basis[j], a0)
             traj = build_trajectory(
                 ModelSequence(model.multipliers[:, j]),
                 x0_basis[j],

@@ -5,11 +5,12 @@ derived from one) rather than touching global state, so a (seed, stream)
 pair fully pins down every byte of output.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngSpec", "normal_polar"]
+__all__ = ["RngSpec", "check_count", "normal_polar"]
 
 
 @dataclass(frozen=True)
@@ -39,13 +40,26 @@ class RngSpec:
         return np.random.default_rng(ss)
 
 
+def check_count(n, least, name):
+    """n as an int; ValueError naming name for a count that is not an
+    integer (an int or a numpy integer) or is below least."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        k = None
+    if k is None or k < least:
+        raise ValueError("%s must be an integer >= %d, not %r" % (name, least, n))
+    return k
+
+
 def normal_polar(gen, n):
     """n standard normal draws via the Marsaglia polar rejection transform.
 
     Uses only gen.random(), so the draw sequence is pinned by the generator
     stream alone and does not depend on the library's own normal sampler.
+    ValueError for a count that is not an integer or is negative.
     """
-    n = int(n)
+    n = check_count(n, 0, "n")
     out = np.empty(n)
     filled = 0
     while filled < n:

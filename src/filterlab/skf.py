@@ -53,6 +53,19 @@ def _analyze(step, xf, pf, y, r):
     return SkfState(step, xf, pf, k, xf + k * (y - xf), k * r)
 
 
+def forecast_blame(step, pf, r, start):
+    """The input behind a forecast variance pf outside [PF_MIN, inf) at step.
+
+    That is start, the input behind the step-0 forecast, at step 0;
+    "obs_variance" for a variance under the floor when r itself is under it
+    (every analysis variance is below r); and "model" otherwise.  Both
+    filters call it on their error paths.
+    """
+    if step == 0:
+        return start
+    return "obs_variance" if pf < PF_MIN and r < PF_MIN else "model"
+
+
 def skf_start(x0, p0, y0, r):
     """Step-0 state: forecast is the prior, followed by the first analysis.
 
@@ -60,8 +73,8 @@ def skf_start(x0, p0, y0, r):
     [PF_MIN, inf), as skf_step does for a later forecast variance.
     """
     if not PF_MIN <= p0 < math.inf:
-        raise TrajectoryRangeError("p0", "step 0: the forecast variance %g leaves "
-                                   "[%g, inf)" % (p0, PF_MIN))
+        raise TrajectoryRangeError(forecast_blame(0, p0, r, "p0"), "step 0: the forecast "
+                                   "variance %g leaves [%g, inf)" % (p0, PF_MIN))
     if not (r > 0.0):
         raise ValueError("the observation variance must be positive")
     return _analyze(0, float(x0), float(p0), float(y0), float(r))
@@ -72,9 +85,7 @@ def skf_step(prev: SkfState, m, y, r, phi=1.0, psi=0.0):
     and the mean shift psi, in that order, and assimilate observation y.
 
     Raises TrajectoryRangeError when the forecast variance m^2 p_a phi
-    leaves [PF_MIN, inf), naming "obs_variance" for one under the floor when
-    r itself is under it (every analysis variance is below r) and "model"
-    otherwise.
+    leaves [PF_MIN, inf), naming the input forecast_blame names.
     """
     if m == 0.0:
         raise ValueError("model multiplier must be nonzero")
@@ -82,11 +93,11 @@ def skf_step(prev: SkfState, m, y, r, phi=1.0, psi=0.0):
     m = float(m)
     xf = m * prev.mean_analysis + float(psi)
     pf = m * m * prev.var_analysis * float(phi)
+    step = prev.step + 1
     if not PF_MIN <= pf < math.inf:
-        param = "obs_variance" if pf < PF_MIN and r < PF_MIN else "model"
-        raise TrajectoryRangeError(param, "step %d: the forecast variance %g leaves "
-                                   "[%g, inf)" % (prev.step + 1, pf, PF_MIN))
-    return _analyze(prev.step + 1, xf, pf, float(y), float(r))
+        raise TrajectoryRangeError(forecast_blame(step, pf, r, "p0"), "step %d: the forecast "
+                                   "variance %g leaves [%g, inf)" % (step, pf, PF_MIN))
+    return _analyze(step, xf, pf, float(y), float(r))
 
 
 def skf_run(traj: ModelTrajectory, x0, p0, inflation=None):

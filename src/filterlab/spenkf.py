@@ -16,21 +16,21 @@ the forecast variance and mean.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .expint import expint_scaled_inverse_shifted, expint_scaled_inverse_shifted_array
 from .propagators import ModelTrajectory, TrajectoryRangeError
-from .rng import RngSpec, normal_polar
-from .skf import PF_MIN
+from .rng import RngSpec, check_count, normal_polar
+from .skf import PF_MIN, forecast_blame
 
 __all__ = [
     "EnsembleState",
     "InflationSchedule",
     "sample_initial_ensemble",
-    "spenkf_analyze",
-    "spenkf_forecast",
+    "spenkf_start",
+    "spenkf_step",
     "spenkf_run",
     "theta_star",
     "theta_step",
@@ -40,120 +40,115 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnsembleState:
-    """Ensemble mean and anomalies after a forecast or analysis.
+    """Ensemble mean and anomalies after the analysis at a step.
 
     sampled_var is the divisor-N variance (1/N) a.a, matching the
-    stochastic-initialization convention; phase is "forecast" or
-    "analysis"; gain is the gain of the producing analysis (nan for
-    forecast states).
+    stochastic-initialization convention; gain is the gain of the analysis
+    (nan for an initial ensemble, which no analysis has produced).
     """
 
     step: int
-    phase: str
     mean: float
     anomalies: np.ndarray
     sampled_var: float
     gain: float = math.nan
 
     @classmethod
-    def forecast(cls, step, mean, anomalies, below="model"):
-        """Forecast-phase state whose sampled variance an analysis accepts.
+    def initial(cls, mean, anomalies):
+        """Step-0 ensemble before its first analysis.
 
-        Raises TrajectoryRangeError when (1/N) a.a leaves [1e-300, inf),
-        naming "phat0" at step 0, and at later steps the input named by below
-        for a variance under 1e-300 and "model" for one that overflows.
+        Raises TrajectoryRangeError naming "phat0" when (1/N) a.a leaves
+        [1e-300, inf).
         """
-        with np.errstate(over="ignore"):
-            pf = _svar(anomalies)
-        if not PF_MIN <= pf < math.inf:
-            raise TrajectoryRangeError("phat0" if step == 0 else below if pf < PF_MIN else "model",
-                                       "step %d: the sampled forecast variance %g leaves "
-                                       "[%g, inf): degenerate ensemble" % (step, pf, PF_MIN))
-        return cls(step=step, phase="forecast", mean=mean, anomalies=anomalies,
-                   sampled_var=pf)
+        return cls(0, float(mean), anomalies, _forecast_var(0, anomalies, None))
 
 
 def _svar(anoms):
     return float(np.dot(anoms, anoms) / len(anoms))
 
 
+def _forecast_var(step, anoms, r):
+    # (1/N) a.a of a forecast ensemble, refused outside [PF_MIN, inf)
+    with np.errstate(over="ignore"):
+        pf = _svar(anoms)
+    if not PF_MIN <= pf < math.inf:
+        raise TrajectoryRangeError(forecast_blame(step, pf, r, "phat0"),
+                                   "step %d: the sampled forecast variance %g leaves "
+                                   "[%g, inf): degenerate ensemble" % (step, pf, PF_MIN))
+    return pf
+
+
+def _analyze(step, xf, anoms, pf, y, r):
+    # gain from the sampled forecast variance, anomalies rescaled by (pa/pf)^(1/2)
+    k = pf / (pf + r)
+    anoms = anoms * math.sqrt(k * r / pf)
+    return EnsembleState(step, xf + k * (y - xf), anoms, _svar(anoms), k)
+
+
 def sample_initial_ensemble(n_members, p0, x0, spec: RngSpec):
-    """Initial forecast-phase ensemble: anomalies i.i.d. N(0, p0).
+    """Initial ensemble: anomalies i.i.d. N(0, p0).
 
     The sampled variance (not p0 itself) is what the filter propagates:
     phat0 = (1/N) a.a is exactly Gamma(N/2) scaled to mean p0.  The mean
     is carried separately, so the anomalies are not recentred; recentring
     would change the sampled-variance law to a chi-square with N-1 degrees
-    of freedom.  Raises TrajectoryRangeError("phat0", ...) when phat0 leaves
-    [1e-300, inf).
+    of freedom.  Raises ValueError for a member count that is not an
+    integer (an int or a numpy integer) or is below 3, and
+    TrajectoryRangeError("phat0", ...) when phat0 leaves [1e-300, inf).
     """
-    n = int(n_members)
-    if n < 3:
-        raise ValueError("need at least 3 ensemble members")
+    n = check_count(n_members, 3, "n_members")
     if not (p0 > 0.0):
         raise ValueError("p0 must be positive")
     anoms = math.sqrt(p0) * normal_polar(spec.generator(), n)
-    return EnsembleState.forecast(0, float(x0), anoms)
+    return EnsembleState.initial(x0, anoms)
 
 
-def spenkf_analyze(state: EnsembleState, y, r):
-    """Assimilate observation y: gain from the sampled forecast variance,
-    anomalies rescaled by (pa/pf)^(1/2)."""
-    if state.phase != "forecast":
-        raise ValueError("can only analyze a forecast-phase state")
-    pf = state.sampled_var
-    if pf < PF_MIN:
-        raise ValueError("degenerate ensemble: sampled variance underflowed")
-    k = pf / (pf + r)
-    pa = k * r
-    anoms = state.anomalies * math.sqrt(pa / pf)
-    return EnsembleState(
-        step=state.step,
-        phase="analysis",
-        mean=state.mean + k * (y - state.mean),
-        anomalies=anoms,
-        sampled_var=_svar(anoms),
-        gain=k,
-    )
+def spenkf_start(x0, anomalies, y0, r):
+    """Step-0 analysis: the ensemble (x0, anomalies) is the forecast, and
+    observation y0 is assimilated with the sampled gain.
+
+    Raises TrajectoryRangeError naming "phat0" when (1/N) a.a leaves
+    [1e-300, inf), as spenkf_step does for a later forecast.
+    """
+    return _analyze(0, float(x0), anomalies, _forecast_var(0, anomalies, r), y0, r)
 
 
-def spenkf_forecast(state: EnsembleState, m, phi=1.0, psi=0.0, below="model"):
-    """Propagate through multiplier m, then apply the variance inflation phi
+def spenkf_step(prev: EnsembleState, m, y, r, phi=1.0, psi=0.0):
+    """Forecast through multiplier m, then apply the variance inflation phi
     (anomalies scaled by sqrt(phi)) and the mean shift psi, in that order,
-    before the next analysis.  Raises EnsembleState.forecast's
-    TrajectoryRangeError when the sampled forecast variance leaves
-    [1e-300, inf)."""
-    if state.phase != "analysis":
-        raise ValueError("can only forecast from an analysis-phase state")
+    and assimilate observation y.
+
+    Raises TrajectoryRangeError when the sampled forecast variance leaves
+    [1e-300, inf), naming the input skf.forecast_blame names.
+    """
     if m == 0.0:
         raise ValueError("model multiplier must be nonzero")
+    m, step = float(m), prev.step + 1
     with np.errstate(over="ignore"):
-        return EnsembleState.forecast(state.step + 1, m * state.mean + psi,
-                                      state.anomalies * (m * math.sqrt(phi)), below)
+        xf = m * prev.mean + float(psi)
+        anoms = prev.anomalies * (m * math.sqrt(phi))
+    return _analyze(step, xf, anoms, _forecast_var(step, anoms, r), y, r)
 
 
 def spenkf_run(traj: ModelTrajectory, initial: EnsembleState,
                inflation: "InflationSchedule | None" = None):
-    """Run the filter along a trajectory; returns analysis states per step.
+    """Run the filter along a trajectory; returns one analysis state per step.
 
-    With a schedule, phi_0 scales the initial anomalies before the first
-    analysis and (phi_i, psi_i) correct every later forecast.  Raises
-    EnsembleState.forecast's TrajectoryRangeError at the first step whose
-    sampled forecast variance leaves range.
+    phi_0 scales the initial anomalies before the first analysis and
+    (phi_i, psi_i) correct every later forecast; without a schedule they
+    are ones and zeros, and scaling by 1 is exact.  Raises spenkf_step's
+    TrajectoryRangeError at the first step whose sampled forecast variance
+    leaves range.
     """
     r = traj.obs_variance
-    # every analysis variance is below r, so with r under the floor a
-    # forecast variance under it is r's fault, not the model's
-    below = "obs_variance" if r < PF_MIN else "model"
-    state = initial
-    if inflation is not None:
-        state = EnsembleState.forecast(0, state.mean,
-                                       state.anomalies * math.sqrt(inflation.phi[0]))
-    states = [spenkf_analyze(state, traj.observations[0], r)]
+    n = traj.n_steps
+    phi = inflation.phi if inflation is not None else np.ones(n + 1)
+    psi = inflation.psi if inflation is not None else np.zeros(n + 1)
+    states = [spenkf_start(initial.mean, initial.anomalies * math.sqrt(phi[0]),
+                           traj.observations[0], r)]
     for i, m in enumerate(traj.model.values):
-        fc = (spenkf_forecast(states[-1], m, below=below) if inflation is None else
-              spenkf_forecast(states[-1], m, inflation.phi[i + 1], inflation.psi[i + 1], below))
-        states.append(spenkf_analyze(fc, traj.observations[i + 1], r))
+        states.append(spenkf_step(states[-1], m, traj.observations[i + 1], r,
+                                  phi[i + 1], psi[i + 1]))
     return states
 
 
@@ -209,6 +204,14 @@ class InflationSchedule:
     theta: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
+
+    def initial_theta(self):
+        """The one-shot schedule: only the initial ensemble is inflated, by
+        theta at the final step (an unbiased final analysis variance), so
+        phi_0 = theta_n, every later phi_i = 1 and every psi_i = 0."""
+        phi = np.ones_like(self.phi)
+        phi[0] = self.theta[-1]
+        return replace(self, phi=phi, psi=np.zeros_like(self.psi))
 
 
 def inflation_schedule(traj: ModelTrajectory, alpha, p0, x_init):

@@ -359,9 +359,7 @@ def test_criterion_11_multivariate_reduction():
             traj = build_trajectory(ModelSequence(mult[:, j]), x0_basis[j],
                                     model.r_diag[j], spec.stream(2 * j))
             a0 = result.initial_anomalies[j]
-            init = EnsembleState(step=0, phase="forecast", mean=x0_basis[j],
-                                 anomalies=a0,
-                                 sampled_var=float(np.dot(a0, a0) / len(a0)))
+            init = EnsembleState.initial(x0_basis[j], a0)
             scalar_means[:, j] = [s.mean for s in spenkf_run(traj, init)]
         ref = scalar_means @ Z.T
         scale = np.maximum(np.abs(ref), 1e-12)

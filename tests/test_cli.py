@@ -903,6 +903,21 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag,path,line", [
+    ("--out", "{dir}", "skf: --out: is a directory: {dir}\n"),
+    ("--config", "{dir}", "skf: --config: is a directory: {dir}\n"),
+    ("--config", "{dir}/utf16.json",
+     "skf: config: invalid JSON in {dir}/utf16.json: 'utf-8' codec can't decode byte 0xff "
+     "in position 0: invalid start byte\n"),
+], ids=["out-directory", "config-directory", "config-not-utf8"])
+def test_a_file_error_on_a_flag_exits_2_naming_it(tmp_path, capsys, flag, path, line):
+    # exit 1 is a verification FAIL, so a file that cannot be read or
+    # written must not end in a traceback
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(["skf", flag, path.format(dir=tmp_path)], capsys)
+    assert (code, out, err) == (2, "", line.format(dir=tmp_path))
+
+
 # ---------------------------------------------------------------- NaN-aware gates
 
 

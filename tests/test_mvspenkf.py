@@ -104,10 +104,7 @@ def test_identity_basis_equals_scalar_runs():
         traj = build_trajectory(ModelSequence(model.multipliers[:, j]),
                                 x0[j], model.r_diag[j], spec.stream(2 * j))
         a0 = result.initial_anomalies[j]
-        init = EnsembleState(step=0, phase="forecast", mean=x0[j],
-                             anomalies=a0,
-                             sampled_var=float(np.dot(a0, a0)) / nn)
-        states = spenkf_run(traj, init)
+        states = spenkf_run(traj, EnsembleState.initial(x0[j], a0))
         np.testing.assert_allclose(result.means_basis[:, j],
                                    [s.mean for s in states], rtol=1e-12)
         np.testing.assert_allclose(result.variances_basis[:, j],

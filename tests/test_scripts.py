@@ -4,6 +4,7 @@ with src/ on the path and prints a CSV header plus rows of finite values."""
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +52,32 @@ def test_gate_false_alarms_reports_each_gate():
         counts = [sum(int(t.rsplit(" ", 1)[1]) for t in tally.split(", ") if t != "none")
                   for tally in (fails, held)]
         assert counts == [int(m[1]), 3]
+
+
+def test_golden_diff_exits_1_when_a_table_moved_or_is_new(tmp_path):
+    # a checkout of its own: the script reads HEAD's tables through git
+    out = tmp_path / "scripts" / "out"
+    out.mkdir(parents=True)
+    shutil.copy(ROOT / "scripts" / "golden_diff.py", tmp_path / "scripts")
+    for name in ("a.csv", "b.csv"):
+        (out / name).write_bytes(b"step,x\n0,1\n1,2\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "."], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "tables"], check=True)
+
+    def diff():
+        proc = subprocess.run([sys.executable, str(tmp_path / "scripts" / "golden_diff.py")],
+                              capture_output=True, text=True, timeout=60)
+        return proc.returncode, proc.stdout.splitlines()
+
+    assert diff() == (0, ["a.csv: unchanged", "b.csv: unchanged"])
+    (out / "b.csv").write_bytes(b"step,x\n0,1\n1,3\n")
+    assert diff() == (1, ["a.csv: unchanged", "b.csv x 5.0e-01"])
+    for moved in (b"step,x\n0,1\n", b"step,x\r\n0,1\r\n1,2\r\n"):
+        (out / "b.csv").write_bytes(moved)
+        assert diff() == (1, ["a.csv: unchanged",
+                              "b.csv: the header, the table's shape or its line ends changed"])
+    (out / "b.csv").write_bytes(b"step,x\n0,1\n1,2\n")
+    (out / "c.csv").write_bytes(b"step,x\n0,1\n")
+    assert diff() == (1, ["a.csv: unchanged", "b.csv: unchanged", "c.csv: not in HEAD"])

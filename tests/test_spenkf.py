@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,19 +8,23 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from filterlab import (
+    DiagonalizableModel,
     DomainError,
     EnsembleState,
+    InflationSchedule,
     PerturbedInputs,
     RngSpec,
     TrajectoryRangeError,
     expected_dp,
     inflation_schedule,
+    mv_spenkf_run,
+    normal_polar,
     sample_initial_ensemble,
     skf_closed_form,
     skf_run,
-    spenkf_analyze,
-    spenkf_forecast,
     spenkf_run,
+    spenkf_start,
+    spenkf_step,
     theta_star,
     theta_step,
 )
@@ -28,7 +33,7 @@ from conftest import make_trajectory
 
 def test_initial_ensemble_basics():
     ens = sample_initial_ensemble(8, 2.0, 3.0, RngSpec(11, 0))
-    assert ens.phase == "forecast"
+    assert ens.step == 0 and math.isnan(ens.gain)
     assert ens.mean == 3.0
     assert len(ens.anomalies) == 8
     assert ens.sampled_var == pytest.approx(
@@ -46,16 +51,46 @@ def test_initial_ensemble_rejects_degenerate(monkeypatch):
         sample_initial_ensemble(8, 1.0, 0.0, RngSpec(1, 0))
 
 
+@pytest.mark.parametrize("n_members", [8.9, 8.0, "8", None])
+def test_a_member_count_that_is_not_an_integer_is_refused(n_members):
+    # 8.9 used to run 8 members; the refusal comes before any draw
+    class NoDraws:
+        def generator(self):
+            raise AssertionError("drew an ensemble")
+
+        def stream(self, k):
+            return self
+
+    with pytest.raises(ValueError, match=r"^n_members must be an integer >= 3, not %s$"
+                                         % re.escape(repr(n_members))):
+        sample_initial_ensemble(n_members, 1.0, 0.0, NoDraws())
+    model = DiagonalizableModel(Z=np.eye(1), multipliers=[[1.0]], p0_diag=[1.0], r_diag=[1.0])
+    with pytest.raises(ValueError, match="^n_members must be an integer >= 3"):
+        mv_spenkf_run(model, np.zeros(1), n_members, NoDraws())
+    with pytest.raises(ValueError, match="^n must be an integer >= 0"):
+        normal_polar(np.random.default_rng(1), n_members)
+    assert len(sample_initial_ensemble(np.int64(8), 1.0, 0.0, RngSpec(1, 0)).anomalies) == 8
+
+
 @pytest.mark.parametrize("step,a,param,value", [(0, 1e-152, "phat0", "1e-304"),
                                                 (2, 1e200, "model", "inf")])
 def test_forecast_state_names_the_input_at_fault(step, a, param, value):
-    # (1/N) a.a underflows below, or overflows, what an analysis accepts
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(TrajectoryRangeError,
-                           match=r"^%s: step %d: the sampled forecast variance %s leaves "
-                                 r"\[1e-300, inf\): degenerate" % (param, step, value)):
-            EnsembleState.forecast(step, 0.0, np.full(8, a))
+    # (1/N) a.a underflows below, or overflows, what an analysis accepts: at
+    # step 0 in the initial ensemble and the start, later in the step
+    anoms = np.full(8, a)
+    if step == 0:
+        calls = [lambda: EnsembleState.initial(0.0, anoms),
+                 lambda: spenkf_start(0.0, anoms, 0.0, 1.0)]
+    else:
+        prev = EnsembleState(step - 1, 0.0, anoms, math.inf, 0.5)
+        calls = [lambda: spenkf_step(prev, 1.0, 0.0, 1.0)]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrajectoryRangeError,
+                               match=r"^%s: step %d: the sampled forecast variance %s leaves "
+                                     r"\[1e-300, inf\): degenerate" % (param, step, value)):
+                call()
 
 
 def test_initial_sampled_variance_law():
@@ -78,17 +113,14 @@ def test_analysis_variance_identity():
     # by construction, not just in expectation
     ens = sample_initial_ensemble(16, 1.0, 0.0, RngSpec(7, 0))
     pf = ens.sampled_var
-    ana = spenkf_analyze(ens, 0.37, 2.0)
+    ana = spenkf_start(ens.mean, ens.anomalies, 0.37, 2.0)
     k = pf / (pf + 2.0)
+    assert ana.step == 0
     assert ana.gain == pytest.approx(k, rel=1e-15)
     assert ana.sampled_var == pytest.approx((1.0 - k) * pf, rel=1e-14)
     assert ana.mean == pytest.approx(k * 0.37, rel=1e-14)
-    with pytest.raises(ValueError, match="forecast"):
-        spenkf_analyze(ana, 0.0, 1.0)
-    with pytest.raises(ValueError, match="analysis"):
-        spenkf_forecast(ens, 1.0)
     with pytest.raises(ValueError, match="nonzero"):
-        spenkf_forecast(ana, 0.0)
+        spenkf_step(ana, 0.0, 0.0, 2.0)
 
 
 def test_matches_skf_when_variance_forced():
@@ -97,8 +129,7 @@ def test_matches_skf_when_variance_forced():
     traj = make_trajectory(91, 30)
     p0, x0 = 1.3, 0.4
     anoms = math.sqrt(p0) * np.array([1.0, -1.0] * 4)
-    ens = EnsembleState(step=0, phase="forecast", mean=x0,
-                        anomalies=anoms, sampled_var=p0)
+    ens = EnsembleState.initial(x0, anoms)
     states = spenkf_run(traj, ens)
     ref = skf_run(traj, x0, p0)
     for got, want in zip(states, ref):
@@ -277,19 +308,43 @@ def test_sequential_equals_initial_theta_run():
     traj = make_trajectory(12, 10, kind="constant", m=1.0)
     p0, x0, alpha = 1.0, traj.truth[0], 4.0
     anoms = math.sqrt(p0) * np.array([1.0, -1.0] * 4)
-    ens = EnsembleState(step=0, phase="forecast", mean=x0,
-                        anomalies=anoms, sampled_var=p0)
+    ens = EnsembleState.initial(x0, anoms)
     sched = inflation_schedule(traj, alpha, p0, x0)
     seq = spenkf_run(traj, ens, inflation=sched)
     for i in range(11):
         scaled = ens.anomalies * math.sqrt(sched.theta[i])
-        ens_i = EnsembleState(step=0, phase="forecast", mean=x0,
-                              anomalies=scaled,
-                              sampled_var=float(np.dot(scaled, scaled)) / 8.0)
-        ref = spenkf_run(traj, ens_i)
+        ref = spenkf_run(traj, EnsembleState.initial(x0, scaled))
         assert seq[i].mean == pytest.approx(ref[i].mean, rel=1e-10)
         assert seq[i].sampled_var == pytest.approx(ref[i].sampled_var,
                                                    rel=1e-10)
+
+
+def _bits(states):
+    # every field of every state, with the anomalies as their bytes
+    return [(s.step, s.mean, s.sampled_var, s.gain, s.anomalies.tobytes()) for s in states]
+
+
+def test_a_run_without_a_schedule_is_the_identity_schedule_run():
+    # phi = 1 and psi = 0 at every step: scaling by 1 and adding 0 are exact
+    traj = make_trajectory(5, 40)
+    init = sample_initial_ensemble(8, 0.9, -0.2, RngSpec(5, 1))
+    n = traj.n_steps
+    identity = InflationSchedule(theta_star=math.nan, theta=np.full(n + 1, math.nan),
+                                 phi=np.ones(n + 1), psi=np.zeros(n + 1))
+    assert _bits(spenkf_run(traj, init)) == _bits(spenkf_run(traj, init, identity))
+
+
+def test_the_initial_theta_schedule_scales_only_the_initial_ensemble():
+    # the one-shot schedule is the run from the initial anomalies scaled by
+    # sqrt(theta_n), with no later correction, to the bit
+    traj = make_trajectory(8, 12)
+    init = sample_initial_ensemble(10, 1.7, 0.0, RngSpec(8, 1))
+    sched = inflation_schedule(traj, 5.0, 1.7, 0.0)
+    one_shot = sched.initial_theta()
+    assert one_shot.phi[0] == sched.theta[-1] and np.all(one_shot.phi[1:] == 1.0)
+    assert np.all(one_shot.psi == 0.0) and one_shot.theta is sched.theta
+    scaled = EnsembleState.initial(init.mean, init.anomalies * math.sqrt(float(sched.theta[-1])))
+    assert _bits(spenkf_run(traj, init, one_shot)) == _bits(spenkf_run(traj, scaled))
 
 
 def test_reference_run_reproduces_ensemble():
