@@ -62,8 +62,9 @@ float operations of the array expressions in the comments, in their order
 po_mean_identity_check keeps its stream layout, all n X draws and then all
 n R draws, so it holds those two replicate-sized arrays and forms the rest
 block by block in three passes of the driver: R - r and P, then the means
-of rK and K^2 (R - r), which the first pass wrote over X and R, then the
-product of their centred values.  skf_error_moments keeps whole arrays,
+of rK and K^2 (R - r), which the first pass wrote over X and R (folding
+their deviations alone, into the same columns), then the product of their
+centred values.  skf_error_moments keeps whole arrays,
 since normal_polar's draws depend on the count asked for, and feeds
 sample_moments, the driver fed slices of one whole sample.
 """
@@ -141,18 +142,23 @@ def _coefs(inp, inv_s, q, m_s, b_s):
 def _moment_table(traj, inp):
     # E[dp_i], E[dx_i], E[dp_i^2], E[dx_i^2] at every step of traj as lists
     # of floats, then their spec.  dp and dx share z, so one spec with a row
-    # for each evaluates every order once.
+    # for each evaluates every order, in one scaled-expint pass: the second
+    # moments ask for all three orders, and the means then read two of them.
+    # A prior near the double limit (p_tilde0 = 1e308) overflows the forms:
+    # those steps read inf or NaN, and no numpy warning is printed
     ledger = [np.array(s) for s in (traj.inv_S, traj.M2_over_S, traj.M_over_S, traj.B_over_S)]
-    dp, dx, c, d = _coefs(inp, *ledger)
-    spec = GammaRatioSpec(np.stack([dp[0], dx[0]]), np.stack([dp[1], dx[1]]), c, d,
-                          inp.alpha, inp.p_tilde0)
-    mean = ratio_mean(spec)
-    second = ratio_second_moment(spec) if inp.alpha > 2.0 else np.full_like(mean, np.nan)
-    # B_i/S_i == x_tilde0: dx_i is the constant k = a/c at any alpha
-    const = ledger[3] == inp.x_tilde0
-    k = dx[0][const] / c[const]
-    mean[1, const] = k
-    second[1, const] = k * k  # not k ** 2: pow may round x^2 one ulp off x * x
+    with np.errstate(all="ignore"):
+        dp, dx, c, d = _coefs(inp, *ledger)
+        spec = GammaRatioSpec(np.stack([dp[0], dx[0]]), np.stack([dp[1], dx[1]]), c, d,
+                              inp.alpha, inp.p_tilde0)
+        second = (ratio_second_moment(spec) if inp.alpha > 2.0
+                  else np.full(spec.a.shape, np.nan))
+        mean = ratio_mean(spec)
+        # B_i/S_i == x_tilde0: dx_i is the constant k = a/c at any alpha
+        const = ledger[3] == inp.x_tilde0
+        k = dx[0][const] / c[const]
+        mean[1, const] = k
+        second[1, const] = k * k  # not k ** 2: pow may round x^2 one ulp off x * x
     return (*mean.tolist(), *second.tolist(), spec)
 
 
@@ -163,10 +169,11 @@ def _at(i, column, spec, row, name, moment):
     v = column[i]
     if v == v:
         return v
-    why = spec.refusal(row + (i,))
-    if why:
-        raise DomainError("step %d: %s: %s" % (i, name, why))
-    return float(moment(spec)[row + (i,)])
+    with np.errstate(all="ignore"):  # as the table was built
+        why = spec.refusal(row + (i,))
+        if why:
+            raise DomainError("step %d: %s: %s" % (i, name, why))
+        return float(moment(spec)[row + (i,)])
 
 
 def expected_dp(traj, inp, i):
@@ -269,11 +276,12 @@ def _moments(acc, j, shift, n):
                          math.sqrt(max(c4 / n - var * var, 0.0) / n), s1 == s2 == 0.0)
 
 
-def _stream(n, slots, fill):
+def _stream(n, slots, fill, means_only=False):
     # SampleMoments of slots samples of n replicates, block by block:
     # fill(lo, v) writes replicates lo, lo + 1, .. of sample j into v[2j]
     # (v holds 2 * slots rows of the block's length; odd rows are scratch),
-    # and the first block's medians are the shifts
+    # and the first block's medians are the shifts.  means_only folds the
+    # deviations d alone, into the same columns, and returns the means
     (buf, acc), shift = _buffers(2 * slots), None
     for lo in range(0, n, _BLOCK):
         m = min(_BLOCK, n - lo)
@@ -282,7 +290,12 @@ def _stream(n, slots, fill):
         if shift is None:
             shift = _shift(v[0::2])
         v[0::2] -= shift
-        _fold(buf, m, acc)
+        if means_only:
+            _add_columns(buf[0::2], m, acc[0, 0::2])
+        else:
+            _fold(buf, m, acc)
+    if means_only:
+        return [float(shift[j, 0]) + _total(acc[0, 2 * j].tolist()) / n for j in range(slots)]
     return [_moments(acc, j, float(shift[j, 0]), n) for j in range(slots)]
 
 
@@ -353,7 +366,10 @@ def _gain_table(traj, p0, alpha, r, n):
     # bottom so the coefficients stay bounded
     spec = GammaRatioSpec(a=np.array(traj.M2_over_S), b=0.0, c=1.0,
                           d=r * np.array(traj.inv_S), alpha=alpha, p=float(p0))
-    moments = (ratio_mean(spec) if n == 1 else ratio_fourth_moment(spec)).tolist()
+    # the fourth-moment form cancels or overflows at large r/(S_i p0), and
+    # po_gain_fourth refuses what it gives there; no numpy warning is printed
+    with np.errstate(all="ignore"):
+        moments = (ratio_mean(spec) if n == 1 else ratio_fourth_moment(spec)).tolist()
     # once r/S_i underflows to 0, K_i = q_i X/(X + 0) is q_i to double
     # precision; a Python float ** rounds as the scalar q_i ** n does
     for i in np.flatnonzero(spec.d == 0.0).tolist():
@@ -368,20 +384,46 @@ def po_gain_mean(traj, p0, alpha, r, i):
     return _at(i, moments, spec, (), "K", ratio_mean)
 
 
+def _gain_fourth(traj, p0, alpha, r, i):
+    # E[K_i^4] at a step check_step passed, for float alpha and r; a
+    # negative or non-finite table value raises (see po_gain_fourth)
+    moments, spec = _gain_table(traj, p0, alpha, r, 4)
+    k4 = moments[i]
+    if not 0.0 <= k4 < math.inf:
+        k4 = _at(i, moments, spec, (), "K", ratio_fourth_moment)
+        p4 = (spec.p * spec.p) * (spec.p * spec.p)
+        w = r * traj.inv_S[i] / spec.p
+        if not 0.0 < p4 < math.inf:
+            param, why = "p0", "it divides by p0^4, which is %g in double precision" % p4
+        else:
+            param = "obs_variance" if w >= 1.0 else "p0"
+            why = "it cancels or overflows at r/(S_i p0) = %g" % w
+        raise InputError(param, "step %d: the closed form of E[K^4] gives %r, which no "
+                                "fourth moment is: %s" % (i, k4, why))
+    return k4
+
+
 def po_gain_fourth(traj, p0, alpha, r, i):
-    """E[K_i^4], the fourth moment of the propagated gain, exact for alpha > 4."""
+    """E[K_i^4], the fourth moment of the propagated gain, exact for alpha > 4.
+
+    Raises InputError where the closed form gives a negative or non-finite
+    value, which no fourth moment is.  The form divides by p0^4, so it fails
+    once p0^4 underflows to 0 or overflows (p0 below about 1e-81 or above
+    about 1e77), and the error names "p0"; it cancels once w = r/(S_i p0) is
+    large (w = 1e3 at alpha 5 already gives E[K^4] < 0) and overflows in
+    (alpha r/S_i)^3 at extreme r, and the error names "obs_variance" for
+    w >= 1, else "p0".
+    """
     i = traj.check_step(i)
-    moments, spec = _gain_table(traj, p0, float(alpha), float(r), 4)
-    return _at(i, moments, spec, (), "K", ratio_fourth_moment)
+    return _gain_fourth(traj, p0, float(alpha), float(r), i)
 
 
 def po_variance_penalty(traj, p0, alpha, r, i):
     """Extra analysis-variance term E[K_i^4] r^2 / alpha contributed by
     perturbing observations with sampled variance R ~ Gamma(alpha, r/alpha).
-    Exact for alpha > 4."""
+    Exact for alpha > 4; raises po_gain_fourth's InputError."""
     i, alpha, r = traj.check_step(i), float(alpha), float(r)
-    moments, spec = _gain_table(traj, p0, alpha, r, 4)
-    return _at(i, moments, spec, (), "K", ratio_fourth_moment) * r * r / alpha
+    return _gain_fourth(traj, p0, alpha, r, i) * r * r / alpha
 
 
 def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
@@ -429,5 +471,5 @@ def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
         v[0] *= v[1]
 
     r2, p = _stream(n, 2, r_and_p)
-    a_mean, b_mean = (m.mean for m in _stream(n, 2, a_and_b))
+    a_mean, b_mean = _stream(n, 2, a_and_b, means_only=True)
     return p, _stream(n, 1, centred_product)[0], r2

@@ -29,11 +29,16 @@ Two complementary evaluation schemes cover the rest:
     combined analytically through expm1, which keeps the evaluation
     uniformly accurate arbitrarily close to integer orders.
 
-One kernel, _scaled_array, evaluates one order over an array of z.  Each
-element goes through the same float operations whatever else the array
-holds, so a value does not depend on its batch: the inverse below and the
-gamma-ratio trajectory tables call it on arrays, and expint_scaled is its
-one-element case.
+One kernel, _scaled_orders, evaluates several orders over one array of z
+in a single pass: the series elements of every order take one Horner sum,
+a row of coefficients per order, zero-padded at the top (which adds
+exactly), and the fraction elements of every order run together, sorted by
+depth, each with its own a_i.  Each element goes through the same float
+operations whatever else the array holds and whatever other orders share
+the pass, so a value does not depend on its batch.  The gamma-ratio tables
+fetch the two or three orders a table reads in one pass; _scaled_array is
+the one-order case, which the inverse below calls on arrays, and
+expint_scaled its one-element case.
 
 Against 50-digit quadrature of the defining integral, the worst relative
 error observed is 6.6e-15 on the series (at nu = 3.5; 40 z in [1e-6, 0.999]
@@ -96,7 +101,8 @@ class DomainError(ValueError):
 
 def _depth(nu, z, sqrt=np.sqrt, minimum=np.minimum):
     # Terms of the continued fraction at order nu for an array of z >= 1
-    # (for one z, given math.sqrt and min), before the floor:
+    # (for a column of orders, a row per order), or for one z given
+    # math.sqrt and min, before the floor:
     # min(7 + 108 z^(-3/4), 6 + 420 (nu+1)^(-3/4)), 115 at z = 1 for nu up
     # to 5, falling in z and in nu to 6 once nu passes 3150.  Against
     # 30-digit convergents at 100 orders in [0, 1e4] by 50 z in [1, 1e3] it
@@ -104,53 +110,66 @@ def _depth(nu, z, sqrt=np.sqrt, minimum=np.minimum):
     # roots and the floor is exact, so every element gets the same depth in
     # numpy as in Python, whatever its batch.
     r = sqrt(z)
-    s = math.sqrt(nu + 1.0)
-    return minimum(7.0 + 108.0 / (r * sqrt(r)), 6.0 + 420.0 / (s * math.sqrt(s)))
+    s = sqrt(nu + 1.0)
+    return minimum(7.0 + 108.0 / (r * sqrt(r)), 6.0 + 420.0 / (s * sqrt(s)))
 
 
-def _fraction(nu, z):
-    # scaled(nu, z) over an array of z >= 1, bottom up from each element's
-    # depth k: t = 0, then t = a_i / ((z+nu+2i) + t) for i = k .. 1 with
-    # a_i = -i (nu-1+i), and 1/((z+nu) + t); at z = inf every term is 0 and
-    # the value its limit 0.  A batch of at most _ITERATION_TERMS elements,
-    # or whose terms, sum(k), are at most _ITERATION_TERMS times its deepest
-    # k, runs one element at a time in Python floats, the rest in numpy.
-    # + - * / round the same in both, so both give the same bits.
+def _fraction(nus, z):
+    # scaled(nu, z) for each order nu in nus (a row each) over an array of
+    # z >= 1, bottom up from each element's depth k: t = 0, then
+    # t = a_i / ((z+nu+2i) + t) for i = k .. 1 with a_i = -i (nu-1+i), and
+    # 1/((z+nu) + t); at z = inf every term is 0 and the value its limit 0.
+    # A batch of at most _ITERATION_TERMS elements (all orders counted), or
+    # whose terms, sum(k), are at most _ITERATION_TERMS times its deepest k,
+    # runs one element at a time in Python floats, the rest in numpy with
+    # the elements of every order sorted by depth together.  + - * / round
+    # the same in both, so both give the same bits.
     zs = z.tolist()
-    if len(zs) <= _ITERATION_TERMS:
-        depths = [int(_depth(nu, x, math.sqrt, min)) for x in zs]
+    # one order as a float and its values as a 1-d array; several as a
+    # column, with a row of values each
+    if len(nus) == 1:
+        nu, shape = nus[0], (-1,)
     else:
-        k = _depth(nu, z).astype(int)
+        nu, shape = np.array(nus)[:, None], (len(nus), -1)
+    if len(nus) * len(zs) <= _ITERATION_TERMS:
+        depths = [int(_depth(nu_j, x, math.sqrt, min)) for nu_j in nus for x in zs]
+    else:
+        k = _depth(nu, z).astype(int).ravel()
         depths = k.tolist()
     top = max(depths)
-    nu1 = nu - 1.0
-    # a_i and 2i for i = top .. 1
-    a = [-i * (nu1 + i) for i in range(top, 0, -1)]
+    # a_i = -i (nu-1+i) for each order, and 2i, for i = top .. 1
+    a = [[-i * (nu1 + i) for i in range(top, 0, -1)] for nu1 in [nu - 1.0 for nu in nus]]
     c = [2.0 * i for i in range(top, 0, -1)]
-    if len(zs) <= _ITERATION_TERMS or sum(depths) <= _ITERATION_TERMS * top:
+    if len(depths) <= _ITERATION_TERMS or sum(depths) <= _ITERATION_TERMS * top:
         out = []
-        for x, depth in zip(zs, depths):
-            b = x + nu
-            t = 0.0
-            for a_i, c_i in zip(a[top - depth:], c[top - depth:]):
-                t = a_i / ((b + c_i) + t)
-            out.append(1.0 / (b + t))
-        return np.array(out)
+        for j, nu_j in enumerate(nus):
+            for x, depth in zip(zs, depths[j * len(zs):(j + 1) * len(zs)]):
+                b = x + nu_j
+                t = 0.0
+                for a_i, c_i in zip(a[j][top - depth:], c[top - depth:]):
+                    t = a_i / ((b + c_i) + t)
+                out.append(1.0 / (b + t))
+        return np.array(out).reshape(shape)
     # deepest first, so the elements still iterating at i are the first
     # m[i] = #(k >= i); the stable sort maps less of numpy's sort code
     order = np.argsort(k, kind="stable")[::-1]
-    zn = z[order] + nu
-    m = np.cumsum(np.bincount(k)[::-1])[::-1].tolist()
+    m = np.cumsum(np.bincount(k)[::-1])[::-1].tolist()[:0:-1]
+    zn = (z + nu).ravel()[order]
+    if len(nus) > 1:
+        # each element's own a_i, over the elements still iterating at i
+        a = [a_i[:mi] for a_i, mi in zip(np.array(a).T[:, order // len(zs)], m)]
+    else:
+        a = a[0]
     t = np.zeros_like(zn)
     den = np.empty_like(zn)
-    for a_i, c_i, mi in zip(a, c, m[:0:-1]):
+    for a_i, c_i, mi in zip(a, c, m):
         d = den[:mi]
         np.add(zn[:mi], c_i, out=d)
         d += t[:mi]
         np.divide(a_i, d, out=t[:mi])
     out = np.empty_like(zn)
     out[order] = 1.0 / (zn + t)
-    return out
+    return out.reshape(shape)
 
 
 # zeta(2) .. zeta(8), for the Taylor series of lgamma(1+d) about d=0.
@@ -225,27 +244,62 @@ def _pole_order(nu):
     return n, d, (-1.0) ** n * math.exp(-math.lgamma(n)), a, b, coef
 
 
-def _series(nu, z):
-    # scaled(nu, z) over an array of 0 < z < 1 from the power series
+def _series(nus, z):
+    # scaled(nu, z) for each order nu in nus (a row each) over an array of
+    # 0 < z < 1, from the power series
     #     scaled(nu, z) = (c(z) - sum_{k != n-1} (-z)^k / (k! (k+1-nu))) e^z,
-    # the sum by Horner's rule over the same coefficients at every z.  For
-    # n >= 1 the prefactor c(z) is the Gamma(1-nu) z^(nu-1) term plus the
-    # k = n-1 series term, which both blow up as d -> 0 while their sum stays
+    # the sum by Horner's rule over each order's coefficients.  For n >= 1
+    # the prefactor c(z) is the Gamma(1-nu) z^(nu-1) term plus the k = n-1
+    # series term, which both blow up as d -> 0 while their sum stays
     # finite:  c = (-1)^n z^(n-1) / Gamma(n) * h  with
-    # h = expm1(d log z + a - b) / d, or log z - psi(n) at d = 0.
-    n, d, scale, a, b, coef = _pole_order(nu)
-    if n == 0:
-        c = scale * z ** (d - 1.0)
+    # h = expm1(d log z + a - b) / d, or log z - psi(n) at d = 0.  c is
+    # formed one order at a time: z ** (n - 1) takes a scalar exponent, and
+    # numpy computes the exponents 1 and 2 as a copy and a square, which an
+    # array of exponents might not.  The orders share log z and e^z, and
+    # their coefficient rows are padded with zeros at the top, which
+    # Horner's rule adds exactly: the sum stays 0 up to a row's own leading
+    # coefficient.
+    log_z = np.log(z)
+    c, rows = [], []
+    for nu in nus:
+        n, d, scale, a, b, coef = _pole_order(nu)
+        if n == 0:
+            c.append(scale * z ** (d - 1.0))
+        else:
+            h = log_z - b if d == 0.0 else np.expm1(d * log_z + a - b) / d
+            c.append(scale * z ** (n - 1.0) * h)
+        rows.append(coef)
+    if len(nus) == 1:
+        c, coef = c[0], rows[0]
     else:
-        log_z = np.log(z)
-        h = log_z - b if d == 0.0 else np.expm1(d * log_z + a - b) / d
-        c = scale * z ** (n - 1.0) * h
+        # a row per order, coefficient k of every order as a column
+        top = max(map(len, rows))
+        c = np.array(c)
+        coef = np.array([row + [0.0] * (top - len(row)) for row in rows]).T[:, :, None]
     nz = -z
-    s = np.full_like(z, coef[-1])
-    for a_k in reversed(coef[:-1]):
+    s = np.full_like(c, coef[-1])
+    for a_k in coef[-2::-1]:
         s *= nz
         s += a_k
     return (c - s) * np.exp(z)
+
+
+def _scaled(nus, z, out):
+    # scaled(nu, z) for each order nu in nus over a 1-d array z into out, a
+    # row per order (out 1-d for one order): see _scaled_orders
+    small = (z > 0.0) & (z < 1.0)
+    frac = z >= 1.0
+    n_small, n_frac = np.count_nonzero(small), np.count_nonzero(frac)
+    if n_small:
+        out[..., small] = _series(nus, z[small])
+    if n_frac:
+        out[..., frac] = _fraction(nus, z[frac])
+    if n_small + n_frac < len(z):
+        # 1/(nu-1) at z = 0 (inf for nu <= 1), NaN for a NaN or negative z
+        edge = ~(small | frac)
+        limit = [[1.0 / (nu - 1.0) if nu > 1.0 else math.inf] for nu in nus]
+        out[..., edge] = np.where(z[edge] == 0.0, limit, math.nan)
+    return out
 
 
 def _scaled_array(nu, z):
@@ -254,20 +308,17 @@ def _scaled_array(nu, z):
     where z >= 1, and the limit at z = 0 (NaN for a NaN z).  Every
     element takes the same float operations in any batch, so it gets the
     value a one-element array would."""
-    out = np.empty_like(z)
-    small = (z > 0.0) & (z < 1.0)
-    frac = z >= 1.0
-    n_small, n_frac = np.count_nonzero(small), np.count_nonzero(frac)
-    if n_small:
-        out[small] = _series(nu, z[small])
-    if n_frac:
-        out[frac] = _fraction(nu, z[frac])
-    if n_small + n_frac < len(z):
-        # 1/(nu-1) at z = 0 (inf for nu <= 1), NaN for a NaN or negative z
-        edge = ~(small | frac)
-        out[edge] = np.where(z[edge] == 0.0, 1.0 / (nu - 1.0) if nu > 1.0 else math.inf,
-                             math.nan)
-    return out
+    return _scaled((nu,), z, np.empty_like(z))
+
+
+def _scaled_orders(nus, z):
+    """scaled(nu, z) for each order nu in nus over a 1-d array z, a row
+    each, in one pass: one Horner sum over the series elements with a row of
+    coefficients per order, and one continued fraction over the fraction
+    elements of every order, sorted by depth together.  Each element gets
+    the bits _scaled_array gives it at its one order, whatever the other
+    orders and elements."""
+    return _scaled(tuple(nus), z, np.empty((len(nus), len(z))))
 
 
 def expint_scaled(nu, z):

@@ -8,12 +8,16 @@ exponential integral at z = alpha*d/(c*p):
     E[X^n / (cX + d)^n] -> linear combinations of scaled(alpha+j, z).
 
 The moments work elementwise: a spec with array coefficients (broadcasting
-together, one alpha and one p) gets arrays, each order of the scaled expint
-evaluated once per spec in one expint._scaled_array pass over z, and NaN where
-an element breaks a coefficient rule (GammaRatioSpec.refusal says which).  A
-spec of floats gets floats through expint_scaled, the same kernel on one
-element, so each element of an array spec equals its float spec bit for bit.
-The laboratory builds array specs only; the float route stays as their
+together, one alpha and one p) gets arrays, and NaN where an element breaks
+a coefficient rule (GammaRatioSpec.refusal says which).  Each order of the
+scaled expint is evaluated once per spec, and the orders a moment reads
+and the spec has not yet evaluated (alpha and alpha + 1 for the mean,
+alpha - 1 too for the second moment, alpha alone for the fourth) in one
+expint._scaled_orders pass over z, so a table that asks for its second
+moments first and then its means makes one pass.  A spec of floats gets
+floats through expint_scaled, the same kernel on one element, so each
+element of an array spec equals its float spec bit for bit.  The
+laboratory builds array specs only; the float route stays as their
 reference and because the benchmark's span tracer wraps it by name.  The
 density of Y, for the quadrature oracle, lives beside the tests.
 
@@ -30,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expint import _scaled_array, expint_scaled
+from .expint import _scaled_orders, expint_scaled
 
 __all__ = [
     "GammaRatioSpec",
@@ -40,10 +44,8 @@ __all__ = [
 ]
 
 
-def _scaled(nu, z):
-    # scaled(nu, z) elementwise: a float through expint_scaled, an array in
-    # one fixed-order pass of the same kernel, which gives NaN for a NaN z
-    return _scaled_array(nu, z) if isinstance(z, np.ndarray) else expint_scaled(nu, z)
+# the orders alpha + j that moment n reads, as {n: (j, ..)}
+_READS = {1: (0, 1), 2: (-1, 0, 1), 4: (0,)}
 
 
 @dataclass(frozen=True)
@@ -80,28 +82,39 @@ class GammaRatioSpec:
     def z(self):
         return self.alpha * self.d / (self.c * self.p)
 
-    # scaled expint at orders alpha - 1, alpha, alpha + 1, each evaluated
-    # once per spec and only when a moment asks for it
     @cached_property
-    def _e1(self):
-        return _scaled(self.alpha, self.z)
+    def _e(self):
+        # scaled(alpha + j, z) by j, filled in as moments ask for them
+        return {}
 
-    @cached_property
-    def _e2(self):
-        return _scaled(self.alpha + 1.0, self.z)
+    def _scaled(self, n):
+        """[scaled(alpha + j, z) for j in _READS[n]], the orders moment n
+        reads.  An array spec evaluates the ones it has not yet evaluated in
+        one expint pass; a float spec evaluates each through expint_scaled."""
+        e = self._e
+        need = set(_READS[n])
+        if -1 in need:
+            need.add(0)  # order alpha - 1 recurs down from alpha where z >= alpha
+        js = sorted(need.difference(e), reverse=True)
+        if js:
+            self._evaluate(js)
+        return [e[j] for j in _READS[n]]
 
-    @cached_property
-    def _e0(self):
-        # adjacent orders obey nu*scaled(nu+1) + z*scaled(nu) = 1; downward
-        # from alpha only where z >= alpha, which bounds the amplification,
-        # and evaluated directly elsewhere
-        alpha, z = self.alpha, self.z
+    def _evaluate(self, js):
+        # orders alpha + j, j in js (descending), into self._e.  Adjacent
+        # orders obey nu*scaled(nu+1) + z*scaled(nu) = 1: order alpha - 1
+        # comes down from alpha only where z >= alpha, which bounds the
+        # amplification, and is evaluated directly elsewhere
+        alpha, z, e = self.alpha, self.z, self._e
         if not isinstance(z, np.ndarray):
-            return _scaled(alpha - 1.0, z) if z < alpha else (1.0 - (alpha - 1.0) * self._e1) / z
-        down = z >= alpha
-        e0 = _scaled(alpha - 1.0, np.where(down, np.nan, z))
-        np.divide(1.0 - (alpha - 1.0) * self._e1, z, out=e0, where=down)
-        return e0
+            for j in js:
+                e[j] = (expint_scaled(alpha + j, z) if j != -1 or z < alpha
+                        else (1.0 - (alpha - 1.0) * e[0]) / z)
+            return
+        for j, v in zip(js, _scaled_orders([alpha + j for j in js], z.ravel())):
+            e[j] = v.reshape(z.shape)
+        if -1 in js:
+            np.divide(1.0 - (alpha - 1.0) * e[0], z, out=e[-1], where=z >= alpha)
 
     def _rules(self):
         # c > 0 and d > 0 (the denominator stays off 0 on X > 0), and
@@ -125,7 +138,8 @@ class GammaRatioSpec:
 def ratio_mean(spec: GammaRatioSpec):
     """E[Y], exact for alpha > 1."""
     a, b, c, p, alpha = spec.a, spec.b, spec.c, spec.p, spec.alpha
-    return spec._where_valid((alpha / c) * ((b / p) * spec._e1 + a * spec._e2))
+    e1, e2 = spec._scaled(1)
+    return spec._where_valid((alpha / c) * ((b / p) * e1 + a * e2))
 
 
 def ratio_second_moment(spec: GammaRatioSpec):
@@ -133,12 +147,13 @@ def ratio_second_moment(spec: GammaRatioSpec):
     a, b, c, p, alpha = spec.a, spec.b, spec.c, spec.p, spec.alpha
     if not (alpha > 2.0):
         raise ValueError("second moment needs alpha > 2")
+    e0, e1, e2 = spec._scaled(2)
     # order alpha + 2 upward from alpha + 1
-    e3 = (1.0 - spec.z * spec._e2) / (alpha + 1.0)
+    e3 = (1.0 - spec.z * e2) / (alpha + 1.0)
     c2 = c * c
-    t0 = (alpha * alpha * b * b / (c2 * p * p)) * spec._e0
-    t1 = (alpha * alpha * b * (2.0 * a * p - b) / (c2 * p * p)) * spec._e1
-    t2 = (alpha * a * ((alpha + 1.0) * a * p - 2.0 * alpha * b) / (c2 * p)) * spec._e2
+    t0 = (alpha * alpha * b * b / (c2 * p * p)) * e0
+    t1 = (alpha * alpha * b * (2.0 * a * p - b) / (c2 * p * p)) * e1
+    t2 = (alpha * a * ((alpha + 1.0) * a * p - 2.0 * alpha * b) / (c2 * p)) * e2
     t3 = -(alpha * (alpha + 1.0) * a * a / c2) * e3
     return spec._where_valid(t0 + t1 + t2 + t3)
 
@@ -167,6 +182,6 @@ def ratio_fourth_moment(spec: GammaRatioSpec):
         )
         + ad3
     )
-    bracket = poly - (ad / c) * nest * spec._e1
+    bracket = poly - (ad / c) * nest * spec._scaled(4)[0]
     a2, p2, c2 = a * a, p * p, c * c
     return spec._where_valid(a2 * a2 / (6.0 * p2 * p2 * c2 * c2 * c2 * c) * bracket)

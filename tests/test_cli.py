@@ -266,9 +266,11 @@ def test_po_penalty_builds_its_gain_tables_before_the_pool(tmp_path, capsys, mon
 # ---------------------------------------------------------------- refused steps
 
 
-# configs whose closed forms meet a step the gamma-ratio rules refuse, whose
-# Monte Carlo standard error underflows at an infinite z, or whose sampled
-# variances leave double range
+# configs whose closed forms meet a step the gamma-ratio rules refuse or a
+# fourth gain moment the closed form cannot give (p0^4 underflows at
+# p0 = 1e-300 and overflows at p0 = 1e308; (alpha r/S_i)^3 overflows at
+# r = 1e308; all before any Monte Carlo runs), or whose sampled variances
+# leave double range
 @pytest.mark.parametrize("cmd,obj,last", [
     ("mc-verify", {"steps": 3, "r": 1e-320, "ensemble_size": 10, "replicates": 2000},
      "mc-verify: step 0: dp: a*d == b*c makes Y constant"),
@@ -276,13 +278,16 @@ def test_po_penalty_builds_its_gain_tables_before_the_pool(tmp_path, capsys, mon
                    "model": {"kind": "explicit", "values": [1e200, 1e-200]}},
      "mc-verify: step 1: dp: need c > 0 and d > 0"),
     ("po-penalty", {"steps": 3, "r": 1e10, "p0": 1e-300, "replicates": 2000},
-     "po-penalty: step 0: the standard error of mean_P underflowed to 0"),
+     "po-penalty: config.p0: step 0: the closed form of E[K^4] gives inf, which no fourth "
+     "moment is: it divides by p0^4, which is 0 in double precision"),
     ("mc-verify", {"steps": 20, "p0": 1e308, "ensemble_size": 10, "replicates": 2000},
      "mc-verify: config.p_tilde0: step 0: a gamma draw of mean 1e+308 is not a finite double"),
     ("po-penalty", {"steps": 20, "p0": 1e308, "ensemble_size": 10, "replicates": 2000},
-     "po-penalty: config.p0: step 0: a gamma draw of mean 1e+308 is not a finite double"),
+     "po-penalty: config.p0: step 0: the closed form of E[K^4] gives nan, which no fourth "
+     "moment is: it divides by p0^4, which is inf in double precision"),
     ("po-penalty", {"steps": 3, "r": 1e308, "ensemble_size": 10, "replicates": 2000},
-     "po-penalty: config.r: step 0: a gamma draw of mean 1e+308 is not a finite double"),
+     "po-penalty: config.r: step 0: the closed form of E[K^4] gives nan, which no fourth "
+     "moment is: it cancels or overflows at r/(S_i p0) = 1e+308"),
 ], ids=["r-1e-320", "explicit-1e200", "z-inf", "mc-verify-p0-1e308", "po-penalty-p0-1e308",
         "po-penalty-r-1e308"])
 def test_a_refused_step_exits_2_naming_it(tmp_path, capsys, cmd, obj, last):
@@ -974,20 +979,27 @@ def test_the_verdict_names_the_step_of_the_largest_gap(tmp_path, capsys, cmd, ob
     assert code == (0 if max(gaps) <= 4.0 else 1)
 
 
-# the fourth-moment form itself overflows at d = r/S_i ~ 1e160 (its NaN
-# fails the gate); the point here is that no float pow raises
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_po_penalty_with_r_squared_beyond_double_range_writes_its_table(tmp_path, capsys):
-    # r^2 = 1e320 is not a double: gain_fourth is the closed form itself,
-    # not the penalty carried back through alpha / r^2
-    cfg = write_config(tmp_path, {"steps": 3, "r": 1e160})
-    dest = tmp_path / "po.csv"
-    code, _, err = run_cli(["po-penalty", "--config", cfg, "--seed", "1",
+# the fourth-moment form cancels (r/(S_i p0) = 1000 gives E[K^4] < 0 where
+# the true value is about 1.9e-12) or overflows (r^2 = 1e320 is no double)
+@pytest.mark.parametrize("cmd,obj,last", [
+    ("po-penalty", {"steps": 3, "r": 1000, "p0": 1},
+     "po-penalty: config.r: step 0: the closed form of E[K^4] gives -1.0172526041666666e-05, "
+     "which no fourth moment is: it cancels or overflows at r/(S_i p0) = 1000"),
+    ("po-penalty", {"steps": 3, "r": 1e160},
+     "po-penalty: config.r: step 0: the closed form of E[K^4] gives nan, which no fourth "
+     "moment is: it cancels or overflows at r/(S_i p0) = 1e+160"),
+    ("spenkf", {"steps": 3, "r": 1000, "p0": 1, "ensemble_size": 10, "perturbed_obs": True},
+     "spenkf: config.r: step 0: the closed form of E[K^4] gives -2.5431315104166665e-06, "
+     "which no fourth moment is: it cancels or overflows at r/(S_i p0) = 1000"),
+], ids=["po-penalty-r-1000", "po-penalty-r-1e160", "spenkf-r-1000"])
+def test_a_wrong_fourth_gain_moment_exits_2_naming_r(tmp_path, capsys, cmd, obj, last):
+    dest = tmp_path / "out.csv"
+    code, _, err = run_cli([cmd, "--config", write_config(tmp_path, obj), "--seed", "1",
                             "--out", str(dest)], capsys)
-    assert code == 1
-    assert "po-penalty: 4 steps, worst gap nan SE: FAIL" in err
-    header, rows = parse_csv(dest.read_text(encoding="utf-8"))
-    assert header[1] == "gain_fourth" and len(rows) == 4
+    # one line, no numpy warning before it, and no table
+    assert code == 2
+    assert err == last + "\n"
+    assert not dest.exists()
 
 
 # ---------------------------------------------------------------- zero standard errors

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from filterlab import (
+    InputError,
     PerturbedInputs,
     RngSpec,
     expected_dp,
@@ -113,6 +114,22 @@ def test_power_sums_do_not_depend_on_the_block_size(monkeypatch):
     assert got[0] == got[1] == got[2]
 
 
+def test_a_means_only_pass_gives_the_means_of_a_full_pass(monkeypatch):
+    # folding the deviations alone keeps their shift and their columns, so
+    # each mean has the bits the four-power fold gives it, at any block size
+    rng = np.random.default_rng(9)
+    v = np.stack([rng.gamma(4.0, 0.25, 5 * 512 + 7), rng.normal(3.0, 1e-3, 5 * 512 + 7)])
+    n = v.shape[1]
+
+    def fill(lo, w):
+        w[0], w[2] = v[0, lo:lo + len(w[0])], v[1, lo:lo + len(w[0])]
+
+    for block in (2 * dsc._W, 1 << 20):
+        monkeypatch.setattr(dsc, "_BLOCK", block)
+        full = [m.mean.hex() for m in dsc._stream(n, 2, fill)]
+        assert [x.hex() for x in dsc._stream(n, 2, fill, means_only=True)] == full
+
+
 def test_a_non_finite_power_sum_is_nan_not_an_exception():
     # d^3 is +inf in column 1 and -inf in column 2: math.fsum would raise
     v = np.zeros(1000)
@@ -172,6 +189,17 @@ def test_a_replicate_count_below_two_or_not_an_integer_is_refused(kernel, replic
     with pytest.raises(ValueError, match=r"^replicates must be an integer >= 2, not %s$"
                        % re.escape(repr(replicates))):
         call[kernel]()
+
+
+@pytest.mark.parametrize("p0,r,param", [(1e308, 2.0, "p0"), (1.0, 1e308, "obs_variance")])
+def test_po_refuses_a_gamma_draw_beyond_double_range(p0, r, param):
+    # at a mean of 1e308 some of 2000 draws of X or R are inf: the kernel
+    # names the input behind them, before it forms any gain
+    traj = make_trajectory(7, 20)
+    with pytest.raises(InputError) as exc:
+        po_mean_identity_check(traj, p0, 5.0, r, 3, 2000, RngSpec(1, 3))
+    assert exc.value.param == param
+    assert exc.value.detail == "step 3: a gamma draw of mean 1e+308 is not a finite double"
 
 
 def test_constant_sample_is_told_from_an_underflowed_variance(monkeypatch):

@@ -11,6 +11,7 @@ from filterlab import DomainError, expint, expint_scaled, expint_scaled_inverse
 from filterlab.expint import (
     _depth,
     _scaled_array,
+    _scaled_orders,
     expint_scaled_inverse_shifted,
     expint_scaled_inverse_shifted_array,
 )
@@ -253,6 +254,51 @@ def test_array_kernel_gives_one_value_per_order_and_z(nu):
     np.testing.assert_array_equal(batch, alone)
     # expint_scaled is the one-element case
     assert batch.tolist() == [expint_scaled(nu, z) for z in BATCH_Z.tolist()]
+
+
+# ---------------------------------------------------------------- several orders
+
+
+def _alone(nu, z):
+    # the bytes of every element of z evaluated alone at order nu
+    return np.array([_scaled_array(nu, z[j:j + 1])[0] for j in range(len(z))]).tobytes()
+
+
+# z on every branch: the z = 0 limit, the series, the continued fraction,
+# the z = inf limit and NaN
+BRANCH_Z = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     st.floats(1.0, 1e3), st.just(math.inf), st.just(math.nan))
+# integer and half-integer orders, among them 1.5 to 3.5, where the series
+# prefactor's z ** (n - 1) takes numpy's scalar-exponent fast path (n - 1 is
+# 1 or 2), orders just off an integer, and large orders.  Not order 0, whose
+# value 1/z leaves double range at a subnormal z
+MULTI_ORDERS = st.one_of(st.integers(1, 24).map(lambda k: 0.5 * k),
+                         st.sampled_from([2.0 + 1e-9, 3.0 - 1e-10, 16.5, 64.5, 256.0, 1024.0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nus=st.lists(MULTI_ORDERS, min_size=1, max_size=4, unique=True),
+       z=st.lists(BRANCH_Z, min_size=1, max_size=40))
+def test_a_multi_order_pass_gives_each_element_its_one_order_value(nus, z):
+    z = np.array(z)
+    got = _scaled_orders(nus, z)
+    assert got.shape == (len(nus), len(z))
+    for nu, row in zip(nus, got):
+        assert row.tobytes() == _alone(nu, z), nu
+
+
+@pytest.mark.parametrize("nus", [(1.5, 2.5, 3.5), (3.5, 4.5, 5.5), (15.0, 16.0, 17.0),
+                                 (1023.0, 1024.0, 1025.0), (0.3, 64.5, 8.0, 2.0 + 1e-9)])
+def test_a_multi_order_pass_over_long_batches(nus):
+    # batches long and deep enough that the fraction runs in numpy with every
+    # order's elements sorted by depth together, and the series sums every
+    # order's rows at once, and a short one whose fraction runs element by
+    # element in Python
+    for z in (BATCH_Z, _fraction_z(), np.concatenate([BATCH_Z[:40], _fraction_z()[:60]]),
+              _fraction_z()[:6]):
+        got = _scaled_orders(nus, z)
+        for nu, row in zip(nus, got):
+            assert row.tobytes() == _scaled_array(nu, z).tobytes() == _alone(nu, z), nu
 
 
 # ---------------------------------------------------------------- continued fraction

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from filterlab import (
     GammaRatioSpec,
+    gamma_ratio,
     ratio_fourth_moment,
     ratio_mean,
     ratio_second_moment,
@@ -182,3 +183,38 @@ def test_array_spec_is_elementwise():
         assert np.isnan(got[-1])
     with pytest.raises(ValueError, match="c > 0"):
         GammaRatioSpec(1.0, 0.0, 1.0, 0.0, 8.0, 1.3)
+
+
+def test_an_array_spec_evaluates_the_orders_it_reads_in_one_pass(monkeypatch):
+    # a moment evaluates in one pass the orders it reads that the spec has
+    # not yet evaluated: a table that asks for its second moments first
+    # makes one pass, and its means read two of those orders; in the other
+    # order the second moment adds alpha - 1 alone, and a mean or fourth
+    # moment alone evaluates only its orders.  Every route gives the float
+    # specs' values bit for bit, with z on both sides of alpha, where order
+    # alpha - 1 recurs down from alpha
+    passes = []
+    real = gamma_ratio._scaled_orders
+    monkeypatch.setattr(gamma_ratio, "_scaled_orders",
+                        lambda nus, z: passes.append(list(nus)) or real(nus, z))
+    rng = np.random.default_rng(808)
+    a, b = rng.uniform(0.2, 3.0, 12), rng.uniform(-2.0, 2.0, 12)
+    c, d = rng.uniform(0.2, 3.0, 12), np.exp(rng.uniform(-6.0, 3.0, 12))
+    alpha, p = 6.5, 1.3
+    floats = [GammaRatioSpec(*v, alpha, p) for v in zip(a.tolist(), b.tolist(), c.tolist(),
+                                                         d.tolist())]
+    table = GammaRatioSpec(a, b, c, d, alpha, p)
+    assert (table.z < 1.0).any() and (table.z >= alpha).any()
+    second, mean = ratio_second_moment(table), ratio_mean(table)
+    assert passes == [[alpha + 1.0, alpha, alpha - 1.0]]
+    np.testing.assert_array_equal(mean, [ratio_mean(s) for s in floats])
+    np.testing.assert_array_equal(second, [ratio_second_moment(s) for s in floats])
+    passes.clear()
+    plain = GammaRatioSpec(a, b, c, d, alpha, p)
+    np.testing.assert_array_equal(ratio_mean(plain), mean)
+    assert passes == [[alpha + 1.0, alpha]]
+    np.testing.assert_array_equal(ratio_second_moment(plain), second)
+    assert passes == [[alpha + 1.0, alpha], [alpha - 1.0]]
+    passes.clear()
+    ratio_fourth_moment(GammaRatioSpec(a, 0.0, c, d, alpha, p))
+    assert passes == [[alpha]]

@@ -6,11 +6,13 @@ per (trajectory, inputs), and read nothing else.  These tests hold the
 tables to float specs sliced from the table's own array spec, one step at a
 time: the same values bit for bit, the same errors at the same steps, no
 step outside the trajectory, and keys that follow the trajectory's
-identity.  skf_closed_form keeps no table; it is held to the step formula
-it evaluates.
+identity.  skf_closed_form reads a table of SkfStates per (trajectory, x0,
+p0), held to the step formula it evaluates.  A digest pins the bytes of
+every table along one trajectory at the moments benchmark's alphas.
 """
 
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -33,6 +35,7 @@ from filterlab import (
     skf_closed_form,
 )
 from filterlab import discrepancy as dsc
+from filterlab import skf
 from conftest import make_trajectory
 
 
@@ -90,6 +93,40 @@ def test_table_matches_scalar_specs(seed, alpha):
     # same formula rounds alike for floats and arrays: bit for bit at every
     # step, on both sides of the branch point z = 1
     np.testing.assert_array_equal(got, want)
+
+
+# sha256 of the float64 bytes of the tables below; a scaled-expint pass per
+# order and a per-call skf closed form gave the same bytes
+TABLE_DIGEST = "17aa371dce65842f44072b6126d694a1bddb0f8795ff5f5bbaa5bb896bf3b3f9"
+
+
+def test_every_table_keeps_its_bytes():
+    # the dp, dx and gain tables at the moments benchmark's alphas, whose
+    # z crosses from the series (z < 1) to the continued fraction along the
+    # trajectory, and the skf table; the golden CSVs reach alpha 4 and 5 only
+    traj = make_trajectory(7, 100, low=0.9, high=1.1)
+    steps = range(traj.n_steps + 1)
+    digest = hashlib.sha256()
+    for alpha in (4.5, 16.0, 64.5, 256.0, 1024.0):
+        inp = inputs(alpha)
+        digest.update(np.array([table_moments(traj, inp, i) for i in steps]).tobytes())
+    states = [skf_closed_form(traj, 0.2, 1.1, i) for i in steps]
+    digest.update(np.array(states, dtype=float).tobytes())
+    assert digest.hexdigest() == TABLE_DIGEST
+
+
+def test_skf_closed_form_reads_one_table_per_trajectory_and_prior():
+    traj = make_trajectory(6, 30)
+    skf._closed_table.cache_clear()
+    states = [skf_closed_form(traj, 0.3, 1.7, i) for i in range(traj.n_steps + 1)]
+    assert skf._closed_table.cache_info()[:2] == (30, 1)
+    # a read hands out the table's state; an equal trajectory built apart
+    # has its own table, and an int prior reads the table of its float
+    assert skf_closed_form(traj, 0.3, 1.7, 4) is states[4]
+    assert skf_closed_form(make_trajectory(6, 30), 0.3, 1.7, 4) == states[4]
+    assert skf_closed_form(traj, 1, 2, 4) is skf_closed_form(traj, 1.0, 2.0, 4)
+    assert skf._closed_table.cache_info().misses == 3
+    assert skf_closed_form(traj, 0.3, math.nextafter(1.7, 2.0), 4) != states[4]
 
 
 def test_skf_closed_form_matches_the_step_formula():
@@ -180,8 +217,8 @@ def test_a_step_outside_the_trajectory_is_refused(i):
     # refuses either with skf's check and message (test_skf.py), before it
     # builds or looks up a table
     why = "is not an integer" if isinstance(i, float) else r"is outside \[0, 3\]"
-    dsc._moment_table.cache_clear()
-    dsc._gain_table.cache_clear()
+    for table in (dsc._moment_table, dsc._gain_table, skf._closed_table):
+        table.cache_clear()
     traj = make_trajectory(7, 3, kind=[2.0, 0.5, 3.0])
     inp = inputs(6.0)
     gain = (traj, inp.p0, inp.alpha, inp.r, i)
@@ -195,7 +232,7 @@ def test_a_step_outside_the_trajectory_is_refused(i):
     for call in calls:
         with pytest.raises(IndexError, match=r"^step %s %s$" % (re.escape(repr(i)), why)):
             call()
-    for table in (dsc._moment_table, dsc._gain_table):
+    for table in (dsc._moment_table, dsc._gain_table, skf._closed_table):
         assert table.cache_info() == (0, 0, 8, 0)
 
 
