@@ -6,7 +6,10 @@ the config seed, and emits UTF-8 CSV with floats at 17 significant digits,
 so outputs are byte-identical across runs and thread counts for a given
 seed.  Every row is printed by one format, "%.17g" per value: each value
 is a float or a step index, and "%.17g" prints an int below 1e17 as str()
-does.  Verification commands (mc-verify, po-penalty, selftest) exit
+does.  A column that holds one value on every row (inflation-table's
+theta_star) is formatted once, and its text is spliced into the row format,
+so every row prints the same bytes at the cost of its other values.
+Verification commands (mc-verify, po-penalty, selftest) exit
 nonzero when a check fails.
 """
 
@@ -38,10 +41,15 @@ _STREAM_ENSEMBLE = 1
 _STREAM_MC_BASE = 10
 
 
-def _write_csv(out_path, cols, rows):
+def _write_csv(out_path, cols, rows, constants=None):
     # one format for every value: a float prints at 17 digits, and a step
-    # index (an int below 1e17) prints as str() would print it
-    fmt = ",".join(["%.17g"] * len(cols))
+    # index (an int below 1e17) prints as str() would print it.  constants
+    # maps the index of a column that holds one value on every row to the
+    # value, whose "%.17g" text goes into the format; the rows leave it out
+    fields = ["%.17g"] * len(cols)
+    for k, v in (constants or {}).items():
+        fields[k] = "%.17g" % v
+    fmt = ",".join(fields)
     lines = [",".join(name for name, _ in cols)]
     lines += [fmt % tuple(row) for row in rows]
     text = "\n".join(lines) + "\n"
@@ -309,10 +317,10 @@ def cmd_inflation_table(args):
     alpha = 0.5 * cfg.ensemble_size
     sched = _schedule(cfg, traj, alpha, "p_tilde0")
     n = traj.n_steps + 1
-    u = traj.obs_variance * np.array(traj.inv_S)
+    u = traj.obs_variance * traj.array("inv_S")
     rows = zip(range(n), u.tolist(), sched.theta.tolist(), sched.phi.tolist(),
-               sched.psi.tolist(), [sched.theta_star] * n)
-    _write_csv(args.out, _INFL_COLS, rows)
+               sched.psi.tolist())
+    _write_csv(args.out, _INFL_COLS, rows, {5: sched.theta_star})
     return 0
 
 

@@ -26,7 +26,9 @@ raises IndexError before any table is built or looked up
 (ModelTrajectory.check_step, shared with the Monte Carlo kernels and skf).
 A NaN row raises DomainError naming the step and the coefficient rule it
 breaks, or the moment's error for an alpha below its order; any other NaN
-is returned as it is.
+comes from an input whose size took the form out of double range (a prior
+of 1e200 squares to inf), and raises InputError naming the input of the
+most extreme size: "phat0" (p_tilde0), "p0" or "obs_variance".
 
 The Monte Carlo kernels (mc_discrepancy_moments, po_mean_identity_check and
 skf.skf_error_moments) return one SampleMoments record per sample, and one
@@ -141,12 +143,13 @@ def _coefs(inp, inv_s, q, m_s, b_s):
 @functools.lru_cache(maxsize=8)
 def _moment_table(traj, inp):
     # E[dp_i], E[dx_i], E[dp_i^2], E[dx_i^2] at every step of traj as lists
-    # of floats, then their spec.  dp and dx share z, so one spec with a row
-    # for each evaluates every order, in one scaled-expint pass: the second
-    # moments ask for all three orders, and the means then read two of them.
-    # A prior near the double limit (p_tilde0 = 1e308) overflows the forms:
-    # those steps read inf or NaN, and no numpy warning is printed
-    ledger = [np.array(s) for s in (traj.inv_S, traj.M2_over_S, traj.M_over_S, traj.B_over_S)]
+    # of floats, then their spec and the sizes of its inputs (see _at).  dp
+    # and dx share z, so one spec with a row for each evaluates every order,
+    # in one scaled-expint pass: the second moments ask for all three
+    # orders, and the means then read two of them.  A prior near the double
+    # limit (p_tilde0 = 1e308) overflows the forms: those steps read inf or
+    # NaN, which _at refuses, and no numpy warning is printed
+    ledger = [traj.array(s) for s in ("inv_S", "M2_over_S", "M_over_S", "B_over_S")]
     with np.errstate(all="ignore"):
         dp, dx, c, d = _coefs(inp, *ledger)
         spec = GammaRatioSpec(np.stack([dp[0], dx[0]]), np.stack([dp[1], dx[1]]), c, d,
@@ -159,13 +162,25 @@ def _moment_table(traj, inp):
         k = dx[0][const] / c[const]
         mean[1, const] = k
         second[1, const] = k * k  # not k ** 2: pow may round x^2 one ulp off x * x
-    return (*mean.tolist(), *second.tolist(), spec)
+
+    def sizes(i):
+        # the inputs behind step i's spec: p_tilde0 its p, p0 and r/S_i its c
+        return ("phat0", inp.p_tilde0), ("p0", inp.p0), ("obs_variance", inp.r * traj.inv_S[i])
+
+    return (*mean.tolist(), *second.tolist(), spec, sizes)
 
 
-def _at(i, column, spec, row, name, moment):
-    # column[i] at a step i that check_step passed; a NaN there raises the
+_POWER = {ratio_mean: "", ratio_second_moment: "^2", ratio_fourth_moment: "^4"}
+
+
+def _at(i, column, spec, row, name, moment, sizes=None):
+    # column[i] at a step i that check_step passed.  A NaN there raises the
     # rule step i breaks (element row + (i,) of spec), else the moment's own
-    # error for an alpha below its order, else it is returned as it is
+    # error for an alpha below its order, else, given sizes(i), the
+    # (input, value) pairs behind step i's spec, an InputError naming the
+    # input of the most extreme size (largest binary exponent, the first on
+    # a tie), which took the form out of double range.  Without sizes such
+    # a NaN is returned as it is
     v = column[i]
     if v == v:
         return v
@@ -173,35 +188,41 @@ def _at(i, column, spec, row, name, moment):
         why = spec.refusal(row + (i,))
         if why:
             raise DomainError("step %d: %s: %s" % (i, name, why))
-        return float(moment(spec)[row + (i,)])
+        v = float(moment(spec)[row + (i,)])
+    if v != v and sizes is not None:
+        param, size = max(sizes(i), key=lambda pv: abs(math.frexp(pv[1])[1]))
+        raise InputError(param, "step %d: the closed form of E[%s%s] is NaN, which no "
+                                "moment is: an input of size %g takes it out of double range"
+                         % (i, name, _POWER[moment], size))
+    return v
 
 
 def expected_dp(traj, inp, i):
     """E[dp_i], exact for alpha > 1."""
     i = traj.check_step(i)
     t = _moment_table(traj, inp)
-    return _at(i, t[0], t[4], (0,), "dp", ratio_mean)
+    return _at(i, t[0], t[4], (0,), "dp", ratio_mean, t[5])
 
 
 def second_moment_dp(traj, inp, i):
     """E[dp_i^2], exact for alpha > 2."""
     i = traj.check_step(i)
     t = _moment_table(traj, inp)
-    return _at(i, t[2], t[4], (0,), "dp", ratio_second_moment)
+    return _at(i, t[2], t[4], (0,), "dp", ratio_second_moment, t[5])
 
 
 def expected_dx(traj, inp, i):
     """E[dx_i], exact for alpha > 1."""
     i = traj.check_step(i)
     t = _moment_table(traj, inp)
-    return _at(i, t[1], t[4], (1,), "dx", ratio_mean)
+    return _at(i, t[1], t[4], (1,), "dx", ratio_mean, t[5])
 
 
 def second_moment_dx(traj, inp, i):
     """E[dx_i^2], exact for alpha > 2."""
     i = traj.check_step(i)
     t = _moment_table(traj, inp)
-    return _at(i, t[3], t[4], (1,), "dx", ratio_second_moment)
+    return _at(i, t[3], t[4], (1,), "dx", ratio_second_moment, t[5])
 
 
 _W = 256  # running column sums per power sum
@@ -361,11 +382,11 @@ def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
 
 @functools.lru_cache(maxsize=8)
 def _gain_table(traj, p0, alpha, r, n):
-    # E[K_i^n] (n = 1 or 4) at every step of traj as a list of floats, and
-    # the spec of K_i = M_i^2 X / (S_i X + r), rescaled by 1/S_i top and
-    # bottom so the coefficients stay bounded
-    spec = GammaRatioSpec(a=np.array(traj.M2_over_S), b=0.0, c=1.0,
-                          d=r * np.array(traj.inv_S), alpha=alpha, p=float(p0))
+    # E[K_i^n] (n = 1 or 4) at every step of traj as a list of floats, the
+    # spec of K_i = M_i^2 X / (S_i X + r), rescaled by 1/S_i top and bottom
+    # so the coefficients stay bounded, and the sizes of its inputs (see _at)
+    spec = GammaRatioSpec(a=traj.array("M2_over_S"), b=0.0, c=1.0,
+                          d=r * traj.array("inv_S"), alpha=alpha, p=float(p0))
     # the fourth-moment form cancels or overflows at large r/(S_i p0), and
     # po_gain_fourth refuses what it gives there; no numpy warning is printed
     with np.errstate(all="ignore"):
@@ -374,20 +395,24 @@ def _gain_table(traj, p0, alpha, r, n):
     # precision; a Python float ** rounds as the scalar q_i ** n does
     for i in np.flatnonzero(spec.d == 0.0).tolist():
         moments[i] = traj.M2_over_S[i] ** n
-    return moments, spec
+
+    def sizes(i):
+        return ("p0", p0), ("obs_variance", r * traj.inv_S[i])
+
+    return moments, spec, sizes
 
 
 def po_gain_mean(traj, p0, alpha, r, i):
     """E[K_i], the mean of the propagated gain, exact for alpha > 1."""
     i = traj.check_step(i)
-    moments, spec = _gain_table(traj, p0, float(alpha), float(r), 1)
-    return _at(i, moments, spec, (), "K", ratio_mean)
+    moments, spec, sizes = _gain_table(traj, p0, float(alpha), float(r), 1)
+    return _at(i, moments, spec, (), "K", ratio_mean, sizes)
 
 
 def _gain_fourth(traj, p0, alpha, r, i):
     # E[K_i^4] at a step check_step passed, for float alpha and r; a
     # negative or non-finite table value raises (see po_gain_fourth)
-    moments, spec = _gain_table(traj, p0, alpha, r, 4)
+    moments, spec, _ = _gain_table(traj, p0, alpha, r, 4)
     k4 = moments[i]
     if not 0.0 <= k4 < math.inf:
         k4 = _at(i, moments, spec, (), "K", ratio_fourth_moment)

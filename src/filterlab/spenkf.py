@@ -224,7 +224,7 @@ def inflation_schedule(traj: ModelTrajectory, alpha, p0, x_init):
     """
     alpha, p0, x_init = float(alpha), float(p0), float(x_init)
     r = traj.obs_variance
-    u = r * np.array(traj.inv_S)
+    u = r * traj.array("inv_S")
     theta = _thetas(alpha, p0, u, expint_scaled_inverse_shifted_array)
     # phi and psi in v = u / p0, so no theta * p0 product can overflow
     th0, th1, v = theta[:-1], theta[1:], u[:-1] / p0
@@ -232,8 +232,8 @@ def inflation_schedule(traj: ModelTrajectory, alpha, p0, x_init):
     phi[0] = theta[0]
     phi[1:] = th1 * (th0 + v) / (th0 * (th1 + v))
     # M_{i+1}/S_i = m_i M_i/S_i and B_i/S_i from the ratio ledger
-    m_next = traj.model.values * traj.M_over_S[:-1]
-    b = np.array(traj.B_over_S[:-1])
+    m_next = traj.model.values * traj.array("M_over_S")[:-1]
+    b = traj.array("B_over_S")[:-1]
     psi = np.zeros_like(theta)
     psi[1:] = (m_next * (b - x_init) * (th1 - th0) * (r / p0)
                / ((th1 + v) * (th0 + v)))

@@ -24,7 +24,7 @@ from filterlab.cli import (build_parser, main, _INFL_COLS, _MC_COLS, _PO_COLS, _
 from filterlab.config import ConfigError, ExperimentConfig
 from filterlab.rng import RngSpec
 from filterlab.skf import skf_run
-from filterlab.spenkf import sample_initial_ensemble
+from filterlab.spenkf import inflation_schedule, sample_initial_ensemble
 
 ROOT = Path(__file__).resolve().parents[1]
 MV_DEMO = ROOT / "scripts" / "configs" / "mv_demo.json"
@@ -121,6 +121,26 @@ def test_write_csv_prints_ints_and_floats_as_before(tmp_path):
     _write_csv(str(dest), cols, [row])
     old = ",".join(["%.17g" % v if isinstance(v, float) else str(v) for v in row])
     assert dest.read_text(encoding="utf-8") == ",".join(n for n, _ in cols) + "\n" + old + "\n"
+
+
+def test_a_constant_column_prints_what_per_value_formatting_prints(tmp_path):
+    # inflation-table formats theta_star once; at N = 15 it is 15/13, which
+    # takes all 17 digits.  Every byte equals one "%.17g" per value
+    obj = {"seed": 5, "steps": 40, "ensemble_size": 15,
+           "model": {"kind": "random_loguniform", "low": 0.5, "high": 2.0}}
+    dest = tmp_path / "table.csv"
+    assert main(["inflation-table", "--config", write_config(tmp_path, obj),
+                 "--out", str(dest)]) == 0
+    cfg = ExperimentConfig.from_dict(obj)
+    traj = _trajectory(cfg)
+    sched = inflation_schedule(traj, 7.5, cfg.p_tilde0, cfg.x0)
+    assert sched.theta_star == 15.0 / 13.0 and len("%.17g" % sched.theta_star) == 18
+    lines = [",".join(name for name, _ in _INFL_COLS)]
+    for i in range(traj.n_steps + 1):
+        row = [i, cfg.r * traj.inv_S[i], sched.theta[i], sched.phi[i], sched.psi[i],
+               sched.theta_star]
+        lines.append(",".join("%.17g" % v for v in row))
+    assert dest.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 def test_one_parser_serves_many_main_calls(tmp_path, capsys):
@@ -266,11 +286,12 @@ def test_po_penalty_builds_its_gain_tables_before_the_pool(tmp_path, capsys, mon
 # ---------------------------------------------------------------- refused steps
 
 
-# configs whose closed forms meet a step the gamma-ratio rules refuse or a
+# configs whose closed forms meet a step the gamma-ratio rules refuse, a
 # fourth gain moment the closed form cannot give (p0^4 underflows at
 # p0 = 1e-300 and overflows at p0 = 1e308; (alpha r/S_i)^3 overflows at
-# r = 1e308; all before any Monte Carlo runs), or whose sampled variances
-# leave double range
+# r = 1e308), or a discrepancy moment a prior's size takes out of double
+# range (p_tilde0 = 1e308, or 1e200, which squares to inf, or p0 = 1e200
+# with p_tilde0 = 1); all before any Monte Carlo runs
 @pytest.mark.parametrize("cmd,obj,last", [
     ("mc-verify", {"steps": 3, "r": 1e-320, "ensemble_size": 10, "replicates": 2000},
      "mc-verify: step 0: dp: a*d == b*c makes Y constant"),
@@ -281,15 +302,23 @@ def test_po_penalty_builds_its_gain_tables_before_the_pool(tmp_path, capsys, mon
      "po-penalty: config.p0: step 0: the closed form of E[K^4] gives inf, which no fourth "
      "moment is: it divides by p0^4, which is 0 in double precision"),
     ("mc-verify", {"steps": 20, "p0": 1e308, "ensemble_size": 10, "replicates": 2000},
-     "mc-verify: config.p_tilde0: step 0: a gamma draw of mean 1e+308 is not a finite double"),
+     "mc-verify: config.p_tilde0: step 0: the closed form of E[dp] is NaN, which no moment "
+     "is: an input of size 1e+308 takes it out of double range"),
+    ("mc-verify", {"steps": 20, "p0": 1e200, "ensemble_size": 10, "replicates": 2000},
+     "mc-verify: config.p_tilde0: step 0: the closed form of E[dp^2] is NaN, which no moment "
+     "is: an input of size 1e+200 takes it out of double range"),
+    ("mc-verify", {"steps": 20, "p0": 1e200, "p_tilde0": 1.0, "ensemble_size": 10,
+                   "replicates": 2000},
+     "mc-verify: config.p0: step 0: the closed form of E[dp^2] is NaN, which no moment "
+     "is: an input of size 1e+200 takes it out of double range"),
     ("po-penalty", {"steps": 20, "p0": 1e308, "ensemble_size": 10, "replicates": 2000},
      "po-penalty: config.p0: step 0: the closed form of E[K^4] gives nan, which no fourth "
      "moment is: it divides by p0^4, which is inf in double precision"),
     ("po-penalty", {"steps": 3, "r": 1e308, "ensemble_size": 10, "replicates": 2000},
      "po-penalty: config.r: step 0: the closed form of E[K^4] gives nan, which no fourth "
      "moment is: it cancels or overflows at r/(S_i p0) = 1e+308"),
-], ids=["r-1e-320", "explicit-1e200", "z-inf", "mc-verify-p0-1e308", "po-penalty-p0-1e308",
-        "po-penalty-r-1e308"])
+], ids=["r-1e-320", "explicit-1e200", "z-inf", "mc-verify-p0-1e308", "mc-verify-p0-1e200",
+        "mc-verify-p0-1e200-p_tilde0-1", "po-penalty-p0-1e308", "po-penalty-r-1e308"])
 def test_a_refused_step_exits_2_naming_it(tmp_path, capsys, cmd, obj, last):
     cfg = write_config(tmp_path, obj)
     code, _, err = run_cli([cmd, "--config", cfg, "--seed", "1",

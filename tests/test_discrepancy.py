@@ -202,6 +202,28 @@ def test_po_refuses_a_gamma_draw_beyond_double_range(p0, r, param):
     assert exc.value.detail == "step 3: a gamma draw of mean 1e+308 is not a finite double"
 
 
+@pytest.mark.parametrize("p0,p_tilde0,param,size", [
+    (1e200, 1e200, "phat0", 1e200),   # p_tilde0^2 and (p0 + r/S_i)^2 overflow
+    (1e200, 1.0, "p0", 1e200),        # (p0 + r/S_i)^2 overflows
+    (1.0, 1e-300, "phat0", 1e-300),   # p_tilde0^2 underflows to 0
+])
+def test_a_prior_that_takes_the_second_moments_out_of_range_is_named(p0, p_tilde0,
+                                                                      param, size):
+    # the means stay finite; E[dp^2] and E[dx^2] are NaN at every step, which
+    # no rule of the spec explains
+    traj = make_trajectory(7, 5)
+    inp = base_inputs(p0=p0, p_tilde0=p_tilde0, alpha=5.0)
+    for i in range(6):
+        assert math.isfinite(expected_dp(traj, inp, i))
+        for fn, name in ((second_moment_dp, "dp"), (second_moment_dx, "dx")):
+            with pytest.raises(InputError) as exc:
+                fn(traj, inp, i)
+            assert exc.value.param == param
+            assert exc.value.detail == (
+                "step %d: the closed form of E[%s^2] is NaN, which no moment is: an "
+                "input of size %g takes it out of double range" % (i, name, size))
+
+
 def test_constant_sample_is_told_from_an_underflowed_variance(monkeypatch):
     for block in (dsc._BLOCK, 512):
         # m = 2: r/S_39 is about 1e-23 of X, so X/(X + u) rounds to 1 and
