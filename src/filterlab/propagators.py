@@ -30,10 +30,10 @@ every input of a step lies in the window again, ldexp hands it back to
 plain doubles, exactly too (1/S_i never grows, so the ledger comes back
 only while S_i < 2^128).  The truth x0_truth * M_i is a left fold, the same
 bits as the mantissa product while every partial product is normal or
-x0_truth is 0, and is otherwise multiplied out the same way.  ModelTrajectory holds each ratio as
-a tuple of Python floats, read by index: traj.inv_S[i], ...; array callers
-share one read-only array per ratio, traj.array("inv_S"), converted on
-first use.
+x0_truth is 0, and is otherwise multiplied out the same way.
+ModelTrajectory holds each ratio as a tuple of Python floats, read by
+index: traj.inv_S[i], ...; array callers share one read-only array per
+ratio, traj.array("inv_S"), converted on first use.
 """
 
 import math
