@@ -239,8 +239,8 @@ def build_trajectory(model: ModelSequence, x0_truth, obs_variance, spec: RngSpec
         if mantissa_inputs is None:
             # m_i and y_{i+1} as mantissas and exponents, and whether the
             # inputs of step i + 1 lie in the window
-            mantissa_inputs = [a.tolist() for a in (*np.frexp(model.values),
-                                                    *np.frexp(obs[1:]), np.append(fits[1:], False))]
+            mantissa_inputs = [a.tolist() for a in (*np.frexp(model.values), *np.frexp(obs[1:]),
+                                                    np.append(fits[1:], False))]
         (uf, ue), (qf, qe), (wf, we) = frexp(u), frexp(q), frexp(w)
         tail = []
         try:
