@@ -3,7 +3,17 @@
 Exact filters, stochastically initialized ensemble filters, closed-form
 sampling-error moments, optimal variance inflation, and the real-order
 exponential-integral machinery they are built on.
+
+The names of the gamma-ratio moments (gamma_ratio) and of the closed-form
+and Monte Carlo discrepancy moments (discrepancy) are exported lazily
+(PEP 562): the first lookup of one, as filterlab.name or by
+"from filterlab import name", imports its module and keeps the name here,
+so "import filterlab" or "import filterlab.cli" compiles neither module
+until a command that reads closed forms runs.  Any other name that is not
+here raises AttributeError.
 """
+
+import importlib
 
 from .expint import DomainError, expint_scaled, expint_scaled_inverse
 from .rng import RngSpec, normal_polar
@@ -28,23 +38,26 @@ from .spenkf import (
     theta_star,
     theta_step,
 )
-from .gamma_ratio import (
-    GammaRatioSpec,
-    ratio_fourth_moment,
-    ratio_mean,
-    ratio_second_moment,
-)
-from .discrepancy import (
-    PerturbedInputs,
-    expected_dp,
-    expected_dx,
-    mc_discrepancy_moments,
-    po_mean_identity_check,
-    po_variance_penalty,
-    second_moment_dp,
-    second_moment_dx,
-)
 from .mvspenkf import DiagonalizableModel, mv_inflation_schedule, mv_spenkf_run
 from .config import ExperimentConfig
 
 __version__ = "0.1.0"
+
+# name -> the submodule that defines it, imported on the first lookup
+_LAZY = {
+    **dict.fromkeys(("GammaRatioSpec", "ratio_fourth_moment", "ratio_mean",
+                     "ratio_second_moment"), "gamma_ratio"),
+    **dict.fromkeys(("PerturbedInputs", "expected_dp", "expected_dx",
+                     "mc_discrepancy_moments", "po_mean_identity_check",
+                     "po_variance_penalty", "second_moment_dp", "second_moment_dx"),
+                    "discrepancy"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value

@@ -21,7 +21,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import discrepancy as dsc
 from .expint import DomainError, expint_scaled, expint_scaled_inverse
 from .config import ConfigError, ExperimentConfig
 from .propagators import InputError, ModelSequence, build_trajectory
@@ -80,10 +79,11 @@ def _load(args, seeded=False):
     return cfg
 
 
-# the config field behind each library input, top level and in "mv": p0 is
-# an exact prior, phat0 the sampled variance of an initial ensemble
+# the config field behind each library input, top level and in "mv": p0 and
+# x0 are an exact prior, phat0 and x_tilde0 the sampled prior of an initial
+# ensemble
 _TRAJ_FIELDS = {"model": "model", "x0_truth": "x0_truth", "obs_variance": "r",
-                "p0": "p0", "phat0": "p_tilde0"}
+                "p0": "p0", "phat0": "p_tilde0", "x0": "x0", "x_tilde0": "x_tilde0"}
 _MV_FIELDS = {"model": "mv.multipliers", "x0_truth": "mv.x0", "obs_variance": "mv.r_diag",
               "Z": "mv.Z", "multipliers": "mv.multipliers", "p0_diag": "mv.p0_diag",
               "phat0": "mv.p0_diag", "r_diag": "mv.r_diag", "x0": "mv.x0"}
@@ -212,14 +212,16 @@ def cmd_spenkf(args):
                                    RngSpec(cfg.seed, _STREAM_ENSEMBLE))
     states = spenkf_run(traj, init, run)
     ref = skf_run(traj, cfg.x0, cfg.p0)
+    dsc = None
+    if cfg.perturbed_obs and alpha > 4.0:
+        from . import discrepancy as dsc  # the penalty's closed forms
     rows = []
     for i, s in enumerate(states):
         th = sched.theta[i] if sched is not None else math.nan
         ph = sched.phi[i] if cfg.inflation == "sequential" else math.nan
         ps = sched.psi[i] if cfg.inflation == "sequential" else math.nan
-        pen = math.nan
-        if cfg.perturbed_obs and alpha > 4.0:
-            pen = dsc.po_variance_penalty(traj, cfg.p0, alpha, cfg.r, i)
+        pen = (math.nan if dsc is None
+               else dsc.po_variance_penalty(traj, cfg.p0, alpha, cfg.r, i))
         rows.append([i, float(traj.truth[i]), float(traj.observations[i]),
                      s.mean, s.sampled_var, s.gain,
                      ref[i].mean_analysis, ref[i].var_analysis, th, ph, ps,
@@ -262,6 +264,8 @@ _MC_COLS = [
 
 
 def cmd_mc_verify(args):
+    from . import discrepancy as dsc
+
     cfg = _load(args, seeded=True)
     if cfg.ensemble_size < 5:
         raise ConfigError("config.ensemble_size: must be >= 5 (second moments need "
@@ -341,6 +345,8 @@ _PO_COLS = [
 
 
 def cmd_po_penalty(args):
+    from . import discrepancy as dsc
+
     cfg = _load(args, seeded=True)
     if cfg.ensemble_size < 9:
         raise ConfigError("config.ensemble_size: must be >= 9 (fourth moments need "

@@ -18,17 +18,25 @@ array spec over every step and keeps the moments and the spec in an
 8-entry functools.lru_cache, keyed on the trajectory's identity and on the
 inputs.  PerturbedInputs computes the hash of its six fields once, at
 construction, so a cache lookup does not hash six floats again (equality
-stays field by field), and a per-step entry costs a step check and a table
-read.  There is no per-step spec: each element of a table's array spec
-evaluates as the float spec of its coefficients would, bit for bit (see
-gamma_ratio).  A step that is not an integer or lies outside [0, n_steps]
-raises IndexError before any table is built or looked up
-(ModelTrajectory.check_step, shared with the Monte Carlo kernels and skf).
-A NaN row raises DomainError naming the step and the coefficient rule it
-breaks, or the moment's error for an alpha below its order; any other NaN
-comes from an input whose size took the form out of double range (a prior
-of 1e200 squares to inf), and raises InputError naming the input of the
-most extreme size: "phat0" (p_tilde0), "p0" or "obs_variance".
+stays field by field).  A per-step entry costs a step check, a table
+lookup and one index into a column: it returns the cell whenever the cell
+is a number (E[K_i^4] whenever it lies in [0, inf)), and only a refused
+cell goes through _at.  There is no per-step spec: each element of a
+table's array spec evaluates as the float spec of its coefficients would,
+bit for bit (see gamma_ratio).  A step that is not an integer or lies
+outside [0, n_steps] raises IndexError before any table is built or
+looked up (ModelTrajectory.check_step, shared with the Monte Carlo kernels
+and skf).  A NaN cell is refused by the first of these that applies:
+coefficients that are not all finite; a coefficient rule the step breaks,
+which raises InputError naming "model" where M_i^2/S_i underflowed to 0
+(dp_i and K_i are then constant), else DomainError naming the step and
+the rule; an alpha below the moment's order, which raises the moment's
+error; any other NaN (a prior of 1e200 squares to inf).  The first and the
+last come from an input whose size took the form out of double range, and
+raise InputError naming the input of the most extreme size: "phat0"
+(p_tilde0), "p0" or "obs_variance" (r/S_i), and for dx also "x0",
+"x_tilde0" or "x0_truth" (B_i/S_i, which the observations of the truth
+set).
 
 The Monte Carlo kernels (mc_discrepancy_moments, po_mean_identity_check and
 skf.skf_error_moments) return one SampleMoments record per sample, and one
@@ -163,66 +171,90 @@ def _moment_table(traj, inp):
         mean[1, const] = k
         second[1, const] = k * k  # not k ** 2: pow may round x^2 one ulp off x * x
 
-    def sizes(i):
+    def dp_sizes(i):
         # the inputs behind step i's spec: p_tilde0 its p, p0 and r/S_i its c
         return ("phat0", inp.p_tilde0), ("p0", inp.p0), ("obs_variance", inp.r * traj.inv_S[i])
 
-    return (*mean.tolist(), *second.tolist(), spec, sizes)
+    def dx_sizes(i):
+        # and x0, x_tilde0 and B_i/S_i (from the observations, so from the
+        # truth x0_truth) in dx's a and b
+        return (*dp_sizes(i), ("x0", inp.x0), ("x_tilde0", inp.x_tilde0),
+                ("x0_truth", traj.B_over_S[i]))
+
+    return (*mean.tolist(), *second.tolist(), spec, dp_sizes, dx_sizes)
 
 
-_POWER = {ratio_mean: "", ratio_second_moment: "^2", ratio_fourth_moment: "^4"}
+# the moment of each order, bound here: the span tracer replaces the names
+# the tables call, and a refusal must not depend on what they hold
+_MOMENTS = {1: ratio_mean, 2: ratio_second_moment, 4: ratio_fourth_moment}
 
 
-def _at(i, column, spec, row, name, moment, sizes=None):
-    # column[i] at a step i that check_step passed.  A NaN there raises the
-    # rule step i breaks (element row + (i,) of spec), else the moment's own
-    # error for an alpha below its order, else, given sizes(i), the
-    # (input, value) pairs behind step i's spec, an InputError naming the
-    # input of the most extreme size (largest binary exponent, the first on
-    # a tie), which took the form out of double range.  Without sizes such
-    # a NaN is returned as it is
+def _at(traj, i, column, spec, row, name, n, sizes=None):
+    # column[i], E[Y^n], at a step i of traj that check_step passed, when it
+    # is a number.  A NaN there is refused, at element row + (i,) of spec.
+    # Given sizes(i), the (input, value) pairs behind step i's spec,
+    # coefficients that are not all finite raise the sized InputError below
+    # before any rule is read.  Then a rule step i breaks raises an InputError naming
+    # "model" where M_i^2/S_i underflowed to 0 and a with it (dp_i and K_i
+    # are then constant), else a DomainError; then the moment raises its
+    # own error for an alpha below its order.  A NaN left raises, given
+    # sizes, an InputError naming the input of the most extreme size
+    # (largest binary exponent, the first on a tie), which took the form out
+    # of double range, and is returned as it is without them
     v = column[i]
     if v == v:
         return v
+    index = row + (i,)
     with np.errstate(all="ignore"):  # as the table was built
-        why = spec.refusal(row + (i,))
-        if why:
-            raise DomainError("step %d: %s: %s" % (i, name, why))
-        v = float(moment(spec)[row + (i,)])
+        coefs = [float(x[index]) for x in np.broadcast_arrays(spec.a, spec.b, spec.c, spec.d)]
+        if sizes is None or all(map(math.isfinite, coefs)):
+            why = spec.refusal(index)
+            if why and coefs[0] == traj.M2_over_S[i] == 0.0:
+                raise InputError("model", "step %d: %s: %s, as M_i^2/S_i underflows to 0"
+                                 % (i, name, why))
+            if why:
+                raise DomainError("step %d: %s: %s" % (i, name, why))
+            v = float(_MOMENTS[n](spec)[index])
     if v != v and sizes is not None:
         param, size = max(sizes(i), key=lambda pv: abs(math.frexp(pv[1])[1]))
         raise InputError(param, "step %d: the closed form of E[%s%s] is NaN, which no "
                                 "moment is: an input of size %g takes it out of double range"
-                         % (i, name, _POWER[moment], size))
+                         % (i, name, "^%d" % n if n > 1 else "", size))
     return v
 
 
+# Each per-step entry checks the step before it builds or looks up a table,
+# returns its table cell when it is a number, and calls _at only to refuse
 def expected_dp(traj, inp, i):
     """E[dp_i], exact for alpha > 1."""
     i = traj.check_step(i)
     t = _moment_table(traj, inp)
-    return _at(i, t[0], t[4], (0,), "dp", ratio_mean, t[5])
+    v = t[0][i]
+    return v if v == v else _at(traj, i, t[0], t[4], (0,), "dp", 1, t[5])
 
 
 def second_moment_dp(traj, inp, i):
     """E[dp_i^2], exact for alpha > 2."""
     i = traj.check_step(i)
     t = _moment_table(traj, inp)
-    return _at(i, t[2], t[4], (0,), "dp", ratio_second_moment, t[5])
+    v = t[2][i]
+    return v if v == v else _at(traj, i, t[2], t[4], (0,), "dp", 2, t[5])
 
 
 def expected_dx(traj, inp, i):
     """E[dx_i], exact for alpha > 1."""
     i = traj.check_step(i)
     t = _moment_table(traj, inp)
-    return _at(i, t[1], t[4], (1,), "dx", ratio_mean, t[5])
+    v = t[1][i]
+    return v if v == v else _at(traj, i, t[1], t[4], (1,), "dx", 1, t[6])
 
 
 def second_moment_dx(traj, inp, i):
     """E[dx_i^2], exact for alpha > 2."""
     i = traj.check_step(i)
     t = _moment_table(traj, inp)
-    return _at(i, t[3], t[4], (1,), "dx", ratio_second_moment, t[5])
+    v = t[3][i]
+    return v if v == v else _at(traj, i, t[3], t[4], (1,), "dx", 2, t[6])
 
 
 _W = 256  # running column sums per power sum
@@ -406,7 +438,8 @@ def po_gain_mean(traj, p0, alpha, r, i):
     """E[K_i], the mean of the propagated gain, exact for alpha > 1."""
     i = traj.check_step(i)
     moments, spec, sizes = _gain_table(traj, p0, float(alpha), float(r), 1)
-    return _at(i, moments, spec, (), "K", ratio_mean, sizes)
+    v = moments[i]
+    return v if v == v else _at(traj, i, moments, spec, (), "K", 1, sizes)
 
 
 def _gain_fourth(traj, p0, alpha, r, i):
@@ -415,7 +448,7 @@ def _gain_fourth(traj, p0, alpha, r, i):
     moments, spec, _ = _gain_table(traj, p0, alpha, r, 4)
     k4 = moments[i]
     if not 0.0 <= k4 < math.inf:
-        k4 = _at(i, moments, spec, (), "K", ratio_fourth_moment)
+        k4 = _at(traj, i, moments, spec, (), "K", 4)
         p4 = (spec.p * spec.p) * (spec.p * spec.p)
         w = r * traj.inv_S[i] / spec.p
         if not 0.0 < p4 < math.inf:
@@ -439,8 +472,9 @@ def po_gain_fourth(traj, p0, alpha, r, i):
     (alpha r/S_i)^3 at extreme r, and the error names "obs_variance" for
     w >= 1, else "p0".
     """
-    i = traj.check_step(i)
-    return _gain_fourth(traj, p0, float(alpha), float(r), i)
+    i, alpha, r = traj.check_step(i), float(alpha), float(r)
+    k4 = _gain_table(traj, p0, alpha, r, 4)[0][i]
+    return k4 if 0.0 <= k4 < math.inf else _gain_fourth(traj, p0, alpha, r, i)
 
 
 def po_variance_penalty(traj, p0, alpha, r, i):
@@ -448,7 +482,10 @@ def po_variance_penalty(traj, p0, alpha, r, i):
     perturbing observations with sampled variance R ~ Gamma(alpha, r/alpha).
     Exact for alpha > 4; raises po_gain_fourth's InputError."""
     i, alpha, r = traj.check_step(i), float(alpha), float(r)
-    return _gain_fourth(traj, p0, alpha, r, i) * r * r / alpha
+    k4 = _gain_table(traj, p0, alpha, r, 4)[0][i]
+    if not 0.0 <= k4 < math.inf:
+        k4 = _gain_fourth(traj, p0, alpha, r, i)
+    return k4 * r * r / alpha
 
 
 def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):

@@ -33,19 +33,29 @@ One kernel, _scaled_orders, evaluates several orders over one array of z
 in a single pass: the series elements of every order take one Horner sum,
 a row of coefficients per order, zero-padded at the top (which adds
 exactly), and the fraction elements of every order run together, sorted by
-depth, each with its own a_i.  Each element goes through the same float
-operations whatever else the array holds and whatever other orders share
-the pass, so a value does not depend on its batch.  The gamma-ratio tables
-fetch the two or three orders a table reads in one pass; _scaled_array is
-the one-order case, which the inverse below calls on arrays, and
-expint_scaled its one-element case.
+depth, each with its own a_i.  The padded coefficient matrix of a tuple of
+orders is built once and cached (_coef_matrix, beside _pole_order's
+order-only pieces), since a table's orders come back on every pass.  Each
+element goes through the same float operations whatever else the array
+holds and whatever other orders share the pass, so a value does not depend
+on its batch.  The gamma-ratio tables fetch the two or three orders a table
+reads in one pass; _scaled_array is the one-order case, which the inverse
+below calls on arrays, and expint_scaled its one-element case.
 
-Against 50-digit quadrature of the defining integral, the worst relative
-error observed is 6.6e-15 on the series (at nu = 3.5; 40 z in [1e-6, 0.999]
-for 14 orders in [0.5, 1024], some within 1e-12 of an integer) and 2.3e-16
-on the continued fraction (11 orders from 0 to 4097 over 25 z in
-[1, 700]); against 30-digit evaluations of the fraction, 2.5e-16 at 3000
-random points with nu in [0, 5000] and z in [1, 1e3].
+Against 50-digit values of the defining integral, the series stays within
+3.2e-13 relative.  Its worst points lie just past 0.01 from an integer
+order up to 5 as z nears 1 (3.14e-13 at nu = 1.99, z = 0.99999), where
+lgamma(1 + d) leaves its Taylor series for the library's lgamma and h
+divides that rounding by d; the error falls as the order moves off the
+integer (5.2e-14 at nu = 2.06, 1.1e-14 at nu = 1.26, z = 0.85), and from
+order 7 up it stays within 1.3e-15 (orders n + d for n up to 12 and 20,
+50, 100 with |d| in [0.002, 0.05], 551 orders in [0.5, 6] and 40 in
+[4, 1024], z in [1e-6, 0.99999]).  Orders within 0.01 of an integer
+keep 3.7e-15, and the integer and half-integer orders the laboratory
+takes 6.6e-15 (at nu = 3.5).  The continued fraction stays within
+2.3e-16 (11 orders from 0 to 4097 over 25 z in [1, 700]); against 30-digit
+evaluations of the fraction, 2.5e-16 at 3000 random points with nu in
+[0, 5000] and z in [1, 1e3].
 
 The inverse problem scaled(alpha+1, z) = 1/alpha - delta is solved for a
 whole array of shifts delta at once.  By the recurrence DLMF 8.19.12,
@@ -252,6 +262,19 @@ def _pole_order(nu):
     return n, d, (-1.0) ** n * math.exp(-math.lgamma(n)), a, b, coef
 
 
+@functools.lru_cache(maxsize=64)
+def _coef_matrix(nus):
+    # the series coefficients of several orders nus (a tuple), each row
+    # zero-padded at the top to the longest, coefficient k of every order as
+    # a column of shape (len(nus), 1); read-only, since it is shared.
+    # Cached: a table's orders come back on every pass over it
+    rows = [_pole_order(nu)[5] for nu in nus]
+    top = max(map(len, rows))
+    coef = np.array([row + [0.0] * (top - len(row)) for row in rows]).T[:, :, None]
+    coef.flags.writeable = False
+    return coef
+
+
 def _series(nus, z):
     # scaled(nu, z) for each order nu in nus (a row each) over an array of
     # 0 < z < 1, from the power series
@@ -268,7 +291,7 @@ def _series(nus, z):
     # Horner's rule adds exactly: the sum stays 0 up to a row's own leading
     # coefficient.
     log_z = np.log(z)
-    c, rows = [], []
+    c = []
     for nu in nus:
         n, d, scale, a, b, coef = _pole_order(nu)
         if n == 0:
@@ -278,14 +301,10 @@ def _series(nus, z):
         else:
             h = log_z - b if d == 0.0 else np.expm1(d * log_z + a - b) / d
             c.append(scale * z ** (n - 1.0) * h)
-        rows.append(coef)
     if len(nus) == 1:
-        c, coef = c[0], rows[0]
+        c = c[0]  # and coef the one order's own row
     else:
-        # a row per order, coefficient k of every order as a column
-        top = max(map(len, rows))
-        c = np.array(c)
-        coef = np.array([row + [0.0] * (top - len(row)) for row in rows]).T[:, :, None]
+        c, coef = np.array(c), _coef_matrix(nus)
     nz = -z
     s = np.full_like(c, coef[-1])
     for a_k in coef[-2::-1]:

@@ -9,13 +9,16 @@ exponential integral at z = alpha*d/(c*p):
 
 The moments work elementwise: a spec with array coefficients (broadcasting
 together, one alpha and one p) gets arrays, and NaN where an element breaks
-a coefficient rule (GammaRatioSpec.refusal says which).  Each order of the
-scaled expint is evaluated once per spec, and the orders a moment reads
-and the spec has not yet evaluated (alpha and alpha + 1 for the mean,
-alpha - 1 too for the second moment, alpha alone for the fourth) in one
-expint._scaled_orders pass over z, so a table that asks for its second
-moments first and then its means makes one pass.  A spec of floats gets
-floats through expint_scaled, the same kernel on one element, so each
+a coefficient rule (GammaRatioSpec.refusal says which).  A spec evaluates
+its rules once, as it computes z once: the mask of the elements that keep
+them, and whether every element does, are cached on the spec, and a moment
+whose elements all keep them is returned as computed, with no masked copy.
+Each order of the scaled expint is evaluated once per spec, and the orders
+a moment reads and the spec has not yet evaluated (alpha and alpha + 1 for
+the mean, alpha - 1 too for the second moment, alpha alone for the fourth)
+in one expint._scaled_orders pass over z, so a table that asks for its
+second moments first and then its means makes one pass.  A spec of floats
+gets floats through expint_scaled, the same kernel on one element, so each
 element of an array spec equals its float spec bit for bit.  The
 laboratory builds array specs only; the float route stays as their
 reference and because the benchmark's span tracer wraps it by name.  The
@@ -74,7 +77,7 @@ class GammaRatioSpec:
         if not (self.p > 0.0):
             raise ValueError("need p > 0")
 
-    @property
+    @cached_property
     def _elementwise(self):
         return any(isinstance(v, np.ndarray) for v in (self.a, self.b, self.c, self.d))
 
@@ -116,23 +119,35 @@ class GammaRatioSpec:
         if -1 in js:
             np.divide(1.0 - (alpha - 1.0) * e[0], z, out=e[-1], where=z >= alpha)
 
+    @cached_property
     def _rules(self):
         # c > 0 and d > 0 (the denominator stays off 0 on X > 0), and
         # a*d != b*c (Y is not constant): bools, elementwise for arrays
         return (self.c > 0.0) & (self.d > 0.0), self.a * self.d != self.b * self.c
 
+    @cached_property
+    def _valid(self):
+        # an array spec's mask of the elements that keep both rules, and
+        # whether every element does
+        valid = np.logical_and(*self._rules)
+        return valid, bool(valid.all())
+
     def refusal(self, index=()):
         """Why the spec (element index of an array spec) breaks a rule, or None."""
         shape = np.broadcast(self.a, self.b, self.c, self.d).shape
         whys = ("need c > 0 and d > 0", "a*d == b*c makes Y constant")
-        return next((why for kept, why in zip(self._rules(), whys)
+        return next((why for kept, why in zip(self._rules, whys)
                      if not np.broadcast_to(kept, shape)[index]), None)
 
     def _where_valid(self, value):
-        # an array spec's value is NaN where the coefficients break a rule
+        # an array spec's value, NaN where the coefficients break a rule: the
+        # value itself (each moment's own new array) when no element does
         if not self._elementwise:
             return value
-        return np.where(np.logical_and(*self._rules()), value, np.nan)
+        valid, every = self._valid
+        if every and value.shape == valid.shape:
+            return value
+        return np.where(valid, value, np.nan)
 
 
 def ratio_mean(spec: GammaRatioSpec):

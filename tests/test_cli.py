@@ -176,7 +176,8 @@ def test_importing_the_cli_loads_no_heavy_module():
     added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, check=True).stdout.split()
     denied = ("concurrent", "logging", "subprocess", "platform", "importlib.metadata",
-              "multiprocessing", "scipy", "mpmath")
+              "multiprocessing", "scipy", "mpmath", "filterlab.discrepancy",
+              "filterlab.gamma_ratio")
     assert [m for m in added if m in denied or m.startswith(tuple(d + "." for d in denied))] == []
 
 
@@ -291,7 +292,10 @@ def test_po_penalty_builds_its_gain_tables_before_the_pool(tmp_path, capsys, mon
 # p0 = 1e-300 and overflows at p0 = 1e308; (alpha r/S_i)^3 overflows at
 # r = 1e308), or a discrepancy moment a prior's size takes out of double
 # range (p_tilde0 = 1e308, or 1e200, which squares to inf, or p0 = 1e200
-# with p_tilde0 = 1); all before any Monte Carlo runs
+# with p_tilde0 = 1); a truth of 1e200 (through B_i/S_i) or a mean prior of
+# 1e308 that takes dx out of it, the latter through coefficients that
+# overflow; and a model whose M_i^2/S_i underflows to 0, which makes dp and
+# K constant; all before any Monte Carlo runs
 @pytest.mark.parametrize("cmd,obj,last", [
     ("mc-verify", {"steps": 3, "r": 1e-320, "ensemble_size": 10, "replicates": 2000},
      "mc-verify: step 0: dp: a*d == b*c makes Y constant"),
@@ -317,8 +321,22 @@ def test_po_penalty_builds_its_gain_tables_before_the_pool(tmp_path, capsys, mon
     ("po-penalty", {"steps": 3, "r": 1e308, "ensemble_size": 10, "replicates": 2000},
      "po-penalty: config.r: step 0: the closed form of E[K^4] gives nan, which no fourth "
      "moment is: it cancels or overflows at r/(S_i p0) = 1e+308"),
+    ("mc-verify", {"steps": 3, "x0_truth": 1e200},
+     "mc-verify: config.x0_truth: step 0: the closed form of E[dx^2] is NaN, which no moment "
+     "is: an input of size 1e+200 takes it out of double range"),
+    ("mc-verify", {"steps": 3, "x0": 1e308, "x_tilde0": -1e308},
+     "mc-verify: config.x0: step 0: the closed form of E[dx] is NaN, which no moment is: an "
+     "input of size 1e+308 takes it out of double range"),
+    ("mc-verify", {"model": {"kind": "explicit", "values": [1e-200, 1e-200]}},
+     "mc-verify: config.model: step 1: dp: a*d == b*c makes Y constant, as M_i^2/S_i "
+     "underflows to 0"),
+    ("po-penalty", {"model": {"kind": "explicit", "values": [1e-200, 1e-200]}},
+     "po-penalty: config.model: step 1: K: a*d == b*c makes Y constant, as M_i^2/S_i "
+     "underflows to 0"),
 ], ids=["r-1e-320", "explicit-1e200", "z-inf", "mc-verify-p0-1e308", "mc-verify-p0-1e200",
-        "mc-verify-p0-1e200-p_tilde0-1", "po-penalty-p0-1e308", "po-penalty-r-1e308"])
+        "mc-verify-p0-1e200-p_tilde0-1", "po-penalty-p0-1e308", "po-penalty-r-1e308",
+        "mc-verify-x0_truth-1e200", "mc-verify-x0-1e308-x_tilde0--1e308",
+        "mc-verify-model-1e-200", "po-penalty-model-1e-200"])
 def test_a_refused_step_exits_2_naming_it(tmp_path, capsys, cmd, obj, last):
     cfg = write_config(tmp_path, obj)
     code, _, err = run_cli([cmd, "--config", cfg, "--seed", "1",

@@ -297,6 +297,23 @@ def test_array_kernel_matches_50_digit_quadrature(alpha):
             assert abs(got[k][j] - want) <= 5e-14 * want, (alpha + k - 1.0, z, got[k][j], want)
 
 
+# The series' stated bound (see the expint docstring).  Its worst points sit
+# just past 0.01 from an integer order up to 5 as z nears 1 (3.14e-13 at
+# nu = 1.99), where lgamma(1 + d) leaves its Taylor series; the error falls
+# as the order moves off the integer (1.1e-14 at nu = 1.26, z = 0.85, where
+# the inverse's worst root sits) and stays near 1e-15 from order 7 up
+SERIES_RTOL = 3.2e-13
+SERIES_POINTS = [(1.99, 0.99999), (1.011, 0.99999), (2.0101, 0.85), (2.06, 0.99999),
+                 (1.26, 0.8503708815016777), (0.5, 0.3), (3.5, 0.5), (4.987, 0.99999),
+                 (16.5, 0.9), (1024.0, 1e-6)]
+
+
+@pytest.mark.parametrize("nu,z", SERIES_POINTS)
+def test_series_matches_50_digit_quadrature(nu, z):
+    want = _mp_scaled(nu, z)
+    assert abs(expint_scaled(nu, z) - want) <= SERIES_RTOL * want
+
+
 # orders within 1e-9 of an integer on either side, a half-integer and large
 # orders; z log-spaced over (0, 1) and packed across z = 1, shuffled so that
 # neighbours in the batch are unrelated

@@ -13,6 +13,7 @@ outside the tests mentions at all is caught.
 """
 
 import ast
+import os
 import sys
 from pathlib import Path
 
@@ -88,3 +89,58 @@ def test_public_name_has_a_caller_outside_the_tests(module, qualname, name, line
 
 def test_every_exception_is_still_public():
     assert EXCEPTIONS <= {name for _, _, name, _ in PUBLIC}
+
+
+# every name the package exported when it imported each of these modules
+# eagerly, by module; the gamma_ratio and discrepancy names are now lazy
+EXPORTS = {
+    "expint": ("DomainError", "expint_scaled", "expint_scaled_inverse"),
+    "rng": ("RngSpec", "normal_polar"),
+    "propagators": ("InputError", "ModelSequence", "ModelTrajectory", "TrajectoryRangeError",
+                    "build_trajectory"),
+    "skf": ("SkfState", "skf_closed_form", "skf_error_moments", "skf_run", "skf_start",
+            "skf_step"),
+    "spenkf": ("EnsembleState", "InflationSchedule", "inflation_schedule",
+               "sample_initial_ensemble", "spenkf_run", "spenkf_start", "spenkf_step",
+               "theta_star", "theta_step"),
+    "gamma_ratio": ("GammaRatioSpec", "ratio_fourth_moment", "ratio_mean",
+                    "ratio_second_moment"),
+    "discrepancy": ("PerturbedInputs", "expected_dp", "expected_dx", "mc_discrepancy_moments",
+                    "po_mean_identity_check", "po_variance_penalty", "second_moment_dp",
+                    "second_moment_dx"),
+    "mvspenkf": ("DiagonalizableModel", "mv_inflation_schedule", "mv_spenkf_run"),
+    "config": ("ExperimentConfig",),
+}
+
+# run in a fresh interpreter, where no lazy name has been looked up yet:
+# prints each problem on a line of its own, then the package version
+RESOLVE = """
+import importlib, sys
+import filterlab
+exports = %r
+problems = ["loaded: " + m for m in ("filterlab.gamma_ratio", "filterlab.discrepancy")
+            if m in sys.modules]
+for module, names in exports.items():
+    for name in names:
+        ns = {}
+        exec("from filterlab import %%s" %% name, ns)  # before its module is imported here
+        mod = importlib.import_module("filterlab." + module)
+        if ns[name] is not getattr(mod, name) or getattr(filterlab, name) is not ns[name]:
+            problems.append("wrong: " + name)
+try:
+    filterlab.no_such_name
+    problems.append("no AttributeError")
+except AttributeError as exc:
+    if "no_such_name" not in str(exc):
+        problems.append("message: %%s" %% exc)
+print(*problems, filterlab.__version__, sep="\\n")
+"""
+
+
+def test_every_name_the_package_exported_still_resolves_to_its_modules_object():
+    import subprocess
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", RESOLVE % (EXPORTS,)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0.1.0\n"

@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -146,6 +147,90 @@ def test_skf_closed_form_matches_the_step_formula():
                                                          m * m * prev.var_analysis)
         else:
             assert (s.mean_forecast, s.var_forecast) == (x0, p0)
+
+
+# ---------------------------------------------------------------- direct reads
+
+
+def entry_routes(traj, inp):
+    # (entry, its route through _at or _gain_fourth) for every per-step
+    # entry: the route reads the same table cell and refuses it the same way
+    p0, alpha, r = inp.p0, float(inp.alpha), float(inp.r)
+
+    def moment(k, row, name, n, sizes):
+        def route(i):
+            t = dsc._moment_table(traj, inp)
+            return dsc._at(traj, i, t[k], t[4], row, name, n, t[sizes])
+        return route
+
+    def gain_mean(i):
+        moments, spec, sizes = dsc._gain_table(traj, p0, alpha, r, 1)
+        return dsc._at(traj, i, moments, spec, (), "K", 1, sizes)
+
+    return [
+        (lambda i: expected_dp(traj, inp, i), moment(0, (0,), "dp", 1, 5)),
+        (lambda i: second_moment_dp(traj, inp, i), moment(2, (0,), "dp", 2, 5)),
+        (lambda i: expected_dx(traj, inp, i), moment(1, (1,), "dx", 1, 6)),
+        (lambda i: second_moment_dx(traj, inp, i), moment(3, (1,), "dx", 2, 6)),
+        (lambda i: dsc.po_gain_mean(traj, p0, alpha, r, i), gain_mean),
+        (lambda i: dsc.po_gain_fourth(traj, p0, alpha, r, i),
+         lambda i: dsc._gain_fourth(traj, p0, alpha, r, i)),
+        (lambda i: po_variance_penalty(traj, p0, alpha, r, i),
+         lambda i: dsc._gain_fourth(traj, p0, alpha, r, i) * r * r / alpha),
+    ]
+
+
+def outcome(call, i):
+    # the bits of a value, or the type and message of an error
+    try:
+        v = call(i)
+    except ValueError as exc:  # InputError and DomainError among them
+        return type(exc), str(exc)
+    return type(v), struct.pack("<d", v)
+
+
+def zero_r_over_s_at(traj, k):
+    inv_s = list(traj.inv_S)
+    inv_s[k] = 0.0
+    return dataclasses.replace(traj, inv_S=tuple(inv_s))
+
+
+GROWING = dict(seed=41, steps=60, low=1.05, high=1.3)
+DECAYING = dict(seed=42, steps=60, low=0.7, high=0.95)
+
+
+# (trajectory, inputs, whether some cell is refused): seeded growing and
+# decaying trajectories, then NaN rows of every kind _at tells apart: a
+# coefficient rule (r/S_7 = 0), M_i^2/S_i underflowed to 0 (model 1e-200),
+# an alpha below the moment's order, a prior that takes the second moments
+# out of double range, and coefficients that are not finite
+@pytest.mark.parametrize("traj,changes,refused", [
+    (GROWING, dict(alpha=4.5), False),
+    (GROWING, dict(alpha=64.5), False),
+    (DECAYING, dict(alpha=4.5), False),
+    (DECAYING, dict(alpha=1024.0), False),
+    ("zero-r-over-s", dict(alpha=6.0), True),
+    ([1e-200, 1e-200, 2.0], dict(alpha=4.5), True),
+    (DECAYING, dict(alpha=1.5), True),
+    (DECAYING, dict(alpha=5.0, p0=1e200, p_tilde0=1e200), True),
+    (DECAYING, dict(alpha=5.0, x0=1e308, x_tilde0=-1e308), True),
+], ids=["growing-4.5", "growing-64.5", "decaying-4.5", "decaying-1024", "zero-r-over-s",
+        "model-1e-200", "alpha-1.5", "prior-1e200", "x0-1e308"])
+def test_every_entry_reads_what_at_reads_and_refuses_what_it_refuses(traj, changes, refused):
+    if traj == "zero-r-over-s":
+        traj = zero_r_over_s_at(make_trajectory(13, 12), 7)
+    elif isinstance(traj, dict):
+        traj = make_trajectory(traj["seed"], traj["steps"], low=traj["low"], high=traj["high"])
+    else:
+        traj = make_trajectory(43, len(traj), kind=traj)
+    inp = inputs(**changes)
+    errors = 0
+    for entry, route in entry_routes(traj, inp):
+        for i in range(traj.n_steps + 1):
+            got = outcome(entry, i)
+            assert got == outcome(route, i), (i, got)
+            errors += got[0] is not float
+    assert (errors > 0) == refused
 
 
 # ---------------------------------------------------------------- errors
