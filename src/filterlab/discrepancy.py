@@ -190,17 +190,18 @@ _MOMENTS = {1: ratio_mean, 2: ratio_second_moment, 4: ratio_fourth_moment}
 
 
 def _at(traj, i, column, spec, row, name, n, sizes=None):
-    # column[i], E[Y^n], at a step i of traj that check_step passed, when it
-    # is a number.  A NaN there is refused, at element row + (i,) of spec.
+    # refuses column[i], E[Y^n], at a step i of traj that check_step passed,
+    # when it is NaN, at element row + (i,) of spec; a number there, which
+    # only _refuse_gain_fourth passes, is returned as it is.
     # Given sizes(i), the (input, value) pairs behind step i's spec,
     # coefficients that are not all finite raise the sized InputError below
-    # before any rule is read.  Then a rule step i breaks raises an InputError naming
-    # "model" where M_i^2/S_i underflowed to 0 and a with it (dp_i and K_i
-    # are then constant), else a DomainError; then the moment raises its
-    # own error for an alpha below its order.  A NaN left raises, given
-    # sizes, an InputError naming the input of the most extreme size
-    # (largest binary exponent, the first on a tie), which took the form out
-    # of double range, and is returned as it is without them
+    # before any rule is read.  Then a rule step i breaks raises an InputError
+    # naming "model" where M_i^2/S_i underflowed to 0 and a with it (dp_i and
+    # K_i are then constant), else a DomainError; then the moment raises its
+    # own error for an alpha below its order.  A NaN left raises, given sizes,
+    # an InputError naming the input of the most extreme size (largest binary
+    # exponent, the first on a tie), which took the form out of double range,
+    # and is returned as it is without them
     v = column[i]
     if v == v:
         return v
@@ -225,6 +226,7 @@ def _at(traj, i, column, spec, row, name, n, sizes=None):
 
 # Each per-step entry checks the step before it builds or looks up a table,
 # returns its table cell when it is a number, and calls _at only to refuse
+# a NaN
 def expected_dp(traj, inp, i):
     """E[dp_i], exact for alpha > 1."""
     i = traj.check_step(i)
@@ -442,23 +444,20 @@ def po_gain_mean(traj, p0, alpha, r, i):
     return v if v == v else _at(traj, i, moments, spec, (), "K", 1, sizes)
 
 
-def _gain_fourth(traj, p0, alpha, r, i):
-    # E[K_i^4] at a step check_step passed, for float alpha and r; a
-    # negative or non-finite table value raises (see po_gain_fourth)
-    moments, spec, _ = _gain_table(traj, p0, alpha, r, 4)
-    k4 = moments[i]
-    if not 0.0 <= k4 < math.inf:
-        k4 = _at(traj, i, moments, spec, (), "K", 4)
-        p4 = (spec.p * spec.p) * (spec.p * spec.p)
-        w = r * traj.inv_S[i] / spec.p
-        if not 0.0 < p4 < math.inf:
-            param, why = "p0", "it divides by p0^4, which is %g in double precision" % p4
-        else:
-            param = "obs_variance" if w >= 1.0 else "p0"
-            why = "it cancels or overflows at r/(S_i p0) = %g" % w
-        raise InputError(param, "step %d: the closed form of E[K^4] gives %r, which no "
-                                "fourth moment is: %s" % (i, k4, why))
-    return k4
+def _refuse_gain_fourth(traj, i, r, moments, spec):
+    # raises for moments[i], the E[K_i^4] table cell at a step check_step
+    # passed, that is negative or not finite (see po_gain_fourth): _at
+    # refuses a NaN cell and returns any other, which is named here
+    k4 = _at(traj, i, moments, spec, (), "K", 4)
+    p4 = (spec.p * spec.p) * (spec.p * spec.p)
+    w = r * traj.inv_S[i] / spec.p
+    if not 0.0 < p4 < math.inf:
+        param, why = "p0", "it divides by p0^4, which is %g in double precision" % p4
+    else:
+        param = "obs_variance" if w >= 1.0 else "p0"
+        why = "it cancels or overflows at r/(S_i p0) = %g" % w
+    raise InputError(param, "step %d: the closed form of E[K^4] gives %r, which no "
+                            "fourth moment is: %s" % (i, k4, why))
 
 
 def po_gain_fourth(traj, p0, alpha, r, i):
@@ -472,9 +471,12 @@ def po_gain_fourth(traj, p0, alpha, r, i):
     (alpha r/S_i)^3 at extreme r, and the error names "obs_variance" for
     w >= 1, else "p0".
     """
-    i, alpha, r = traj.check_step(i), float(alpha), float(r)
-    k4 = _gain_table(traj, p0, alpha, r, 4)[0][i]
-    return k4 if 0.0 <= k4 < math.inf else _gain_fourth(traj, p0, alpha, r, i)
+    i, r = traj.check_step(i), float(r)
+    moments, spec, _ = _gain_table(traj, p0, float(alpha), r, 4)
+    k4 = moments[i]
+    if not 0.0 <= k4 < math.inf:
+        _refuse_gain_fourth(traj, i, r, moments, spec)
+    return k4
 
 
 def po_variance_penalty(traj, p0, alpha, r, i):
@@ -482,9 +484,10 @@ def po_variance_penalty(traj, p0, alpha, r, i):
     perturbing observations with sampled variance R ~ Gamma(alpha, r/alpha).
     Exact for alpha > 4; raises po_gain_fourth's InputError."""
     i, alpha, r = traj.check_step(i), float(alpha), float(r)
-    k4 = _gain_table(traj, p0, alpha, r, 4)[0][i]
+    moments, spec, _ = _gain_table(traj, p0, alpha, r, 4)
+    k4 = moments[i]
     if not 0.0 <= k4 < math.inf:
-        k4 = _gain_fourth(traj, p0, alpha, r, i)
+        _refuse_gain_fourth(traj, i, r, moments, spec)
     return k4 * r * r / alpha
 
 

@@ -33,14 +33,12 @@ One kernel, _scaled_orders, evaluates several orders over one array of z
 in a single pass: the series elements of every order take one Horner sum,
 a row of coefficients per order, zero-padded at the top (which adds
 exactly), and the fraction elements of every order run together, sorted by
-depth, each with its own a_i.  The padded coefficient matrix of a tuple of
-orders is built once and cached (_coef_matrix, beside _pole_order's
-order-only pieces), since a table's orders come back on every pass.  Each
-element goes through the same float operations whatever else the array
-holds and whatever other orders share the pass, so a value does not depend
-on its batch.  The gamma-ratio tables fetch the two or three orders a table
-reads in one pass; _scaled_array is the one-order case, which the inverse
-below calls on arrays, and expint_scaled its one-element case.
+depth, each with its own a_i.  Each element goes through the same float
+operations whatever else the array holds and whatever other orders share
+the pass, so a value does not depend on its batch.  The gamma-ratio tables
+fetch the two or three orders a table reads in one pass; _scaled_array is
+the one-order case, which the inverse below calls on arrays, and
+expint_scaled its one-element case.
 
 Against 50-digit values of the defining integral, the series stays within
 3.2e-13 relative.  Its worst points lie just past 0.01 from an integer
@@ -262,19 +260,6 @@ def _pole_order(nu):
     return n, d, (-1.0) ** n * math.exp(-math.lgamma(n)), a, b, coef
 
 
-@functools.lru_cache(maxsize=64)
-def _coef_matrix(nus):
-    # the series coefficients of several orders nus (a tuple), each row
-    # zero-padded at the top to the longest, coefficient k of every order as
-    # a column of shape (len(nus), 1); read-only, since it is shared.
-    # Cached: a table's orders come back on every pass over it
-    rows = [_pole_order(nu)[5] for nu in nus]
-    top = max(map(len, rows))
-    coef = np.array([row + [0.0] * (top - len(row)) for row in rows]).T[:, :, None]
-    coef.flags.writeable = False
-    return coef
-
-
 def _series(nus, z):
     # scaled(nu, z) for each order nu in nus (a row each) over an array of
     # 0 < z < 1, from the power series
@@ -291,7 +276,7 @@ def _series(nus, z):
     # Horner's rule adds exactly: the sum stays 0 up to a row's own leading
     # coefficient.
     log_z = np.log(z)
-    c = []
+    c, rows = [], []
     for nu in nus:
         n, d, scale, a, b, coef = _pole_order(nu)
         if n == 0:
@@ -301,10 +286,14 @@ def _series(nus, z):
         else:
             h = log_z - b if d == 0.0 else np.expm1(d * log_z + a - b) / d
             c.append(scale * z ** (n - 1.0) * h)
+        rows.append(coef)
     if len(nus) == 1:
-        c = c[0]  # and coef the one order's own row
+        c, coef = c[0], rows[0]
     else:
-        c, coef = np.array(c), _coef_matrix(nus)
+        # a row per order, coefficient k of every order as a column
+        top = max(map(len, rows))
+        c = np.array(c)
+        coef = np.array([row + [0.0] * (top - len(row)) for row in rows]).T[:, :, None]
     nz = -z
     s = np.full_like(c, coef[-1])
     for a_k in coef[-2::-1]:

@@ -10,19 +10,18 @@ exponential integral at z = alpha*d/(c*p):
 The moments work elementwise: a spec with array coefficients (broadcasting
 together, one alpha and one p) gets arrays, and NaN where an element breaks
 a coefficient rule (GammaRatioSpec.refusal says which).  A spec evaluates
-its rules once, as it computes z once: the mask of the elements that keep
-them, and whether every element does, are cached on the spec, and a moment
-whose elements all keep them is returned as computed, with no masked copy.
-Each order of the scaled expint is evaluated once per spec, and the orders
-a moment reads and the spec has not yet evaluated (alpha and alpha + 1 for
-the mean, alpha - 1 too for the second moment, alpha alone for the fourth)
-in one expint._scaled_orders pass over z, so a table that asks for its
-second moments first and then its means makes one pass.  A spec of floats
-gets floats through expint_scaled, the same kernel on one element, so each
-element of an array spec equals its float spec bit for bit.  The
-laboratory builds array specs only; the float route stays as their
-reference and because the benchmark's span tracer wraps it by name.  The
-density of Y, for the quadrature oracle, lives beside the tests.
+its rules once, as it computes z once, and a moment whose elements all keep
+them is returned as computed, with no masked copy.  Each order of the
+scaled expint is evaluated once per spec, and the orders a moment reads and
+the spec has not yet evaluated (alpha and alpha + 1 for the mean, alpha - 1
+too for the second moment, alpha alone for the fourth) in one
+expint._scaled_orders pass over z, so a table that asks for its second
+moments first and then its means makes one pass.  A spec of floats gets
+floats through expint_scaled, the same kernel on one element, so each
+element of an array spec equals its float spec bit for bit.  The laboratory
+builds array specs only; the float route stays as their reference and
+because the benchmark's span tracer wraps it by name.  The density of Y,
+for the quadrature oracle, lives beside the tests.
 
 The closed forms below are exact for all alpha > 1 (alpha > 2, > 4 where
 the respective moment requires it); their floating-point accuracy degrades
@@ -125,13 +124,6 @@ class GammaRatioSpec:
         # a*d != b*c (Y is not constant): bools, elementwise for arrays
         return (self.c > 0.0) & (self.d > 0.0), self.a * self.d != self.b * self.c
 
-    @cached_property
-    def _valid(self):
-        # an array spec's mask of the elements that keep both rules, and
-        # whether every element does
-        valid = np.logical_and(*self._rules)
-        return valid, bool(valid.all())
-
     def refusal(self, index=()):
         """Why the spec (element index of an array spec) breaks a rule, or None."""
         shape = np.broadcast(self.a, self.b, self.c, self.d).shape
@@ -144,10 +136,8 @@ class GammaRatioSpec:
         # value itself (each moment's own new array) when no element does
         if not self._elementwise:
             return value
-        valid, every = self._valid
-        if every and value.shape == valid.shape:
-            return value
-        return np.where(valid, value, np.nan)
+        valid = np.logical_and(*self._rules)
+        return value if valid.all() else np.where(valid, value, np.nan)
 
 
 def ratio_mean(spec: GammaRatioSpec):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .propagators import ModelTrajectory, TrajectoryRangeError
-from .rng import RngSpec, check_count, normal_polar
+from .rng import RngSpec, normal_polar
 
 __all__ = [
     "SkfState",
@@ -161,11 +161,12 @@ def skf_error_moments(traj: ModelTrajectory, x0, p0, i, replicates, spec: RngSpe
     error replays the recursion e <- (r/(p_f + r)) m e + k sqrt(r) n of
     skf_step's p_f and k from e = -sqrt(p0) n, one normal_polar draw a step.
     Raises IndexError for a step outside [0, n_steps] and ValueError for a
-    replicate count that is not an integer >= 2.
+    replicate count check_replicates refuses.
     """
-    from .discrepancy import sample_moments  # on first call: import skf loads no closed form
+    # on the first call: importing skf loads no closed form
+    from .discrepancy import check_replicates, sample_moments
 
-    i, n = traj.check_step(i), check_count(replicates, 2, "replicates")
+    i, n = traj.check_step(i), check_replicates(replicates)
     r = traj.obs_variance
     gen = spec.generator()
     e = normal_polar(gen, n)

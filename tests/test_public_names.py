@@ -72,7 +72,10 @@ def _referenced():
 
 
 REFERENCED = _referenced()
+# the package's own __all__ (computed, not a literal) only re-exports what
+# its modules define, and each of those is checked in its own module
 PUBLIC = [(path.stem, qualname, name, line) for path in sorted(PACKAGE.glob("*.py"))
+          if path.name != "__init__.py"
           for qualname, name, line in _public_names(path)]
 
 
@@ -144,3 +147,34 @@ def test_every_name_the_package_exported_still_resolves_to_its_modules_object():
     out = subprocess.run([sys.executable, "-c", RESOLVE % (EXPORTS,)], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "0.1.0\n"
+
+
+# run in a fresh interpreter: dir(filterlab) before any lazy lookup, then a
+# star import; prints each problem on a line of its own, then "ok"
+STAR = """
+import importlib
+import filterlab
+exports = %r
+want = set(exports).union(*exports.values())
+problems = ["dir lacks " + n for n in sorted(want - set(dir(filterlab)))]
+ns = {}
+exec("from filterlab import *", ns)
+del ns["__builtins__"]
+problems += ["star: " + n for n in sorted(set(ns) ^ want)]
+for module, names in exports.items():
+    mod = importlib.import_module("filterlab." + module)
+    if ns.get(module) is not mod:
+        problems.append("star module: " + module)
+    problems += ["star object: " + n for n in names if ns.get(n) is not getattr(mod, n)]
+print(*problems, "ok", sep="\\n")
+"""
+
+
+def test_star_import_and_dir_list_every_name_the_package_exported():
+    # the eager package bound every name in EXPORTS and its nine submodules
+    import subprocess
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", STAR % (EXPORTS,)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "ok\n"

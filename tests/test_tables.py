@@ -153,7 +153,7 @@ def test_skf_closed_form_matches_the_step_formula():
 
 
 def entry_routes(traj, inp):
-    # (entry, its route through _at or _gain_fourth) for every per-step
+    # (entry, its route through _at or _refuse_gain_fourth) for every per-step
     # entry: the route reads the same table cell and refuses it the same way
     p0, alpha, r = inp.p0, float(inp.alpha), float(inp.r)
 
@@ -167,16 +167,23 @@ def entry_routes(traj, inp):
         moments, spec, sizes = dsc._gain_table(traj, p0, alpha, r, 1)
         return dsc._at(traj, i, moments, spec, (), "K", 1, sizes)
 
+    def gain_fourth(i):
+        # _at's value, refused when it is no fourth moment
+        moments, spec, _ = dsc._gain_table(traj, p0, alpha, r, 4)
+        k4 = dsc._at(traj, i, moments, spec, (), "K", 4)
+        if not 0.0 <= k4 < math.inf:
+            dsc._refuse_gain_fourth(traj, i, r, moments, spec)
+        return k4
+
     return [
         (lambda i: expected_dp(traj, inp, i), moment(0, (0,), "dp", 1, 5)),
         (lambda i: second_moment_dp(traj, inp, i), moment(2, (0,), "dp", 2, 5)),
         (lambda i: expected_dx(traj, inp, i), moment(1, (1,), "dx", 1, 6)),
         (lambda i: second_moment_dx(traj, inp, i), moment(3, (1,), "dx", 2, 6)),
         (lambda i: dsc.po_gain_mean(traj, p0, alpha, r, i), gain_mean),
-        (lambda i: dsc.po_gain_fourth(traj, p0, alpha, r, i),
-         lambda i: dsc._gain_fourth(traj, p0, alpha, r, i)),
+        (lambda i: dsc.po_gain_fourth(traj, p0, alpha, r, i), gain_fourth),
         (lambda i: po_variance_penalty(traj, p0, alpha, r, i),
-         lambda i: dsc._gain_fourth(traj, p0, alpha, r, i) * r * r / alpha),
+         lambda i: gain_fourth(i) * r * r / alpha),
     ]
 
 
