@@ -65,15 +65,10 @@ def _describe(columns):
         print("%-*s  %s" % (width, name, doc))
 
 
-def _load(args, seeded=False):
-    # seeded: a Monte Carlo command refuses to run on an implicit seed, so
-    # either --seed or an explicit "seed" field in the config is required
+def _load(args):
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed, seed_given=True)
-    if seeded and not cfg.seed_given:
-        raise ConfigError("requires --seed or an explicit config.seed, so results "
-                          "are attributable to a stated seed")
     if args.out is None and cfg.output_path is not None:
         args.out = cfg.output_path
     return cfg
@@ -111,43 +106,62 @@ def _schedule(cfg, traj, alpha, field):
 _GATE_SE = 4.0
 
 
-def _gated_rows(args, cols, closed, one, n_rows, detail=""):
+def _gate_setup(args, order):
+    # the config, trajectory and alpha = N/2 of a Monte Carlo gate checking
+    # moments up to the order-th.  It refuses to run on an implicit seed, so
+    # either --seed or an explicit "seed" field in the config is required,
+    # and on an ensemble whose alpha does not exceed order
+    cfg = _load(args)
+    if not cfg.seed_given:
+        raise ConfigError("requires --seed or an explicit config.seed, so results "
+                          "are attributable to a stated seed")
+    if cfg.ensemble_size <= 2 * order:
+        raise ConfigError("config.ensemble_size: must be >= %d (%s moments need alpha = N/2 > %d)"
+                          % (2 * order + 1, {2: "second", 4: "fourth"}[order], order))
+    return cfg, _trajectory(cfg), 0.5 * cfg.ensemble_size
+
+
+def _gated_rows(args, cfg, cols, closed, one):
     # closed(i), every step's closed forms, on this thread first: that builds
-    # each table once.  Then one(i, closed(i)), a row and its (statistic,
-    # gap) pairs, on args.threads threads, up to a step closed() refused,
-    # whose error is raised after those rows if none of them raises first.
-    # Each row ends with its largest gap in SE units, NaN if any gap is NaN,
-    # and the verdict is on the largest of those, so a NaN cannot pass.  It
-    # names the first NaN gap's statistic and step, else the first largest.
+    # each table once.  Then one(i, closed(i), spec), a row and its
+    # (statistic, gap) pairs from the Monte Carlo stream spec of step i, on
+    # args.threads threads, up to a step closed() refused, whose error is
+    # raised after those rows if none of them raises first.  Each row ends
+    # with its largest gap in SE units, NaN if any gap is NaN, and the
+    # verdict is on the largest of those, so a NaN cannot pass.  It names
+    # the first NaN gap's statistic and step, else the first largest.
     from concurrent.futures import ThreadPoolExecutor  # only these commands make a pool
 
     forms = []
     try:
-        for i in range(n_rows):
+        for i in range(cfg.steps + 1):
             forms.append(closed(i))
     finally:
+        specs = [RngSpec(cfg.seed, _STREAM_MC_BASE + i) for i in range(len(forms))]
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, range(len(forms)), forms))
+            results = list(pool.map(one, range(len(forms)), forms, specs))
     rows = [row + [float(np.max([g for _, g in gaps]))] for row, gaps in results]
     flat = [(g, i, stat) for i, (_, gaps) in enumerate(results) for stat, g in gaps]
     nans = [t for t in flat if t[0] != t[0]]
     worst, step, stat = nans[0] if nans else max(flat, key=lambda t: t[0])
     _write_csv(args.out, cols, rows)
     ok = worst <= _GATE_SE
-    print("%s: %d steps%s, worst gap %.2f SE: %s (%s at step %d)"
-          % (args.command, n_rows, detail, worst, "PASS" if ok else "FAIL", stat, step),
-          file=sys.stderr)
+    print("%s: %d steps, %d replicates, worst gap %.2f SE: %s (%s at step %d)"
+          % (args.command, len(rows), cfg.replicates, worst, "PASS" if ok else "FAIL",
+             stat, step), file=sys.stderr)
     return 0 if ok else 1
 
 
-def _gap(i, stat, diff, se, constant):
-    # (stat, |diff| in SE units); constant: every replicate behind stat is
-    # the same double, so a zero SE is exact; otherwise the squared
-    # deviations underflowed
+def _gap(i, stat, closed, sample, field):
+    # (stat, |closed - the field of the SampleMoments sample| in SE units).
+    # A zero SE is exact when every replicate is the same double; otherwise
+    # the squared deviations underflowed
+    se = getattr(sample, field + "_se")
     if se == 0.0:
-        why = "is 0: every replicate is the same double" if constant else "underflowed to 0"
+        why = ("is 0: every replicate is the same double" if sample.constant
+               else "underflowed to 0")
         raise DomainError("step %d: the standard error of %s %s" % (i, stat, why))
-    return stat, abs(diff) / se
+    return stat, abs(closed - getattr(sample, field)) / se
 
 
 # ---------------------------------------------------------------- skf
@@ -232,29 +246,31 @@ def cmd_spenkf(args):
 
 # ---------------------------------------------------------------- mc-verify
 
+# the two discrepancies, each with what it is the discrepancy of, and the
+# statistics of each, in column order: the column's suffix, the
+# SampleMoments field, the moment, what its closed form's doc adds, and
+# whether it is gated (Var is the difference of the two that are)
+_MC_DISCREPANCIES = [("dp", "variance"), ("dx", "mean")]
+_MC_STATS = [("_mean", "mean", "E[{d}_i]", ", {what} discrepancy mean", True),
+             ("_var", "var", "Var[{d}_i]", " = E[{d}_i^2] - E[{d}_i]^2", False),
+             ("2", "mean2", "E[{d}_i^2]", "", True)]
+
+
+def _mc_stat_cols():
+    # the closed-form, estimate and SE columns of each statistic of each discrepancy
+    for d, what in _MC_DISCREPANCIES:
+        for suffix, _, moment, note, _ in _MC_STATS:
+            yield d + suffix, ("closed-form " + moment + note).format(d=d, what=what)
+            yield d + suffix + "_mc", "Monte Carlo estimate of " + moment.format(d=d)
+            yield d + suffix + "_se", "standard error of %s%s_mc" % (d, suffix)
+
+
 _MC_COLS = [
     ("step", "assimilation step index i"),
     ("M_ratio", "propagator ratio M_i^2 / S_i"),
     ("skf_mean", "exact filter analysis mean at step i (closed form)"),
     ("skf_var", "exact filter analysis variance at step i (closed form)"),
-    ("dp_mean", "closed-form E[dp_i], variance discrepancy mean"),
-    ("dp_mean_mc", "Monte Carlo estimate of E[dp_i]"),
-    ("dp_mean_se", "standard error of dp_mean_mc"),
-    ("dp_var", "closed-form Var[dp_i] = E[dp_i^2] - E[dp_i]^2"),
-    ("dp_var_mc", "Monte Carlo estimate of Var[dp_i]"),
-    ("dp_var_se", "standard error of dp_var_mc"),
-    ("dp2", "closed-form E[dp_i^2]"),
-    ("dp2_mc", "Monte Carlo estimate of E[dp_i^2]"),
-    ("dp2_se", "standard error of dp2_mc"),
-    ("dx_mean", "closed-form E[dx_i], mean discrepancy mean"),
-    ("dx_mean_mc", "Monte Carlo estimate of E[dx_i]"),
-    ("dx_mean_se", "standard error of dx_mean_mc"),
-    ("dx_var", "closed-form Var[dx_i] = E[dx_i^2] - E[dx_i]^2"),
-    ("dx_var_mc", "Monte Carlo estimate of Var[dx_i]"),
-    ("dx_var_se", "standard error of dx_var_mc"),
-    ("dx2", "closed-form E[dx_i^2]"),
-    ("dx2_mc", "Monte Carlo estimate of E[dx_i^2]"),
-    ("dx2_se", "standard error of dx2_mc"),
+    *_mc_stat_cols(),
     ("theta_i", "one-shot optimal inflation factor at step i"),
     ("phi_i", "sequential variance inflation factor at step i"),
     ("psi_i", "sequential mean shift at step i"),
@@ -266,41 +282,31 @@ _MC_COLS = [
 def cmd_mc_verify(args):
     from . import discrepancy as dsc
 
-    cfg = _load(args, seeded=True)
-    if cfg.ensemble_size < 5:
-        raise ConfigError("config.ensemble_size: must be >= 5 (second moments need "
-                          "alpha = N/2 > 2)")
-    traj = _trajectory(cfg)
-    alpha = 0.5 * cfg.ensemble_size
+    cfg, traj, alpha = _gate_setup(args, 2)
     inp = dsc.PerturbedInputs(p0=cfg.p0, x0=cfg.x0, p_tilde0=cfg.p_tilde0,
                               x_tilde0=cfg.x_tilde0, alpha=alpha, r=cfg.r)
     sched = _schedule(cfg, traj, alpha, "p0")
 
     def closed(i):
-        return (skf_closed_form(traj, cfg.x0, cfg.p0, i),
-                dsc.expected_dp(traj, inp, i), dsc.second_moment_dp(traj, inp, i),
-                dsc.expected_dx(traj, inp, i), dsc.second_moment_dx(traj, inp, i))
+        # E[d_i] and E[d_i^2] of each discrepancy d, from expected_<d> and
+        # second_moment_<d>, looked up on each call
+        return skf_closed_form(traj, cfg.x0, cfg.p0, i), [
+            (getattr(dsc, "expected_" + d)(traj, inp, i),
+             getattr(dsc, "second_moment_" + d)(traj, inp, i)) for d, _ in _MC_DISCREPANCIES]
 
-    def one(i, forms):
-        dp, dx = dsc.mc_discrepancy_moments(traj, inp, i, cfg.replicates,
-                                            RngSpec(cfg.seed, _STREAM_MC_BASE + i))
-        ref, a_dp, a_dp2, a_dx, a_dx2 = forms
-        gaps = [_gap(i, "dp_mean", a_dp - dp.mean, dp.mean_se, dp.constant),
-                _gap(i, "dp2", a_dp2 - dp.mean2, dp.mean2_se, dp.constant),
-                _gap(i, "dx_mean", a_dx - dx.mean, dx.mean_se, dx.constant),
-                _gap(i, "dx2", a_dx2 - dx.mean2, dx.mean2_se, dx.constant)]
-        return [i, traj.M2_over_S[i], ref.mean_analysis, ref.var_analysis,
-                a_dp, dp.mean, dp.mean_se,
-                a_dp2 - a_dp * a_dp, dp.var, dp.var_se,
-                a_dp2, dp.mean2, dp.mean2_se,
-                a_dx, dx.mean, dx.mean_se,
-                a_dx2 - a_dx * a_dx, dx.var, dx.var_se,
-                a_dx2, dx.mean2, dx.mean2_se,
-                float(sched.theta[i]), float(sched.phi[i]),
-                float(sched.psi[i])], gaps
+    def one(i, forms, spec):
+        ref, moments = forms
+        samples = dsc.mc_discrepancy_moments(traj, inp, i, cfg.replicates, spec)
+        row, gaps = [i, traj.M2_over_S[i], ref.mean_analysis, ref.var_analysis], []
+        for (d, _), (m1, m2), sample in zip(_MC_DISCREPANCIES, moments, samples):
+            form = {"mean": m1, "var": m2 - m1 * m1, "mean2": m2}
+            for suffix, field, _, _, gated in _MC_STATS:
+                row += [form[field], getattr(sample, field), getattr(sample, field + "_se")]
+                if gated:
+                    gaps.append(_gap(i, d + suffix, form[field], sample, field))
+        return row + [float(sched.theta[i]), float(sched.phi[i]), float(sched.psi[i])], gaps
 
-    return _gated_rows(args, _MC_COLS, closed, one, traj.n_steps + 1,
-                       ", %d replicates" % cfg.replicates)
+    return _gated_rows(args, cfg, _MC_COLS, closed, one)
 
 
 # ---------------------------------------------------------------- inflation-table
@@ -347,12 +353,7 @@ _PO_COLS = [
 def cmd_po_penalty(args):
     from . import discrepancy as dsc
 
-    cfg = _load(args, seeded=True)
-    if cfg.ensemble_size < 9:
-        raise ConfigError("config.ensemble_size: must be >= 9 (fourth moments need "
-                          "alpha = N/2 > 4)")
-    traj = _trajectory(cfg)
-    alpha = 0.5 * cfg.ensemble_size
+    cfg, traj, alpha = _gate_setup(args, 4)
     second_r = cfg.r * cfg.r / alpha  # E[(R - r)^2], exactly
 
     def closed(i):
@@ -362,18 +363,17 @@ def cmd_po_penalty(args):
                 dsc.po_gain_fourth(traj, cfg.p0, alpha, cfg.r, i),
                 dsc.po_variance_penalty(traj, cfg.p0, alpha, cfg.r, i))
 
-    def one(i, forms):
+    def one(i, forms, spec):
         p, cross, r2 = dsc.po_mean_identity_check(traj, cfg.p0, alpha, cfg.r, i,
-                                                  cfg.replicates,
-                                                  RngSpec(cfg.seed, _STREAM_MC_BASE + i))
+                                                  cfg.replicates, spec)
         mean_rk, k4, penalty = forms
-        gaps = [_gap(i, "mean_P", p.mean - mean_rk, p.mean_se, p.constant),
-                _gap(i, "cov_cross", cross.mean, cross.mean_se, cross.constant),
-                _gap(i, "second_R", r2.mean2 - second_r, r2.mean2_se, r2.constant)]
+        gaps = [_gap(i, "mean_P", mean_rk, p, "mean"),
+                _gap(i, "cov_cross", 0.0, cross, "mean"),
+                _gap(i, "second_R", second_r, r2, "mean2")]
         return [i, k4, penalty, p.mean, mean_rk, cross.mean, cross.mean_se, r2.mean2,
                 second_r], gaps
 
-    return _gated_rows(args, _PO_COLS, closed, one, traj.n_steps + 1)
+    return _gated_rows(args, cfg, _PO_COLS, closed, one)
 
 
 # ---------------------------------------------------------------- mv

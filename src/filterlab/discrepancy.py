@@ -29,14 +29,16 @@ looked up (ModelTrajectory.check_step, shared with the Monte Carlo kernels
 and skf).  A NaN cell is refused by the first of these that applies:
 coefficients that are not all finite; a coefficient rule the step breaks,
 which raises InputError naming "model" where M_i^2/S_i underflowed to 0
-(dp_i and K_i are then constant), else DomainError naming the step and
-the rule; an alpha below the moment's order, which raises the moment's
-error; any other NaN (a prior of 1e200 squares to inf).  The first and the
-last come from an input whose size took the form out of double range, and
-raise InputError naming the input of the most extreme size: "phat0"
-(p_tilde0), "p0" or "obs_variance" (r/S_i), and for dx also "x0",
-"x_tilde0" or "x0_truth" (B_i/S_i, which the observations of the truth
-set).
+(dp_i and K_i are then constant), or naming an input by the size rule
+below where dp_i's coefficient a = M_i^2 r^2/S_i^2 alone underflowed to 0
+(an r of 1e-300), else DomainError naming the step and the rule; an alpha
+below the moment's order, which raises the moment's error; any other NaN
+(a prior of 1e200 squares to inf).  The first and the last come from an
+input whose size took the form out of double range, and like the a that
+underflowed they raise InputError naming the input of the most extreme
+size: "phat0" (p_tilde0), "p0" or "obs_variance" (r/S_i), and for dx also
+"x0", "x_tilde0" or "x0_truth" (B_i/S_i, which the observations of the
+truth set).
 
 The Monte Carlo kernels (mc_discrepancy_moments, po_mean_identity_check and
 skf.skf_error_moments) return one SampleMoments record per sample, and one
@@ -197,11 +199,13 @@ def _at(traj, i, column, spec, row, name, n, sizes=None):
     # coefficients that are not all finite raise the sized InputError below
     # before any rule is read.  Then a rule step i breaks raises an InputError
     # naming "model" where M_i^2/S_i underflowed to 0 and a with it (dp_i and
-    # K_i are then constant), else a DomainError; then the moment raises its
+    # K_i are then constant); given sizes, the sized InputError where a alone
+    # underflowed to 0 with d > 0 (dp_i's a = M_i^2 r^2/S_i^2 at a tiny r),
+    # which makes Y constant; else a DomainError.  Then the moment raises its
     # own error for an alpha below its order.  A NaN left raises, given sizes,
-    # an InputError naming the input of the most extreme size (largest binary
-    # exponent, the first on a tie), which took the form out of double range,
-    # and is returned as it is without them
+    # the sized InputError, and is returned as it is without them.  The sized
+    # InputError names the input of the most extreme size (largest binary
+    # exponent, the first on a tie), which took the form out of double range
     v = column[i]
     if v == v:
         return v
@@ -213,15 +217,24 @@ def _at(traj, i, column, spec, row, name, n, sizes=None):
             if why and coefs[0] == traj.M2_over_S[i] == 0.0:
                 raise InputError("model", "step %d: %s: %s, as M_i^2/S_i underflows to 0"
                                  % (i, name, why))
+            if why and coefs[0] == 0.0 < coefs[3] and sizes is not None:
+                raise _sized(sizes, i, "%s: %s, as its coefficient a underflows to 0"
+                             % (name, why))
             if why:
                 raise DomainError("step %d: %s: %s" % (i, name, why))
             v = float(_MOMENTS[n](spec)[index])
     if v != v and sizes is not None:
-        param, size = max(sizes(i), key=lambda pv: abs(math.frexp(pv[1])[1]))
-        raise InputError(param, "step %d: the closed form of E[%s%s] is NaN, which no "
-                                "moment is: an input of size %g takes it out of double range"
-                         % (i, name, "^%d" % n if n > 1 else "", size))
+        raise _sized(sizes, i, "the closed form of E[%s%s] is NaN, which no moment is"
+                     % (name, "^%d" % n if n > 1 else ""))
     return v
+
+
+def _sized(sizes, i, what):
+    # the InputError naming the input behind step i's spec of the most
+    # extreme size (see _at), which took the form out of double range
+    param, size = max(sizes(i), key=lambda pv: abs(math.frexp(pv[1])[1]))
+    return InputError(param, "step %d: %s: an input of size %g takes it out of double range"
+                      % (i, what, size))
 
 
 # Each per-step entry checks the step before it builds or looks up a table,

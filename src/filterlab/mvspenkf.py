@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expint import DomainError
 from .propagators import InputError, ModelSequence, build_trajectory
 from .rng import RngSpec, check_count, normal_polar
 from .spenkf import (
@@ -147,10 +148,17 @@ def mv_inflation_schedule(result: MvRunResult):
     Schedules depend on the realized basis observations through B_i, hence
     on a run, not just on the model.  The mean shifts are relative to the
     run's own initial basis mean, the truth start of each component.
+    Raises InputError naming "p0_diag" and the basis component whose prior
+    variance is too small against r / S_i for the inverse to resolve.
     """
     model = result.model
     alpha = 0.5 * result.initial_anomalies.shape[1]
-    return [
-        inflation_schedule(t, alpha, model.p0_diag[j], t.truth[0])
-        for j, t in enumerate(result.trajectories)
-    ]
+    schedules = []
+    for j, t in enumerate(result.trajectories):
+        p = float(model.p0_diag[j])
+        try:
+            schedules.append(inflation_schedule(t, alpha, p, t.truth[0]))
+        except DomainError as exc:
+            raise InputError("p0_diag", "basis component %d, %r is too small against r / S_i "
+                                        "for the optimal inflation (%s)" % (j, p, exc)) from exc
+    return schedules

@@ -6,6 +6,7 @@ stdout/stderr, and output files can be asserted directly.
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import os
@@ -87,6 +88,25 @@ def test_describe_lists_every_column(capsys):
         for name, doc in cols:
             assert name in out
             assert doc in out
+
+
+# sha256 of each subcommand's --describe bytes: mc-verify's columns are
+# generated from one list of statistics, so a doc string that changed would
+# pass a comparison with that list unseen
+@pytest.mark.parametrize("argv,digest", [
+    (["skf"], "ce44feca7d0781861849e90d89cd47e9bbd1d6158df95f85ff4bfa9b3d289c26"),
+    (["spenkf"], "e80b81ac066c1d37aff470b36608b3a6c006ed6adaefaeeb4fa603e0e935fd8c"),
+    (["mc-verify"], "2806b7aa866095b8e14bfb059143ec6655e449200dfbe40a9286cda29b1d25c0"),
+    (["inflation-table"], "3acf980cd984ef619a510b1a3d59c5dbc07010d1fed02510eba0d4c755a0ffa1"),
+    (["po-penalty"], "43b463574eac1edcd2e320181593a4b3fcf22e4d82e3c7af1a3e4f0a411d6033"),
+    (["mv"], "619b38b56d9f686f8862ea9c82d6fc4e88ec0ac99253f5fdd4b31cd08317ab1d"),
+    (["mv", "--config", str(MV_DEMO)],
+     "d05be4801a04e19575a8dacc48b94a2a181ea8658a729368dfcbd554d5c9f92c"),
+], ids=["skf", "spenkf", "mc-verify", "inflation-table", "po-penalty", "mv", "mv-demo"])
+def test_describe_prints_its_committed_bytes(capsys, argv, digest):
+    code, out, _ = run_cli(argv + ["--describe"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -298,7 +318,8 @@ def test_po_penalty_builds_its_gain_tables_before_the_pool(tmp_path, capsys, mon
 # K constant; all before any Monte Carlo runs
 @pytest.mark.parametrize("cmd,obj,last", [
     ("mc-verify", {"steps": 3, "r": 1e-320, "ensemble_size": 10, "replicates": 2000},
-     "mc-verify: step 0: dp: a*d == b*c makes Y constant"),
+     "mc-verify: config.r: step 0: dp: a*d == b*c makes Y constant, as its coefficient a "
+     "underflows to 0: an input of size 9.99989e-321 takes it out of double range"),
     ("mc-verify", {"steps": 2, "ensemble_size": 10, "replicates": 2000,
                    "model": {"kind": "explicit", "values": [1e200, 1e-200]}},
      "mc-verify: step 1: dp: need c > 0 and d > 0"),
@@ -839,6 +860,13 @@ def test_mv_bad_section_exits_2_naming_the_field(tmp_path, capsys, changes, fiel
     assert not dest.exists()
 
 
+def _mv_sequential(**mv):
+    # a two-component identity-basis model run with sequential inflation
+    return {"ensemble_size": 8, "inflation": "sequential",
+            "mv": dict({"Z": [[1, 0], [0, 1]], "multipliers": [[1, 1], [1, 1]],
+                        "p0_diag": [1, 1], "r_diag": [1, 1], "x0": [0, 0]}, **mv)}
+
+
 @pytest.mark.parametrize("cmd,cfg,line", [
     ("skf", {"model": {"kind": "constant", "m": 0}}, "config.model.m: must be nonzero"),
     ("skf", {"model": {"kind": "constant", "m": math.nan}},
@@ -862,9 +890,20 @@ def test_mv_bad_section_exits_2_naming_the_field(tmp_path, capsys, changes, fiel
     ("skf", {"model": {"kind": "explicit", "values": [1.0], "signed": False}},
      "config.model.signed: not read by kind 'explicit'"),
     ("mv", {"mv": dict(_mv_demo()["mv"], p0=[1.0])}, "config.mv.p0: unknown field"),
+    # the inverse's shift rounds to 1/alpha in basis component 0, on a tiny
+    # prior or a huge r alike, as the scalar commands name their prior
+    ("mv", _mv_sequential(p0_diag=[1e-300, 1]),
+     "config.mv.p0_diag: basis component 0, 1e-300 is too small against r / S_i for the "
+     "optimal inflation (expint_scaled_inverse_shifted requires 0 <= delta < 1/alpha; "
+     "got delta=0.25)"),
+    ("mv", _mv_sequential(p0_diag=[1, 1], r_diag=[1e300, 1]),
+     "config.mv.p0_diag: basis component 0, 1.0 is too small against r / S_i for the "
+     "optimal inflation (expint_scaled_inverse_shifted requires 0 <= delta < 1/alpha; "
+     "got delta=0.25)"),
 ], ids=["m-zero", "m-nan", "high-inf", "values-nan", "values-1e400", "ragged-rows",
         "steps-zero", "ensemble-2", "model-no-kind", "mv-Z-number", "model-unknown-key",
-        "model-unread-key", "explicit-unread-key", "mv-unknown-key"])
+        "model-unread-key", "explicit-unread-key", "mv-unknown-key", "mv-p0_diag-1e-300",
+        "mv-r_diag-1e300"])
 def test_bad_config_prints_one_config_line(tmp_path, capsys, cmd, cfg, line):
     path = tmp_path / "cfg.json"
     path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg), encoding="utf-8")
@@ -1024,6 +1063,39 @@ def test_the_verdict_names_the_step_of_the_largest_gap(tmp_path, capsys, cmd, ob
     assert int(m[4]) == int(np.argmax(gaps))
     assert m[3] in stats and m[1] == "%.2f" % max(gaps)
     assert code == (0 if max(gaps) <= 4.0 else 1)
+
+
+# a closed form injected k SEs from its seeded estimate at step 1, on a run
+# whose every gap is below 3.9 SE: 3.9 must PASS and 4.1 FAIL naming that
+# statistic and step, so the 4-SE bound is held from both sides.  The
+# kernel's records are read from a first run; the closed form is scale
+# times the entry (po-penalty's r E[K]), and a power of two scales exactly
+@pytest.mark.parametrize("cmd,obj,kernel,step_arg,entry,scale,stat", [
+    ("mc-verify", {"seed": 4242, "steps": 3, "replicates": 5000, "ensemble_size": 16},
+     "mc_discrepancy_moments", 2, "expected_dp", 1.0, "dp_mean"),
+    ("po-penalty", {"seed": 13, "steps": 2, "replicates": 40000, "ensemble_size": 12,
+                    "r": 2.0}, "po_mean_identity_check", 4, "po_gain_mean", 2.0, "mean_P"),
+])
+def test_the_gate_fails_past_4_standard_errors(tmp_path, capsys, monkeypatch, cmd, obj,
+                                               kernel, step_arg, entry, scale, stat):
+    argv = [cmd, "--config", write_config(tmp_path, obj), "--out", str(tmp_path / "g.csv")]
+    run, seen = getattr(dsc, kernel), {}
+
+    def recorded(*args):
+        seen[args[step_arg]] = out = run(*args)
+        return out
+    monkeypatch.setattr(dsc, kernel, recorded)
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0 and float(re.search(r"worst gap ([\d.]+) SE", err)[1]) < 3.9, err
+    sample = seen[1][0]  # dp of (dp, dx); P of (P, cross term, R - r)
+    real = getattr(dsc, entry)
+    for k, verdict in ((3.9, "PASS"), (4.1, "FAIL")):
+        target = (sample.mean + k * sample.mean_se) / scale
+        monkeypatch.setattr(dsc, entry, lambda *a, target=target: (
+            target if a[-1] == 1 else real(*a)))
+        code, _, err = run_cli(argv, capsys)
+        assert code == (0 if verdict == "PASS" else 1)
+        assert err.endswith("worst gap %.2f SE: %s (%s at step 1)\n" % (k, verdict, stat)), err
 
 
 # the fourth-moment form cancels (r/(S_i p0) = 1000 gives E[K^4] < 0 where

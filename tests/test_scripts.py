@@ -81,3 +81,30 @@ def test_golden_diff_exits_1_when_a_table_moved_or_is_new(tmp_path):
     (out / "b.csv").write_bytes(b"step,x\n0,1\n1,2\n")
     (out / "c.csv").write_bytes(b"step,x\n0,1\n")
     assert diff() == (1, ["a.csv: unchanged", "b.csv: unchanged", "c.csv: not in HEAD"])
+
+
+def test_count_loc_counts_no_blank_comment_or_docstring_line(tmp_path):
+    # a.py: 7 lines of code, the string assigned over two lines among them;
+    # neither the module's, the function's nor the class's docstring counts
+    (tmp_path / "a.py").write_text('''"""Module docstring
+over two lines."""
+
+import os  # a comment
+
+# a comment line
+
+
+def f(x):
+    """One-line docstring."""
+    s = """a string
+that is code"""
+    return s + x
+
+
+class C:
+    """Doc."""
+
+    y = 1
+''', encoding="utf-8")
+    (tmp_path / "b.py").write_text("x = 1\n\n\n", encoding="utf-8")
+    assert _run("count_loc.py", str(tmp_path)) == ["a.py 7", "b.py 1", "total 8"]
