@@ -418,87 +418,86 @@ def cmd_mv(args):
 
 # ---------------------------------------------------------------- selftest
 
-def _selftest_checks():
-    checks = []
+def _expint_recurrence():
+    worst = 0.0
+    for nu in (1.5, 2.0, 5.0, 17.25, 50.0, 100.0):
+        for z in (1e-6, 1e-3, 0.5, 1.0, 7.0, 100.0, 700.0):
+            val = expint_scaled(nu, z)
+            nxt = expint_scaled(nu + 1.0, z)
+            worst = max(worst, abs(nu * nxt + z * val - 1.0))
+            if not (1.0 / (z + nu) < val <= 1.0 / (z + nu - 1.0)):
+                return False, "sandwich violated at nu=%g z=%g" % (nu, z)
+    return worst < 1e-12, "recurrence residual %.2e" % worst
 
-    def expint_recurrence():
-        worst = 0.0
-        for nu in (1.5, 2.0, 5.0, 17.25, 50.0, 100.0):
-            for z in (1e-6, 1e-3, 0.5, 1.0, 7.0, 100.0, 700.0):
-                val = expint_scaled(nu, z)
-                nxt = expint_scaled(nu + 1.0, z)
-                worst = max(worst, abs(nu * nxt + z * val - 1.0))
-                if not (1.0 / (z + nu) < val <= 1.0 / (z + nu - 1.0)):
-                    return False, "sandwich violated at nu=%g z=%g" % (nu, z)
-        return worst < 1e-12, "recurrence residual %.2e" % worst
 
-    checks.append(("expint recurrence and sandwich bounds", expint_recurrence))
+def _inverse_roundtrip():
+    worst = 0.0
+    for alpha in (1.5, 2.0, 5.0, 50.0):
+        for z in (1e-5, 0.3, 4.0, 300.0):
+            y = expint_scaled(alpha + 1.0, z)
+            zz = expint_scaled_inverse(alpha, y)
+            worst = max(worst, abs(zz - z) / max(z, 1e-12))
+    return worst < 1e-9, "round-trip rel err %.2e" % worst
 
-    def inverse_roundtrip():
-        worst = 0.0
-        for alpha in (1.5, 2.0, 5.0, 50.0):
-            for z in (1e-5, 0.3, 4.0, 300.0):
-                y = expint_scaled(alpha + 1.0, z)
-                zz = expint_scaled_inverse(alpha, y)
-                worst = max(worst, abs(zz - z) / max(z, 1e-12))
-        return worst < 1e-9, "round-trip rel err %.2e" % worst
 
-    checks.append(("scaled-expint inverse round trip", inverse_roundtrip))
+def _closed_form_match():
+    spec = RngSpec(1234, 0)
+    model = ModelSequence.random_loguniform(40, spec.stream(1))
+    traj = build_trajectory(model, 1.0, 0.7, spec)
+    states = skf_run(traj, 0.2, 1.3)
+    worst = 0.0
+    for i, s in enumerate(states):
+        c = skf_closed_form(traj, 0.2, 1.3, i)
+        worst = max(worst,
+                    abs(c.var_analysis - s.var_analysis) / s.var_analysis,
+                    abs(c.mean_analysis - s.mean_analysis)
+                    / max(abs(s.mean_analysis), 1e-12))
+    return worst < 1e-10, "closed-vs-recursive rel err %.2e" % worst
 
-    def closed_form_match():
-        spec = RngSpec(1234, 0)
-        model = ModelSequence.random_loguniform(40, spec.stream(1))
-        traj = build_trajectory(model, 1.0, 0.7, spec)
-        states = skf_run(traj, 0.2, 1.3)
-        worst = 0.0
-        for i, s in enumerate(states):
-            c = skf_closed_form(traj, 0.2, 1.3, i)
-            worst = max(worst,
-                        abs(c.var_analysis - s.var_analysis) / s.var_analysis,
-                        abs(c.mean_analysis - s.mean_analysis)
-                        / max(abs(s.mean_analysis), 1e-12))
-        return worst < 1e-10, "closed-vs-recursive rel err %.2e" % worst
 
-    checks.append(("recursion matches closed forms", closed_form_match))
+def _inflation_bounds():
+    spec = RngSpec(99, 0)
+    model = ModelSequence.random_loguniform(30, spec.stream(1))
+    traj = build_trajectory(model, 1.0, 2.0, spec)
+    for alpha in (1.5, 4.0, 64.0):
+        sched = inflation_schedule(traj, alpha, 0.8, 0.1)
+        ts = theta_star(alpha)
+        if not np.all((sched.phi >= 1.0 - 1e-12) & (sched.phi <= ts + 1e-12)):
+            return False, "phi out of [1, alpha/(alpha-1)] at alpha=%g" % alpha
+        if not np.all((sched.theta > 1.0) & (sched.theta <= ts + 1e-12)):
+            return False, "theta out of (1, alpha/(alpha-1)] at alpha=%g" % alpha
+    return True, "phi, theta within bounds"
 
-    def inflation_bounds():
-        spec = RngSpec(99, 0)
-        model = ModelSequence.random_loguniform(30, spec.stream(1))
-        traj = build_trajectory(model, 1.0, 2.0, spec)
-        for alpha in (1.5, 4.0, 64.0):
-            sched = inflation_schedule(traj, alpha, 0.8, 0.1)
-            ts = theta_star(alpha)
-            if not np.all((sched.phi >= 1.0 - 1e-12) & (sched.phi <= ts + 1e-12)):
-                return False, "phi out of [1, alpha/(alpha-1)] at alpha=%g" % alpha
-            if not np.all((sched.theta > 1.0) & (sched.theta <= ts + 1e-12)):
-                return False, "theta out of (1, alpha/(alpha-1)] at alpha=%g" % alpha
-        return True, "phi, theta within bounds"
 
-    checks.append(("inflation factors within bounds", inflation_bounds))
+def _bootstrap_identity():
+    spec = RngSpec(7, 0)
+    model = ModelSequence.random_loguniform(12, spec.stream(1))
+    traj = build_trajectory(model, 0.5, 1.0, spec)
+    sched = inflation_schedule(traj, 8.0, 1.0, 0.0)
+    states = skf_run(traj, 0.0, 1.0, sched)
+    # theta realized sequentially must equal theta realized in one shot
+    worst = 0.0
+    for i, s in enumerate(states):
+        u = traj.obs_variance * traj.inv_S[i]
+        one_shot = traj.obs_variance * sched.theta[i] * 1.0 \
+            * traj.M2_over_S[i] / (sched.theta[i] * 1.0 + u)
+        worst = max(worst, abs(s.var_analysis - one_shot) / one_shot)
+    return worst < 1e-10, "sequential-vs-one-shot rel err %.2e" % worst
 
-    def bootstrap_identity():
-        spec = RngSpec(7, 0)
-        model = ModelSequence.random_loguniform(12, spec.stream(1))
-        traj = build_trajectory(model, 0.5, 1.0, spec)
-        sched = inflation_schedule(traj, 8.0, 1.0, 0.0)
-        states = skf_run(traj, 0.0, 1.0, sched)
-        # theta realized sequentially must equal theta realized in one shot
-        worst = 0.0
-        for i, s in enumerate(states):
-            u = traj.obs_variance * traj.inv_S[i]
-            one_shot = traj.obs_variance * sched.theta[i] * 1.0 \
-                * traj.M2_over_S[i] / (sched.theta[i] * 1.0 + u)
-            worst = max(worst, abs(s.var_analysis - one_shot) / one_shot)
-        return worst < 1e-10, "sequential-vs-one-shot rel err %.2e" % worst
 
-    checks.append(("sequential schedule bootstraps one-shot inflation",
-                   bootstrap_identity))
-    return checks
+# the checks selftest runs, in order, and documents for --describe
+_SELFTEST_CHECKS = [
+    ("expint recurrence and sandwich bounds", _expint_recurrence),
+    ("scaled-expint inverse round trip", _inverse_roundtrip),
+    ("recursion matches closed forms", _closed_form_match),
+    ("inflation factors within bounds", _inflation_bounds),
+    ("sequential schedule bootstraps one-shot inflation", _bootstrap_identity),
+]
 
 
 def cmd_selftest(args):
     ok = True
-    for name, fn in _selftest_checks():
+    for name, fn in _SELFTEST_CHECKS:
         good, detail = fn()
         ok = ok and good
         print("%s: %s (%s)" % ("ok" if good else "FAIL", name, detail))
@@ -541,7 +540,9 @@ def build_parser():
         ("po-penalty", cmd_po_penalty, _PO_COLS,
          "perturbed-observation variance penalty and its Monte Carlo checks"),
         ("mv", cmd_mv, None, "run the diagonalizable multivariate reduction"),
-        ("selftest", cmd_selftest, None, "run built-in consistency checks"),
+        ("selftest", cmd_selftest,
+         [("check %d" % k, name) for k, (name, _) in enumerate(_SELFTEST_CHECKS, 1)],
+         "run built-in consistency checks"),
     ]
     for name, fn, columns, help_text in specs:
         s = sub.add_parser(name, help=help_text)

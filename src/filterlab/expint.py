@@ -115,19 +115,18 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of the requested function."""
 
 
-def _depth(nu, z, sqrt=np.sqrt, minimum=np.minimum):
+def _depth(nu, z):
     # Terms of the continued fraction at order nu for an array of z >= 1
-    # (for a column of orders, a row per order), or for one z given
-    # math.sqrt and min, before the floor:
+    # (for a column of orders, a row per order), before the floor:
     # min(7 + 108 z^(-3/4), 6 + 420 (nu+1)^(-3/4)), 115 at z = 1 for nu up
     # to 5, falling in z and in nu to 6 once nu passes 3150.  Against
     # 30-digit convergents at 100 orders in [0, 1e4] by 50 z in [1, 1e3] it
     # leaves a truncation error under 1e-17 relative.  The powers are square
-    # roots and the floor is exact, so every element gets the same depth in
-    # numpy as in Python, whatever its batch.
-    r = sqrt(z)
-    s = sqrt(nu + 1.0)
-    return minimum(7.0 + 108.0 / (r * sqrt(r)), 6.0 + 420.0 / (s * sqrt(s)))
+    # roots and the floor is exact, so every element gets the same depth
+    # whatever its batch.
+    r = np.sqrt(z)
+    s = np.sqrt(nu + 1.0)
+    return np.minimum(7.0 + 108.0 / (r * np.sqrt(r)), 6.0 + 420.0 / (s * np.sqrt(s)))
 
 
 def _fraction(nus, z):
@@ -147,11 +146,8 @@ def _fraction(nus, z):
         nu, shape = nus[0], (-1,)
     else:
         nu, shape = np.array(nus)[:, None], (len(nus), -1)
-    if len(nus) * len(zs) <= _ITERATION_TERMS:
-        depths = [int(_depth(nu_j, x, math.sqrt, min)) for nu_j in nus for x in zs]
-    else:
-        k = _depth(nu, z).astype(int).ravel()
-        depths = k.tolist()
+    k = _depth(nu, z).astype(int).ravel()
+    depths = k.tolist()
     top = max(depths)
     # a_i = -i (nu-1+i) for each order, and 2i, for i = top .. 1
     a = [[-i * (nu1 + i) for i in range(top, 0, -1)] for nu1 in [nu - 1.0 for nu in nus]]

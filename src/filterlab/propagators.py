@@ -19,18 +19,17 @@ x0_truth plus the noise, so both are plain doubles.  Each update rounds a
 few bounded numbers, so the ratios keep their relative accuracy however far
 M_i and S_i leave double range and come back.
 
-While every input of a step (the five ratios, m_i, y_{i+1}) has magnitude in
-[2^-k, 2^k], k = 128, the step runs in plain doubles with the same bits: its
-products and quotients lie in [2^(-6k-1), 2^(3k+1)], normal for k <= 170,
-where scaling by a power of two is exact; a sum that cancels below that
-range is exact in both forms; and 1 + t = t once t > 2^64, where the
-mantissa form takes g = t.  At the first step with an input outside the
-window, frexp hands the state over exactly to the mantissa form, and once
-every input of a step lies in the window again, ldexp hands it back to
-plain doubles, exactly too (1/S_i never grows, so the ledger comes back
-only while S_i < 2^128).  The truth x0_truth * M_i is a left fold, the same
-bits as the mantissa product while every partial product is normal or
-x0_truth is 0, and is otherwise multiplied out the same way.
+A step whose inputs (the five ratios, m_i, y_{i+1}) all have magnitude in
+[2^-k, 2^k], k = 128, gives the same bits in plain doubles: its products
+and quotients lie in [2^(-6k-1), 2^(3k+1)], normal for k <= 170, where
+scaling by a power of two is exact; a sum that cancels below that range
+is exact in both forms; and 1 + t = t once t > 2^64, where the mantissa
+form takes g = t.  So the ledger runs in plain doubles up to the first
+step with an input outside the window, where frexp hands the state over
+exactly to the mantissa form, which runs to the last step.  The truth
+x0_truth * M_i is a left fold, the same bits as the mantissa product while
+every partial product is normal or x0_truth is 0, and is otherwise
+multiplied out the same way.
 ModelTrajectory holds each ratio as a tuple of Python floats, read by
 index: traj.inv_S[i], ...; array callers share one read-only array per
 ratio, traj.array("inv_S"), converted on first use.
@@ -39,7 +38,6 @@ ratio, traj.array("inv_S"), converted on first use.
 import math
 import operator
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from math import frexp, ldexp
@@ -206,45 +204,33 @@ def build_trajectory(model: ModelSequence, x0_truth, obs_variance, spec: RngSpec
         raise range_error(int(np.argmin(np.isfinite(obs))))
 
     ms, ys = model.values.tolist(), obs.tolist()
-    n = len(ms)
-    # the steps whose inputs m_i, y_{i+1} do not both lie in the window, then n
+    # the rows of 1/S, B/S, M/S, q, MB/S one after another: plain doubles up
+    # to the first step with an input outside the window (a row in plain
+    # doubles is finite, since the window bounds it), then to the end with
+    # M/S, q and MB/S as mantissa and exponent
     ins = np.abs(np.column_stack((model.values, obs[1:])))
-    fits = ((ins >= _LO) & (ins <= _HI)).all(axis=1)
-    outside = np.flatnonzero(~fits).tolist() + [n]
-    # the rows of 1/S, B/S, M/S, q, MB/S one after another; a row in plain
-    # doubles is finite, since the window bounds it
+    n_in = int(np.argmin(np.append(((ins >= _LO) & (ins <= _HI)).all(axis=1), False)))
     flat = [1.0, ys[0], 1.0, 1.0, ys[0]]
     inv_s, b_s, u, q, w = flat
-    i, mantissa_inputs = 0, None
-    while True:
-        # plain doubles while a step's inputs lie in the window
-        k = outside[bisect_left(outside, i)]
-        for m, y in zip(ms[i:k], ys[i + 1:k + 1]):
-            if not (_LO <= q and _LO <= inv_s and _LO <= abs(u) <= _HI
-                    and _LO <= abs(b_s) <= _HI and _LO <= abs(w) <= _HI):
-                break
-            t = m * m * q
-            g = 1.0 + t
-            inv_s /= g
-            b_s = b_s / g + m * u * y / g
-            q = t / g
-            u = m * u / g
-            w = m * w / g + q * y
-            flat += (inv_s, b_s, u, q, w)
-        i = len(flat) // 5 - 1
-        if i == n:
+    for m, y in zip(ms[:n_in], ys[1:]):
+        if not (_LO <= q and _LO <= inv_s and _LO <= abs(u) <= _HI
+                and _LO <= abs(b_s) <= _HI and _LO <= abs(w) <= _HI):
             break
-        # then with M/S, q and MB/S as mantissa and exponent, until every input
-        # of the next step lies in the window again
-        if mantissa_inputs is None:
-            # m_i and y_{i+1} as mantissas and exponents, and whether the
-            # inputs of step i + 1 lie in the window
-            mantissa_inputs = [a.tolist() for a in (*np.frexp(model.values), *np.frexp(obs[1:]),
-                                                    np.append(fits[1:], False))]
+        t = m * m * q
+        g = 1.0 + t
+        inv_s /= g
+        b_s = b_s / g + m * u * y / g
+        q = t / g
+        u = m * u / g
+        w = m * w / g + q * y
+        flat += (inv_s, b_s, u, q, w)
+    i = len(flat) // 5 - 1  # the last step in plain doubles
+    if i < len(ms):
         (uf, ue), (qf, qe), (wf, we) = frexp(u), frexp(q), frexp(w)
         tail = []
         try:
-            for mf, me, yf, ye, fit in zip(*(col[i:] for col in mantissa_inputs)):
+            for mf, me, yf, ye in zip(*(a.tolist() for a in (*np.frexp(model.values[i:]),
+                                                              *np.frexp(obs[i + 1:])))):
                 # t = m^2 q = tf 2^te and g = 1 + t = gf 2^ge
                 tf, te = mf * mf * qf, 2 * me + qe
                 gf, ge = (tf, te) if te > 64 else (1.0 + ldexp(tf, te), 0)
@@ -261,11 +247,6 @@ def build_trajectory(model: ModelSequence, x0_truth, obs_variance, spec: RngSpec
                 wf, e = frexp(af + ldexp(bf, be - ae))
                 we = ae + e
                 tail.append((inv_s, b_s, uf, ue, qf, qe, wf, we))
-                # |M/S| and q are at most 1: a mantissa in [1/2, 1) at an
-                # exponent in [-127, 128] lies in the window
-                if (fit and _LO <= inv_s and _LO <= abs(b_s) <= _HI and ue >= -127
-                        and qe >= -127 and wf and -127 <= we <= 128):
-                    break
         except OverflowError:
             raise range_error(i + len(tail) + 1) from None
         inv_t, b_t, *fe = zip(*tail)
@@ -275,9 +256,5 @@ def build_trajectory(model: ModelSequence, x0_truth, obs_variance, spec: RngSpec
         if not finite.all():
             raise range_error(i + 1 + int(np.argmin(finite)))
         flat += chain.from_iterable(zip(inv_t, b_t, u_t.tolist(), q_t.tolist(), mb_t.tolist()))
-        i += len(tail)
-        if i == n:
-            break
-        u, q, w = ldexp(uf, ue), ldexp(qf, qe), ldexp(wf, we)
     inv_ss, b_ss, u_s, q_s, mb_s = (tuple(flat[j::5]) for j in range(5))
     return ModelTrajectory(model, r, truth, obs, inv_ss, u_s, q_s, b_ss, mb_s)

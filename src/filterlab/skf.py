@@ -104,6 +104,21 @@ def skf_step(prev: SkfState, m, y, r, phi=1.0, psi=0.0):
     return _analyze(step, xf, pf, float(y), float(r))
 
 
+def run_filter(traj: ModelTrajectory, start, step, inflation):
+    """One state per step of a scalar filter along a trajectory, here and
+    in spenkf: start(y_0, r, phi_0), then step(prev, m_i, y_{i+1}, r,
+    phi_{i+1}, psi_{i+1}); without an InflationSchedule phi and psi are
+    ones and zeros."""
+    r = traj.obs_variance
+    n = traj.n_steps
+    phi = inflation.phi if inflation is not None else np.ones(n + 1)
+    psi = inflation.psi if inflation is not None else np.zeros(n + 1)
+    states = [start(traj.observations[0], r, phi[0])]
+    for i, m in enumerate(traj.model.values):
+        states.append(step(states[-1], m, traj.observations[i + 1], r, phi[i + 1], psi[i + 1]))
+    return states
+
+
 def skf_run(traj: ModelTrajectory, x0, p0, inflation=None):
     """The full recursion along a trajectory; returns one state per step.
 
@@ -113,15 +128,8 @@ def skf_run(traj: ModelTrajectory, x0, p0, inflation=None):
     TrajectoryRangeError at the first step whose forecast variance leaves
     [PF_MIN, inf).
     """
-    r = traj.obs_variance
-    n = traj.n_steps
-    phi = inflation.phi if inflation is not None else np.ones(n + 1)
-    psi = inflation.psi if inflation is not None else np.zeros(n + 1)
-    states = [skf_start(x0, p0 * phi[0], traj.observations[0], r)]
-    for i, m in enumerate(traj.model.values):
-        states.append(skf_step(states[-1], m, traj.observations[i + 1], r,
-                               phi[i + 1], psi[i + 1]))
-    return states
+    return run_filter(traj, lambda y0, r, phi0: skf_start(x0, p0 * phi0, y0, r),
+                      skf_step, inflation)
 
 
 def _closed_analysis(traj, x0, p0, i):

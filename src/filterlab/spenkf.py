@@ -23,7 +23,7 @@ import numpy as np
 from .expint import expint_scaled_inverse_shifted, expint_scaled_inverse_shifted_array
 from .propagators import ModelTrajectory, TrajectoryRangeError
 from .rng import RngSpec, check_count, normal_polar
-from .skf import PF_MIN, forecast_blame
+from .skf import PF_MIN, forecast_blame, run_filter
 
 __all__ = [
     "EnsembleState",
@@ -140,16 +140,10 @@ def spenkf_run(traj: ModelTrajectory, initial: EnsembleState,
     TrajectoryRangeError at the first step whose sampled forecast variance
     leaves range.
     """
-    r = traj.obs_variance
-    n = traj.n_steps
-    phi = inflation.phi if inflation is not None else np.ones(n + 1)
-    psi = inflation.psi if inflation is not None else np.zeros(n + 1)
-    states = [spenkf_start(initial.mean, initial.anomalies * math.sqrt(phi[0]),
-                           traj.observations[0], r)]
-    for i, m in enumerate(traj.model.values):
-        states.append(spenkf_step(states[-1], m, traj.observations[i + 1], r,
-                                  phi[i + 1], psi[i + 1]))
-    return states
+    def start(y0, r, phi0):
+        return spenkf_start(initial.mean, initial.anomalies * math.sqrt(phi0), y0, r)
+
+    return run_filter(traj, start, spenkf_step, inflation)
 
 
 def theta_star(alpha):

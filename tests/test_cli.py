@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import filterlab.cli as cli
 import filterlab.discrepancy as dsc
 
 from filterlab.cli import (build_parser, main, _INFL_COLS, _MC_COLS, _PO_COLS, _SKF_COLS,
@@ -102,7 +103,9 @@ def test_describe_lists_every_column(capsys):
     (["mv"], "619b38b56d9f686f8862ea9c82d6fc4e88ec0ac99253f5fdd4b31cd08317ab1d"),
     (["mv", "--config", str(MV_DEMO)],
      "d05be4801a04e19575a8dacc48b94a2a181ea8658a729368dfcbd554d5c9f92c"),
-], ids=["skf", "spenkf", "mc-verify", "inflation-table", "po-penalty", "mv", "mv-demo"])
+    (["selftest"], "51366e34f12d4ba5546225511dc85b671d4a934d5e4aa1e401f14de7db0503af"),
+], ids=["skf", "spenkf", "mc-verify", "inflation-table", "po-penalty", "mv", "mv-demo",
+        "selftest"])
 def test_describe_prints_its_committed_bytes(capsys, argv, digest):
     code, out, _ = run_cli(argv + ["--describe"], capsys)
     assert code == 0
@@ -589,6 +592,20 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "selftest: PASS" in out
     assert "FAIL" not in out
+
+
+def test_selftest_describe_runs_no_check(monkeypatch, capsys):
+    def fail():
+        raise RuntimeError("a check ran")
+
+    checks = [(name, fail) for name, _ in cli._SELFTEST_CHECKS]
+    monkeypatch.setattr(cli, "_SELFTEST_CHECKS", checks)
+    code, out, _ = run_cli(["selftest", "--describe"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["check %d  %s" % (k, name)
+                                for k, (name, _) in enumerate(checks, 1)]
+    with pytest.raises(RuntimeError, match="a check ran"):
+        main(["selftest"])
 
 
 def test_po_penalty_runs_and_passes(tmp_path, capsys):

@@ -296,7 +296,7 @@ HANDOFF_LEDGERS_SHA256 = "afecf0612448c1f3cc34db484ec403641de5d507207792a7365826
 def test_the_ledger_keeps_its_bits_when_it_comes_back_to_plain_doubles():
     # 1000 steps of |m| log-uniform on [0.1, 10]: 239 of the 300 ledgers
     # leave the plain-double window, and 135 of those come back to it while
-    # S_i < 2^128, where the plain loop takes over again
+    # S_i < 2^128, where the mantissa form keeps running to the last step
     digest, returns = hashlib.sha256(), 0
     for seed in range(300):
         spec = RngSpec(seed, 0)
