@@ -13,15 +13,18 @@ S_i directly, which keeps every spec well scaled for long or unstable
 model sequences.
 
 The per-step closed forms read tables built a trajectory at a time, and
-nothing else: the first call for a (trajectory, inputs) pair evaluates one
-array spec over every step and keeps the moments and the spec in an
-8-entry functools.lru_cache, keyed on the trajectory's identity and on the
-inputs.  PerturbedInputs computes the hash of its six fields once, at
-construction, so a cache lookup does not hash six floats again (equality
-stays field by field).  A per-step entry costs a step check, a table
-lookup and one index into a column: it returns the cell whenever the cell
-is a number (E[K_i^4] whenever it lies in [0, inf)), and only a refused
-cell goes through _at.  There is no per-step spec: each element of a
+nothing else: the first call for a trajectory and its inputs evaluates one
+array spec over every step and keeps the moments and the spec in the
+trajectory's tables dict (ModelTrajectory.tables), under the
+PerturbedInputs for the dp and dx moments and under ("gain", p0, alpha,
+r, n) for E[K_i^n].  A table lives as long as its trajectory and holds no
+reference back to it, so a dropped trajectory frees its tables at once.
+PerturbedInputs computes the hash of its six fields once, at construction,
+since every read hashes it to probe the dict (equality stays field by
+field).  A per-step entry costs a step check, one dict probe and one index
+into a column: it returns the cell whenever the cell is a number (E[K_i^4]
+whenever it lies in [0, inf)), and only a refused cell goes through _at.
+There is no per-step spec: each element of a
 table's array spec evaluates as the float spec of its coefficients would,
 bit for bit (see gamma_ratio).  A step that is not an integer or lies
 outside [0, n_steps] raises IndexError before any table is built or
@@ -81,7 +84,6 @@ since normal_polar's draws depend on the count asked for, and feeds
 sample_moments, the driver fed slices of one whole sample.
 """
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -150,7 +152,6 @@ def _coefs(inp, inv_s, q, m_s, b_s):
     return (a_dp, -a_dp * inp.p0), (a_dx, b_dx), c, u * c
 
 
-@functools.lru_cache(maxsize=8)
 def _moment_table(traj, inp):
     # E[dp_i], E[dx_i], E[dp_i^2], E[dx_i^2] at every step of traj as lists
     # of floats, then their spec and the sizes of its inputs (see _at).  dp
@@ -158,7 +159,8 @@ def _moment_table(traj, inp):
     # in one scaled-expint pass: the second moments ask for all three
     # orders, and the means then read two of them.  A prior near the double
     # limit (p_tilde0 = 1e308) overflows the forms: those steps read inf or
-    # NaN, which _at refuses, and no numpy warning is printed
+    # NaN, which _at refuses, and no numpy warning is printed.  The table is
+    # kept in traj.tables under inp, and returned
     ledger = [traj.array(s) for s in ("inv_S", "M2_over_S", "M_over_S", "B_over_S")]
     with np.errstate(all="ignore"):
         dp, dx, c, d = _coefs(inp, *ledger)
@@ -173,17 +175,19 @@ def _moment_table(traj, inp):
         mean[1, const] = k
         second[1, const] = k * k  # not k ** 2: pow may round x^2 one ulp off x * x
 
+    inv_s, b_s = traj.inv_S, traj.B_over_S  # not traj, which holds the table
+
     def dp_sizes(i):
         # the inputs behind step i's spec: p_tilde0 its p, p0 and r/S_i its c
-        return ("phat0", inp.p_tilde0), ("p0", inp.p0), ("obs_variance", inp.r * traj.inv_S[i])
+        return ("phat0", inp.p_tilde0), ("p0", inp.p0), ("obs_variance", inp.r * inv_s[i])
 
     def dx_sizes(i):
         # and x0, x_tilde0 and B_i/S_i (from the observations, so from the
         # truth x0_truth) in dx's a and b
-        return (*dp_sizes(i), ("x0", inp.x0), ("x_tilde0", inp.x_tilde0),
-                ("x0_truth", traj.B_over_S[i]))
+        return (*dp_sizes(i), ("x0", inp.x0), ("x_tilde0", inp.x_tilde0), ("x0_truth", b_s[i]))
 
-    return (*mean.tolist(), *second.tolist(), spec, dp_sizes, dx_sizes)
+    return traj.tables.setdefault(inp, (*mean.tolist(), *second.tolist(), spec, dp_sizes,
+                                        dx_sizes))
 
 
 # the moment of each order, bound here: the span tracer replaces the names
@@ -237,13 +241,13 @@ def _sized(sizes, i, what):
                       % (i, what, size))
 
 
-# Each per-step entry checks the step before it builds or looks up a table,
+# Each per-step entry checks the step before it looks up or builds a table,
 # returns its table cell when it is a number, and calls _at only to refuse
 # a NaN
 def expected_dp(traj, inp, i):
     """E[dp_i], exact for alpha > 1."""
     i = traj.check_step(i)
-    t = _moment_table(traj, inp)
+    t = traj.tables.get(inp) or _moment_table(traj, inp)
     v = t[0][i]
     return v if v == v else _at(traj, i, t[0], t[4], (0,), "dp", 1, t[5])
 
@@ -251,7 +255,7 @@ def expected_dp(traj, inp, i):
 def second_moment_dp(traj, inp, i):
     """E[dp_i^2], exact for alpha > 2."""
     i = traj.check_step(i)
-    t = _moment_table(traj, inp)
+    t = traj.tables.get(inp) or _moment_table(traj, inp)
     v = t[2][i]
     return v if v == v else _at(traj, i, t[2], t[4], (0,), "dp", 2, t[5])
 
@@ -259,7 +263,7 @@ def second_moment_dp(traj, inp, i):
 def expected_dx(traj, inp, i):
     """E[dx_i], exact for alpha > 1."""
     i = traj.check_step(i)
-    t = _moment_table(traj, inp)
+    t = traj.tables.get(inp) or _moment_table(traj, inp)
     v = t[1][i]
     return v if v == v else _at(traj, i, t[1], t[4], (1,), "dx", 1, t[6])
 
@@ -267,7 +271,7 @@ def expected_dx(traj, inp, i):
 def second_moment_dx(traj, inp, i):
     """E[dx_i^2], exact for alpha > 2."""
     i = traj.check_step(i)
-    t = _moment_table(traj, inp)
+    t = traj.tables.get(inp) or _moment_table(traj, inp)
     v = t[3][i]
     return v if v == v else _at(traj, i, t[3], t[4], (1,), "dx", 2, t[6])
 
@@ -427,11 +431,11 @@ def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
     return dp, dx
 
 
-@functools.lru_cache(maxsize=8)
 def _gain_table(traj, p0, alpha, r, n):
     # E[K_i^n] (n = 1 or 4) at every step of traj as a list of floats, the
     # spec of K_i = M_i^2 X / (S_i X + r), rescaled by 1/S_i top and bottom
-    # so the coefficients stay bounded, and the sizes of its inputs (see _at)
+    # so the coefficients stay bounded, and the sizes of its inputs (see
+    # _at), kept in traj.tables under ("gain", p0, alpha, r, n) and returned
     spec = GammaRatioSpec(a=traj.array("M2_over_S"), b=0.0, c=1.0,
                           d=r * traj.array("inv_S"), alpha=alpha, p=float(p0))
     # the fourth-moment form cancels or overflows at large r/(S_i p0), and
@@ -443,16 +447,19 @@ def _gain_table(traj, p0, alpha, r, n):
     for i in np.flatnonzero(spec.d == 0.0).tolist():
         moments[i] = traj.M2_over_S[i] ** n
 
-    def sizes(i):
-        return ("p0", p0), ("obs_variance", r * traj.inv_S[i])
+    inv_s = traj.inv_S  # not traj, which holds the table
 
-    return moments, spec, sizes
+    def sizes(i):
+        return ("p0", p0), ("obs_variance", r * inv_s[i])
+
+    return traj.tables.setdefault(("gain", p0, alpha, r, n), (moments, spec, sizes))
 
 
 def po_gain_mean(traj, p0, alpha, r, i):
     """E[K_i], the mean of the propagated gain, exact for alpha > 1."""
-    i = traj.check_step(i)
-    moments, spec, sizes = _gain_table(traj, p0, float(alpha), float(r), 1)
+    i, alpha, r = traj.check_step(i), float(alpha), float(r)
+    moments, spec, sizes = (traj.tables.get(("gain", p0, alpha, r, 1))
+                            or _gain_table(traj, p0, alpha, r, 1))
     v = moments[i]
     return v if v == v else _at(traj, i, moments, spec, (), "K", 1, sizes)
 
@@ -484,8 +491,9 @@ def po_gain_fourth(traj, p0, alpha, r, i):
     (alpha r/S_i)^3 at extreme r, and the error names "obs_variance" for
     w >= 1, else "p0".
     """
-    i, r = traj.check_step(i), float(r)
-    moments, spec, _ = _gain_table(traj, p0, float(alpha), r, 4)
+    i, alpha, r = traj.check_step(i), float(alpha), float(r)
+    moments, spec, _ = (traj.tables.get(("gain", p0, alpha, r, 4))
+                        or _gain_table(traj, p0, alpha, r, 4))
     k4 = moments[i]
     if not 0.0 <= k4 < math.inf:
         _refuse_gain_fourth(traj, i, r, moments, spec)
@@ -497,7 +505,8 @@ def po_variance_penalty(traj, p0, alpha, r, i):
     perturbing observations with sampled variance R ~ Gamma(alpha, r/alpha).
     Exact for alpha > 4; raises po_gain_fourth's InputError."""
     i, alpha, r = traj.check_step(i), float(alpha), float(r)
-    moments, spec, _ = _gain_table(traj, p0, alpha, r, 4)
+    moments, spec, _ = (traj.tables.get(("gain", p0, alpha, r, 4))
+                        or _gain_table(traj, p0, alpha, r, 4))
     k4 = moments[i]
     if not 0.0 <= k4 < math.inf:
         _refuse_gain_fourth(traj, i, r, moments, spec)

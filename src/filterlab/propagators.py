@@ -92,7 +92,15 @@ class ModelTrajectory:
     the five ratio sequences of the module docstring as tuples of Python
     floats, read by index: 1/S_i is inv_S[i] and X/S_i is X_over_S[i] (r/S_i
     is obs_variance * inv_S[i]).  A trajectory compares and hashes by
-    identity: the closed-form tables of discrepancy are keyed on it.
+    identity.
+
+    tables holds what is built from the ledger once and read many times:
+    the read-only arrays of array(), under their ratio's name, and the
+    closed-form tables of every step, under the key of their inputs (a
+    discrepancy.PerturbedInputs for the dp and dx moments, ("gain", p0,
+    alpha, r, n) for E[K_i^n], ("skf", x0, p0) for skf's states).  It lives
+    as long as the trajectory and nothing else holds it; a trajectory made
+    by dataclasses.replace starts with an empty one.
     """
 
     model: ModelSequence
@@ -104,14 +112,18 @@ class ModelTrajectory:
     M2_over_S: tuple = field(repr=False)
     B_over_S: tuple = field(repr=False)
     MB_over_S: tuple = field(repr=False)
-    _arrays: dict = field(default_factory=dict, init=False, repr=False)
+    tables: dict = field(default_factory=dict, init=False, repr=False)
+    _last: int = field(init=False, repr=False)  # n_steps, for check_step
+
+    def __post_init__(self):
+        self._last = len(self.inv_S) - 1
 
     def array(self, name):
         """The ratio sequence name ("inv_S", "M_over_S", ...) as a read-only
         float array, converted on first use and shared by every caller."""
-        a = self._arrays.get(name)
+        a = self.tables.get(name)
         if a is None:
-            a = self._arrays[name] = np.array(getattr(self, name))
+            a = self.tables[name] = np.array(getattr(self, name))
             a.flags.writeable = False
         return a
 
@@ -123,6 +135,8 @@ class ModelTrajectory:
     def check_step(self, i):
         """Step i as an int; IndexError for a step that is not an integer
         (an int, a numpy integer or a bool) or lies outside [0, n_steps]."""
+        if type(i) is int and 0 <= i <= self._last:  # a plain int in range
+            return i
         try:
             i = operator.index(i)
         except TypeError:

@@ -9,18 +9,18 @@ analysis variance and mean at step i have the closed forms
 which the recursion must reproduce exactly up to roundoff.  All closed
 forms are evaluated through the ratio ledger of the trajectory, in Python
 floats, so they do not degrade when M_i and S_i overflow.  skf_closed_form
-is a step check and a table read: the first call for a (trajectory, x0, p0)
+is a step check and a table read: the first call for a trajectory and a
+prior (x0, p0) refuses the p0 that skf_start refuses, with its error, and
 builds the SkfState of every step, each from steps i and i - 1 of the
-ledger by the same float operations a single step would take, and keeps
-the list in an 8-entry functools.lru_cache keyed like discrepancy's tables
-(the trajectory by identity, x0 and p0 as floats).
+ledger by the same float operations a single step would take.  It keeps the
+list in the trajectory's tables dict under ("skf", x0, p0), x0 and p0 as
+floats, for as long as the trajectory lives.
 
 SkfState is a NamedTuple, an immutable record of its six fields in order:
 it constructs in a third of a frozen dataclass's time (one
 object.__setattr__ a field), which is most of a per-step closed form.
 """
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -141,23 +141,26 @@ def _closed_analysis(traj, x0, p0, i):
     return xa, pa
 
 
-@functools.lru_cache(maxsize=8)
 def _closed_table(traj, x0, p0):
     # SkfState at every step of traj from the closed forms: the analysis of
-    # step i, and the forecast of step i from the analysis of step i - 1
+    # step i, and the forecast of step i from the analysis of step i - 1,
+    # kept in traj.tables under ("skf", x0, p0) and returned.  A prior that
+    # skf_start refuses is refused here, with its message
+    r = traj.obs_variance
+    skf_start(x0, p0, 0.0, r)
     analyses = [_closed_analysis(traj, x0, p0, i) for i in range(traj.n_steps + 1)]
     forecasts = [(x0, p0)] + [(m * xa, m * m * pa) for m, (xa, pa)
                               in zip(traj.model.values.tolist(), analyses)]
-    r = traj.obs_variance
-    return [SkfState(i, xf, pf, pa / r, xa, pa)
-            for i, ((xf, pf), (xa, pa)) in enumerate(zip(forecasts, analyses))]
+    return traj.tables.setdefault(("skf", x0, p0), [
+        SkfState(i, xf, pf, pa / r, xa, pa)
+        for i, ((xf, pf), (xa, pa)) in enumerate(zip(forecasts, analyses))])
 
 
 def skf_closed_form(traj: ModelTrajectory, x0, p0, i):
     """SkfState at step i straight from the closed forms (no recursion);
     IndexError for a step outside [0, n_steps]."""
-    i = traj.check_step(i)
-    return _closed_table(traj, float(x0), float(p0))[i]
+    i, x0, p0 = traj.check_step(i), float(x0), float(p0)
+    return (traj.tables.get(("skf", x0, p0)) or _closed_table(traj, x0, p0))[i]
 
 
 def skf_error_moments(traj: ModelTrajectory, x0, p0, i, replicates, spec: RngSpec):

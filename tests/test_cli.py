@@ -5,7 +5,6 @@ stdout/stderr, and output files can be asserted directly.
 """
 
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -228,13 +227,13 @@ def record_builds_and_starts(monkeypatch, tables, mc, step_arg):
     # build ends and ("mc", i) as the Monte Carlo of step i starts
     events = []
     for name in tables:
-        build = getattr(dsc, name).__wrapped__
+        build = getattr(dsc, name)
 
         def recorded(*args, build=build, name=name):
             table = build(*args)
             events.append(("build", name))
             return table
-        monkeypatch.setattr(dsc, name, functools.lru_cache(maxsize=8)(recorded))
+        monkeypatch.setattr(dsc, name, recorded)
     run = getattr(dsc, mc)
 
     def started(*args):

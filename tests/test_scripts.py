@@ -36,6 +36,16 @@ def test_script_prints_finite_csv(script, header, n_rows):
         assert all(math.isfinite(float(tok)) for tok in line.split(","))
 
 
+def test_entry_cost_prints_a_positive_cost_per_entry():
+    lines = _run("entry_cost.py", "--calls", "202", "--repeats", "2")
+    assert lines[0] == "entry,ns_per_call"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [name for name, _ in rows] == [
+        "expected_dp", "second_moment_dp", "expected_dx", "second_moment_dx", "po_gain_mean",
+        "po_gain_fourth", "po_variance_penalty", "skf_closed_form", "loop"]
+    assert all(0.0 < float(ns) < math.inf for _, ns in rows)
+
+
 def test_gate_false_alarms_reports_each_gate():
     # three seeds of each gate on its committed config
     lines = _run("gate_false_alarms.py", "3")

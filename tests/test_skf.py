@@ -81,6 +81,22 @@ def test_start_names_p0_for_a_prior_outside_the_variance_range(p0, shown):
         skf_start(0.0, p0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("r", [1.0, 0.5])
+@pytest.mark.parametrize("p0", [-1.0, 0.0, 1e-320, math.nan, math.inf])
+def test_closed_form_refuses_the_priors_the_recursion_refuses(p0, r):
+    # not all-zero states at 0, NaN states at nan or inf, negative variances
+    # or a ZeroDivisionError (p0 + r/S_0 = 0 at p0 = -1, r = 1) at -1
+    traj = make_trajectory(3, 5, r=r)
+    with pytest.raises(TrajectoryRangeError) as run:
+        skf_run(traj, 0.3, p0)
+    for i in (0, 4, 4):  # and again at step 4: a refused prior keeps no table
+        with pytest.raises(TrajectoryRangeError) as closed:
+            skf_closed_form(traj, 0.3, p0, i)
+        assert (closed.value.param, str(closed.value)) == (run.value.param, str(run.value))
+    assert str(run.value) == "p0: step 0: the forecast variance %g leaves [1e-300, inf)" % p0
+    assert [key for key in traj.tables if key[0] == "skf"] == []
+
+
 @pytest.mark.parametrize("ratio", [1e-17, 1e-10])
 def test_recursion_matches_closed_form_when_r_is_tiny(ratio):
     # (1 - k) p_f cancels once r << p_f (all of it at r/p_f = 1e-17); k r does not

@@ -7,15 +7,19 @@ tables to float specs sliced from the table's own array spec, one step at a
 time: the same values bit for bit, the same errors at the same steps, no
 step outside the trajectory, and keys that follow the trajectory's
 identity.  skf_closed_form reads a table of SkfStates per (trajectory, x0,
-p0), held to the step formula it evaluates.  A digest pins the bytes of
-every table along one trajectory at the moments benchmark's alphas.
+p0), held to the step formula it evaluates.  Every table lives in its
+trajectory's tables dict and goes when the trajectory goes.  A digest pins
+the bytes of every table along one trajectory at the moments benchmark's
+alphas.
 """
 
 import dataclasses
+import gc
 import hashlib
 import math
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -53,13 +57,33 @@ def float_spec(spec, index):
     return GammaRatioSpec(a, b, c, d, spec.alpha, spec.p)
 
 
+def moment_table(traj, inp):
+    # the dp/dx table the entries read, built as they build it
+    return traj.tables.get(inp) or dsc._moment_table(traj, inp)
+
+
+def gain_table(traj, p0, alpha, r, n):
+    return traj.tables.get(("gain", p0, alpha, r, n)) or dsc._gain_table(traj, p0, alpha, r, n)
+
+
+def record_builds(monkeypatch):
+    # the (builder, trajectory, key fields) of every table build, in order
+    builds = []
+    for module, name in ((dsc, "_moment_table"), (dsc, "_gain_table"), (skf, "_closed_table")):
+        def recorded(traj, *args, build=getattr(module, name), name=name):
+            builds.append((name, traj, *args))
+            return build(traj, *args)
+        monkeypatch.setattr(module, name, recorded)
+    return builds
+
+
 def dp_dx_specs(traj, inp, i):
-    spec = dsc._moment_table(traj, inp)[4]
+    spec = moment_table(traj, inp)[4]
     return float_spec(spec, (0, i)), float_spec(spec, (1, i))
 
 
 def gain_spec(traj, p0, alpha, r, i):
-    return float_spec(dsc._gain_table(traj, p0, float(alpha), float(r), 1)[1], i)
+    return float_spec(gain_table(traj, p0, float(alpha), float(r), 1)[1], i)
 
 
 def scalar_moments(traj, inp, i):
@@ -116,17 +140,20 @@ def test_every_table_keeps_its_bytes():
     assert digest.hexdigest() == TABLE_DIGEST
 
 
-def test_skf_closed_form_reads_one_table_per_trajectory_and_prior():
+def test_skf_closed_form_reads_one_table_per_trajectory_and_prior(monkeypatch):
+    builds = record_builds(monkeypatch)
     traj = make_trajectory(6, 30)
-    skf._closed_table.cache_clear()
     states = [skf_closed_form(traj, 0.3, 1.7, i) for i in range(traj.n_steps + 1)]
-    assert skf._closed_table.cache_info()[:2] == (30, 1)
+    assert builds == [("_closed_table", traj, 0.3, 1.7)]
+    assert traj.tables["skf", 0.3, 1.7] == states
     # a read hands out the table's state; an equal trajectory built apart
     # has its own table, and an int prior reads the table of its float
     assert skf_closed_form(traj, 0.3, 1.7, 4) is states[4]
-    assert skf_closed_form(make_trajectory(6, 30), 0.3, 1.7, 4) == states[4]
+    other = make_trajectory(6, 30)
+    assert skf_closed_form(other, 0.3, 1.7, 4) == states[4]
     assert skf_closed_form(traj, 1, 2, 4) is skf_closed_form(traj, 1.0, 2.0, 4)
-    assert skf._closed_table.cache_info().misses == 3
+    assert builds == [("_closed_table", traj, 0.3, 1.7), ("_closed_table", other, 0.3, 1.7),
+                      ("_closed_table", traj, 1.0, 2.0)]
     assert skf_closed_form(traj, 0.3, math.nextafter(1.7, 2.0), 4) != states[4]
 
 
@@ -159,17 +186,17 @@ def entry_routes(traj, inp):
 
     def moment(k, row, name, n, sizes):
         def route(i):
-            t = dsc._moment_table(traj, inp)
+            t = moment_table(traj, inp)
             return dsc._at(traj, i, t[k], t[4], row, name, n, t[sizes])
         return route
 
     def gain_mean(i):
-        moments, spec, sizes = dsc._gain_table(traj, p0, alpha, r, 1)
+        moments, spec, sizes = gain_table(traj, p0, alpha, r, 1)
         return dsc._at(traj, i, moments, spec, (), "K", 1, sizes)
 
     def gain_fourth(i):
         # _at's value, refused when it is no fourth moment
-        moments, spec, _ = dsc._gain_table(traj, p0, alpha, r, 4)
+        moments, spec, _ = gain_table(traj, p0, alpha, r, 4)
         k4 = dsc._at(traj, i, moments, spec, (), "K", 4)
         if not 0.0 <= k4 < math.inf:
             dsc._refuse_gain_fourth(traj, i, r, moments, spec)
@@ -303,14 +330,13 @@ def test_underflowed_r_over_s_takes_the_gain_limit():
 
 
 @pytest.mark.parametrize("i", [-1, 4, 2.5, np.float64(1.0)])
-def test_a_step_outside_the_trajectory_is_refused(i):
+def test_a_step_outside_the_trajectory_is_refused(i, monkeypatch):
     # steps 0..3 on model [2, 0.5, 3]: step -1 must not wrap round to step 3,
     # a fractional step must not truncate to the step below, and each entry
     # refuses either with skf's check and message (test_skf.py), before it
     # builds or looks up a table
     why = "is not an integer" if isinstance(i, float) else r"is outside \[0, 3\]"
-    for table in (dsc._moment_table, dsc._gain_table, skf._closed_table):
-        table.cache_clear()
+    builds = record_builds(monkeypatch)
     traj = make_trajectory(7, 3, kind=[2.0, 0.5, 3.0])
     inp = inputs(6.0)
     gain = (traj, inp.p0, inp.alpha, inp.r, i)
@@ -324,8 +350,7 @@ def test_a_step_outside_the_trajectory_is_refused(i):
     for call in calls:
         with pytest.raises(IndexError, match=r"^step %s %s$" % (re.escape(repr(i)), why)):
             call()
-    for table in (dsc._moment_table, dsc._gain_table, skf._closed_table):
-        assert table.cache_info() == (0, 0, 8, 0)
+    assert builds == [] and traj.tables == {}
 
 
 def test_integer_steps_of_any_integer_type_are_read():
@@ -350,19 +375,20 @@ def test_gain_fourth_moment_needs_alpha_above_four():
 # ---------------------------------------------------------------- keys
 
 
-def test_equal_inputs_built_apart_share_one_table():
+def test_equal_inputs_built_apart_share_one_table(monkeypatch):
     traj = make_trajectory(23, 20)
     a, b = inputs(8.0), inputs(8.0)
     assert a is not b and a == b and hash(a) == hash(b)
     assert hash(a) == hash(dataclasses.astuple(a))
-    dsc._moment_table.cache_clear()
+    builds = record_builds(monkeypatch)
     assert expected_dp(traj, a, 3) == expected_dp(traj, b, 3)
-    assert dsc._moment_table.cache_info()[:2] == (1, 1)  # one hit, one miss
+    assert builds == [("_moment_table", traj, a)]
+    assert [key for key in traj.tables if isinstance(key, PerturbedInputs)] == [a]
 
 
-def test_unequal_inputs_do_not_share_a_table():
+def test_unequal_inputs_do_not_share_a_table(monkeypatch):
     traj = make_trajectory(24, 20)
-    dsc._moment_table.cache_clear()
+    builds = record_builds(monkeypatch)
     base = inputs(8.0)
     # each field moved alone, by the smallest step its double takes
     moved = [dataclasses.replace(base, **{f.name: math.nextafter(getattr(base, f.name), 2.0)})
@@ -370,7 +396,8 @@ def test_unequal_inputs_do_not_share_a_table():
     assert all(inp != base for inp in moved)
     for inp in [base] + moved:
         expected_dp(traj, inp, 0)
-    assert dsc._moment_table.cache_info()[:2] == (0, 7)
+    assert builds == [("_moment_table", traj, inp) for inp in [base] + moved]
+    assert [key for key in traj.tables if isinstance(key, PerturbedInputs)] == [base] + moved
 
 
 def test_skf_state_is_a_record_of_six_fields_that_refuses_assignment():
@@ -394,29 +421,49 @@ def test_penalty_is_the_gain_fourth_moment_times_r_squared_over_alpha():
             assert po_variance_penalty(traj, 1.1, alpha, r, i) == want
 
 
-def test_trajectories_are_keyed_by_identity():
+def test_trajectories_are_keyed_by_identity(monkeypatch):
     a = make_trajectory(21, 40)
     b = make_trajectory(21, 40)
     assert a != b and hash(a) != hash(b)
     inp = inputs(8.0)
-    dsc._moment_table.cache_clear()
+    builds = record_builds(monkeypatch)
     for traj in (a, b):
         expected_dp(traj, inp, 0)
-    assert dsc._moment_table.cache_info().misses == 2
-    assert dsc._moment_table(a, inp)[:4] == dsc._moment_table(b, inp)[:4]
-    assert dsc._moment_table(a, inp) is not dsc._moment_table(b, inp)
+    assert builds == [("_moment_table", a, inp), ("_moment_table", b, inp)]
+    assert a.tables[inp][:4] == b.tables[inp][:4]
+    assert a.tables[inp] is not b.tables[inp]
 
 
-def test_eviction_changes_no_value():
+def test_a_replaced_trajectory_builds_its_own_tables(monkeypatch):
+    # the copy may hold other ratios (zero_r_over_s_at), so it must not read
+    # the tables of the trajectory it was made from
+    traj = make_trajectory(27, 20)
+    inp = inputs(8.0)
+    want = [table_moments(traj, inp, i) for i in range(traj.n_steps + 1)]
+    assert {key for key in traj.tables if not isinstance(key, str)} == {
+        inp, ("gain", inp.p0, inp.alpha, inp.r, 1), ("gain", inp.p0, inp.alpha, inp.r, 4)}
+    copy = dataclasses.replace(traj)
+    assert copy.tables == {}
+    builds = record_builds(monkeypatch)
+    assert [table_moments(copy, inp, i) for i in range(copy.n_steps + 1)] == want
+    assert [b[:2] for b in builds] == [("_moment_table", copy), ("_gain_table", copy),
+                                       ("_gain_table", copy)]
+    assert copy.tables[inp] is not traj.tables[inp]
+
+
+def test_tables_go_with_their_trajectory():
+    # a trajectory read through every table family, then dropped, is freed
+    # with its tables: nothing outside it keeps them
     traj = make_trajectory(22, 30)
     inp = inputs(6.0)
-    steps = range(traj.n_steps + 1)
-    dsc._moment_table.cache_clear()
-    before = [table_moments(traj, inp, i) for i in steps]
-    # nine more trajectories push the first out of the 8-entry cache
-    for seed in range(30, 39):
-        table_moments(make_trajectory(seed, 5), inp, 0)
-    misses = dsc._moment_table.cache_info().misses
-    assert [table_moments(traj, inp, i) for i in steps] == before
-    assert dsc._moment_table.cache_info().misses == misses + 1
-    assert dsc._moment_table.cache_info().maxsize == 8
+    for i in range(traj.n_steps + 1):
+        table_moments(traj, inp, i)
+        skf_closed_form(traj, inp.x0, inp.p0, i)
+    ref = weakref.ref(traj)
+    del traj
+    freed_at_once = ref() is None
+    gc.collect()
+    assert ref() is None
+    # and nothing in them refers back to it, so it went with its last
+    # reference, before any collection of cycles
+    assert freed_at_once
