@@ -4,13 +4,13 @@ Builds one seeded 100-step trajectory in the moments benchmark's regime
 (|m| log-uniform on [0.9, 1.1], p0 = 1.1, r = 0.8, alpha = 16), reads every
 step of every entry once so each table is built, then times --calls calls
 of each of the seven discrepancy per-step entries and skf_closed_form,
-cycling over the steps, --repeats times, the entries taking turns.  It
+cycling over the steps, REPEATS times, the entries taking turns.  It
 prints one "<entry>,<ns>" CSV row per entry, the median ns per call over
 the repeats, loop included, and a last row "loop": the same loop calling a
 function that does nothing, so an entry's own cost is its row minus that
 one:
 
-    python3 scripts/entry_cost.py [--calls N] [--repeats R]
+    python3 scripts/entry_cost.py [--calls N]
 """
 
 import argparse
@@ -33,6 +33,7 @@ from filterlab.discrepancy import po_gain_fourth, po_gain_mean
 
 STEPS = 100
 P0, X0, R, ALPHA = 1.1, 0.2, 0.8, 16.0
+REPEATS = 9  # timed passes over each entry
 
 
 def nothing(*args):
@@ -56,7 +57,6 @@ ENTRIES = [
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--calls", type=int, default=101000, help="calls a repeat")
-    parser.add_argument("--repeats", type=int, default=7, help="repeats an entry")
     args = parser.parse_args(argv)
     spec = RngSpec(2028, 0)
     model = ModelSequence.random_loguniform(STEPS, spec.stream(1), 0.9, 1.1)
@@ -70,7 +70,7 @@ def main(argv=None):
         timers.append(timeit.Timer("for i in steps: " + call, globals=env))
     # the entries take turns within each repeat, so a slow spell of the
     # machine falls on all of them rather than on one
-    times = [[timer.timeit(1) for timer in timers] for _ in range(args.repeats)]
+    times = [[timer.timeit(1) for timer in timers] for _ in range(REPEATS)]
     print("entry,ns_per_call")
     for (name, _, _), t in zip(ENTRIES, zip(*times)):
         print("%s,%.1f" % (name, statistics.median(t) * 1e9 / args.calls))

@@ -431,11 +431,13 @@ def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
     return dp, dx
 
 
-def _gain_table(traj, p0, alpha, r, n):
+def _gain_table(traj, key):
     # E[K_i^n] (n = 1 or 4) at every step of traj as a list of floats, the
     # spec of K_i = M_i^2 X / (S_i X + r), rescaled by 1/S_i top and bottom
     # so the coefficients stay bounded, and the sizes of its inputs (see
-    # _at), kept in traj.tables under ("gain", p0, alpha, r, n) and returned
+    # _at), kept in traj.tables under key = ("gain", p0, alpha, r, n), the
+    # key the entry probed, and returned
+    _, p0, alpha, r, n = key
     spec = GammaRatioSpec(a=traj.array("M2_over_S"), b=0.0, c=1.0,
                           d=r * traj.array("inv_S"), alpha=alpha, p=float(p0))
     # the fourth-moment form cancels or overflows at large r/(S_i p0), and
@@ -452,14 +454,13 @@ def _gain_table(traj, p0, alpha, r, n):
     def sizes(i):
         return ("p0", p0), ("obs_variance", r * inv_s[i])
 
-    return traj.tables.setdefault(("gain", p0, alpha, r, n), (moments, spec, sizes))
+    return traj.tables.setdefault(key, (moments, spec, sizes))
 
 
 def po_gain_mean(traj, p0, alpha, r, i):
     """E[K_i], the mean of the propagated gain, exact for alpha > 1."""
-    i, alpha, r = traj.check_step(i), float(alpha), float(r)
-    moments, spec, sizes = (traj.tables.get(("gain", p0, alpha, r, 1))
-                            or _gain_table(traj, p0, alpha, r, 1))
+    i, key = traj.check_step(i), ("gain", p0, float(alpha), float(r), 1)
+    moments, spec, sizes = traj.tables.get(key) or _gain_table(traj, key)
     v = moments[i]
     return v if v == v else _at(traj, i, moments, spec, (), "K", 1, sizes)
 
@@ -492,8 +493,8 @@ def po_gain_fourth(traj, p0, alpha, r, i):
     w >= 1, else "p0".
     """
     i, alpha, r = traj.check_step(i), float(alpha), float(r)
-    moments, spec, _ = (traj.tables.get(("gain", p0, alpha, r, 4))
-                        or _gain_table(traj, p0, alpha, r, 4))
+    key = ("gain", p0, alpha, r, 4)
+    moments, spec, _ = traj.tables.get(key) or _gain_table(traj, key)
     k4 = moments[i]
     if not 0.0 <= k4 < math.inf:
         _refuse_gain_fourth(traj, i, r, moments, spec)
@@ -505,8 +506,8 @@ def po_variance_penalty(traj, p0, alpha, r, i):
     perturbing observations with sampled variance R ~ Gamma(alpha, r/alpha).
     Exact for alpha > 4; raises po_gain_fourth's InputError."""
     i, alpha, r = traj.check_step(i), float(alpha), float(r)
-    moments, spec, _ = (traj.tables.get(("gain", p0, alpha, r, 4))
-                        or _gain_table(traj, p0, alpha, r, 4))
+    key = ("gain", p0, alpha, r, 4)
+    moments, spec, _ = traj.tables.get(key) or _gain_table(traj, key)
     k4 = moments[i]
     if not 0.0 <= k4 < math.inf:
         _refuse_gain_fourth(traj, i, r, moments, spec)

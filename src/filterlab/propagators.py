@@ -135,13 +135,12 @@ class ModelTrajectory:
     def check_step(self, i):
         """Step i as an int; IndexError for a step that is not an integer
         (an int, a numpy integer or a bool) or lies outside [0, n_steps]."""
-        if type(i) is int and 0 <= i <= self._last:  # a plain int in range
-            return i
-        try:
-            i = operator.index(i)
-        except TypeError:
-            raise IndexError("step %r is not an integer" % (i,)) from None
-        if not 0 <= i < len(self.inv_S):
+        if type(i) is not int:  # a plain int skips operator.index
+            try:
+                i = operator.index(i)
+            except TypeError:
+                raise IndexError("step %r is not an integer" % (i,)) from None
+        if not 0 <= i <= self._last:
             raise IndexError("step %d is outside [0, %d]" % (i, self.n_steps))
         return i
 

@@ -141,17 +141,19 @@ def _closed_analysis(traj, x0, p0, i):
     return xa, pa
 
 
-def _closed_table(traj, x0, p0):
+def _closed_table(traj, key):
     # SkfState at every step of traj from the closed forms: the analysis of
     # step i, and the forecast of step i from the analysis of step i - 1,
-    # kept in traj.tables under ("skf", x0, p0) and returned.  A prior that
-    # skf_start refuses is refused here, with its message
+    # kept in traj.tables under key = ("skf", x0, p0), the key the entry
+    # probed, and returned.  A prior that skf_start refuses is refused here,
+    # with its message
+    _, x0, p0 = key
     r = traj.obs_variance
     skf_start(x0, p0, 0.0, r)
     analyses = [_closed_analysis(traj, x0, p0, i) for i in range(traj.n_steps + 1)]
     forecasts = [(x0, p0)] + [(m * xa, m * m * pa) for m, (xa, pa)
                               in zip(traj.model.values.tolist(), analyses)]
-    return traj.tables.setdefault(("skf", x0, p0), [
+    return traj.tables.setdefault(key, [
         SkfState(i, xf, pf, pa / r, xa, pa)
         for i, ((xf, pf), (xa, pa)) in enumerate(zip(forecasts, analyses))])
 
@@ -159,8 +161,8 @@ def _closed_table(traj, x0, p0):
 def skf_closed_form(traj: ModelTrajectory, x0, p0, i):
     """SkfState at step i straight from the closed forms (no recursion);
     IndexError for a step outside [0, n_steps]."""
-    i, x0, p0 = traj.check_step(i), float(x0), float(p0)
-    return (traj.tables.get(("skf", x0, p0)) or _closed_table(traj, x0, p0))[i]
+    i, key = traj.check_step(i), ("skf", float(x0), float(p0))
+    return (traj.tables.get(key) or _closed_table(traj, key))[i]
 
 
 def skf_error_moments(traj: ModelTrajectory, x0, p0, i, replicates, spec: RngSpec):

@@ -37,7 +37,7 @@ def test_script_prints_finite_csv(script, header, n_rows):
 
 
 def test_entry_cost_prints_a_positive_cost_per_entry():
-    lines = _run("entry_cost.py", "--calls", "202", "--repeats", "2")
+    lines = _run("entry_cost.py", "--calls", "202")
     assert lines[0] == "entry,ns_per_call"
     rows = [line.split(",") for line in lines[1:]]
     assert [name for name, _ in rows] == [

@@ -63,16 +63,17 @@ def moment_table(traj, inp):
 
 
 def gain_table(traj, p0, alpha, r, n):
-    return traj.tables.get(("gain", p0, alpha, r, n)) or dsc._gain_table(traj, p0, alpha, r, n)
+    key = ("gain", p0, alpha, r, n)
+    return traj.tables.get(key) or dsc._gain_table(traj, key)
 
 
 def record_builds(monkeypatch):
-    # the (builder, trajectory, key fields) of every table build, in order
+    # the (builder, trajectory, key) of every table build, in order
     builds = []
     for module, name in ((dsc, "_moment_table"), (dsc, "_gain_table"), (skf, "_closed_table")):
-        def recorded(traj, *args, build=getattr(module, name), name=name):
-            builds.append((name, traj, *args))
-            return build(traj, *args)
+        def recorded(traj, key, build=getattr(module, name), name=name):
+            builds.append((name, traj, key))
+            return build(traj, key)
         monkeypatch.setattr(module, name, recorded)
     return builds
 
@@ -144,7 +145,7 @@ def test_skf_closed_form_reads_one_table_per_trajectory_and_prior(monkeypatch):
     builds = record_builds(monkeypatch)
     traj = make_trajectory(6, 30)
     states = [skf_closed_form(traj, 0.3, 1.7, i) for i in range(traj.n_steps + 1)]
-    assert builds == [("_closed_table", traj, 0.3, 1.7)]
+    assert builds == [("_closed_table", traj, ("skf", 0.3, 1.7))]
     assert traj.tables["skf", 0.3, 1.7] == states
     # a read hands out the table's state; an equal trajectory built apart
     # has its own table, and an int prior reads the table of its float
@@ -152,8 +153,9 @@ def test_skf_closed_form_reads_one_table_per_trajectory_and_prior(monkeypatch):
     other = make_trajectory(6, 30)
     assert skf_closed_form(other, 0.3, 1.7, 4) == states[4]
     assert skf_closed_form(traj, 1, 2, 4) is skf_closed_form(traj, 1.0, 2.0, 4)
-    assert builds == [("_closed_table", traj, 0.3, 1.7), ("_closed_table", other, 0.3, 1.7),
-                      ("_closed_table", traj, 1.0, 2.0)]
+    assert builds == [("_closed_table", traj, ("skf", 0.3, 1.7)),
+                      ("_closed_table", other, ("skf", 0.3, 1.7)),
+                      ("_closed_table", traj, ("skf", 1.0, 2.0))]
     assert skf_closed_form(traj, 0.3, math.nextafter(1.7, 2.0), 4) != states[4]
 
 
