@@ -4,11 +4,10 @@ Every subcommand reads one JSON config (all fields optional, defaults in
 config.ExperimentConfig), draws all randomness from the --seed override or
 the config seed, and emits UTF-8 CSV with floats at 17 significant digits,
 so outputs are byte-identical across runs and thread counts for a given
-seed.  Every row is printed by one format, "%.17g" per value: each value
-is a float or a step index, and "%.17g" prints an int below 1e17 as str()
-does.  A column that holds one value on every row (inflation-table's
-theta_star) is formatted once, and its text is spliced into the row format,
-so every row prints the same bytes at the cost of its other values.
+seed.  Every value prints as "%.17g" prints it: each value is a float or a
+step index, and "%.17g" prints an int below 2^53 as str() does.  A command
+hands its whole table to _csvtext.csv_text as one float64 array, which
+prints those bytes without a Python call per value.
 Verification commands (mc-verify, po-penalty, selftest) exit
 nonzero when a check fails.
 """
@@ -21,6 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ._csvtext import csv_text
 from .expint import DomainError, expint_scaled, expint_scaled_inverse
 from .config import ConfigError, ExperimentConfig
 from .propagators import InputError, ModelSequence, build_trajectory
@@ -40,18 +40,10 @@ _STREAM_ENSEMBLE = 1
 _STREAM_MC_BASE = 10
 
 
-def _write_csv(out_path, cols, rows, constants=None):
-    # one format for every value: a float prints at 17 digits, and a step
-    # index (an int below 1e17) prints as str() would print it.  constants
-    # maps the index of a column that holds one value on every row to the
-    # value, whose "%.17g" text goes into the format; the rows leave it out
-    fields = ["%.17g"] * len(cols)
-    for k, v in (constants or {}).items():
-        fields[k] = "%.17g" % v
-    fmt = ",".join(fields)
-    lines = [",".join(name for name, _ in cols)]
-    lines += [fmt % tuple(row) for row in rows]
-    text = "\n".join(lines) + "\n"
+def _write_csv(out_path, cols, rows):
+    # rows is any 2-D table of floats and step indices, an array or a list
+    # of rows; each value prints as "%.17g" prints it
+    text = ",".join(name for name, _ in cols) + "\n" + csv_text(rows)
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -183,15 +175,12 @@ _SKF_COLS = [
 def cmd_skf(args):
     cfg = _load(args)
     traj = _trajectory(cfg)
-    states = skf_run(traj, cfg.x0, cfg.p0)
-    rows = []
-    for i, s in enumerate(states):
-        c = skf_closed_form(traj, cfg.x0, cfg.p0, i)
-        rows.append([i, float(traj.truth[i]), float(traj.observations[i]),
-                     s.mean_forecast, s.var_forecast, s.gain,
-                     s.mean_analysis, s.var_analysis,
-                     c.mean_analysis, c.var_analysis])
-    _write_csv(args.out, _SKF_COLS, rows)
+    # each SkfState is (step, mean_forecast, var_forecast, gain,
+    # mean_analysis, var_analysis)
+    states = np.array(skf_run(traj, cfg.x0, cfg.p0))
+    closed = np.array([skf_closed_form(traj, cfg.x0, cfg.p0, i) for i in range(len(states))])
+    _write_csv(args.out, _SKF_COLS, np.column_stack(
+        [states[:, 0], traj.truth, traj.observations, states[:, 1:], closed[:, 4:]]))
     return 0
 
 
@@ -229,18 +218,18 @@ def cmd_spenkf(args):
     dsc = None
     if cfg.perturbed_obs and alpha > 4.0:
         from . import discrepancy as dsc  # the penalty's closed forms
-    rows = []
-    for i, s in enumerate(states):
-        th = sched.theta[i] if sched is not None else math.nan
-        ph = sched.phi[i] if cfg.inflation == "sequential" else math.nan
-        ps = sched.psi[i] if cfg.inflation == "sequential" else math.nan
-        pen = (math.nan if dsc is None
-               else dsc.po_variance_penalty(traj, cfg.p0, alpha, cfg.r, i))
-        rows.append([i, float(traj.truth[i]), float(traj.observations[i]),
-                     s.mean, s.sampled_var, s.gain,
-                     ref[i].mean_analysis, ref[i].var_analysis, th, ph, ps,
-                     pen])
-    _write_csv(args.out, _SPENKF_COLS, rows)
+    steps = range(len(states))
+    nan = np.full(len(states), math.nan)
+    seq = cfg.inflation == "sequential"
+    _write_csv(args.out, _SPENKF_COLS, np.column_stack([
+        steps, traj.truth, traj.observations,
+        [(s.mean, s.sampled_var, s.gain) for s in states],
+        [(s.mean_analysis, s.var_analysis) for s in ref],
+        nan if sched is None else sched.theta,
+        sched.phi if seq else nan,
+        sched.psi if seq else nan,
+        nan if dsc is None
+        else [dsc.po_variance_penalty(traj, cfg.p0, alpha, cfg.r, i) for i in steps]]))
     return 0
 
 
@@ -327,10 +316,9 @@ def cmd_inflation_table(args):
     alpha = 0.5 * cfg.ensemble_size
     sched = _schedule(cfg, traj, alpha, "p_tilde0")
     n = traj.n_steps + 1
-    u = traj.obs_variance * traj.array("inv_S")
-    rows = zip(range(n), u.tolist(), sched.theta.tolist(), sched.phi.tolist(),
-               sched.psi.tolist())
-    _write_csv(args.out, _INFL_COLS, rows, {5: sched.theta_star})
+    _write_csv(args.out, _INFL_COLS, np.column_stack(
+        [np.arange(n), traj.obs_variance * traj.array("inv_S"), sched.theta, sched.phi,
+         sched.psi, np.full(n, sched.theta_star)]))
     return 0
 
 
@@ -410,9 +398,9 @@ def cmd_mv(args):
     if cfg.inflation == "sequential":
         result = mv_spenkf_run(model, np.array(cfg.mv.x0), cfg.ensemble_size,
                                spec, mv_inflation_schedule(result))
-    table = np.hstack([result.means_basis, result.variances_basis, result.means])
-    rows = [[i] + row for i, row in enumerate(table.tolist())]
-    _write_csv(args.out, _mv_cols(model.dim), rows)
+    _write_csv(args.out, _mv_cols(model.dim), np.column_stack(
+        [np.arange(len(result.means)), result.means_basis, result.variances_basis,
+         result.means]))
     return 0
 
 

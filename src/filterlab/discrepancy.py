@@ -97,7 +97,7 @@ from .gamma_ratio import (
     ratio_mean,
     ratio_second_moment,
 )
-from .propagators import InputError
+from .propagators import InputError, check_finite
 from .rng import RngSpec, check_count
 
 __all__ = [
@@ -160,7 +160,9 @@ def _moment_table(traj, inp):
     # orders, and the means then read two of them.  A prior near the double
     # limit (p_tilde0 = 1e308) overflows the forms: those steps read inf or
     # NaN, which _at refuses, and no numpy warning is printed.  The table is
-    # kept in traj.tables under inp, and returned
+    # kept in traj.tables under inp, and returned; a prior mean that is not
+    # finite is refused first
+    check_finite(("x0", inp.x0), ("x_tilde0", inp.x_tilde0))
     ledger = [traj.array(s) for s in ("inv_S", "M2_over_S", "M_over_S", "B_over_S")]
     with np.errstate(all="ignore"):
         dp, dx, c, d = _coefs(inp, *ledger)
@@ -436,8 +438,10 @@ def _gain_table(traj, key):
     # spec of K_i = M_i^2 X / (S_i X + r), rescaled by 1/S_i top and bottom
     # so the coefficients stay bounded, and the sizes of its inputs (see
     # _at), kept in traj.tables under key = ("gain", p0, alpha, r, n), the
-    # key the entry probed, and returned
+    # key the entry probed, and returned; a p0 or r that is not finite is
+    # refused first
     _, p0, alpha, r, n = key
+    check_finite(("p0", p0), ("obs_variance", r))
     spec = GammaRatioSpec(a=traj.array("M2_over_S"), b=0.0, c=1.0,
                           d=r * traj.array("inv_S"), alpha=alpha, p=float(p0))
     # the fourth-moment form cancels or overflows at large r/(S_i p0), and

@@ -49,7 +49,7 @@ from .rng import RngSpec, normal_polar
 _LO, _HI = 2.0 ** -128, 2.0 ** 128  # the plain-double window of the ledger
 
 __all__ = ["ModelSequence", "ModelTrajectory", "InputError",
-           "TrajectoryRangeError", "build_trajectory"]
+           "TrajectoryRangeError", "build_trajectory", "check_finite"]
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,16 @@ class InputError(ValueError):
     def __init__(self, param, detail):
         super().__init__("%s: %s" % (param, detail))
         self.param, self.detail = param, detail
+
+
+def check_finite(*inputs):
+    """Raise InputError naming the first of the (name, value) pairs whose
+    value is not a finite number.  The table builders check their key's
+    inputs with it: a NaN key never equals itself, so it would build and
+    keep a new table on every call."""
+    for name, value in inputs:
+        if not math.isfinite(value):
+            raise InputError(name, "must be finite, got %r" % value)
 
 
 class TrajectoryRangeError(InputError):

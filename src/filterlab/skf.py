@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagators import ModelTrajectory, TrajectoryRangeError
+from .propagators import ModelTrajectory, TrajectoryRangeError, check_finite
 from .rng import RngSpec, normal_polar
 
 __all__ = [
@@ -146,10 +146,11 @@ def _closed_table(traj, key):
     # step i, and the forecast of step i from the analysis of step i - 1,
     # kept in traj.tables under key = ("skf", x0, p0), the key the entry
     # probed, and returned.  A prior that skf_start refuses is refused here,
-    # with its message
+    # with its message, and so is a mean that is not finite
     _, x0, p0 = key
     r = traj.obs_variance
     skf_start(x0, p0, 0.0, r)
+    check_finite(("x0", x0))
     analyses = [_closed_analysis(traj, x0, p0, i) for i in range(traj.n_steps + 1)]
     forecasts = [(x0, p0)] + [(m * xa, m * m * pa) for m, (xa, pa)
                               in zip(traj.model.values.tolist(), analyses)]

@@ -46,6 +46,17 @@ def test_entry_cost_prints_a_positive_cost_per_entry():
     assert all(0.0 < float(ns) < math.inf for _, ns in rows)
 
 
+def test_csv_cost_prints_a_positive_cost_per_table():
+    # the script exits nonzero if the writer's bytes differ from "%.17g"
+    lines = _run("csv_cost.py", "--calls", "1")
+    assert lines[0] == ("table,rows,cols,writer_ns_per_value,per_value_ns_per_value,"
+                        "writer_extra_us")
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:3] for row in rows] == [["schedule", "1001", "6"], ["mc_verify", "21", "25"],
+                                         ["po_penalty", "26", "10"]]
+    assert all(0.0 < float(ns) < math.inf for row in rows for ns in row[3:5])
+
+
 def test_gate_false_alarms_reports_each_gate():
     # three seeds of each gate on its committed config
     lines = _run("gate_false_alarms.py", "3")

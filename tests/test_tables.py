@@ -355,6 +355,25 @@ def test_a_step_outside_the_trajectory_is_refused(i, monkeypatch):
     assert builds == [] and traj.tables == {}
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_key_input_that_is_not_finite_is_refused_before_a_table(bad, monkeypatch):
+    # a NaN key never equals itself, so a table kept under it would be built
+    # and kept again on every call; each builder refuses the input by name
+    builds = record_builds(monkeypatch)
+    traj = make_trajectory(7, 3, kind=[2.0, 0.5, 3.0])
+    calls = [("x0", lambda: skf_closed_form(traj, bad, 1.1, 2)),
+             ("x0", lambda: expected_dx(traj, inputs(6.0, x0=bad), 2)),
+             ("x_tilde0", lambda: second_moment_dp(traj, inputs(6.0, x_tilde0=bad), 2)),
+             ("p0", lambda: dsc.po_gain_mean(traj, bad, 6.0, 0.8, 2)),
+             ("obs_variance", lambda: po_variance_penalty(traj, 1.1, 6.0, bad, 2))]
+    for name, call in calls:
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"^%s: must be finite, got %s$"
+                               % (name, re.escape(repr(bad)))):
+                call()
+    assert len(builds) == 15 and traj.tables == {}
+
+
 def test_integer_steps_of_any_integer_type_are_read():
     traj = make_trajectory(7, 3, kind=[2.0, 0.5, 3.0])
     inp = inputs(6.0)
