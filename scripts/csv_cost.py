@@ -7,15 +7,14 @@ shape and a 26 by 10 table of po-penalty's (a step column, then values
 of random sign and size 1e-6 to 10).  It checks that the writer,
 filterlab._csvtext.csv_text on the float64 array, prints the same bytes
 as "%.17g" per value on the rows as lists (the per-value rows are made
-before timing).  Then it times both, taking turns within each of REPEATS
-passes, and prints one CSV row per table: the median ns per value of
-each, and the writer's extra time per table in microseconds (negative
-where it is faster):
+before timing).  Then it times CALLS writes by each, taking turns within
+each of REPEATS passes, and prints one CSV row per table: the median ns
+per value of each, and the writer's extra time per table in microseconds
+(negative where it is faster):
 
-    python3 scripts/csv_cost.py [--calls N]
+    python3 scripts/csv_cost.py
 """
 
-import argparse
 import statistics
 import timeit
 
@@ -25,6 +24,7 @@ from filterlab import ModelSequence, RngSpec, build_trajectory, inflation_schedu
 from filterlab._csvtext import csv_text
 
 REPEATS = 9  # timed passes over each table
+CALLS = 20  # writes of each table a pass
 
 
 def schedule_table():
@@ -48,10 +48,7 @@ def per_value(rows, fmt):
     return "".join(fmt % tuple(row) + "\n" for row in rows)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--calls", type=int, default=20, help="writes of each table a repeat")
-    args = parser.parse_args(argv)
+def main():
     tables = [("schedule", schedule_table()), ("mc_verify", gate_table(21, 25, 1)),
               ("po_penalty", gate_table(26, 10, 2))]
     timers = []
@@ -63,11 +60,11 @@ def main(argv=None):
                        timeit.Timer(lambda rows=rows, fmt=fmt: per_value(rows, fmt))))
     # the tables and both writers take turns within each repeat, so a slow
     # spell of the machine falls on all of them rather than on one
-    times = [[(w.timeit(args.calls), p.timeit(args.calls)) for w, p in timers]
+    times = [[(w.timeit(CALLS), p.timeit(CALLS)) for w, p in timers]
              for _ in range(REPEATS)]
     print("table,rows,cols,writer_ns_per_value,per_value_ns_per_value,writer_extra_us")
     for (name, table), runs in zip(tables, zip(*times)):
-        writer, reference = (statistics.median(t) / args.calls for t in zip(*runs))
+        writer, reference = (statistics.median(t) / CALLS for t in zip(*runs))
         print("%s,%d,%d,%.1f,%.1f,%.1f" % (name, *table.shape, writer * 1e9 / table.size,
                                           reference * 1e9 / table.size,
                                           (writer - reference) * 1e6))

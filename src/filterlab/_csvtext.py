@@ -17,6 +17,10 @@ no Python call per value on the fast path.  For each value x:
   not print, and the text is the matrix's bytes with the zeros deleted
   (one bytes.translate: the zeros are the mask, and none is built).
 
+The table is printed in blocks of whole rows, about _BLOCK values each,
+so the temporaries (some 200 bytes a value) stay a few MB however long
+the table is.
+
 A value the fast path cannot settle is printed by "%.17g" itself: zero,
 nan, inf, |x| outside [1e-250, 1e250], a V whose fraction lies within
 1e-6 of 1/2 (a tie or near tie, whose rounding the error of V could
@@ -31,6 +35,7 @@ import numpy as np
 
 _LO, _HI = 1e-250, 1e250  # the magnitudes the fast path prints
 _TIE = 1e-6  # a fraction of V this close to 1/2 goes to "%.17g"
+_BLOCK = 1 << 14  # values printed at a time
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 # the columns of a cell's row, in order: the sign, the lead "0.000" of a
 # fixed cell below 1, digit j at column 6 + 2j with a point after each but
@@ -85,6 +90,12 @@ def csv_text(table):
     x = np.asarray(table, dtype=np.float64)
     if x.size == 0:
         return ""
+    step = max(1, _BLOCK // x.shape[1])
+    return b"".join(_block_text(x[i:i + step]) for i in range(0, len(x), step)).decode("ascii")
+
+
+def _block_text(x):
+    # the CSV bytes of the 2-D float64 table x
     n_rows, n_cols = x.shape
     x = x.ravel()
     a = np.abs(x)
@@ -146,4 +157,4 @@ def csv_text(table):
                         for v in bits.view(np.float64).tolist())
         cells[slow, :-1] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _WIDTH - 1)[back]
     cells.reshape(n_rows, n_cols, _WIDTH)[:, -1, -1] = 10
-    return cells.tobytes().translate(None, b"\0").decode("ascii")
+    return cells.tobytes().translate(None, b"\0")

@@ -97,7 +97,7 @@ from .gamma_ratio import (
     ratio_mean,
     ratio_second_moment,
 )
-from .propagators import InputError, check_finite
+from .propagators import InputError, _check_finite
 from .rng import RngSpec, check_count
 
 __all__ = [
@@ -162,7 +162,7 @@ def _moment_table(traj, inp):
     # NaN, which _at refuses, and no numpy warning is printed.  The table is
     # kept in traj.tables under inp, and returned; a prior mean that is not
     # finite is refused first
-    check_finite(("x0", inp.x0), ("x_tilde0", inp.x_tilde0))
+    _check_finite(("x0", inp.x0), ("x_tilde0", inp.x_tilde0))
     ledger = [traj.array(s) for s in ("inv_S", "M2_over_S", "M_over_S", "B_over_S")]
     with np.errstate(all="ignore"):
         dp, dx, c, d = _coefs(inp, *ledger)
@@ -441,7 +441,7 @@ def _gain_table(traj, key):
     # key the entry probed, and returned; a p0 or r that is not finite is
     # refused first
     _, p0, alpha, r, n = key
-    check_finite(("p0", p0), ("obs_variance", r))
+    _check_finite(("p0", p0), ("obs_variance", r))
     spec = GammaRatioSpec(a=traj.array("M2_over_S"), b=0.0, c=1.0,
                           d=r * traj.array("inv_S"), alpha=alpha, p=float(p0))
     # the fourth-moment form cancels or overflows at large r/(S_i p0), and

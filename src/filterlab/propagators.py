@@ -49,7 +49,7 @@ from .rng import RngSpec, normal_polar
 _LO, _HI = 2.0 ** -128, 2.0 ** 128  # the plain-double window of the ledger
 
 __all__ = ["ModelSequence", "ModelTrajectory", "InputError",
-           "TrajectoryRangeError", "build_trajectory", "check_finite"]
+           "TrajectoryRangeError", "build_trajectory"]
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class InputError(ValueError):
         self.param, self.detail = param, detail
 
 
-def check_finite(*inputs):
+def _check_finite(*inputs):
     """Raise InputError naming the first of the (name, value) pairs whose
     value is not a finite number.  The table builders check their key's
     inputs with it: a NaN key never equals itself, so it would build and

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagators import ModelTrajectory, TrajectoryRangeError, check_finite
+from .propagators import ModelTrajectory, TrajectoryRangeError, _check_finite
 from .rng import RngSpec, normal_polar
 
 __all__ = [
@@ -150,7 +150,7 @@ def _closed_table(traj, key):
     _, x0, p0 = key
     r = traj.obs_variance
     skf_start(x0, p0, 0.0, r)
-    check_finite(("x0", x0))
+    _check_finite(("x0", x0))
     analyses = [_closed_analysis(traj, x0, p0, i) for i in range(traj.n_steps + 1)]
     forecasts = [(x0, p0)] + [(m * xa, m * m * pa) for m, (xa, pa)
                               in zip(traj.model.values.tolist(), analyses)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from filterlab._csvtext import _pow10, csv_text
+from filterlab._csvtext import _BLOCK, _pow10, csv_text
 
 
 def per_value(table):
@@ -70,10 +70,22 @@ def test_a_column_of_every_fallback_class_prints_as_per_value():
         np.nextafter(1e-14, 0.0),  # 17 digits round up to 1e-14
     ]
     rng = np.random.default_rng(5)
-    table = rng.standard_normal((len(fallbacks), 4)) * 10.0 ** rng.integers(-8, 20, (len(fallbacks), 4))
+    shape = (len(fallbacks), 4)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 20, shape)
     table[:, 2] = fallbacks
     assert csv_text(table) == per_value(table)
     assert csv_text(table).splitlines()[9].split(",")[2] == "1000000000000000.2"
+
+
+def test_a_table_of_many_blocks_prints_as_per_value():
+    # 7 columns do not divide a block, so each block ends inside a row's
+    # worth of values; zeros and a NaN fall in every block
+    rng = np.random.default_rng(29)
+    shape = (3 * _BLOCK // 7 + 5, 7)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    table[::1000, 3] = 0.0
+    table[::997, 5] = np.nan
+    assert csv_text(table) == per_value(table)
 
 
 def test_an_empty_table_prints_nothing():

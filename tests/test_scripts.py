@@ -48,7 +48,7 @@ def test_entry_cost_prints_a_positive_cost_per_entry():
 
 def test_csv_cost_prints_a_positive_cost_per_table():
     # the script exits nonzero if the writer's bytes differ from "%.17g"
-    lines = _run("csv_cost.py", "--calls", "1")
+    lines = _run("csv_cost.py")
     assert lines[0] == ("table,rows,cols,writer_ns_per_value,per_value_ns_per_value,"
                         "writer_extra_us")
     rows = [line.split(",") for line in lines[1:]]
