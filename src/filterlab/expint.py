@@ -29,16 +29,17 @@ Two complementary evaluation schemes cover the rest:
     combined analytically through expm1, which keeps the evaluation
     uniformly accurate arbitrarily close to integer orders.
 
-One kernel, _scaled_orders, evaluates several orders over one array of z
-in a single pass: the series elements of every order take one Horner sum,
-a row of coefficients per order, zero-padded at the top (which adds
-exactly), and the fraction elements of every order run together, sorted by
-depth, each with its own a_i.  Each element goes through the same float
-operations whatever else the array holds and whatever other orders share
-the pass, so a value does not depend on its batch.  The gamma-ratio tables
-fetch the two or three orders a table reads in one pass; _scaled_array is
-the one-order case, which the inverse below calls on arrays, and
-expint_scaled its one-element case.
+One kernel, _scaled_orders, evaluates one or several orders over one
+array of z in a single pass and returns a row per order: the series
+elements of every order take one Horner sum, a row of coefficients per
+order, zero-padded at the top (which adds exactly), and the fraction
+elements of every order run together, sorted by depth, each with its own
+a_i.  Each element goes through the same float operations whatever else
+the array holds and whatever other orders share the pass, so a value does
+not depend on its batch.  The gamma-ratio tables fetch the two or three
+orders a table reads in one pass; the inverse below reads row 0 of a
+one-order pass over an array, and expint_scaled row 0 of a one-element
+pass.
 
 Against 50-digit values of the defining integral, the series stays within
 3.2e-13 relative.  Its worst points lie just past 0.01 from an integer
@@ -70,13 +71,14 @@ derivatives are algebraic in the one evaluation s = scaled(alpha, z):
 so a Halley step, third order, costs the one evaluation a Newton step
 does.  Halley starts from a lower bound of the root (the larger of the
 sandwich-bracket end and the tangent root at z = 0) and steps both ways,
-and every unresolved element takes its step together, in one _scaled_array
-call: the Horner series below z = 1, and the continued fraction at each
-element's own depth at z >= 1 (about one root in a hundred along a long
-schedule).  Along a 1000-step schedule the roots settle in 3 or 4 passes
-where Newton, which climbs from below without overshooting, took 5 or 6;
-over short schedules of 1 to 7 steps the inverse makes 0.65 of Newton's
-kernel calls and 0.67 of its element evaluations.
+and every unresolved element takes its step together, in one one-order
+_scaled_orders pass: the Horner series below z = 1, and the continued
+fraction at each element's own depth at z >= 1 (about one root in a
+hundred along a long schedule).  Along a 1000-step schedule the roots
+settle in 3 or 4 passes where Newton, which climbs from below without
+overshooting, took 5 or 6; over short schedules of 1 to 7 steps the
+inverse makes 0.65 of Newton's kernel calls and 0.67 of its element
+evaluations.
 """
 
 import functools
@@ -106,8 +108,12 @@ _INVERSE_RTOL = 1e-14
 _INVERSE_NOISE = 2.0 ** -50
 _INVERSE_MAXIT = 200
 
-# One numpy iteration of the continued fraction over a batch costs about as
-# much as this many of its terms in Python floats
+# One numpy iteration of the continued fraction over a batch (two ufunc
+# calls) costs about as much as this many of its terms in Python floats.
+# On the fraction batches of 30 seed-0 jobs of the schedule and moments
+# benchmarks, numpy overtakes Python between sum(k)/max(k) = 18 and 30;
+# every threshold from 20 up runs each schedule batch in Python, and 20 to
+# 32 took moments' fraction time within 0.6% of each other (three launches)
 _ITERATION_TERMS = 24
 
 
@@ -116,8 +122,8 @@ class DomainError(ValueError):
 
 
 def _depth(nu, z):
-    # Terms of the continued fraction at order nu for an array of z >= 1
-    # (for a column of orders, a row per order), before the floor:
+    # Terms of the continued fraction at order nu for an array of z >= 1,
+    # a row per order for a column of orders, before the floor:
     # min(7 + 108 z^(-3/4), 6 + 420 (nu+1)^(-3/4)), 115 at z = 1 for nu up
     # to 5, falling in z and in nu to 6 once nu passes 3150.  Against
     # 30-digit convergents at 100 orders in [0, 1e4] by 50 z in [1, 1e3] it
@@ -130,7 +136,7 @@ def _depth(nu, z):
 
 
 def _fraction(nus, z):
-    # scaled(nu, z) for each order nu in nus (a row each) over an array of
+    # scaled(nu, z) for each order nu in nus, a row each, over an array of
     # z >= 1, bottom up from each element's depth k: t = 0, then
     # t = a_i / ((z+nu+2i) + t) for i = k .. 1 with a_i = -i (nu-1+i), and
     # 1/((z+nu) + t); at z = inf every term is 0 and the value its limit 0.
@@ -139,49 +145,42 @@ def _fraction(nus, z):
     # runs one element at a time in Python floats, the rest in numpy with
     # the elements of every order sorted by depth together.  + - * / round
     # the same in both, so both give the same bits.
-    zs = z.tolist()
-    # one order as a float and its values as a 1-d array; several as a
-    # column, with a row of values each
-    if len(nus) == 1:
-        nu, shape = nus[0], (-1,)
-    else:
-        nu, shape = np.array(nus)[:, None], (len(nus), -1)
+    nu = np.array(nus)[:, None]
     k = _depth(nu, z).astype(int).ravel()
     depths = k.tolist()
     top = max(depths)
-    # a_i = -i (nu-1+i) for each order, and 2i, for i = top .. 1
-    a = [[-i * (nu1 + i) for i in range(top, 0, -1)] for nu1 in [nu - 1.0 for nu in nus]]
-    c = [2.0 * i for i in range(top, 0, -1)]
     if len(depths) <= _ITERATION_TERMS or sum(depths) <= _ITERATION_TERMS * top:
+        zs = z.tolist()
+        c = [2.0 * i for i in range(top, 0, -1)]
         out = []
         for j, nu_j in enumerate(nus):
+            a = [-i * (nu_j - 1.0 + i) for i in range(top, 0, -1)]
             for x, depth in zip(zs, depths[j * len(zs):(j + 1) * len(zs)]):
                 b = x + nu_j
                 t = 0.0
-                for a_i, c_i in zip(a[j][top - depth:], c[top - depth:]):
+                for a_i, c_i in zip(a[top - depth:], c[top - depth:]):
                     t = a_i / ((b + c_i) + t)
                 out.append(1.0 / (b + t))
-        return np.array(out).reshape(shape)
+        return np.array(out).reshape(len(nus), -1)
     # deepest first, so the elements still iterating at i are the first
     # m[i] = #(k >= i); the stable sort maps less of numpy's sort code
     order = np.argsort(k, kind="stable")[::-1]
     m = np.cumsum(np.bincount(k)[::-1])[::-1].tolist()[:0:-1]
     zn = (z + nu).ravel()[order]
-    if len(nus) > 1:
-        # each element's own a_i, over the elements still iterating at i
-        a = [a_i[:mi] for a_i, mi in zip(np.array(a).T[:, order // len(zs)], m)]
-    else:
-        a = a[0]
+    # z+nu+2i and a_i for i = top .. 1 (a row each), every element with its
+    # own order's
+    i = np.arange(top, 0, -1.0)[:, None]
+    den = zn + 2.0 * i
+    a = (nu - 1.0).ravel()[order // len(z)] + i
+    a *= -i
     t = np.zeros_like(zn)
-    den = np.empty_like(zn)
-    for a_i, c_i, mi in zip(a, c, m):
-        d = den[:mi]
-        np.add(zn[:mi], c_i, out=d)
+    for a_i, d, mi in zip(a, den, m):
+        d = d[:mi]
         d += t[:mi]
-        np.divide(a_i, d, out=t[:mi])
+        np.divide(a_i[:mi], d, out=t[:mi])
     out = np.empty_like(zn)
     out[order] = 1.0 / (zn + t)
-    return out.reshape(shape)
+    return out.reshape(len(nus), -1)
 
 
 # zeta(2) .. zeta(8), for the Taylor series of lgamma(1+d) about d=0.
@@ -284,6 +283,9 @@ def _series(nus, z):
             c.append(scale * z ** (n - 1.0) * h)
         rows.append(coef)
     if len(nus) == 1:
+        # one order sums Python-float coefficients: with (1, 1) array
+        # coefficients Horner takes about 1.5 times as long (985 values,
+        # 21 terms: 90 to 97 us against 60.5 us on a 2-vCPU VM)
         c, coef = c[0], rows[0]
     else:
         # a row per order, coefficient k of every order as a column
@@ -298,41 +300,29 @@ def _series(nus, z):
     return (c - s) * np.exp(z)
 
 
-def _scaled(nus, z, out):
-    # scaled(nu, z) for each order nu in nus over a 1-d array z into out, a
-    # row per order (out 1-d for one order): see _scaled_orders
+def _scaled_orders(nus, z):
+    """scaled(nu, z) for each order nu in nus over a 1-d array z in
+    [0, inf], a row each, in one pass: one Horner sum over the series
+    elements (0 < z < 1) with a row of coefficients per order, one continued
+    fraction at each element's fixed depth over the fraction elements
+    (z >= 1) of every order, sorted by depth together, and the limit at
+    z = 0 (NaN for a NaN or negative z).  Each element takes the same float
+    operations whatever the other orders and elements, so it gets the bits
+    it gets alone, at its one order, in a one-element array."""
+    out = np.empty((len(nus), len(z)))
     small = (z > 0.0) & (z < 1.0)
     frac = z >= 1.0
     n_small, n_frac = np.count_nonzero(small), np.count_nonzero(frac)
     if n_small:
-        out[..., small] = _series(nus, z[small])
+        out[:, small] = _series(nus, z[small])
     if n_frac:
-        out[..., frac] = _fraction(nus, z[frac])
+        out[:, frac] = _fraction(nus, z[frac])
     if n_small + n_frac < len(z):
         # 1/(nu-1) at z = 0 (inf for nu <= 1), NaN for a NaN or negative z
         edge = ~(small | frac)
         limit = [[1.0 / (nu - 1.0) if nu > 1.0 else math.inf] for nu in nus]
-        out[..., edge] = np.where(z[edge] == 0.0, limit, math.nan)
+        out[:, edge] = np.where(z[edge] == 0.0, limit, math.nan)
     return out
-
-
-def _scaled_array(nu, z):
-    """scaled(nu, z) at one order for a 1-d array of z in [0, inf]: the
-    Horner series where 0 < z < 1, the continued fraction at its fixed depth
-    where z >= 1, and the limit at z = 0 (NaN for a NaN z).  Every
-    element takes the same float operations in any batch, so it gets the
-    value a one-element array would."""
-    return _scaled((nu,), z, np.empty_like(z))
-
-
-def _scaled_orders(nus, z):
-    """scaled(nu, z) for each order nu in nus over a 1-d array z, a row
-    each, in one pass: one Horner sum over the series elements with a row of
-    coefficients per order, and one continued fraction over the fraction
-    elements of every order, sorted by depth together.  Each element gets
-    the bits _scaled_array gives it at its one order, whatever the other
-    orders and elements."""
-    return _scaled(tuple(nus), z, np.empty((len(nus), len(z))))
 
 
 def expint_scaled(nu, z):
@@ -341,7 +331,7 @@ def expint_scaled(nu, z):
         raise DomainError("expint_scaled requires nu >= 0 and z >= 0, got nu=%r z=%r" % (nu, z))
     if z == 0.0 and nu <= 1.0:
         raise DomainError("E_nu(0) diverges for nu <= 1 (nu=%r)" % (nu,))
-    return float(_scaled_array(float(nu), np.array([float(z)]))[0])
+    return float(_scaled_orders((float(nu),), np.array([float(z)]))[0, 0])
 
 
 def expint_scaled_inverse(alpha, y):
@@ -418,7 +408,7 @@ def expint_scaled_inverse_shifted_array(alpha, delta):
         if not pending.size:
             break
         za = z[pending]
-        s = _scaled_array(alpha, za)
+        s = _scaled_orders((alpha,), za)[0]
         h = za * s
         f = h - w[pending]
         d1 = alpha * s + h - 1.0

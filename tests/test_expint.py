@@ -19,7 +19,6 @@ from filterlab import (
 )
 from filterlab.expint import (
     _depth,
-    _scaled_array,
     _scaled_orders,
     expint_scaled_inverse_shifted,
     expint_scaled_inverse_shifted_array,
@@ -43,6 +42,11 @@ SCALED_REFERENCE = [
     (1.0, 1.0, 0.59634736232319407),
     (0.5, 2.0, 0.42136922928805447),
 ]
+
+
+def _one_order(nu, z):
+    # the kernel at one order: row 0 of a one-order pass
+    return _scaled_orders((nu,), z)[0]
 
 
 @pytest.mark.parametrize("nu,z,ref", SCALED_REFERENCE)
@@ -177,20 +181,20 @@ def test_inverse_array_matches_50_digit_roots(alpha):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    # the length of every array the inverse hands _scaled_array
+    # the length of every array the inverse hands _scaled_orders
     calls = []
 
-    def counted(nu, z):
+    def counted(nus, z):
         calls.append(len(z))
-        return _scaled_array(nu, z)
+        return _scaled_orders(nus, z)
 
-    monkeypatch.setattr(expint, "_scaled_array", counted)
+    monkeypatch.setattr(expint, "_scaled_orders", counted)
     return calls
 
 
 def test_inverse_takes_at_most_0p7_of_newtons_kernel_calls(kernel_calls):
     # criterion 7's first 3000 schedules (1 to 7 steps each): Newton from
-    # below made 14557 _scaled_array calls on them (61699 element
+    # below made 14557 kernel calls on them (61699 element
     # evaluations); Halley's steps make 9387 (41380)
     rng = np.random.default_rng(7)
     for k in range(3000):
@@ -291,7 +295,7 @@ def _mp_orders(alpha, z):
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
 def test_array_kernel_matches_50_digit_quadrature(alpha):
-    got = [_scaled_array(alpha + k, KERNEL_Z) for k in (-1.0, 0.0, 1.0, 2.0)]
+    got = [_one_order(alpha + k, KERNEL_Z) for k in (-1.0, 0.0, 1.0, 2.0)]
     for j, z in enumerate(KERNEL_Z):
         for k, want in enumerate(_mp_orders(alpha, float(z))):
             assert abs(got[k][j] - want) <= 5e-14 * want, (alpha + k - 1.0, z, got[k][j], want)
@@ -325,8 +329,8 @@ BATCH_Z = np.random.default_rng(0).permutation(
 
 @pytest.mark.parametrize("nu", BATCH_ORDERS)
 def test_array_kernel_gives_one_value_per_order_and_z(nu):
-    batch = _scaled_array(nu, BATCH_Z)
-    alone = [_scaled_array(nu, BATCH_Z[j:j + 1])[0] for j in range(len(BATCH_Z))]
+    batch = _one_order(nu, BATCH_Z)
+    alone = [_one_order(nu, BATCH_Z[j:j + 1])[0] for j in range(len(BATCH_Z))]
     np.testing.assert_array_equal(batch, alone)
     # expint_scaled is the one-element case
     assert batch.tolist() == [expint_scaled(nu, z) for z in BATCH_Z.tolist()]
@@ -337,7 +341,7 @@ def test_array_kernel_gives_one_value_per_order_and_z(nu):
 
 def _alone(nu, z):
     # the bytes of every element of z evaluated alone at order nu
-    return np.array([_scaled_array(nu, z[j:j + 1])[0] for j in range(len(z))]).tobytes()
+    return np.array([_one_order(nu, z[j:j + 1])[0] for j in range(len(z))]).tobytes()
 
 
 # z on every branch: the z = 0 limit, the series, the continued fraction,
@@ -377,7 +381,7 @@ def test_a_multi_order_pass_over_long_batches(nus):
               _fraction_z()[:6]):
         got = _scaled_orders(nus, z)
         for nu, row in zip(nus, got):
-            assert row.tobytes() == _scaled_array(nu, z).tobytes() == _alone(nu, z), nu
+            assert row.tobytes() == _one_order(nu, z).tobytes() == _alone(nu, z), nu
 
 
 # ---------------------------------------------------------------- continued fraction
@@ -426,8 +430,8 @@ def test_fraction_gives_one_value_per_order_and_z(nu):
     for batch in _batches(_fraction_z()):
         k = _depth(nu, batch).astype(int)
         paths.add(bool(k.sum() > expint._ITERATION_TERMS * k.max()))
-        got = _scaled_array(nu, batch)
-        alone = [_scaled_array(nu, batch[j:j + 1])[0] for j in range(len(batch))]
+        got = _one_order(nu, batch)
+        alone = [_one_order(nu, batch[j:j + 1])[0] for j in range(len(batch))]
         np.testing.assert_array_equal(got, alone)
         assert got.tolist() == [expint_scaled(nu, z) for z in batch.tolist()]
     assert paths == {False, True}
@@ -436,7 +440,7 @@ def test_fraction_gives_one_value_per_order_and_z(nu):
 @pytest.mark.parametrize("nu", FRACTION_ORDERS)
 def test_fraction_matches_50_digit_quadrature(nu):
     z = np.logspace(0.0, math.log10(700.0), 9)
-    got = _scaled_array(nu, z)
+    got = _one_order(nu, z)
     for zj, g in zip(z.tolist(), got.tolist()):
         want = _mp_scaled(nu, zj)
         assert abs(g - want) <= FRACTION_RTOL * want, (nu, zj, g, want)
@@ -454,10 +458,10 @@ def test_fraction_is_converged_at_its_depth(monkeypatch):
     # doubling every depth moves no value by more than 2 ulp
     z = np.logspace(0.0, 3.0, 400)
     orders = np.concatenate([np.linspace(0.0, 10.0, 41), np.logspace(1.0, 4.0, 60)])
-    at_depth = [_scaled_array(nu, z) for nu in orders.tolist()]
+    at_depth = [_one_order(nu, z) for nu in orders.tolist()]
     monkeypatch.setattr(expint, "_depth", lambda nu, z, depth=_depth: 2 * depth(nu, z))
     for nu, got in zip(orders.tolist(), at_depth):
-        deeper = _scaled_array(nu, z)
+        deeper = _one_order(nu, z)
         assert (np.abs(got - deeper) <= 2.0 * np.spacing(deeper)).all(), nu
 
 
@@ -472,8 +476,8 @@ def test_scaled_is_zero_at_infinite_z(nu):
 @pytest.mark.parametrize("nu", BATCH_ORDERS)
 def test_array_kernel_takes_the_limits_at_the_ends_of_the_domain(nu):
     z = np.array([0.0, 1e300, math.inf])
-    got = _scaled_array(nu, z)
-    np.testing.assert_array_equal(got, [_scaled_array(nu, z[j:j + 1])[0] for j in range(3)])
+    got = _one_order(nu, z)
+    np.testing.assert_array_equal(got, [_one_order(nu, z[j:j + 1])[0] for j in range(3)])
     # 1/(nu - 1) at z = 0, diverging for nu <= 1; 0 at z = inf
     assert got[0] == (1.0 / (nu - 1.0) if nu > 1.0 else math.inf)
     assert got[1] == pytest.approx(1e-300, rel=1e-15)
