@@ -33,7 +33,7 @@ def schedule_table():
     traj = build_trajectory(model, 1.0, 0.8, spec)
     sched = inflation_schedule(traj, 7.5, 1.1, 0.2)
     n = traj.n_steps + 1
-    return np.column_stack([np.arange(n), traj.obs_variance * traj.array("inv_S"),
+    return np.column_stack([np.arange(n), traj.obs_variance * traj.inv_S,
                             sched.theta, sched.phi, sched.psi, np.full(n, sched.theta_star)])
 
 

@@ -100,9 +100,12 @@ _GATE_SE = 4.0
 
 def _gate_setup(args, order):
     # the config, trajectory and alpha = N/2 of a Monte Carlo gate checking
-    # moments up to the order-th.  It refuses to run on an implicit seed, so
-    # either --seed or an explicit "seed" field in the config is required,
-    # and on an ensemble whose alpha does not exceed order
+    # moments up to the order-th.  It refuses a pool of no threads, to run
+    # on an implicit seed, so either --seed or an explicit "seed" field in
+    # the config is required, and on an ensemble whose alpha does not
+    # exceed order
+    if args.threads < 1:
+        raise ConfigError("--threads: must be >= 1")
     cfg = _load(args)
     if not cfg.seed_given:
         raise ConfigError("requires --seed or an explicit config.seed, so results "
@@ -286,7 +289,7 @@ def cmd_mc_verify(args):
     def one(i, forms, spec):
         ref, moments = forms
         samples = dsc.mc_discrepancy_moments(traj, inp, i, cfg.replicates, spec)
-        row, gaps = [i, traj.M2_over_S[i], ref.mean_analysis, ref.var_analysis], []
+        row, gaps = [i, traj.M2_over_S.item(i), ref.mean_analysis, ref.var_analysis], []
         for (d, _), (m1, m2), sample in zip(_MC_DISCREPANCIES, moments, samples):
             form = {"mean": m1, "var": m2 - m1 * m1, "mean2": m2}
             for suffix, field, _, _, gated in _MC_STATS:
@@ -317,7 +320,7 @@ def cmd_inflation_table(args):
     sched = _schedule(cfg, traj, alpha, "p_tilde0")
     n = traj.n_steps + 1
     _write_csv(args.out, _INFL_COLS, np.column_stack(
-        [np.arange(n), traj.obs_variance * traj.array("inv_S"), sched.theta, sched.phi,
+        [np.arange(n), traj.obs_variance * traj.inv_S, sched.theta, sched.phi,
          sched.psi, np.full(n, sched.theta_star)]))
     return 0
 
@@ -464,12 +467,9 @@ def _bootstrap_identity():
     sched = inflation_schedule(traj, 8.0, 1.0, 0.0)
     states = skf_run(traj, 0.0, 1.0, sched)
     # theta realized sequentially must equal theta realized in one shot
-    worst = 0.0
-    for i, s in enumerate(states):
-        u = traj.obs_variance * traj.inv_S[i]
-        one_shot = traj.obs_variance * sched.theta[i] * 1.0 \
-            * traj.M2_over_S[i] / (sched.theta[i] * 1.0 + u)
-        worst = max(worst, abs(s.var_analysis - one_shot) / one_shot)
+    r, th = traj.obs_variance, sched.theta
+    one_shot = r * th * 1.0 * traj.M2_over_S / (th * 1.0 + r * traj.inv_S)
+    worst = float(np.max(np.abs([s.var_analysis for s in states] - one_shot) / one_shot))
     return worst < 1e-10, "sequential-vs-one-shot rel err %.2e" % worst
 
 
@@ -502,8 +502,6 @@ def _add_common(sub):
                      help="override the config seed")
     sub.add_argument("--out", metavar="PATH", default=None,
                      help="write CSV here instead of stdout")
-    sub.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="worker threads for per-step computations")
     sub.add_argument("--describe", action="store_true",
                      help="print documentation for every output column and exit")
 
@@ -535,6 +533,9 @@ def build_parser():
     for name, fn, columns, help_text in specs:
         s = sub.add_parser(name, help=help_text)
         _add_common(s)
+        if fn in (cmd_mc_verify, cmd_po_penalty):  # the commands that run a pool
+            s.add_argument("--threads", type=int, default=1, metavar="N",
+                           help="worker threads for the per-step Monte Carlo runs")
         s.set_defaults(fn=fn, columns=columns)
     return parser
 
@@ -546,8 +547,6 @@ def main(argv=None):
     try:
         if args.seed is not None and not (0 <= args.seed < 2**64):
             raise ConfigError("--seed: must fit in an unsigned 64-bit integer")
-        if args.threads < 1:
-            raise ConfigError("--threads: must be >= 1")
         if args.describe and args.columns:
             _describe(args.columns)
             return 0

@@ -163,30 +163,29 @@ def _moment_table(traj, inp):
     # kept in traj.tables under inp, and returned; a prior mean that is not
     # finite is refused first
     _check_finite(("x0", inp.x0), ("x_tilde0", inp.x_tilde0))
-    ledger = [traj.array(s) for s in ("inv_S", "M2_over_S", "M_over_S", "B_over_S")]
+    inv_s, b_s = traj.inv_S, traj.B_over_S  # the sizes below hold these, not traj
     with np.errstate(all="ignore"):
-        dp, dx, c, d = _coefs(inp, *ledger)
+        dp, dx, c, d = _coefs(inp, inv_s, traj.M2_over_S, traj.M_over_S, b_s)
         spec = GammaRatioSpec(np.stack([dp[0], dx[0]]), np.stack([dp[1], dx[1]]), c, d,
                               inp.alpha, inp.p_tilde0)
         second = (ratio_second_moment(spec) if inp.alpha > 2.0
                   else np.full(spec.a.shape, np.nan))
         mean = ratio_mean(spec)
         # B_i/S_i == x_tilde0: dx_i is the constant k = a/c at any alpha
-        const = ledger[3] == inp.x_tilde0
+        const = b_s == inp.x_tilde0
         k = dx[0][const] / c[const]
         mean[1, const] = k
         second[1, const] = k * k  # not k ** 2: pow may round x^2 one ulp off x * x
 
-    inv_s, b_s = traj.inv_S, traj.B_over_S  # not traj, which holds the table
-
     def dp_sizes(i):
         # the inputs behind step i's spec: p_tilde0 its p, p0 and r/S_i its c
-        return ("phat0", inp.p_tilde0), ("p0", inp.p0), ("obs_variance", inp.r * inv_s[i])
+        return ("phat0", inp.p_tilde0), ("p0", inp.p0), ("obs_variance", inp.r * inv_s.item(i))
 
     def dx_sizes(i):
         # and x0, x_tilde0 and B_i/S_i (from the observations, so from the
         # truth x0_truth) in dx's a and b
-        return (*dp_sizes(i), ("x0", inp.x0), ("x_tilde0", inp.x_tilde0), ("x0_truth", b_s[i]))
+        return (*dp_sizes(i), ("x0", inp.x0), ("x_tilde0", inp.x_tilde0),
+                ("x0_truth", b_s.item(i)))
 
     return traj.tables.setdefault(inp, (*mean.tolist(), *second.tolist(), spec, dp_sizes,
                                         dx_sizes))
@@ -220,7 +219,7 @@ def _at(traj, i, column, spec, row, name, n, sizes=None):
         coefs = [float(x[index]) for x in np.broadcast_arrays(spec.a, spec.b, spec.c, spec.d)]
         if sizes is None or all(map(math.isfinite, coefs)):
             why = spec.refusal(index)
-            if why and coefs[0] == traj.M2_over_S[i] == 0.0:
+            if why and coefs[0] == traj.M2_over_S.item(i) == 0.0:
                 raise InputError("model", "step %d: %s: %s, as M_i^2/S_i underflows to 0"
                                  % (i, name, why))
             if why and coefs[0] == 0.0 < coefs[3] and sizes is not None:
@@ -406,8 +405,9 @@ def mc_discrepancy_moments(traj, inp: PerturbedInputs, i, replicates,
     """
     i, n = traj.check_step(i), check_replicates(replicates)
     gen = spec.generator()
-    u = inp.r * traj.inv_S[i]
-    m2s, ms, mbs, r = traj.M2_over_S[i], traj.M_over_S[i], traj.MB_over_S[i], inp.r
+    u = inp.r * traj.inv_S.item(i)
+    m2s, ms, mbs = traj.M2_over_S.item(i), traj.M_over_S.item(i), traj.MB_over_S.item(i)
+    r = inp.r
     pa_exact = r * inp.p0 * m2s / (inp.p0 + u)
     xa_exact = (inp.p0 * mbs + ms * r * inp.x0) / (inp.p0 + u)
 
@@ -442,8 +442,8 @@ def _gain_table(traj, key):
     # refused first
     _, p0, alpha, r, n = key
     _check_finite(("p0", p0), ("obs_variance", r))
-    spec = GammaRatioSpec(a=traj.array("M2_over_S"), b=0.0, c=1.0,
-                          d=r * traj.array("inv_S"), alpha=alpha, p=float(p0))
+    spec = GammaRatioSpec(a=traj.M2_over_S, b=0.0, c=1.0, d=r * traj.inv_S, alpha=alpha,
+                          p=float(p0))
     # the fourth-moment form cancels or overflows at large r/(S_i p0), and
     # po_gain_fourth refuses what it gives there; no numpy warning is printed
     with np.errstate(all="ignore"):
@@ -451,12 +451,12 @@ def _gain_table(traj, key):
     # once r/S_i underflows to 0, K_i = q_i X/(X + 0) is q_i to double
     # precision; a Python float ** rounds as the scalar q_i ** n does
     for i in np.flatnonzero(spec.d == 0.0).tolist():
-        moments[i] = traj.M2_over_S[i] ** n
+        moments[i] = traj.M2_over_S.item(i) ** n
 
     inv_s = traj.inv_S  # not traj, which holds the table
 
     def sizes(i):
-        return ("p0", p0), ("obs_variance", r * inv_s[i])
+        return ("p0", p0), ("obs_variance", r * inv_s.item(i))
 
     return traj.tables.setdefault(key, (moments, spec, sizes))
 
@@ -475,7 +475,7 @@ def _refuse_gain_fourth(traj, i, r, moments, spec):
     # refuses a NaN cell and returns any other, which is named here
     k4 = _at(traj, i, moments, spec, (), "K", 4)
     p4 = (spec.p * spec.p) * (spec.p * spec.p)
-    w = r * traj.inv_S[i] / spec.p
+    w = r * traj.inv_S.item(i) / spec.p
     if not 0.0 < p4 < math.inf:
         param, why = "p0", "it divides by p0^4, which is %g in double precision" % p4
     else:
@@ -539,7 +539,7 @@ def po_mean_identity_check(traj, p0, alpha, r, i, replicates, spec: RngSpec):
     rr = gen.gamma(alpha, r / alpha, n)
     _check_draws(x, "p0", p0, i)
     _check_draws(rr, "obs_variance", r, i)
-    u, g = r * traj.inv_S[i], traj.M2_over_S[i]
+    u, g = r * traj.inv_S.item(i), traj.M2_over_S.item(i)
 
     def r_and_p(lo, v):
         # e = R - r, then P = a + b of a = r * k and b = k * k * e, where

@@ -34,9 +34,10 @@ array of z in a single pass and returns a row per order: the series
 elements of every order take one Horner sum, a row of coefficients per
 order, zero-padded at the top (which adds exactly), and the fraction
 elements of every order run together, sorted by depth, each with its own
-a_i.  Each element goes through the same float operations whatever else
-the array holds and whatever other orders share the pass, so a value does
-not depend on its batch.  The gamma-ratio tables fetch the two or three
+a_i, in chunks of at most _CHUNK elements so that memory stays bounded
+however long the array.  Each element goes through the same float
+operations whatever else the array holds and whatever other orders share
+the pass, so a value does not depend on its batch.  The gamma-ratio tables fetch the two or three
 orders a table reads in one pass; the inverse below reads row 0 of a
 one-order pass over an array, and expint_scaled row 0 of a one-element
 pass.
@@ -116,6 +117,12 @@ _INVERSE_MAXIT = 200
 # 32 took moments' fraction time within 0.6% of each other (three launches)
 _ITERATION_TERMS = 24
 
+# The numpy path of the continued fraction runs over chunks of at most this
+# many elements, deepest first, so its (depth x elements) arrays stay
+# bounded: at the deepest 115 terms a chunk's two of them take 7.5 MB.  A
+# moments table sends at most 303 elements, which one chunk holds
+_CHUNK = 4096
+
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the requested function."""
@@ -143,8 +150,9 @@ def _fraction(nus, z):
     # A batch of at most _ITERATION_TERMS elements (all orders counted), or
     # whose terms, sum(k), are at most _ITERATION_TERMS times its deepest k,
     # runs one element at a time in Python floats, the rest in numpy with
-    # the elements of every order sorted by depth together.  + - * / round
-    # the same in both, so both give the same bits.
+    # the elements of every order sorted by depth together, a chunk of at
+    # most _CHUNK elements at a time.  + - * / round the same in both, so
+    # both give the same bits.
     nu = np.array(nus)[:, None]
     k = _depth(nu, z).astype(int).ravel()
     depths = k.tolist()
@@ -162,25 +170,34 @@ def _fraction(nus, z):
                     t = a_i / ((b + c_i) + t)
                 out.append(1.0 / (b + t))
         return np.array(out).reshape(len(nus), -1)
-    # deepest first, so the elements still iterating at i are the first
-    # m[i] = #(k >= i); the stable sort maps less of numpy's sort code
+    # deepest first, in chunks of at most _CHUNK elements; the stable sort
+    # maps less of numpy's sort code
     order = np.argsort(k, kind="stable")[::-1]
+    zn, nu1 = (z + nu).ravel()[order], (nu - 1.0).ravel()[order // len(z)]
+    out = np.empty_like(zn)
+    for lo in range(0, len(zn), _CHUNK):
+        part = order[lo:lo + _CHUNK]
+        out[part] = _fraction_chunk(zn[lo:lo + _CHUNK], nu1[lo:lo + _CHUNK], k[part])
+    return out.reshape(len(nus), -1)
+
+
+def _fraction_chunk(zn, nu1, k):
+    # the fraction at z+nu = zn, nu-1 = nu1 and depth k, of elements sorted
+    # deepest first, so those still iterating at i are the first
+    # m[i] = #(k >= i).  z+nu+2i and a_i for i = top .. 1, a row each, every
+    # element with its own order's; a function of its own, so that one
+    # chunk's rows are freed before the next chunk's are made
     m = np.cumsum(np.bincount(k)[::-1])[::-1].tolist()[:0:-1]
-    zn = (z + nu).ravel()[order]
-    # z+nu+2i and a_i for i = top .. 1 (a row each), every element with its
-    # own order's
-    i = np.arange(top, 0, -1.0)[:, None]
+    i = np.arange(k[0], 0, -1.0)[:, None]
     den = zn + 2.0 * i
-    a = (nu - 1.0).ravel()[order // len(z)] + i
+    a = nu1 + i
     a *= -i
     t = np.zeros_like(zn)
     for a_i, d, mi in zip(a, den, m):
         d = d[:mi]
         d += t[:mi]
         np.divide(a_i[:mi], d, out=t[:mi])
-    out = np.empty_like(zn)
-    out[order] = 1.0 / (zn + t)
-    return out.reshape(len(nus), -1)
+    return 1.0 / (zn + t)
 
 
 # zeta(2) .. zeta(8), for the Taylor series of lgamma(1+d) about d=0.

@@ -30,16 +30,18 @@ exactly to the mantissa form, which runs to the last step.  The truth
 x0_truth * M_i is a left fold, the same bits as the mantissa product while
 every partial product is normal or x0_truth is 0, and is otherwise
 multiplied out the same way.
-ModelTrajectory holds each ratio as a tuple of Python floats, read by
-index: traj.inv_S[i], ...; array callers share one read-only array per
-ratio, traj.array("inv_S"), converted on first use.
+Both forms append each step's five ratios to one flat list, which becomes
+the ledger's read-only float64 arrays in one conversion: ModelTrajectory
+holds each ratio as a row of one (5, n + 1) array, traj.inv_S, ..., which
+array callers read whole and per-step readers read with .item(i), a
+Python float.
 """
 
 import math
 import operator
+import struct
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 from math import frexp, ldexp
 
 import numpy as np
@@ -89,14 +91,13 @@ class ModelTrajectory:
     """Truth, observations, and the cumulative propagator ledger.
 
     Arrays are indexed by step i = 0..n where n = len(model).  The ledger is
-    the five ratio sequences of the module docstring as tuples of Python
-    floats, read by index: 1/S_i is inv_S[i] and X/S_i is X_over_S[i] (r/S_i
-    is obs_variance * inv_S[i]).  A trajectory compares and hashes by
-    identity.
+    the five ratio sequences of the module docstring as read-only float64
+    arrays: 1/S_i is inv_S[i] and X/S_i is X_over_S[i] (r/S_i is
+    obs_variance * inv_S[i]); inv_S.item(i) reads one as a Python float.  A
+    trajectory compares and hashes by identity.
 
     tables holds what is built from the ledger once and read many times:
-    the read-only arrays of array(), under their ratio's name, and the
-    closed-form tables of every step, under the key of their inputs (a
+    the closed-form tables of every step, under the key of their inputs (a
     discrepancy.PerturbedInputs for the dp and dx moments, ("gain", p0,
     alpha, r, n) for E[K_i^n], ("skf", x0, p0) for skf's states).  It lives
     as long as the trajectory and nothing else holds it; a trajectory made
@@ -107,25 +108,16 @@ class ModelTrajectory:
     obs_variance: float
     truth: np.ndarray
     observations: np.ndarray
-    inv_S: tuple = field(repr=False)
-    M_over_S: tuple = field(repr=False)
-    M2_over_S: tuple = field(repr=False)
-    B_over_S: tuple = field(repr=False)
-    MB_over_S: tuple = field(repr=False)
+    inv_S: np.ndarray = field(repr=False)
+    M_over_S: np.ndarray = field(repr=False)
+    M2_over_S: np.ndarray = field(repr=False)
+    B_over_S: np.ndarray = field(repr=False)
+    MB_over_S: np.ndarray = field(repr=False)
     tables: dict = field(default_factory=dict, init=False, repr=False)
     _last: int = field(init=False, repr=False)  # n_steps, for check_step
 
     def __post_init__(self):
         self._last = len(self.inv_S) - 1
-
-    def array(self, name):
-        """The ratio sequence name ("inv_S", "M_over_S", ...) as a read-only
-        float array, converted on first use and shared by every caller."""
-        a = self.tables.get(name)
-        if a is None:
-            a = self.tables[name] = np.array(getattr(self, name))
-            a.flags.writeable = False
-        return a
 
     @property
     def n_steps(self):
@@ -250,7 +242,6 @@ def build_trajectory(model: ModelSequence, x0_truth, obs_variance, spec: RngSpec
     i = len(flat) // 5 - 1  # the last step in plain doubles
     if i < len(ms):
         (uf, ue), (qf, qe), (wf, we) = frexp(u), frexp(q), frexp(w)
-        tail = []
         try:
             for mf, me, yf, ye in zip(*(a.tolist() for a in (*np.frexp(model.values[i:]),
                                                               *np.frexp(obs[i + 1:])))):
@@ -269,15 +260,16 @@ def build_trajectory(model: ModelSequence, x0_truth, obs_variance, spec: RngSpec
                     af, ae, bf, be = bf, be, af, ae
                 wf, e = frexp(af + ldexp(bf, be - ae))
                 we = ae + e
-                tail.append((inv_s, b_s, uf, ue, qf, qe, wf, we))
+                flat += (inv_s, b_s, ldexp(uf, ue), ldexp(qf, qe), ldexp(wf, we))
         except OverflowError:
-            raise range_error(i + len(tail) + 1) from None
-        inv_t, b_t, *fe = zip(*tail)
-        with np.errstate(over="ignore"):
-            u_t, q_t, mb_t = np.ldexp(fe[0::2], fe[1::2])
-        finite = np.isfinite(b_t) & np.isfinite(mb_t)
-        if not finite.all():
-            raise range_error(i + 1 + int(np.argmin(finite)))
-        flat += chain.from_iterable(zip(inv_t, b_t, u_t.tolist(), q_t.tolist(), mb_t.tolist()))
-    inv_ss, b_ss, u_s, q_s, mb_s = (tuple(flat[j::5]) for j in range(5))
+            raise range_error(len(flat) // 5) from None
+    # a row per ratio, converted by struct.pack, which takes a list of floats
+    # faster than np.fromiter does; only a sum in the mantissa form (B/S,
+    # MB/S) can overflow without an OverflowError
+    ledger = np.frombuffer(struct.pack("%dd" % len(flat), *flat)).reshape(-1, 5).T.copy()
+    ledger.flags.writeable = False
+    finite = np.isfinite(ledger).all(axis=0)
+    if not finite.all():
+        raise range_error(int(np.argmin(finite)))
+    inv_ss, b_ss, u_s, q_s, mb_s = ledger
     return ModelTrajectory(model, r, truth, obs, inv_ss, u_s, q_s, b_ss, mb_s)

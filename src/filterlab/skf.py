@@ -7,14 +7,16 @@ analysis variance and mean at step i have the closed forms
     x_i = M_i (B_i p0 + r x0) / (S_i p0 + r)
 
 which the recursion must reproduce exactly up to roundoff.  All closed
-forms are evaluated through the ratio ledger of the trajectory, in Python
-floats, so they do not degrade when M_i and S_i overflow.  skf_closed_form
-is a step check and a table read: the first call for a trajectory and a
-prior (x0, p0) refuses the p0 that skf_start refuses, with its error, and
-builds the SkfState of every step, each from steps i and i - 1 of the
-ledger by the same float operations a single step would take.  It keeps the
-list in the trajectory's tables dict under ("skf", x0, p0), x0 and p0 as
-floats, for as long as the trajectory lives.
+forms are evaluated through the ratio ledger of the trajectory, whole
+arrays at a time, so they do not degrade when M_i and S_i overflow.
+skf_closed_form is a step check and a table read: the first call for a
+trajectory and a prior (x0, p0) refuses the p0 that skf_start refuses, with
+its error, and builds the SkfState of every step in two array passes, the
+analyses from the ledger and then the forecasts from the analyses of the
+step before, by the same float operations a single step would take.  A
+table with an analysis mean or variance that is not a finite double is
+refused whole.  It keeps the list in the trajectory's tables dict under
+("skf", x0, p0), x0 and p0 as floats, for as long as the trajectory lives.
 
 SkfState is a NamedTuple, an immutable record of its six fields in order:
 it constructs in a third of a frozen dataclass's time (one
@@ -54,7 +56,26 @@ class SkfState(NamedTuple):
 
 def _analyze(step, xf, pf, y, r):
     k = pf / (pf + r)
-    return SkfState(step, xf, pf, k, xf + k * (y - xf), k * r)
+    return SkfState(step, xf, pf, k, analysis_mean(step, xf, k, y, "analysis mean"), k * r)
+
+
+def analysis_mean(step, xf, k, y, what):
+    """xf + k (y - xf), the analysis mean at step of forecast mean xf, gain
+    k and observation y, which both filters take; what names it in the
+    TrajectoryRangeError raised where it is not a finite double.
+
+    The error names "model" where the forecast mean m x_a itself overflowed
+    after step 0, else "x0" where |xf| >= |y| (the forecast carries the
+    prior mean) and "x0_truth" where the observation of the truth is the
+    larger.
+    """
+    xa = xf + k * (y - xf)
+    if not math.isfinite(xa):
+        param = ("model" if step and not math.isfinite(xf)
+                 else "x0" if abs(xf) >= abs(y) else "x0_truth")
+        raise TrajectoryRangeError(param, "step %d: the %s %g is not a finite double"
+                                   % (step, what, xa))
+    return xa
 
 
 def forecast_blame(step, pf, r, start):
@@ -132,31 +153,39 @@ def skf_run(traj: ModelTrajectory, x0, p0, inflation=None):
                       skf_step, inflation)
 
 
-def _closed_analysis(traj, x0, p0, i):
-    # closed-form analysis mean and variance at step i, from the ledger
-    r = traj.obs_variance
-    u = r * traj.inv_S[i]
-    pa = r * p0 * traj.M2_over_S[i] / (p0 + u)
-    xa = (p0 * traj.MB_over_S[i] + traj.M_over_S[i] * r * x0) / (p0 + u)
-    return xa, pa
-
-
 def _closed_table(traj, key):
-    # SkfState at every step of traj from the closed forms: the analysis of
-    # step i, and the forecast of step i from the analysis of step i - 1,
-    # kept in traj.tables under key = ("skf", x0, p0), the key the entry
-    # probed, and returned.  A prior that skf_start refuses is refused here,
-    # with its message, and so is a mean that is not finite
+    # SkfState at every step of traj from the closed forms: the analyses
+    # of every step, then the forecast of step i from the analysis of step
+    # i - 1, kept in traj.tables under key = ("skf", x0, p0), the key the
+    # entry probed, and returned.  A prior that skf_start refuses is
+    # refused here, with its message, and so is a mean that is not finite
+    # and an analysis that is not a finite double, at its first such step:
+    # a mean names x0 or x0_truth, whichever is larger, and a variance p0
+    # or obs_variance.  A forecast m_i^2 p_a past double range, which
+    # skf_step refuses, is left inf
     _, x0, p0 = key
     r = traj.obs_variance
-    skf_start(x0, p0, 0.0, r)
+    skf_start(0.0, p0, 0.0, r)
     _check_finite(("x0", x0))
-    analyses = [_closed_analysis(traj, x0, p0, i) for i in range(traj.n_steps + 1)]
-    forecasts = [(x0, p0)] + [(m * xa, m * m * pa) for m, (xa, pa)
-                              in zip(traj.model.values.tolist(), analyses)]
-    return traj.tables.setdefault(key, [
-        SkfState(i, xf, pf, pa / r, xa, pa)
-        for i, ((xf, pf), (xa, pa)) in enumerate(zip(forecasts, analyses))])
+    m = traj.model.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = p0 + r * traj.inv_S
+        pa = r * p0 * traj.M2_over_S / c
+        xa = (p0 * traj.MB_over_S + traj.M_over_S * r * x0) / c
+        table = (np.append(x0, m * xa[:-1]), np.append(p0, m * m * pa[:-1]), pa / r, xa, pa)
+    finite = np.isfinite(xa) & np.isfinite(pa)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        if not math.isfinite(xa.item(i)):
+            what, v = "mean", xa.item(i)
+            param = "x0" if abs(x0) >= abs(traj.truth.item(0)) else "x0_truth"
+        else:
+            what, v = "variance", pa.item(i)
+            param = "p0" if p0 >= r else "obs_variance"
+        raise TrajectoryRangeError(param, "step %d: the closed-form analysis %s %g is not "
+                                   "a finite double" % (i, what, v))
+    return traj.tables.setdefault(key, list(map(SkfState, range(len(m) + 1),
+                                                *np.stack(table).tolist())))
 
 
 def skf_closed_form(traj: ModelTrajectory, x0, p0, i):

@@ -23,7 +23,7 @@ import numpy as np
 from .expint import expint_scaled_inverse_shifted, expint_scaled_inverse_shifted_array
 from .propagators import ModelTrajectory, TrajectoryRangeError
 from .rng import RngSpec, check_count, normal_polar
-from .skf import PF_MIN, forecast_blame, run_filter
+from .skf import PF_MIN, analysis_mean, forecast_blame, run_filter
 
 __all__ = [
     "EnsembleState",
@@ -79,10 +79,12 @@ def _forecast_var(step, anoms, r):
 
 
 def _analyze(step, xf, anoms, pf, y, r):
-    # gain from the sampled forecast variance, anomalies rescaled by (pa/pf)^(1/2)
+    # gain from the sampled forecast variance, anomalies rescaled by
+    # (pa/pf)^(1/2); the mean in Python floats, refused where it is not finite
     k = pf / (pf + r)
+    xa = analysis_mean(step, xf, k, float(y), "ensemble analysis mean")
     anoms = anoms * math.sqrt(k * r / pf)
-    return EnsembleState(step, xf + k * (y - xf), anoms, _svar(anoms), k)
+    return EnsembleState(step, xa, anoms, _svar(anoms), k)
 
 
 def sample_initial_ensemble(n_members, p0, x0, spec: RngSpec):
@@ -215,10 +217,15 @@ def inflation_schedule(traj: ModelTrajectory, alpha, p0, x_init):
     x_init is the mean the filter is started from; the mean shifts psi are
     relative to it.  They depend on the realized observations through B_i,
     so the schedule is trajectory-specific, not just model-specific.
+    Raises TrajectoryRangeError at the first step whose shift is not a
+    finite double, naming "model" where M_{i+1}/S_i (b - x_init) overflows
+    and B_i/S_i - x_init does not, else "x0" where |x_init| >= |B_i/S_i|
+    (the prior mean) and "x0_truth" where B_i/S_i, from the observations
+    of the truth, is the larger.
     """
     alpha, p0, x_init = float(alpha), float(p0), float(x_init)
     r = traj.obs_variance
-    u = r * traj.array("inv_S")
+    u = r * traj.inv_S
     theta = _thetas(alpha, p0, u, expint_scaled_inverse_shifted_array)
     # phi and psi in v = u / p0, so no theta * p0 product can overflow
     th0, th1, v = theta[:-1], theta[1:], u[:-1] / p0
@@ -226,9 +233,18 @@ def inflation_schedule(traj: ModelTrajectory, alpha, p0, x_init):
     phi[0] = theta[0]
     phi[1:] = th1 * (th0 + v) / (th0 * (th1 + v))
     # M_{i+1}/S_i = m_i M_i/S_i and B_i/S_i from the ratio ledger
-    m_next = traj.model.values * traj.array("M_over_S")[:-1]
-    b = traj.array("B_over_S")[:-1]
+    m_next = traj.model.values * traj.M_over_S[:-1]
+    b = traj.B_over_S[:-1]
     psi = np.zeros_like(theta)
-    psi[1:] = (m_next * (b - x_init) * (th1 - th0) * (r / p0)
-               / ((th1 + v) * (th0 + v)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = b - x_init
+        psi[1:] = (m_next * shift * (th1 - th0) * (r / p0)
+                   / ((th1 + v) * (th0 + v)))
+    finite = np.isfinite(psi)
+    if not finite.all():
+        i = int(np.argmin(finite))  # a step from 1 on: psi_0 is 0
+        param = ("model" if math.isfinite(shift.item(i - 1))
+                 else "x0" if abs(x_init) >= abs(b.item(i - 1)) else "x0_truth")
+        raise TrajectoryRangeError(param, "step %d: the mean shift psi is not a finite "
+                                   "double" % i)
     return InflationSchedule(theta_star=theta_star(alpha), theta=theta, phi=phi, psi=psi)

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,9 +182,10 @@ def test_one_parser_serves_many_main_calls(tmp_path, capsys):
     code, out, _ = run_cli(["inflation-table"], capsys)
     header, rows = parse_csv(out)
     assert code == 0 and header == [n for n, _ in _INFL_COLS] and len(rows) == 21
-    with pytest.raises(SystemExit) as exc:
-        main(["skf", "--threads", "x"])
-    assert exc.value.code == 2
+    for argv in (["mc-verify", "--threads", "x"], ["skf", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
     code, out, _ = run_cli(["skf", "--seed", "3"], capsys)
     assert code == 0 and len(parse_csv(out)[1]) == 21
@@ -369,6 +371,43 @@ def test_a_refused_step_exits_2_naming_it(tmp_path, capsys, cmd, obj, last):
     assert err.splitlines()[-1] == last
 
 
+# finite means so large that an analysis mean, a mean shift or a closed-form
+# mean leaves double range: the filters' analysis means, the schedule's
+# shifts and skf's closed form refuse them, naming x0 or x0_truth, whichever
+# is larger (x0 on a tie), or the model where the forecast m x_a overflowed
+OPPOSED = {"steps": 2, "x0": 1e308, "x0_truth": -1e308}
+TRUTH_LARGER = {"steps": 2, "x0": -1e308, "x0_truth": 1.7e308}
+GROWN = {"steps": 2, "x0": 1e300, "p0": 1e-250, "model": {"kind": "constant", "m": 1e10}}
+
+
+@pytest.mark.parametrize("cmd,obj,line", [
+    ("skf", OPPOSED, "config.x0: step 0: the analysis mean -inf is not a finite double"),
+    ("spenkf", OPPOSED,
+     "config.x0: step 0: the ensemble analysis mean -inf is not a finite double"),
+    ("inflation-table", OPPOSED, "config.x0: step 1: the mean shift psi is not a finite double"),
+    ("mc-verify", OPPOSED, "config.x0: step 1: the mean shift psi is not a finite double"),
+    ("skf", {"steps": 2, "x0": 1e308, "x0_truth": 1e308, "r": 10},
+     "config.x0: step 0: the closed-form analysis mean inf is not a finite double"),
+    ("skf", TRUTH_LARGER,
+     "config.x0_truth: step 0: the analysis mean inf is not a finite double"),
+    ("inflation-table", TRUTH_LARGER,
+     "config.x0_truth: step 1: the mean shift psi is not a finite double"),
+    ("skf", GROWN, "config.model: step 1: the analysis mean nan is not a finite double"),
+    ("spenkf", GROWN,
+     "config.model: step 1: the ensemble analysis mean nan is not a finite double"),
+], ids=["skf", "spenkf", "inflation-table", "mc-verify", "skf-closed-form", "skf-x0_truth",
+        "inflation-table-x0_truth", "skf-model", "spenkf-model"])
+def test_a_mean_out_of_double_range_exits_2_naming_its_input(tmp_path, capsys, cmd, obj,
+                                                             line):
+    dest = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        code, out, err = run_cli([cmd, "--config", write_config(tmp_path, obj), "--seed", "1",
+                                  "--out", str(dest)], capsys)
+    assert (code, out, err.splitlines()) == (2, "", ["%s: %s" % (cmd, line)])
+    assert not dest.exists()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_an_earlier_failing_step_is_reported_before_a_refused_one(tmp_path, capsys, threads):
     # m = 2 over 600 steps: r/S_i underflows to 0 from step 538 on, which the
@@ -456,7 +495,7 @@ def test_seed_out_of_range_rejected(capsys):
 
 
 def test_threads_must_be_positive(capsys):
-    code, _, err = run_cli(["skf", "--threads", "0"], capsys)
+    code, _, err = run_cli(["mc-verify", "--threads", "0"], capsys)
     assert code == 2
     assert "threads" in err
 
@@ -491,7 +530,7 @@ def test_mv_requires_mv_section(tmp_path, capsys):
     (["po-penalty", "--seed", "1"], {"ensemble_size": 8}, "config.ensemble_size: must be >= 9"),
     (["mv"], {"steps": 2}, "config.mv: missing required section"),
     (["skf", "--seed", "-1"], {"steps": 2}, "--seed: "),
-    (["spenkf", "--threads", "0"], {"steps": 2}, "--threads: "),
+    (["po-penalty", "--threads", "0"], {"steps": 2}, "--threads: "),
 ], ids=["no-seed", "mc-verify-ensemble", "po-penalty-ensemble", "no-mv-section",
         "bad-seed", "no-threads"])
 def test_bad_input_prints_one_prefixed_line(tmp_path, capsys, argv, cfg, field):

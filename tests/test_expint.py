@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -382,6 +383,26 @@ def test_a_multi_order_pass_over_long_batches(nus):
         got = _scaled_orders(nus, z)
         for nu, row in zip(nus, got):
             assert row.tobytes() == _one_order(nu, z).tobytes() == _alone(nu, z), nu
+
+
+def test_the_fraction_runs_in_bounded_memory():
+    # 1e5 fraction elements of one order, deepest at z = 1: the numpy path
+    # holds two (depth x chunk) arrays at a time beside arrays of a few
+    # doubles per element, and each element keeps the bits it gets alone
+    n = 100_000
+    z = np.linspace(1.0, 3.0, n)
+    rows = int(_depth(4.5, 1.0)) + 1
+    bound = 2 * rows * expint._CHUNK * 8 + 16 * 8 * n
+    assert expint._CHUNK >= 303 and bound < 32 * 2 ** 20
+    tracemalloc.start()
+    try:
+        got = _one_order(4.5, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+    # a sample across every chunk
+    assert got[::997].tobytes() == _alone(4.5, z[::997])
 
 
 # ---------------------------------------------------------------- continued fraction

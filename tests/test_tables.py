@@ -228,7 +228,7 @@ def outcome(call, i):
 def zero_r_over_s_at(traj, k):
     inv_s = list(traj.inv_S)
     inv_s[k] = 0.0
-    return dataclasses.replace(traj, inv_S=tuple(inv_s))
+    return dataclasses.replace(traj, inv_S=np.array(inv_s))
 
 
 GROWING = dict(seed=41, steps=60, low=1.05, high=1.3)
@@ -300,7 +300,7 @@ def test_a_step_with_zero_r_over_s_raises_alone():
     k = 7
     inv_s = list(traj.inv_S)
     inv_s[k] = 0.0
-    broken = dataclasses.replace(traj, inv_S=tuple(inv_s))
+    broken = dataclasses.replace(traj, inv_S=np.array(inv_s))
     inp = inputs(6.0)
     for entry in (expected_dp, second_moment_dp, expected_dx, second_moment_dx):
         with pytest.raises(ValueError, match="need c > 0 and d > 0"):
